@@ -17,12 +17,14 @@ accuracy label autocorrelation alone can buy.
 
 import io
 import math
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
-from .diagnostics import FIRST_LABEL
-from .errors import EmptyStream, InvalidRho
-from .rng import SplitMix64, derive_seed
+import numpy as np
+
+from .diagnostics import FIRST_LABEL, first_prediction
+from .errors import InvalidRho
+from .rng import derive_seed, uniforms
 
 
 @dataclass(frozen=True)
@@ -91,85 +93,76 @@ class SweepResult:
         return out.getvalue()
 
 
-class _WindowedMajority:
-    """Label counts since the last restart, with most-recent tie-breaking."""
+class _CodedStream:
+    """A label stream as int32 codes plus the prefix tables the restart
+    kernel reads, built once per stream and shared by every sweep cell.
 
-    def __init__(self):
-        self.counts = {}
-        self.last_seen = {}
-        self.last_label = None
-        self._t = 0
+    prefix[c, t] counts class c in labels[0:t]; last[c, t - 1] is the last
+    index before t that holds class c, or -1.
+    """
 
-    def observe(self, label):
-        self._t += 1
-        self.counts[label] = self.counts.get(label, 0) + 1
-        self.last_seen[label] = self._t
-        self.last_label = label
+    def __init__(self, labels: Sequence, cold_start):
+        self.first = first_prediction(labels, cold_start)
+        index = {}
+        self.codes = np.fromiter((index.setdefault(y, len(index))
+                                  for y in labels), np.int32, len(labels))
+        self.classes = list(index)
+        n, k = len(self.codes), len(self.classes)
+        seen = self.codes[:-1] == np.arange(k, dtype=np.int32)[:, None]
+        self.prefix = np.zeros((k, n), np.int32)
+        np.cumsum(seen, axis=1, dtype=np.int32, out=self.prefix[:, 1:])
+        last = np.where(seen, np.arange(n - 1, dtype=np.int32), np.int32(-1))
+        self.last = np.maximum.accumulate(last, axis=1)
 
-    def restart(self):
-        label = self.last_label
-        self.counts = {}
-        if label is not None:
-            self.counts[label] = 1
+    def predict(self, policy: RestartPolicy) -> np.ndarray:
+        """The restart kernel: predicted codes for t = 1..n-1 of one run.
 
-    def predict(self, cold_start):
-        if not self.counts:
-            if self.last_label is not None:
-                return self.last_label
-            return cold_start  # only reachable at t=1; resolved by caller
-        best = None
-        for label, count in self.counts.items():
-            key = (count, self.last_seen[label])
-            if best is None or key > best[0]:
-                best = (key, label)
-        return best[1]
+        The draw after instance j fires a restart with probability rho;
+        the window for t then starts at the latest j < t that fired (the
+        just-seen label is re-inserted), or at 0. The prediction is the
+        windowed majority, ties to the tied class seen most recently.
+        """
+        counts = self.prefix[:, 1:]
+        if policy.rho > 0.0:
+            m = len(self.codes) - 1
+            fire = uniforms(policy.seed, m) < policy.rho
+            start = np.maximum.accumulate(np.where(fire, np.arange(m), 0))
+            counts = counts - self.prefix[:, start]
+        tied = counts == counts.max(axis=0)
+        return np.argmax(np.where(tied, self.last, np.int32(-2)), axis=0)
 
+    def accuracy(self, policy: RestartPolicy) -> float:
+        hits = np.count_nonzero(self.predict(policy) == self.codes[1:])
+        correct = int(self.first == self.classes[0]) + int(hits)
+        return correct / len(self.codes)
 
-def _trace(labels, rho, rng, cold_start):
-    """Prediction trace of the windowed restart classifier. rho=0 with any
-    rng reproduces the incremental majority; rho=1 reproduces persistence."""
-    if len(labels) == 0:
-        raise EmptyStream("cannot run a baseline on an empty stream")
-    window = _WindowedMajority()
-    predictions = []
-    for t, label in enumerate(labels):
-        if t == 0:
-            pred = labels[0] if cold_start == FIRST_LABEL else cold_start
-        else:
-            pred = window.predict(cold_start)
-        predictions.append(pred)
-        window.observe(label)
-        if rho > 0.0 and rng.bernoulli(rho):
-            window.restart()
-    return predictions
-
-
-def _score(labels, predictions) -> float:
-    return sum(p == y for p, y in zip(predictions, labels)) / len(labels)
+    def trace(self, policy: RestartPolicy) -> list:
+        return [self.first] + [self.classes[c] for c in self.predict(policy)]
 
 
 def majority_baseline(labels: Sequence, cold_start=FIRST_LABEL) -> float:
     """Prequential incremental-majority accuracy: at each step predict the
     majority class of everything seen so far, ties toward the most
     recently observed label."""
-    return _score(labels, majority_trace(labels, cold_start=cold_start))
+    return random_restart_run(labels, RestartPolicy(0.0),
+                              cold_start=cold_start)
 
 
 def majority_trace(labels: Sequence, cold_start=FIRST_LABEL) -> list:
-    return _trace(labels, 0.0, None, cold_start)
+    return random_restart_trace(labels, RestartPolicy(0.0),
+                                cold_start=cold_start)
 
 
 def random_restart_run(labels: Sequence, policy: RestartPolicy,
                        cold_start=FIRST_LABEL) -> float:
     """Accuracy of one seeded run of the random-restart classifier."""
-    return _score(labels, random_restart_trace(labels, policy,
-                                               cold_start=cold_start))
+    return _CodedStream(labels, cold_start).accuracy(policy)
 
 
 def random_restart_trace(labels: Sequence, policy: RestartPolicy,
                          cold_start=FIRST_LABEL) -> list:
     """Full prediction trace of one seeded run (audit mode)."""
-    return _trace(labels, policy.rho, SplitMix64(policy.seed), cold_start)
+    return _CodedStream(labels, cold_start).trace(policy)
 
 
 def rho_sweep(labels: Sequence, config: SweepConfig,
@@ -180,11 +173,10 @@ def rho_sweep(labels: Sequence, config: SweepConfig,
     index, repetition index), so the sweep is reproducible and cells are
     order-independent.
     """
+    stream = _CodedStream(labels, cold_start)
     rows = []
     for i, rho in enumerate(config.rho_grid):
         for rep in range(config.repetitions):
-            seed = derive_seed(config.master_seed, i, rep)
-            acc = random_restart_run(labels, RestartPolicy(rho, seed),
-                                     cold_start=cold_start)
-            rows.append((rho, rep, acc))
+            policy = RestartPolicy(rho, derive_seed(config.master_seed, i, rep))
+            rows.append((rho, rep, stream.accuracy(policy)))
     return SweepResult(tuple(rows), config)

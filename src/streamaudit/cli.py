@@ -12,7 +12,6 @@ Exit codes: 0 success, 1 usage error, 2 parse/data error, 3 failed
 
 import argparse
 import json
-import os
 import sys
 
 from . import baselines, diagnostics, evaluation, stream_io, synth
@@ -121,8 +120,6 @@ def build_parser():
     p.add_argument("--out", default=None, help="per-run CSV (default stdout)")
     p.add_argument("--summary", dest="summary_out", default=None,
                    help="per-rho summary CSV")
-    p.add_argument("--threads", type=int, default=os.cpu_count(),
-                   help="parallelism bound (runs are order-independent)")
 
     p = sub.add_parser("synth", help="generate a synthetic label stream")
     synth_sub = p.add_subparsers(dest="model", required=True)
@@ -148,7 +145,9 @@ def build_parser():
 
 
 def _make_learner(spec, ds, seed):
-    cold_start = ds.class_values[0]
+    # the same cold start as the bars, so restart:1 == persistence and
+    # restart:0 == majority hold across commands
+    cold_start = diagnostics.first_prediction(ds.labels())
     if spec == "naive-bayes":
         return evaluation.NaiveBayesLearner(ds)
     if spec == "majority":

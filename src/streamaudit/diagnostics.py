@@ -115,18 +115,20 @@ def independence_bar(dist: LabelDistribution) -> float:
     return math.fsum(f * f for f in dist.frequencies.values())
 
 
-def persistence_accuracy(labels: Sequence, cold_start=FIRST_LABEL) -> float:
-    """Accuracy of predicting each label as a copy of the previous one.
+def first_prediction(labels: Sequence, cold_start=FIRST_LABEL):
+    """The prediction for the first instance: an explicit cold_start label
+    value, or under FIRST_LABEL the first instance's own label."""
+    if len(labels) == 0:
+        raise EmptyStream("an empty stream has no first instance")
+    return labels[0] if cold_start == FIRST_LABEL else cold_start
 
-    The prediction for the first instance comes from cold_start: either an
-    explicit label value or FIRST_LABEL (predict the first instance's own
-    label, counting it correct).
+
+def persistence_accuracy(labels: Sequence, cold_start=FIRST_LABEL) -> float:
+    """Accuracy of predicting each label as a copy of the previous one,
+    the first instance predicted by first_prediction(labels, cold_start).
     """
+    correct = int(first_prediction(labels, cold_start) == labels[0])
     n = len(labels)
-    if n == 0:
-        raise EmptyStream("persistence accuracy of an empty stream")
-    first_pred = labels[0] if cold_start == FIRST_LABEL else cold_start
-    correct = int(first_pred == labels[0])
     correct += sum(labels[t] == labels[t - 1] for t in range(1, n))
     return correct / n
 

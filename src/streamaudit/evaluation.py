@@ -241,8 +241,8 @@ class PersistenceLearner(Classifier):
 
 class RandomRestartLearner(Classifier):
     """The rho-parameterized restart classifier behind the Classifier
-    contract; equals baselines.random_restart_run on the same stream,
-    seed and cold start."""
+    contract, one instance at a time; equals baselines.random_restart_run
+    on the same stream, seed and cold start."""
 
     def __init__(self, rho: float, seed: int, cold_start):
         self._policy = baselines.RestartPolicy(rho, seed)
@@ -251,20 +251,20 @@ class RandomRestartLearner(Classifier):
         self.reset()
 
     def reset(self):
-        self._window = baselines._WindowedMajority()
+        self._counts = {}  # label -> count since the last restart
         self._rng = SplitMix64(self._policy.seed)
-        self._seen_any = False
 
     def predict(self, features):
-        if not self._seen_any:
+        if not self._counts:
             return self._cold_start
-        return self._window.predict(self._cold_start)
+        # the window's labels are kept in last-seen order, so the first
+        # maximum over the reversed keys is the tied label seen last
+        return max(reversed(self._counts), key=self._counts.get)
 
     def update(self, features, label):
-        self._seen_any = True
-        self._window.observe(label)
+        self._counts[label] = self._counts.pop(label, 0) + 1
         if self._policy.rho > 0.0 and self._rng.bernoulli(self._policy.rho):
-            self._window.restart()
+            self._counts = {label: 1}
 
 
 class MajorityLearner(RandomRestartLearner):

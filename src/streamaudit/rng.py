@@ -54,15 +54,22 @@ class SplitMix64:
 def uniforms(seed: int, n: int) -> np.ndarray:
     """Vectorized batch of the first n uniforms of SplitMix64(seed).
 
-    Bit-identical to calling SplitMix64(seed).random() n times.
+    Bit-identical to calling SplitMix64(seed).random() n times. Works in
+    place on two n-sized buffers; the result reuses the second one.
     """
+    z = np.arange(1, n + 1, dtype=np.uint64)
+    t = np.empty_like(z)
     with np.errstate(over="ignore"):
-        state = np.uint64(seed) + (np.arange(1, n + 1, dtype=np.uint64)
-                                   * np.uint64(_GOLDEN))
-        z = (state ^ (state >> np.uint64(30))) * np.uint64(_MIX1)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
-        z ^= z >> np.uint64(31)
-    return (z >> np.uint64(11)).astype(np.float64) * 2.0**-53
+        z *= np.uint64(_GOLDEN)
+        z += np.uint64(seed)
+        for shift, mult in ((30, _MIX1), (27, _MIX2)):  # as in mix64
+            np.right_shift(z, np.uint64(shift), out=t)
+            z ^= t
+            z *= np.uint64(mult)
+    np.right_shift(z, np.uint64(31), out=t)
+    z ^= t
+    z >>= np.uint64(11)
+    return np.multiply(z, 2.0**-53, out=t.view(np.float64))
 
 
 def derive_seed(master: int, *indices: int) -> int:

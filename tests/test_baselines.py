@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -9,7 +10,7 @@ from streamaudit import (EmptyStream, InvalidRho, RestartPolicy, SweepConfig,
                          persistence_accuracy, random_restart_run,
                          random_restart_trace, rho_sweep)
 from streamaudit.baselines import majority_trace
-from streamaudit.rng import SplitMix64
+from streamaudit.rng import SplitMix64, uniforms
 from streamaudit.synth import MarkovLabelModel
 
 label_streams = st.lists(st.sampled_from("DU"), min_size=1, max_size=40)
@@ -180,13 +181,49 @@ def oracle_restart_trace(labels, rho, seed, cold_start):
 
 def test_fast_paths_match_bruteforce_oracle():
     rng = random.Random(20240317)
-    for _ in range(100):
-        n = rng.randrange(1, 50)
+    # n = 1 explicitly; cold start "Z" never occurs in the stream
+    for n in [1, 1] + [rng.randrange(1, 50) for _ in range(100)]:
         labels = [rng.choice("DUX") for _ in range(n)]
         rho = rng.choice([0.0, 0.1, 0.5, 0.9, 1.0])
         seed = rng.randrange(2**64)
-        assert majority_trace(labels, cold_start="D") == \
-            oracle_majority_trace(labels, "D")
+        cold = rng.choice("DZ")
+        assert majority_trace(labels, cold_start=cold) == \
+            oracle_majority_trace(labels, cold)
         assert random_restart_trace(labels, RestartPolicy(rho, seed),
-                                    cold_start="D") == \
-            oracle_restart_trace(labels, rho, seed, "D")
+                                    cold_start=cold) == \
+            oracle_restart_trace(labels, rho, seed, cold)
+
+
+# ---------------------------------------------------------------------------
+# byte-identity gate: sha256 of the sweep CSVs, computed with the per-instance
+# Python restart loop that preceded the vectorised kernel
+
+GRID = tuple(round(0.1 * i, 10) for i in range(11))
+
+
+def _sha256(text):
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def sticky_stream(n, classes, stay, seed):
+    """Keep the previous label with probability stay, else draw uniformly."""
+    u = uniforms(seed, 2 * n).tolist()
+    out = [classes[int(u[1] * len(classes))]]
+    for t in range(1, n):
+        out.append(out[-1] if u[2 * t] < stay
+                   else classes[int(u[2 * t + 1] * len(classes))])
+    return out
+
+
+@pytest.mark.parametrize("make_labels, rows_sha, summary_sha", [
+    (lambda: gen_markov_labels(MarkovLabelModel(0.42, 0.7, 45312, seed=42)),
+     "3fa34645e2cf8a6e949afa958172cce45df8efe0dd10acb6af5f377a21a38a69",
+     "4bc27be0018e2f1eb685e59ec0455d14afdf88f85685dda14f9e3262625e85f1"),
+    (lambda: sticky_stream(2000, "ABC", 0.8, 7),
+     "fef25046810e1ff8e7a772f36857c0abb0a99c6123b761a6fbf5ea79966fd160",
+     "6ba094c19cda1cdef3dd08a545996f7c8a1ec2a555bf137a203be591563bf2b0"),
+], ids=["markov-45312", "sticky-3class-2000"])
+def test_sweep_csv_golden_sha256(make_labels, rows_sha, summary_sha):
+    result = rho_sweep(make_labels(), SweepConfig(GRID, 10, master_seed=42))
+    assert _sha256(result.to_csv()) == rows_sha
+    assert _sha256(result.summary_to_csv()) == summary_sha

@@ -177,3 +177,33 @@ def test_stdin_input(synth_csv, capsys, monkeypatch):
     code, out, _ = run(capsys, ["summary", "--input", "-", "--format", "csv"])
     assert code == 0
     assert json.loads(out)["n_instances"] == 3000
+
+
+def test_sweep_help_has_no_threads_flag(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert "--reps" in out and "--threads" not in out
+
+
+def test_eval_label_learners_equal_audit_bars(tmp_path, capsys):
+    # the first label is U, the first declared class is D: learners must
+    # start on the stream's first label, as the bars do
+    path = tmp_path / "ud.arff"
+    path.write_text("@relation ud\n@attribute x numeric\n"
+                    "@attribute cls {D,U}\n@data\n"
+                    "0,U\n0,U\n0,D\n0,D\n")
+    code, out, _ = run(capsys, ["audit", "--input", str(path),
+                                "--accuracy", "0.5"])
+    assert code == 0
+    bars = json.loads(out)["bars"]
+    expected = {"persistence": bars["persistence"],
+                "restart:1": bars["persistence"],
+                "majority": bars["majority"],
+                "restart:0": bars["majority"]}
+    for learner, bar in expected.items():
+        code, out, _ = run(capsys, ["eval", "--input", str(path),
+                                    "--learner", learner])
+        assert code == 0
+        assert json.loads(out)["accuracy"] == bar, learner

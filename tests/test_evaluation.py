@@ -15,7 +15,8 @@ from streamaudit import (AttributeSchema, Classifier, EmptyLog, EmptyStream,
                          audit_prediction_log, gen_markov_labels,
                          majority_baseline, persistence_accuracy,
                          prequential_eval, random_restart_run,
-                         read_prediction_log, write_prediction_log)
+                         random_restart_trace, read_prediction_log,
+                         write_prediction_log)
 from streamaudit.synth import MarkovLabelModel, labels_to_dataset
 
 
@@ -155,6 +156,22 @@ def test_wrapped_learners_match_label_only_functions(labels, seed):
     rho = (seed % 11) / 10
     assert prequential_eval(RandomRestartLearner(rho, seed, cold), ds).accuracy \
         == random_restart_run(names, RestartPolicy(rho, seed), cold_start=cold)
+
+
+@given(st.lists(st.sampled_from("ABCD"), min_size=1, max_size=40),
+       st.integers(0, 2**64 - 1), st.floats(0, 1), st.sampled_from("ABCDZ"))
+@settings(max_examples=80, deadline=None)
+def test_restart_learner_matches_kernel_on_k_class_streams(labels, seed, rho,
+                                                           cold):
+    # the sequential learner and the vectorised kernel are the two restart
+    # implementations; "Z" is a cold start absent from every stream
+    ds = numeric_dataset([(0.0, lab) for lab in labels], "ABCD")
+    report = prequential_eval(RandomRestartLearner(rho, seed, cold), ds)
+    policy = RestartPolicy(rho, seed)
+    trace = random_restart_trace(labels, policy, cold_start=cold)
+    assert report.correct == sum(p == y for p, y in zip(trace, labels))
+    assert report.accuracy == random_restart_run(labels, policy,
+                                                 cold_start=cold)
 
 
 def test_confusion_reconstructs_accuracy():

@@ -10,9 +10,11 @@ from streamaudit.rng import SplitMix64, derive_seed, uniforms
 
 
 def test_splitmix_scalar_vector_agree():
-    rng = SplitMix64(987654321)
-    scalar = [rng.random() for _ in range(1000)]
-    assert scalar == uniforms(987654321, 1000).tolist()
+    for seed in (987654321, 0, 2**64 - 1):
+        for n in (1000, 0, 1, 2):
+            rng = SplitMix64(seed)
+            scalar = [rng.random() for _ in range(n)]
+            assert scalar == uniforms(seed, n).tolist(), (seed, n)
 
 
 def test_derive_seed_distinct():
