@@ -155,7 +155,11 @@ def _make_learner(spec, ds, seed):
     if spec == "persistence":
         return evaluation.PersistenceLearner(cold_start)
     if spec.startswith("restart:"):
-        rho = _probability(spec.split(":", 1)[1])
+        try:
+            rho = _probability(spec.split(":", 1)[1])
+        except (argparse.ArgumentTypeError, ValueError):
+            raise _UsageError(
+                f"learner {spec!r}: RHO must be a number in [0, 1]") from None
         return evaluation.RandomRestartLearner(rho, seed, cold_start)
     raise _UsageError(f"unknown learner {spec!r}")
 

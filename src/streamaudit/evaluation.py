@@ -154,6 +154,10 @@ class NaiveBayesLearner(Classifier):
     per-class frequency tables with add-one smoothing for nominal
     features, add-one-smoothed class priors. Ties break toward the
     earlier class in schema order.
+
+    update keeps, per (class, feature), the Gaussian's (mean, variance,
+    log(2*pi*variance)) and each frequency table's smoothed total, so
+    predict only combines them.
     """
 
     name = "naive-bayes"
@@ -162,6 +166,10 @@ class NaiveBayesLearner(Classifier):
     def __init__(self, ds: StreamDataset):
         self.schema = ds.schema
         self._features = ds.feature_schema()
+        self._numeric_at = [f for f, a in enumerate(self._features)
+                            if not a.is_nominal]
+        self._nominal_at = [f for f, a in enumerate(self._features)
+                            if a.is_nominal]
         self._classes = ds.class_values
         self.reset()
 
@@ -169,11 +177,16 @@ class NaiveBayesLearner(Classifier):
         k = len(self._classes)
         self._n = 0
         self._class_counts = [0] * k
-        # numeric: (count, mean, M2) Welford accumulators per (feature, class)
-        self._gauss = [[[0, 0.0, 0.0] for _ in range(k)]
-                       if not a.is_nominal else None for a in self._features]
-        self._tables = [[[0] * len(a.values) for _ in range(k)]
-                        if a.is_nominal else None for a in self._features]
+        # numeric: (count, mean, M2) Welford accumulators per (class, feature)
+        self._gauss = [[None if a.is_nominal else (0, 0.0, 0.0)
+                        for a in self._features] for _ in range(k)]
+        # numeric: (mean, var, log(2*pi*var)), None before the first value;
+        # nominal: the frequency table
+        self._terms = [[[0] * len(a.values) if a.is_nominal else None
+                        for a in self._features] for _ in range(k)]
+        # nominal: sum(table) + len(table), the smoothed denominator
+        self._totals = [[len(a.values) if a.is_nominal else None
+                         for a in self._features] for _ in range(k)]
 
     def _class_index(self, label):
         return self._classes.index(label)
@@ -182,38 +195,42 @@ class NaiveBayesLearner(Classifier):
         c = self._class_index(label)
         self._n += 1
         self._class_counts[c] += 1
-        for f, value in enumerate(features):
-            if self._gauss[f] is not None:
-                acc = self._gauss[f][c]
-                acc[0] += 1
-                delta = value - acc[1]
-                acc[1] += delta / acc[0]
-                acc[2] += delta * (value - acc[1])
-            else:
-                self._tables[f][c][value] += 1
+        gauss, terms, totals = self._gauss[c], self._terms[c], self._totals[c]
+        for f in self._numeric_at:
+            value = features[f]
+            count, mean, m2 = gauss[f]
+            count += 1
+            delta = value - mean
+            mean += delta / count
+            m2 += delta * (value - mean)
+            gauss[f] = (count, mean, m2)
+            var = m2 / count
+            if var < self.VARIANCE_FLOOR:
+                var = self.VARIANCE_FLOOR
+            terms[f] = (mean, var, math.log(2.0 * math.pi * var))
+        for f in self._nominal_at:
+            terms[f][features[f]] += 1
+            totals[f] += 1
 
     def predict(self, features):
         k = len(self._classes)
+        n = self._n
+        log = math.log
         best_c = 0
         best_score = None
-        for c in range(k):
+        for c, count in enumerate(self._class_counts):
             # a class never seen in training has no likelihood model; it
             # cannot outscore trained classes just by skipping the penalty
-            if self._class_counts[c] == 0 and self._n > 0:
+            if count == 0 and n > 0:
                 continue
-            score = math.log((self._class_counts[c] + 1) / (self._n + k))
-            for f, value in enumerate(features):
-                if self._gauss[f] is not None:
-                    count, mean, m2 = self._gauss[f][c]
-                    if count == 0:
-                        continue  # no evidence from this feature yet
-                    var = max(m2 / count, self.VARIANCE_FLOOR)
-                    score -= 0.5 * (math.log(2.0 * math.pi * var)
-                                    + (value - mean) ** 2 / var)
-                else:
-                    table = self._tables[f][c]
-                    score += math.log((table[value] + 1)
-                                      / (sum(table) + len(table)))
+            score = log((count + 1) / (n + k))
+            for value, term, total in zip(features, self._terms[c],
+                                          self._totals[c]):
+                if total is not None:  # nominal: term is the table
+                    score += log((term[value] + 1) / total)
+                elif term is not None:  # None: no evidence from it yet
+                    mean, var, log_norm = term
+                    score -= 0.5 * (log_norm + (value - mean) ** 2 / var)
             if best_score is None or score > best_score:
                 best_score = score
                 best_c = c

@@ -7,12 +7,20 @@ for stream-mining benchmarks.
 
 Supported ARFF subset: @relation, @attribute with numeric/real/integer or
 nominal {a,b,...} types, '%' comments, dense comma-separated @data rows.
-Sparse rows, string/date/relational attributes and missing values ('?')
-are rejected with UnsupportedFeature.
+Nominal values may be quoted with ' or " and use backslash escapes, as
+Weka writes them. Sparse rows, string/date/relational attributes and
+missing values ('?') are rejected with UnsupportedFeature.
+
+The parsers and the writer work a column at a time: the ARFF data section
+is read in blocks of BLOCK_LINES lines, each block split at once and
+converted column by column; a block that fails to convert is re-read row
+by row, so the error names the same line as a row-at-a-time parser would.
 """
 
 import csv
 import io
+import itertools
+import re
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, TextIO, Union
 
@@ -20,6 +28,14 @@ from .errors import ParseError, UnsupportedFeature
 
 NUMERIC_TYPES = {"numeric", "real", "integer"}
 REJECTED_TYPES = {"string", "date", "relational"}
+BLOCK_LINES = 4096
+
+# one comma-separated token: a quoted string (with backslash escapes) and
+# nothing but whitespace around it, or anything up to the next comma
+_TOKEN = re.compile(r"""\s*(?:'(?:[^'\\]|\\.)*'|"(?:[^"\\]|\\.)*")\s*(?=,|\Z)"""
+                    r"|[^,]*", re.DOTALL)
+_ESCAPE = re.compile(r"\\(.)", re.DOTALL)
+_ESCAPED = {"t": "\t", "n": "\n", "r": "\r"}
 
 
 @dataclass(frozen=True)
@@ -95,6 +111,35 @@ class StreamDataset:
         return [a for i, a in enumerate(self.schema) if i != self.class_index]
 
 
+def _split_row(text: str) -> list:
+    """Split at the commas outside quotes; tokens keep their quotes."""
+    tokens = []
+    pos = -1
+    while pos < len(text):
+        match = _TOKEN.match(text, pos + 1)
+        tokens.append(match.group())
+        pos = match.end()
+    return tokens
+
+
+def _unquote(token: str) -> str:
+    """Strip one pair of enclosing quotes and undo backslash escapes."""
+    if token.startswith(("'", '"')) and token.endswith(token[0]) and len(token) > 1:
+        return _ESCAPE.sub(lambda m: _ESCAPED.get(m.group(1), m.group(1)),
+                           token[1:-1])
+    return token
+
+
+def _quote(value: str) -> str:
+    """ARFF spelling of a nominal value: quoted and escaped when it holds a
+    comma, whitespace, a quote or a backslash, starts with '%' or '{', or
+    is '?'; otherwise the value itself."""
+    if value == "?" or value.startswith(("%", "{")) or \
+            any(c in ",'\"\\" or c.isspace() for c in value):
+        return "'" + value.replace("\\", "\\\\").replace("'", "\\'") + "'"
+    return value
+
+
 def _attr_value(attr: AttributeSchema, token: str, line_no: int):
     token = token.strip()
     if token == "?":
@@ -102,8 +147,7 @@ def _attr_value(attr: AttributeSchema, token: str, line_no: int):
     if token == "":
         raise UnsupportedFeature("empty cell", line=line_no)
     if attr.is_nominal:
-        if token.startswith(("'", '"')) and token.endswith(token[0]) and len(token) > 1:
-            token = token[1:-1]
+        token = _unquote(token)
         try:
             return attr.values.index(token)
         except ValueError:
@@ -142,13 +186,7 @@ def _parse_attribute_line(rest: str, line_no: int) -> AttributeSchema:
     if type_part.startswith("{"):
         if not type_part.endswith("}"):
             raise ParseError("unterminated nominal value list", line=line_no)
-        raw = type_part[1:-1]
-        values = []
-        for tok in raw.split(","):
-            tok = tok.strip()
-            if tok.startswith(("'", '"')) and tok.endswith(tok[0]) and len(tok) > 1:
-                tok = tok[1:-1]
-            values.append(tok)
+        values = [_unquote(tok.strip()) for tok in _split_row(type_part[1:-1])]
         if any(v == "" for v in values) or not values:
             raise ParseError("empty nominal value", line=line_no)
         if len(set(values)) != len(values):
@@ -163,6 +201,42 @@ def _parse_attribute_line(rest: str, line_no: int) -> AttributeSchema:
     raise ParseError(f"unknown attribute type {type_part!r}", line=line_no)
 
 
+def _instances(columns: list, cls: int):
+    """Instances from converted columns, the class column among them."""
+    labels = columns.pop(cls)
+    features = zip(*columns) if columns else itertools.repeat(())
+    return map(Instance, features, labels)
+
+
+def _convert_column(attr: AttributeSchema, tokens: list) -> list:
+    if attr.is_nominal:
+        codes = {t: _attr_value(attr, t, None) for t in dict.fromkeys(tokens)}
+        return list(map(codes.__getitem__, tokens))
+    return list(map(float, tokens))
+
+
+def _convert_rows(schema: list, cls: int, rows: list, line_nos: list):
+    """Row-at-a-time conversion; raises on the first bad line."""
+    columns = [[] for _ in schema]
+    for line_no, row in zip(line_nos, rows):
+        for col, attr, token in zip(columns, schema, _split_row(row)):
+            col.append(_attr_value(attr, token, line_no))
+    return _instances(columns, cls)
+
+
+def _convert_block(schema: list, cls: int, rows: list, line_nos: list,
+                   quoted: bool):
+    if not quoted:
+        m = len(schema)
+        flat = ",".join(rows).split(",")
+        try:
+            return _instances([_convert_column(attr, flat[j::m])
+                               for j, attr in enumerate(schema)], cls)
+        except (ValueError, ParseError, UnsupportedFeature):
+            pass  # the row-wise pass names the first bad line
+    return _convert_rows(schema, cls, rows, line_nos)
+
+
 def parse_arff(source: Union[str, TextIO], class_index: Optional[int] = None
                ) -> StreamDataset:
     """Parse a dense-format ARFF text stream into a StreamDataset.
@@ -170,77 +244,92 @@ def parse_arff(source: Union[str, TextIO], class_index: Optional[int] = None
     source may be a file path or an open text stream. The class attribute
     is the last attribute unless class_index says otherwise. Nominal value
     matching is case-sensitive, whitespace-trimmed.
+
+    Errors are raised in this order: the first malformed header or data
+    line (arity, sparse row) in the whole file, then a bad class
+    attribute, then the first value that does not convert.
     """
     if isinstance(source, str):
         with open(source, "r", encoding="utf-8") as fh:
             return parse_arff(fh, class_index=class_index)
 
+    lines = iter(source)
     schema = []
-    instances = []
-    in_data = False
     saw_relation = False
-    for line_no, raw in enumerate(source, start=1):
+    for line_no, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("%"):
             continue
-        if not in_data:
-            lower = line.lower()
-            if lower.startswith("@relation"):
-                saw_relation = True
-                continue
-            if lower.startswith("@attribute"):
-                schema.append(_parse_attribute_line(line[len("@attribute"):],
-                                                    line_no))
-                continue
-            if lower.startswith("@data"):
-                if not schema:
-                    raise ParseError("@data before any @attribute", line=line_no)
-                in_data = True
-                continue
-            raise ParseError(f"unexpected header line {line!r}", line=line_no)
-        # data section
-        if line.startswith("{"):
-            raise UnsupportedFeature("sparse-format row", line=line_no)
-        tokens = line.split(",")
-        if len(tokens) != len(schema):
-            raise ParseError(
-                f"row has {len(tokens)} values, schema has {len(schema)} "
-                "attributes", line=line_no)
-        instances.append((line_no, tokens))
-    if not saw_relation and not schema:
-        raise ParseError("no @relation/@attribute header found")
-    if not in_data:
+        lower = line.lower()
+        if lower.startswith("@relation"):
+            saw_relation = True
+            continue
+        if lower.startswith("@attribute"):
+            schema.append(_parse_attribute_line(line[len("@attribute"):],
+                                                line_no))
+            continue
+        if lower.startswith("@data"):
+            if not schema:
+                raise ParseError("@data before any @attribute", line=line_no)
+            break
+        raise ParseError(f"unexpected header line {line!r}", line=line_no)
+    else:
+        if not saw_relation and not schema:
+            raise ParseError("no @relation/@attribute header found")
         raise ParseError("no @data section found")
 
-    cls = class_index if class_index is not None else len(schema) - 1
+    m = len(schema)
+    cls = class_index if class_index is not None else m - 1
+    convert = -m <= cls < m and schema[cls].is_nominal
+    failure = None  # first conversion error, raised once the file is checked
+    instances = []
+    while True:
+        block = list(itertools.islice(lines, BLOCK_LINES))
+        if not block:
+            break
+        text = "".join(block)
+        quoted = "'" in text or '"' in text
+        rows, line_nos = [], []
+        for line_no, raw in enumerate(block, start=line_no + 1):
+            line = raw.strip()
+            if not line or line[0] == "%":
+                continue
+            if line[0] == "{":
+                raise UnsupportedFeature("sparse-format row", line=line_no)
+            n_values = len(_split_row(line)) if quoted else line.count(",") + 1
+            if n_values != m:
+                raise ParseError(
+                    f"row has {n_values} values, schema has {m} attributes",
+                    line=line_no)
+            rows.append(line)
+            line_nos.append(line_no)
+        if convert and failure is None and rows:
+            try:
+                instances.extend(_convert_block(schema, cls, rows, line_nos,
+                                                quoted))
+            except (ParseError, UnsupportedFeature) as exc:
+                failure = exc
+
     if not schema[cls].is_nominal:
         raise ParseError(f"class attribute {schema[cls].name!r} is not nominal")
-
-    parsed = []
-    for line_no, tokens in instances:
-        values = [_attr_value(a, t, line_no) for a, t in zip(schema, tokens)]
-        label = values.pop(cls)
-        parsed.append(Instance(tuple(values), label))
-    return StreamDataset(tuple(schema), tuple(parsed), cls)
+    if failure is not None:
+        raise failure
+    return StreamDataset(tuple(schema), tuple(instances), cls)
 
 
 def _infer_column(values: Sequence[str]):
     """Numeric if every value parses as a number, else nominal by first
     occurrence order. Returns (AttributeSchema values or None, parsed col)."""
-    floats = []
-    for v in values:
-        try:
-            floats.append(float(v))
-        except ValueError:
-            floats = None
-            break
-    if floats is not None:
-        return None, floats
-    seen = {}
-    for v in values:
-        if v not in seen:
-            seen[v] = len(seen)
-    return tuple(seen.keys()), [seen[v] for v in values]
+    try:
+        return None, list(map(float, values))
+    except ValueError:
+        return _nominal_column(values)
+
+
+def _nominal_column(values: Sequence[str]):
+    """Nominal values in first-occurrence order and the column's codes."""
+    codes = {v: i for i, v in enumerate(dict.fromkeys(values))}
+    return tuple(codes), list(map(codes.__getitem__, values))
 
 
 def parse_csv(source: Union[str, TextIO], has_header: bool = True,
@@ -255,29 +344,32 @@ def parse_csv(source: Union[str, TextIO], has_header: bool = True,
         with open(source, "r", encoding="utf-8", newline="") as fh:
             return parse_csv(fh, has_header=has_header, class_column=class_column)
 
-    reader = csv.reader(source)
-    rows = []
-    for row_no, row in enumerate(reader, start=1):
+    rows, row_nos = [], []
+    for row_no, row in enumerate(csv.reader(source), start=1):
         if not row or row[0].lstrip().startswith("#"):  # '#' lines: metadata
             continue
-        rows.append((row_no, [c.strip() for c in row]))
+        rows.append(row)
+        row_nos.append(row_no)
     if not rows:
         raise ParseError("empty CSV input")
 
     if has_header:
-        header = rows[0][1]
-        rows = rows[1:]
+        header = [c.strip() for c in rows[0]]
+        rows, row_nos = rows[1:], row_nos[1:]
     else:
-        header = [f"col{i}" for i in range(len(rows[0][1]))]
+        header = [f"col{i}" for i in range(len(rows[0]))]
     n_cols = len(header)
     if not rows and n_cols == 0:
         raise ParseError("empty CSV input")
-    for row_no, row in rows:
-        if len(row) != n_cols:
-            raise ParseError(
-                f"row has {len(row)} cells, expected {n_cols}", line=row_no)
-        for cell in row:
-            if cell == "":
+    columns = [list(map(str.strip, col)) for col in zip(*rows)] \
+        if rows else [[] for _ in header]
+    if any(len(row) != n_cols for row in rows) or \
+            any("" in col for col in columns):
+        for row_no, row in zip(row_nos, rows):
+            if len(row) != n_cols:
+                raise ParseError(
+                    f"row has {len(row)} cells, expected {n_cols}", line=row_no)
+            if any(cell.strip() == "" for cell in row):
                 raise UnsupportedFeature("empty cell", line=row_no)
 
     if class_column is None:
@@ -292,37 +384,25 @@ def parse_csv(source: Union[str, TextIO], has_header: bool = True,
         if not 0 <= cls < n_cols:
             raise ParseError(f"class column index {cls} out of range")
 
-    columns = [[row[i] for _, row in rows] for i in range(n_cols)]
     schema = []
     parsed_cols = []
     for i, col in enumerate(columns):
         if i == cls:
-            seen = {}
-            for v in col:
-                if v not in seen:
-                    seen[v] = len(seen)
-            if not seen:  # zero data rows: single placeholder value
+            if not col:
                 raise ParseError("CSV with a header but no data rows")
-            schema.append(AttributeSchema(header[i], tuple(seen.keys())))
-            parsed_cols.append([seen[v] for v in col])
+            values, parsed = _nominal_column(col)
         else:
             values, parsed = _infer_column(col)
-            schema.append(AttributeSchema(header[i], values))
-            parsed_cols.append(parsed)
-
-    instances = []
-    for r in range(len(rows)):
-        values = [parsed_cols[c][r] for c in range(n_cols)]
-        label = values.pop(cls)
-        instances.append(Instance(tuple(values), label))
-    return StreamDataset(tuple(schema), tuple(instances), cls)
+        schema.append(AttributeSchema(header[i], values))
+        parsed_cols.append(parsed)
+    return StreamDataset(tuple(schema), tuple(_instances(parsed_cols, cls)),
+                         cls)
 
 
-def _format_value(attr: AttributeSchema, value) -> str:
+def _format_column(attr: AttributeSchema, col) -> list:
     if attr.is_nominal:
-        v = attr.values[value]
-        return f"'{v}'" if ("," in v or " " in v) else v
-    return repr(float(value))
+        return list(map([_quote(v) for v in attr.values].__getitem__, col))
+    return list(map(repr, map(float, col)))
 
 
 def to_arff(ds: StreamDataset, relation: str = "stream") -> str:
@@ -332,17 +412,17 @@ def to_arff(ds: StreamDataset, relation: str = "stream") -> str:
     for attr in ds.schema:
         name = f"'{attr.name}'" if " " in attr.name else attr.name
         if attr.is_nominal:
-            vals = ",".join(f"'{v}'" if ("," in v or " " in v) else v
-                            for v in attr.values)
+            vals = ",".join(map(_quote, attr.values))
             out.write(f"@attribute {name} {{{vals}}}\n")
         else:
             out.write(f"@attribute {name} numeric\n")
     out.write("@data\n")
-    for inst in ds.instances:
-        row = list(inst.features)
-        row.insert(ds.class_index, inst.label)
-        out.write(",".join(_format_value(a, v)
-                           for a, v in zip(ds.schema, row)) + "\n")
+    for start in range(0, ds.n_instances, BLOCK_LINES):
+        block = ds.instances[start:start + BLOCK_LINES]
+        columns = list(zip(*(inst.features for inst in block)))
+        columns.insert(ds.class_index, [inst.label for inst in block])
+        formatted = map(_format_column, ds.schema, columns)
+        out.write("\n".join(map(",".join, zip(*formatted))) + "\n")
     return out.getvalue()
 
 

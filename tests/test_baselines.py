@@ -1,4 +1,5 @@
 import hashlib
+import io
 import itertools
 import math
 import operator
@@ -9,10 +10,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from streamaudit import (EmptyStream, InvalidRho, RestartPolicy, SweepConfig,
-                         gen_markov_labels, majority_baseline,
-                         persistence_accuracy, random_restart_run,
-                         random_restart_trace, rho_sweep)
+from streamaudit import (AttributeSchema, EmptyStream, Instance, InvalidRho,
+                         NaiveBayesLearner, RestartPolicy, StreamDataset,
+                         SweepConfig, gen_markov_labels, majority_baseline,
+                         parse_arff, persistence_accuracy, prequential_eval,
+                         random_restart_run, random_restart_trace, rho_sweep,
+                         to_arff)
 from streamaudit.baselines import majority_trace
 from streamaudit.rng import SplitMix64, uniforms
 from streamaudit.synth import MarkovLabelModel
@@ -331,3 +334,50 @@ def test_sweep_csv_golden_sha256(make_labels, rows_sha, summary_sha):
     result = rho_sweep(make_labels(), SweepConfig(GRID, 10, master_seed=42))
     assert _sha256(result.to_csv()) == rows_sha
     assert _sha256(result.summary_to_csv()) == summary_sha
+
+
+# byte-identity gate for the column-wise writer and the memoised naive
+# Bayes: sha256 of to_arff, of the prequential report and of the prediction
+# trace on an Electricity-shaped stream, computed with the row-at-a-time
+# writer and the unmemoised learner that preceded them
+
+def electricity_shaped(n=45312, seed=42):
+    """A numeric date, a 7-value nominal day, six numeric features (the
+    last unrounded, the others leaning on the label) and UP/DOWN Markov
+    labels."""
+    labels = gen_markov_labels(MarkovLabelModel(0.42, 0.7, n, seed=seed))
+    y = np.asarray(labels, dtype=np.float64)
+    u = uniforms(seed + 1, 6 * n).reshape(6, n)
+    t = np.arange(n)
+    numeric = ([np.round(t / (n - 1), 6)]
+               + [np.round(0.2 + 0.5 * u[j] + 0.01 * j * y, 6)
+                  for j in range(5)]
+               + [u[5] - 0.02 * y])
+    day = ((t // 48) % 7).tolist()
+    schema = ((AttributeSchema("date", None),
+               AttributeSchema("day", tuple(str(d) for d in range(1, 8))))
+              + tuple(AttributeSchema(f"x{j}", None) for j in range(1, 7))
+              + (AttributeSchema("class", ("UP", "DOWN")),))
+    cols = [c.tolist() for c in numeric]
+    instances = tuple(
+        Instance((date, d) + tuple(rest), 0 if lab else 1)
+        for date, d, *rest, lab in zip(cols[0], day, *cols[1:], labels))
+    return StreamDataset(schema, instances, len(schema) - 1)
+
+
+def test_electricity_shaped_golden_sha256():
+    ds = electricity_shaped()
+    text = to_arff(ds)
+    assert _sha256(text) == \
+        "0964fe976ae41bb99c0fa3790c2fbd45ef48ff2ecc176998885128f9a3e9ea3f"
+    assert parse_arff(io.StringIO(text)) == ds
+    report = prequential_eval(NaiveBayesLearner(ds), ds)
+    assert _sha256(report.to_json()) == \
+        "aab30c621b18091b833fe4f11646107f5804bdb90038882b2a3954b3c81db9d2"
+    nb = NaiveBayesLearner(ds)
+    trace = []
+    for inst in ds.instances:
+        trace.append(nb.predict(inst.features))
+        nb.update(inst.features, ds.class_values[inst.label])
+    assert _sha256("\n".join(trace)) == \
+        "febaea1b0a6741508d861f872dad7751d07586f62e49e22fbb1b8d425cf726a9"

@@ -32,6 +32,14 @@ def test_unknown_learner_exit_1(synth_csv, capsys):
     assert code == 1 and "wizard" in err
 
 
+@pytest.mark.parametrize("spec", ["restart:2", "restart:x", "restart:"])
+def test_bad_restart_rho_exit_1(synth_csv, capsys, spec):
+    code, out, err = run(capsys, ["eval", "--input", str(synth_csv),
+                                  "--learner", spec])
+    assert code == 1 and out == ""
+    assert err.startswith("usage error: ") and repr(spec) in err
+
+
 def test_missing_file_exit_2(capsys):
     code, _, err = run(capsys, ["summary", "--input", "/nonexistent.arff"])
     assert code == 2

@@ -1,4 +1,6 @@
+import csv
 import io
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -7,7 +9,8 @@ from hypothesis import strategies as st
 from streamaudit import (AttributeSchema, ParseError, StreamDataset,
                          UnsupportedFeature, dataset_summary, parse_arff,
                          parse_csv, to_arff)
-from streamaudit.stream_io import Instance
+from streamaudit import stream_io
+from streamaudit.stream_io import Instance, _parse_attribute_line
 
 MINIMAL_ARFF = """\
 % a comment
@@ -147,3 +150,419 @@ def datasets(draw):
 def test_arff_round_trip(ds):
     again = parse_arff(io.StringIO(to_arff(ds)))
     assert again == ds
+
+
+# ---------------------------------------------------------------------------
+# quoting: everything to_arff writes, parse_arff reads back
+
+def nominal_dataset(values, rows):
+    """A nominal feature in the first column, then a two-value class."""
+    schema = (AttributeSchema("v", tuple(values)),
+              AttributeSchema("cls", ("A", "B")))
+    instances = tuple(Instance((v,), i % 2) for i, v in enumerate(rows))
+    return StreamDataset(schema, instances, 1)
+
+
+@pytest.mark.parametrize("value", ["a,b", "%a", "'q'", "?", "{x", "a\\b",
+                                   ' "q" ', "\t"])
+def test_arff_quoting_round_trip(value):
+    ds = nominal_dataset([value, "plain"], [0, 1, 0])
+    text = to_arff(ds)
+    assert "plain,B" in text  # values that need no quotes keep their bytes
+    assert arff(text) == ds
+
+
+def test_arff_quoted_values_with_escapes():
+    text = (MINIMAL_ARFF.replace("{A,B}", "{'a,b', \"c'd\", 'e\\'f'}")
+            + "1,'a,b'\n2, \"c'd\" \n3,'e\\'f'\n")
+    ds = arff(text)
+    assert ds.class_values == ("a,b", "c'd", "e'f")
+    assert ds.labels() == ["a,b", "c'd", "e'f"]
+
+
+def test_arff_quoted_missing_value_is_a_value():
+    text = MINIMAL_ARFF.replace("{A,B}", "{'?',B}") + "1,'?'\n"
+    assert arff(text).labels() == ["?"]
+    with pytest.raises(UnsupportedFeature):
+        arff(text + "2,?\n")
+
+
+nominal_strings = st.text(
+    alphabet=st.sampled_from(
+        "abcXYZ019 \t,'\"%\\{}?"), min_size=1, max_size=6)
+
+
+@given(st.lists(nominal_strings, min_size=1, max_size=5, unique=True),
+       st.data())
+@settings(max_examples=200, deadline=None)
+def test_any_nominal_string_round_trips(values, data):
+    rows = data.draw(st.lists(st.integers(0, len(values) - 1), max_size=6))
+    ds = nominal_dataset(values, rows)
+    assert arff(to_arff(ds)) == ds
+
+
+# ---------------------------------------------------------------------------
+# slow oracles: the row-at-a-time parsers and writer that preceded the
+# column-wise ones. The fast code must return equal datasets, raise the same
+# error on the same line, and write the same text.
+
+def oracle_attr_value(attr, token, line_no):
+    token = token.strip()
+    if token == "?":
+        raise UnsupportedFeature("missing value '?' not supported", line=line_no)
+    if token == "":
+        raise UnsupportedFeature("empty cell", line=line_no)
+    if attr.is_nominal:
+        if token.startswith(("'", '"')) and token.endswith(token[0]) and len(token) > 1:
+            token = token[1:-1]
+        try:
+            return attr.values.index(token)
+        except ValueError:
+            raise ParseError(
+                f"value {token!r} not in nominal set of attribute {attr.name!r}",
+                line=line_no,
+            ) from None
+    try:
+        return float(token)
+    except ValueError:
+        raise ParseError(
+            f"non-numeric value {token!r} for numeric attribute {attr.name!r}",
+            line=line_no,
+        ) from None
+
+
+def oracle_parse_arff(source, class_index=None):
+    schema = []
+    instances = []
+    in_data = False
+    saw_relation = False
+    for line_no, raw in enumerate(source, start=1):
+        line = raw.strip()
+        if not line or line.startswith("%"):
+            continue
+        if not in_data:
+            lower = line.lower()
+            if lower.startswith("@relation"):
+                saw_relation = True
+                continue
+            if lower.startswith("@attribute"):
+                schema.append(_parse_attribute_line(line[len("@attribute"):],
+                                                    line_no))
+                continue
+            if lower.startswith("@data"):
+                if not schema:
+                    raise ParseError("@data before any @attribute", line=line_no)
+                in_data = True
+                continue
+            raise ParseError(f"unexpected header line {line!r}", line=line_no)
+        if line.startswith("{"):
+            raise UnsupportedFeature("sparse-format row", line=line_no)
+        tokens = line.split(",")
+        if len(tokens) != len(schema):
+            raise ParseError(
+                f"row has {len(tokens)} values, schema has {len(schema)} "
+                "attributes", line=line_no)
+        instances.append((line_no, tokens))
+    if not saw_relation and not schema:
+        raise ParseError("no @relation/@attribute header found")
+    if not in_data:
+        raise ParseError("no @data section found")
+
+    cls = class_index if class_index is not None else len(schema) - 1
+    if not schema[cls].is_nominal:
+        raise ParseError(f"class attribute {schema[cls].name!r} is not nominal")
+
+    parsed = []
+    for line_no, tokens in instances:
+        values = [oracle_attr_value(a, t, line_no)
+                  for a, t in zip(schema, tokens)]
+        label = values.pop(cls)
+        parsed.append(Instance(tuple(values), label))
+    return StreamDataset(tuple(schema), tuple(parsed), cls)
+
+
+def oracle_infer_column(values):
+    floats = []
+    for v in values:
+        try:
+            floats.append(float(v))
+        except ValueError:
+            floats = None
+            break
+    if floats is not None:
+        return None, floats
+    seen = {}
+    for v in values:
+        if v not in seen:
+            seen[v] = len(seen)
+    return tuple(seen.keys()), [seen[v] for v in values]
+
+
+def oracle_parse_csv(source, has_header=True, class_column=None):
+    reader = csv.reader(source)
+    rows = []
+    for row_no, row in enumerate(reader, start=1):
+        if not row or row[0].lstrip().startswith("#"):
+            continue
+        rows.append((row_no, [c.strip() for c in row]))
+    if not rows:
+        raise ParseError("empty CSV input")
+    if has_header:
+        header = rows[0][1]
+        rows = rows[1:]
+    else:
+        header = [f"col{i}" for i in range(len(rows[0][1]))]
+    n_cols = len(header)
+    if not rows and n_cols == 0:
+        raise ParseError("empty CSV input")
+    for row_no, row in rows:
+        if len(row) != n_cols:
+            raise ParseError(
+                f"row has {len(row)} cells, expected {n_cols}", line=row_no)
+        for cell in row:
+            if cell == "":
+                raise UnsupportedFeature("empty cell", line=row_no)
+    if class_column is None:
+        cls = n_cols - 1
+    elif isinstance(class_column, str):
+        try:
+            cls = header.index(class_column)
+        except ValueError:
+            raise ParseError(f"no column named {class_column!r}") from None
+    else:
+        cls = class_column
+        if not 0 <= cls < n_cols:
+            raise ParseError(f"class column index {cls} out of range")
+    columns = [[row[i] for _, row in rows] for i in range(n_cols)]
+    schema = []
+    parsed_cols = []
+    for i, col in enumerate(columns):
+        if i == cls:
+            seen = {}
+            for v in col:
+                if v not in seen:
+                    seen[v] = len(seen)
+            if not seen:
+                raise ParseError("CSV with a header but no data rows")
+            schema.append(AttributeSchema(header[i], tuple(seen.keys())))
+            parsed_cols.append([seen[v] for v in col])
+        else:
+            values, parsed = oracle_infer_column(col)
+            schema.append(AttributeSchema(header[i], values))
+            parsed_cols.append(parsed)
+    instances = []
+    for r in range(len(rows)):
+        values = [parsed_cols[c][r] for c in range(n_cols)]
+        label = values.pop(cls)
+        instances.append(Instance(tuple(values), label))
+    return StreamDataset(tuple(schema), tuple(instances), cls)
+
+
+def oracle_format_value(attr, value):
+    if attr.is_nominal:
+        v = attr.values[value]
+        return f"'{v}'" if ("," in v or " " in v) else v
+    return repr(float(value))
+
+
+def oracle_to_arff(ds, relation="stream"):
+    out = io.StringIO()
+    out.write(f"@relation {relation}\n")
+    for attr in ds.schema:
+        name = f"'{attr.name}'" if " " in attr.name else attr.name
+        if attr.is_nominal:
+            vals = ",".join(f"'{v}'" if ("," in v or " " in v) else v
+                            for v in attr.values)
+            out.write(f"@attribute {name} {{{vals}}}\n")
+        else:
+            out.write(f"@attribute {name} numeric\n")
+    out.write("@data\n")
+    for inst in ds.instances:
+        row = list(inst.features)
+        row.insert(ds.class_index, inst.label)
+        out.write(",".join(oracle_format_value(a, v)
+                           for a, v in zip(ds.schema, row)) + "\n")
+    return out.getvalue()
+
+
+def outcome(parse, text, **kwargs):
+    """The parsed dataset's repr (exact for nan and -0.0, unlike ==), or
+    the error's class, line and message."""
+    try:
+        return repr(parse(io.StringIO(text), **kwargs))
+    except (ParseError, UnsupportedFeature) as exc:
+        return type(exc), exc.line, str(exc)
+
+
+# ARFF inputs: a random schema, rows drawn from valid values with faults
+# mixed in, and the lines that the data section may hold besides rows
+
+NOMINALS = ("A", "B", "c d", "e")
+
+
+@st.composite
+def arff_schemas(draw):
+    kinds = draw(st.lists(st.booleans(), min_size=1, max_size=4))
+    cls = draw(st.integers(0, len(kinds)))
+    kinds.insert(cls, True)
+    schema = [AttributeSchema(f"a{i}", NOMINALS[:draw(st.integers(1, 4))]
+                              if nominal else None)
+              for i, nominal in enumerate(kinds)]
+    return schema, cls
+
+
+def _good_token(draw, attr):
+    if attr.is_nominal:
+        value = draw(st.sampled_from(attr.values))
+        return f"'{value}'" if " " in value else value
+    return repr(draw(st.floats(-1e6, 1e6, allow_nan=False)))
+
+
+BAD_TOKENS = ["?", "", " ", "zz", "x1", "1e", "'A", "nan", " 7 ", "-0", "1_0"]
+
+
+@st.composite
+def arff_lines(draw, schema, faults=True):
+    kind = draw(st.sampled_from(
+        ["row"] * 6 + (["blank", "comment", "bad", "arity", "sparse"]
+                       if faults else ["blank", "comment"])))
+    if kind == "blank":
+        return draw(st.sampled_from(["", "   ", "\t"]))
+    if kind == "comment":
+        return draw(st.sampled_from(["%", "% 1,2,3", "  %x,'y'"]))
+    if kind == "sparse":
+        return "{0 1, 1 A}"
+    tokens = [_good_token(draw, a) for a in schema]
+    if kind == "bad":
+        tokens[draw(st.integers(0, len(tokens) - 1))] = \
+            draw(st.sampled_from(BAD_TOKENS))
+    if kind == "arity":
+        if draw(st.booleans()) or len(tokens) == 1:
+            tokens.append("A")
+        else:
+            tokens.pop()
+    pad = draw(st.sampled_from(["", " ", "\t"]))
+    return pad + ",".join(tokens) + pad
+
+
+def arff_text(schema, lines, newline="\n"):
+    header = ["% generated", "@relation r"]
+    for attr in schema:
+        kind = ("{" + ",".join(f"'{v}'" if " " in v else v
+                               for v in attr.values) + "}"
+                if attr.is_nominal else "numeric")
+        header.append(f"@attribute {attr.name} {kind}")
+    return newline.join(header + ["@data"] + lines) + newline
+
+
+@given(st.data(), st.integers(1, 5), st.sampled_from(["\n", "\r\n"]))
+@settings(max_examples=300, deadline=None)
+def test_parse_arff_matches_row_oracle(data, block, newline):
+    schema, cls = data.draw(arff_schemas())
+    lines = data.draw(st.lists(arff_lines(schema), max_size=12))
+    text = arff_text(schema, lines, newline)
+    # the nominal class, the default (last) attribute or any attribute,
+    # counted from either end; a numeric class is an error
+    class_index = data.draw(st.one_of(
+        st.just(cls), st.none(), st.integers(-len(schema), len(schema) - 1)))
+    kwargs = {} if class_index is None else {"class_index": class_index}
+    with mock.patch.object(stream_io, "BLOCK_LINES", block):
+        fast = outcome(parse_arff, text, **kwargs)
+    assert fast == outcome(oracle_parse_arff, text, **kwargs)
+
+
+@given(st.data(), st.integers(stream_io.BLOCK_LINES + 1,
+                              2 * stream_io.BLOCK_LINES + 100),
+       st.booleans())
+@settings(max_examples=10, deadline=None)
+def test_parse_arff_error_in_a_later_block(data, at, clean_before):
+    """Faults placed after row 4,096 land in a later block; a conversion
+    fault before them must not hide a structural fault after them."""
+    schema, cls = data.draw(arff_schemas())
+    pattern = data.draw(st.lists(arff_lines(schema, faults=False),
+                                 min_size=1, max_size=8))
+    lines = (pattern * (at // len(pattern) + 2))[:at + 50]
+    if not clean_before:
+        lines[data.draw(st.integers(0, at - 1))] = \
+            data.draw(arff_lines(schema))
+    lines[at] = data.draw(arff_lines(schema))
+    text = arff_text(schema, lines)
+    fast = outcome(parse_arff, text, class_index=cls)
+    assert fast == outcome(oracle_parse_arff, text, class_index=cls)
+
+
+def test_parse_arff_lines_follow_newlines_only():
+    # \x0c and \x1c split lines for str.splitlines(), not for file iteration
+    text = MINIMAL_ARFF + "1.0,A\x0c\n2.0\x1c,B\nx,A\n"
+    with pytest.raises(ParseError) as err:
+        arff(text)
+    assert err.value.line == 8
+    assert err.value.line == outcome(oracle_parse_arff, text)[1]
+
+
+@st.composite
+def csv_texts(draw):
+    n_cols = draw(st.integers(1, 4))
+    numeric = [draw(st.booleans()) for _ in range(n_cols)]
+    lines = [",".join(f"c{i}" for i in range(n_cols))]
+    for _ in range(draw(st.integers(0, 10))):
+        kind = draw(st.sampled_from(["row"] * 6 + ["blank", "comment",
+                                                   "ragged", "bad"]))
+        if kind == "blank":
+            lines.append("")
+            continue
+        if kind == "comment":
+            lines.append(draw(st.sampled_from(["# seed=1", "  #,x"])))
+            continue
+        cells = [repr(draw(st.floats(-100, 100, allow_nan=False)))
+                 if num else draw(st.sampled_from(["UP", "DOWN", "x y",
+                                                   '"a,b"', "3"]))
+                 for num in numeric]
+        if kind == "ragged":
+            cells = cells[:-1] if len(cells) > 1 else cells + ["1"]
+        if kind == "bad":
+            cells[draw(st.integers(0, n_cols - 1))] = \
+                draw(st.sampled_from(["", " ", "?", "x"]))
+        pad = draw(st.sampled_from(["", " "]))
+        lines.append(",".join(pad + c + pad for c in cells))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    return newline.join(lines) + newline, n_cols
+
+
+@given(csv_texts(), st.data())
+@settings(max_examples=300, deadline=None)
+def test_parse_csv_matches_row_oracle(text_cols, data):
+    text, n_cols = text_cols
+    kwargs = {"has_header": data.draw(st.booleans()),
+              "class_column": data.draw(st.one_of(
+                  st.none(), st.integers(-1, n_cols), st.sampled_from(
+                      ["c0", f"c{n_cols - 1}", "nope"])))}
+    assert outcome(parse_csv, text, **kwargs) == \
+        outcome(oracle_parse_csv, text, **kwargs)
+
+
+@st.composite
+def mixed_datasets(draw):
+    kinds = draw(st.lists(st.booleans(), max_size=4))
+    words = st.text(alphabet="abXY01 ,._-", min_size=1, max_size=4)
+    schema = [AttributeSchema(f"f{i}", tuple(draw(st.lists(
+        words, min_size=1, max_size=4, unique=True))) if nominal else None)
+        for i, nominal in enumerate(kinds)]
+    cls = draw(st.integers(0, len(schema)))
+    schema.insert(cls, AttributeSchema("class", tuple(draw(st.lists(
+        words, min_size=1, max_size=3, unique=True)))))
+    numbers = st.one_of(st.floats(allow_nan=False), st.integers(-9, 9))
+    instances = []
+    for _ in range(draw(st.integers(0, 12))):
+        row = [draw(st.integers(0, len(a.values) - 1)) if a.is_nominal
+               else draw(numbers) for a in schema]
+        label = row.pop(cls)
+        instances.append(Instance(tuple(row), label))
+    return StreamDataset(tuple(schema), tuple(instances), cls)
+
+
+@given(mixed_datasets(), st.integers(1, 5))
+@settings(max_examples=200, deadline=None)
+def test_to_arff_matches_row_oracle(ds, block):
+    with mock.patch.object(stream_io, "BLOCK_LINES", block):
+        assert to_arff(ds, "r") == oracle_to_arff(ds, "r")
