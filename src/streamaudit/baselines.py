@@ -15,7 +15,6 @@ None of these classifiers look at features; they exist to show how much
 accuracy label autocorrelation alone can buy.
 """
 
-import io
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -25,6 +24,7 @@ import numpy as np
 from .diagnostics import FIRST_LABEL, first_prediction
 from .errors import InvalidRho
 from .rng import derive_seed, uniforms
+from .stream_io import write_csv
 
 
 @dataclass(frozen=True)
@@ -77,20 +77,13 @@ class SweepResult:
         return out
 
     def to_csv(self) -> str:
-        out = io.StringIO()
-        out.write(f"# master_seed={self.config.master_seed}\n")
-        out.write("rho,rep,accuracy\n")
-        for rho, rep, acc in self.rows:
-            out.write(f"{rho!r},{rep},{acc!r}\n")
-        return out.getvalue()
+        return write_csv(("rho", "rep", "accuracy"), self.rows,
+                         comment=f"master_seed={self.config.master_seed}")
 
     def summary_to_csv(self) -> str:
-        out = io.StringIO()
-        out.write(f"# master_seed={self.config.master_seed}\n")
-        out.write("rho,mean,min,max,stddev\n")
-        for rho, mean, lo, hi, sd in self.summary():
-            out.write(f"{rho!r},{mean!r},{lo!r},{hi!r},{sd!r}\n")
-        return out.getvalue()
+        return write_csv(("rho", "mean", "min", "max", "stddev"),
+                         self.summary(),
+                         comment=f"master_seed={self.config.master_seed}")
 
 
 class _CodedStream:

@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 usage error, 2 parse/data error, 3 failed
 """
 
 import argparse
+import functools
 import json
 import sys
 
@@ -144,24 +145,27 @@ def build_parser():
     return parser
 
 
-def _make_learner(spec, ds, seed):
-    # the same cold start as the bars, so restart:1 == persistence and
-    # restart:0 == majority hold across commands
-    cold_start = diagnostics.first_prediction(ds.labels())
+def _learner_factory(spec, seed):
+    """Check a --learner spec; returns a function from a dataset to the
+    learner."""
     if spec == "naive-bayes":
-        return evaluation.NaiveBayesLearner(ds)
+        return evaluation.NaiveBayesLearner
     if spec == "majority":
-        return evaluation.MajorityLearner(cold_start)
-    if spec == "persistence":
-        return evaluation.PersistenceLearner(cold_start)
-    if spec.startswith("restart:"):
+        make = evaluation.MajorityLearner
+    elif spec == "persistence":
+        make = evaluation.PersistenceLearner
+    elif spec.startswith("restart:"):
         try:
             rho = _probability(spec.split(":", 1)[1])
         except (argparse.ArgumentTypeError, ValueError):
             raise _UsageError(
                 f"learner {spec!r}: RHO must be a number in [0, 1]") from None
-        return evaluation.RandomRestartLearner(rho, seed, cold_start)
-    raise _UsageError(f"unknown learner {spec!r}")
+        make = functools.partial(evaluation.RandomRestartLearner, rho, seed)
+    else:
+        raise _UsageError(f"unknown learner {spec!r}")
+    # the same cold start as the bars, so restart:1 == persistence and
+    # restart:0 == majority hold across commands
+    return lambda ds: make(diagnostics.first_prediction(ds.labels()))
 
 
 def _cmd_summary(args):
@@ -225,8 +229,9 @@ def _cmd_synth(args):
 
 
 def _cmd_eval(args):
+    make_learner = _learner_factory(args.learner, args.seed)
     ds = _load_dataset(args.input, args.format)
-    learner = _make_learner(args.learner, ds, args.seed)
+    learner = make_learner(ds)
     if args.learner.startswith("restart:"):
         print(f"# seed={args.seed}", file=sys.stderr)
     report = evaluation.prequential_eval(learner, ds)

@@ -13,7 +13,6 @@ All functions take a plain ordered sequence of hashable labels, so they
 work on StreamDataset.labels() and on synthetic 0/1 sequences alike.
 """
 
-import io
 import json
 import math
 from dataclasses import dataclass
@@ -23,6 +22,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import EmptyStream, LagTooLarge, NotBinary, ZeroVariance
+from .stream_io import write_csv
 
 #: Cold-start policy: predict the first instance's own label (the first
 #: prediction is then always counted correct). Alternative: pass an
@@ -57,11 +57,7 @@ class AcfSeries:
         return self.values[self.lags.index(lag)]
 
     def to_csv(self) -> str:
-        out = io.StringIO()
-        out.write("lag,acf\n")
-        for lag, value in zip(self.lags, self.values):
-            out.write(f"{lag},{value!r}\n")
-        return out.getvalue()
+        return write_csv(("lag", "acf"), zip(self.lags, self.values))
 
 
 @dataclass(frozen=True)
@@ -83,7 +79,7 @@ class DiagnosticsReport:
     acf: Optional[AcfSeries]
     acf_note: Optional[str] = None
 
-    def to_json(self, indent=2) -> str:
+    def to_json(self) -> str:
         doc = {
             "n": self.distribution.n,
             "class_priors": self.distribution.frequencies,
@@ -98,7 +94,7 @@ class DiagnosticsReport:
         }
         if self.acf_note:
             doc["acf_note"] = self.acf_note
-        return json.dumps(doc, indent=indent)
+        return json.dumps(doc, indent=2)
 
 
 def label_distribution(labels: Sequence) -> LabelDistribution:

@@ -10,25 +10,23 @@ class StreamAuditError(Exception):
     """Base class for all streamaudit errors."""
 
 
-class ParseError(StreamAuditError):
+class _InputError(StreamAuditError):
+    """An error about an input, prefixed with its line when known."""
+
+    def __init__(self, message, line=None):
+        self.line = line
+        if line is not None:
+            message = f"line {line}: {message}"
+        super().__init__(message)
+
+
+class ParseError(_InputError):
     """Malformed input file (bad header, bad row, ragged CSV, ...)."""
 
-    def __init__(self, message, line=None):
-        self.line = line
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
 
-
-class UnsupportedFeature(StreamAuditError):
+class UnsupportedFeature(_InputError):
     """Input uses a format feature the parser deliberately rejects
     (sparse ARFF rows, string/date attributes, missing values)."""
-
-    def __init__(self, message, line=None):
-        self.line = line
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
 
 
 class EmptyStream(StreamAuditError):

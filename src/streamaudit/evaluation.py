@@ -16,17 +16,18 @@ grade as BelowPersistence.
 
 import csv
 import enum
-import io
 import json
 import math
 import time
+from collections import Counter
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from . import baselines, diagnostics
-from .errors import EmptyLog, EmptyStream, LabelMismatch, SchemaMismatch
+from .errors import (EmptyLog, EmptyStream, LabelMismatch, ParseError,
+                     SchemaMismatch)
 from .rng import SplitMix64
-from .stream_io import StreamDataset
+from .stream_io import StreamDataset, write_csv
 
 
 class Classifier:
@@ -62,19 +63,33 @@ class EvalReport:
     def accuracy(self) -> float:
         return self.correct / self.n
 
-    def to_json(self, indent=2) -> str:
+    def to_json(self) -> str:
         # wall_time deliberately omitted: identical runs must serialize
         # byte-identically.
-        confusion = {}
-        for (true, pred), count in sorted(self.confusion.items()):
-            confusion.setdefault(str(true), {})[str(pred)] = count
         return json.dumps({
             "classifier": self.classifier,
             "n": self.n,
             "correct": self.correct,
             "accuracy": self.accuracy,
-            "confusion": confusion,
-        }, indent=indent)
+            "confusion": _nested(self.confusion),
+        }, indent=2)
+
+
+def _score(name: str, true: Sequence, predicted: Sequence,
+           wall_time: float = 0.0) -> EvalReport:
+    """The report on paired true and predicted labels."""
+    confusion = dict(Counter(zip(true, predicted)))
+    correct = sum(count for (t, p), count in confusion.items() if t == p)
+    return EvalReport(name, len(true), correct, confusion, wall_time)
+
+
+def _nested(confusion: dict) -> dict:
+    """A (true, predicted) -> count map as {true: {predicted: count}} with
+    string keys, in sorted order, for JSON."""
+    nested = {}
+    for (true, pred), count in sorted(confusion.items()):
+        nested.setdefault(str(true), {})[str(pred)] = count
+    return nested
 
 
 class Verdict(enum.Enum):
@@ -103,16 +118,11 @@ class AuditVerdict:
         return Verdict.BELOW_PERSISTENCE
 
     def to_json(self, n: Optional[int] = None,
-                confusion: Optional[dict] = None, indent=2) -> str:
-        conf = None
-        if confusion is not None:
-            conf = {}
-            for (true, pred), count in sorted(confusion.items()):
-                conf.setdefault(str(true), {})[str(pred)] = count
+                confusion: Optional[dict] = None) -> str:
         return json.dumps({
             "n": n,
             "accuracy": self.subject_accuracy,
-            "confusion": conf,
+            "confusion": None if confusion is None else _nested(confusion),
             "bars": {
                 "majority": self.majority_bar,
                 "independence": self.independence_bar,
@@ -120,7 +130,7 @@ class AuditVerdict:
             },
             "margin": self.margin,
             "verdict": self.verdict.value,
-        }, indent=indent)
+        }, indent=2)
 
 
 def prequential_eval(classifier: Classifier, ds: StreamDataset) -> EvalReport:
@@ -131,21 +141,14 @@ def prequential_eval(classifier: Classifier, ds: StreamDataset) -> EvalReport:
     if bound is not None and bound != ds.schema:
         raise SchemaMismatch(
             f"classifier {classifier.name!r} is bound to a different schema")
-    class_values = ds.class_values
-    correct = 0
-    confusion = {}
+    labels = ds.labels()
+    predictions = []
     start = time.perf_counter()
-    for inst in ds.instances:
-        true = class_values[inst.label]
-        pred = classifier.predict(inst.features)
-        if pred == true:
-            correct += 1
-        key = (true, pred)
-        confusion[key] = confusion.get(key, 0) + 1
+    for inst, true in zip(ds.instances, labels):
+        predictions.append(classifier.predict(inst.features))
         classifier.update(inst.features, true)
     elapsed = time.perf_counter() - start
-    return EvalReport(classifier.name, ds.n_instances, correct, confusion,
-                      elapsed)
+    return _score(classifier.name, labels, predictions, elapsed)
 
 
 class NaiveBayesLearner(Classifier):
@@ -330,14 +333,7 @@ def audit_prediction_log(log: Sequence, ds_labels: Optional[Sequence] = None,
         for i, (a, b) in enumerate(zip(ds_labels, true_col)):
             if a != b:
                 raise LabelMismatch(i, a, b)
-    correct = 0
-    confusion = {}
-    for true, pred in log:
-        if true == pred:
-            correct += 1
-        key = (true, pred)
-        confusion[key] = confusion.get(key, 0) + 1
-    report = EvalReport("prediction-log", len(log), correct, confusion, 0.0)
+    report = _score("prediction-log", true_col, [p for _, p in log])
     verdict = audit_accuracy(report.accuracy, true_col, cold_start=cold_start)
     return verdict, report
 
@@ -348,15 +344,19 @@ def read_prediction_log(source) -> list:
         with open(source, "r", encoding="utf-8", newline="") as fh:
             return read_prediction_log(fh)
     reader = csv.reader(source)
-    rows = [row for row in reader if row]
-    if not rows or [c.strip() for c in rows[0]] != ["true", "predicted"]:
+    header = next(filter(None, reader), None)  # the first non-blank row
+    if header is None or [c.strip() for c in header] != ["true", "predicted"]:
         raise EmptyLog("expected a CSV with header 'true,predicted'")
-    return [(t.strip(), p.strip()) for t, p in rows[1:]]
+    log = []
+    for row in reader:
+        if len(row) == 2:
+            log.append((row[0].strip(), row[1].strip()))
+        elif row:
+            raise ParseError(f"row has {len(row)} cells, expected 2",
+                             line=reader.line_num)
+    return log
 
 
 def write_prediction_log(log: Sequence) -> str:
-    out = io.StringIO()
-    out.write("true,predicted\n")
-    for true, pred in log:
-        out.write(f"{true},{pred}\n")
-    return out.getvalue()
+    """A 'true,predicted' CSV in the form read_prediction_log reads."""
+    return write_csv(("true", "predicted"), log)

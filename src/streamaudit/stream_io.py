@@ -30,10 +30,13 @@ NUMERIC_TYPES = {"numeric", "real", "integer"}
 REJECTED_TYPES = {"string", "date", "relational"}
 BLOCK_LINES = 4096
 
-# one comma-separated token: a quoted string (with backslash escapes) and
-# nothing but whitespace around it, or anything up to the next comma
-_TOKEN = re.compile(r"""\s*(?:'(?:[^'\\]|\\.)*'|"(?:[^"\\]|\\.)*")\s*(?=,|\Z)"""
-                    r"|[^,]*", re.DOTALL)
+# a quoted string with backslash escapes, as _quote writes it
+_QUOTED = r"'(?:[^'\\]|\\.)*'" r'|"(?:[^"\\]|\\.)*"'
+# one comma-separated token: a quoted string and nothing but whitespace
+# around it, or anything up to the next comma
+_TOKEN = re.compile(rf"\s*(?:{_QUOTED})\s*(?=,|\Z)|[^,]*", re.DOTALL)
+# an attribute name: a quoted string, or a bare word that starts with no quote
+_NAME = re.compile(rf"{_QUOTED}|[^\s'\"]\S*", re.DOTALL)
 _ESCAPE = re.compile(r"\\(.)", re.DOTALL)
 _ESCAPED = {"t": "\t", "n": "\n", "r": "\r"}
 
@@ -131,9 +134,9 @@ def _unquote(token: str) -> str:
 
 
 def _quote(value: str) -> str:
-    """ARFF spelling of a nominal value: quoted and escaped when it holds a
-    comma, whitespace, a quote or a backslash, starts with '%' or '{', or
-    is '?'; otherwise the value itself."""
+    """ARFF spelling of a nominal value or an attribute name: quoted and
+    escaped when it holds a comma, whitespace, a quote or a backslash,
+    starts with '%' or '{', or is '?'; otherwise the value itself."""
     if value == "?" or value.startswith(("%", "{")) or \
             any(c in ",'\"\\" or c.isspace() for c in value):
         return "'" + value.replace("\\", "\\\\").replace("'", "\\'") + "'"
@@ -168,19 +171,11 @@ def _parse_attribute_line(rest: str, line_no: int) -> AttributeSchema:
     rest = rest.strip()
     if not rest:
         raise ParseError("@attribute without a name", line=line_no)
-    # name may be quoted and contain spaces
-    if rest[0] in "'\"":
-        quote = rest[0]
-        end = rest.find(quote, 1)
-        if end < 0:
-            raise ParseError("unterminated quoted attribute name", line=line_no)
-        name = rest[1:end]
-        type_part = rest[end + 1:].strip()
-    else:
-        parts = rest.split(None, 1)
-        if len(parts) != 2:
-            raise ParseError("@attribute needs a name and a type", line=line_no)
-        name, type_part = parts[0], parts[1].strip()
+    match = _NAME.match(rest)
+    if match is None:
+        raise ParseError("unterminated quoted attribute name", line=line_no)
+    name = _unquote(match.group())
+    type_part = rest[match.end():].strip()
     if not type_part:
         raise ParseError(f"attribute {name!r} has no type", line=line_no)
     if type_part.startswith("{"):
@@ -310,6 +305,8 @@ def parse_arff(source: Union[str, TextIO], class_index: Optional[int] = None
             except (ParseError, UnsupportedFeature) as exc:
                 failure = exc
 
+    if not -m <= cls < m:
+        raise ParseError(f"class index {cls} out of range for {m} attributes")
     if not schema[cls].is_nominal:
         raise ParseError(f"class attribute {schema[cls].name!r} is not nominal")
     if failure is not None:
@@ -410,12 +407,11 @@ def to_arff(ds: StreamDataset, relation: str = "stream") -> str:
     out = io.StringIO()
     out.write(f"@relation {relation}\n")
     for attr in ds.schema:
-        name = f"'{attr.name}'" if " " in attr.name else attr.name
         if attr.is_nominal:
-            vals = ",".join(map(_quote, attr.values))
-            out.write(f"@attribute {name} {{{vals}}}\n")
+            kind = "{" + ",".join(map(_quote, attr.values)) + "}"
         else:
-            out.write(f"@attribute {name} numeric\n")
+            kind = "numeric"
+        out.write(f"@attribute {_quote(attr.name)} {kind}\n")
     out.write("@data\n")
     for start in range(0, ds.n_instances, BLOCK_LINES):
         block = ds.instances[start:start + BLOCK_LINES]
@@ -423,6 +419,20 @@ def to_arff(ds: StreamDataset, relation: str = "stream") -> str:
         columns.insert(ds.class_index, [inst.label for inst in block])
         formatted = map(_format_column, ds.schema, columns)
         out.write("\n".join(map(",".join, zip(*formatted))) + "\n")
+    return out.getvalue()
+
+
+def write_csv(header: Sequence, rows, comment: Optional[str] = None) -> str:
+    """CSV text with '\\n' line ends: an optional '# comment' line (which
+    parse_csv skips), the header, then the rows. Cells holding a comma, a
+    double quote or a line break are quoted; floats are written by repr.
+    """
+    out = io.StringIO()
+    if comment is not None:
+        out.write(f"# {comment}\n")
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
     return out.getvalue()
 
 

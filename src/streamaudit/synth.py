@@ -16,7 +16,6 @@ Randomness comes from the SplitMix64 stream in streamaudit.rng, so a
 given (model, seed) reproduces the identical sequence everywhere.
 """
 
-import io
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -78,13 +77,9 @@ def gen_iid_labels(p: float, n: int, seed: int = 42) -> list:
 
 def labels_to_csv(labels: Sequence[int], seed=None) -> str:
     """Single-column CSV with a 'label' header, re-ingestible by parse_csv."""
-    out = io.StringIO()
-    if seed is not None:
-        out.write(f"# seed={seed}\n")
-    out.write("label\n")
-    for lab in labels:
-        out.write(f"{LABEL_VALUES[lab]}\n")
-    return out.getvalue()
+    return stream_io.write_csv(
+        ("label",), zip(map(LABEL_VALUES.__getitem__, labels)),
+        comment=None if seed is None else f"seed={seed}")
 
 
 def labels_to_dataset(labels: Sequence[int]) -> stream_io.StreamDataset:

@@ -12,10 +12,12 @@ from hypothesis import strategies as st
 
 from streamaudit import (AttributeSchema, EmptyStream, Instance, InvalidRho,
                          NaiveBayesLearner, RestartPolicy, StreamDataset,
-                         SweepConfig, gen_markov_labels, majority_baseline,
-                         parse_arff, persistence_accuracy, prequential_eval,
-                         random_restart_run, random_restart_trace, rho_sweep,
-                         to_arff)
+                         SweepConfig, audit_prediction_log, autocorrelation,
+                         diagnose, gen_markov_labels, labels_to_csv,
+                         majority_baseline, parse_arff, persistence_accuracy,
+                         prequential_eval, random_restart_run,
+                         random_restart_trace, rho_sweep, to_arff,
+                         write_prediction_log)
 from streamaudit.baselines import majority_trace
 from streamaudit.rng import SplitMix64, uniforms
 from streamaudit.synth import MarkovLabelModel
@@ -381,3 +383,35 @@ def test_electricity_shaped_golden_sha256():
         nb.update(inst.features, ds.class_values[inst.label])
     assert _sha256("\n".join(trace)) == \
         "febaea1b0a6741508d861f872dad7751d07586f62e49e22fbb1b8d425cf726a9"
+
+
+# byte-identity gate for the shared CSV writer and the shared confusion
+# scoring: sha256 of every label-derived output on an Electricity-shaped
+# stream, computed with the per-output writers that preceded them. n = 2**15
+# makes the label mean a dyadic fraction, so every ACF dot product is an
+# exact sum and the digests do not depend on the BLAS summation order.
+
+def test_electricity_shaped_writers_golden_sha256():
+    n, seed = 2 ** 15, 42
+    ds = electricity_shaped(n, seed)
+    labels = ds.labels()
+    assert _sha256(diagnose(ds, max_lag=96).to_json()) == \
+        "e0f922af94751a6adc6195cf86977992d97890f3ba8b6a470364e34f196df6ae"
+    acf = autocorrelation(labels, 96, class_order=ds.class_values)
+    assert _sha256(acf.to_csv()) == \
+        "a24bb489a7e4fa2514cb6342f9898f7b09c7ad23e37288826f83c76e7438789e"
+    codes = gen_markov_labels(MarkovLabelModel(0.42, 0.7, n, seed=seed))
+    assert _sha256(labels_to_csv(codes, seed=seed)) == \
+        "92c2d6d02a72877e8255f65a6ac087c4570fa65e9cfa514db0b23e77b2501cc9"
+    nb = NaiveBayesLearner(ds)
+    log = []
+    for inst, true in zip(ds.instances, labels):
+        log.append((true, nb.predict(inst.features)))
+        nb.update(inst.features, true)
+    assert _sha256(write_prediction_log(log)) == \
+        "07dd92da5e79d6c4028b086654eceadb0f446cb0da9fba3b68c0422a9988101a"
+    verdict, report = audit_prediction_log(log, labels)
+    assert _sha256(verdict.to_json(n=report.n, confusion=report.confusion)) \
+        == "028719584cbac70c2dfb0afa1ee0929c0cfec88497caa982282a6a1c9ee1f49f"
+    assert _sha256(report.to_json()) == \
+        "c43575578b2d2acc23cdbb20e1939e517e1550aea3b0d9f10a10ae15870f0833"

@@ -40,6 +40,13 @@ def test_bad_restart_rho_exit_1(synth_csv, capsys, spec):
     assert err.startswith("usage error: ") and repr(spec) in err
 
 
+def test_learner_checked_before_input(capsys):
+    code, out, err = run(capsys, ["eval", "--input", "/nonexistent.arff",
+                                  "--learner", "restart:2"])
+    assert code == 1 and out == ""
+    assert err.startswith("usage error: ") and "'restart:2'" in err
+
+
 def test_missing_file_exit_2(capsys):
     code, _, err = run(capsys, ["summary", "--input", "/nonexistent.arff"])
     assert code == 2
@@ -104,6 +111,15 @@ def test_audit_prediction_log(synth_csv, tmp_path, capsys):
     doc = json.loads(out)
     assert doc["n"] == 3000
     assert doc["confusion"] is not None
+
+
+def test_audit_malformed_prediction_log_exit_2(synth_csv, tmp_path, capsys):
+    log_path = tmp_path / "preds.csv"
+    log_path.write_text("true,predicted\n0,0\n1,1,1\n")
+    code, out, err = run(capsys, ["audit", "--input", str(synth_csv),
+                                  "--predictions", str(log_path)])
+    assert code == 2 and out == ""
+    assert err.startswith("error: line 3: ")
 
 
 def test_sweep_outputs(synth_csv, tmp_path, capsys):

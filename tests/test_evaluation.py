@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from streamaudit import (AttributeSchema, Classifier, EmptyLog, EmptyStream,
                          Instance, LabelMismatch, MajorityLearner,
-                         NaiveBayesLearner, PersistenceLearner,
+                         NaiveBayesLearner, ParseError, PersistenceLearner,
                          RandomRestartLearner, RestartPolicy, SchemaMismatch,
                          StreamDataset, Verdict, audit_accuracy,
                          audit_prediction_log, gen_markov_labels,
@@ -392,3 +392,24 @@ def test_prediction_log_csv_round_trip():
 def test_prediction_log_requires_header():
     with pytest.raises(EmptyLog):
         read_prediction_log(io.StringIO("UP,DOWN\n"))
+
+
+def test_prediction_log_quotes_labels_round_trip():
+    log = [("a,b", 'say "x"'), ("it's", "a,b"), ('"', "'"), ("UP", "UP")]
+    text = write_prediction_log(log)
+    assert text.splitlines()[1] == '"a,b","say ""x"""'
+    again = read_prediction_log(io.StringIO(text))
+    assert again == log
+    _, report = audit_prediction_log(again)
+    assert report.correct == 1 and report.confusion[("a,b", 'say "x"')] == 1
+
+
+@pytest.mark.parametrize("text, line", [
+    ("true,predicted\nUP,UP\nUP\n", 3),
+    ("true,predicted\nUP,UP\n\nUP,DOWN,UP\n", 4),  # blank lines count
+])
+def test_prediction_log_ragged_row_names_line(text, line):
+    with pytest.raises(ParseError) as err:
+        read_prediction_log(io.StringIO(text + "DOWN,UP\n"))
+    assert err.value.line == line
+    assert str(err.value).startswith(f"line {line}: row has ")

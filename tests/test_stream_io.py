@@ -75,6 +75,17 @@ def test_class_attribute_override():
     assert [i.features for i in ds.instances] == [(1.0,), (2.0,)]
 
 
+@pytest.mark.parametrize("k", [2, 3, -3, -4])
+def test_class_index_out_of_range(k):
+    # ParseError naming k and the attribute count, raised after the
+    # structure scan like the non-nominal-class error
+    text = "@relation r\n@attribute x numeric\n@attribute cls {A,B}\n@data\n"
+    with pytest.raises(ParseError, match=rf"class index {k} .* 2 attributes"):
+        parse_arff(io.StringIO(text + "1,A\n"), class_index=k)
+    with pytest.raises(ParseError, match="line 6: row has 1 values"):
+        parse_arff(io.StringIO(text + "1,A\n2\n"), class_index=k)
+
+
 def test_csv_basic():
     ds = parse_csv(io.StringIO("x,cls\n1,UP\n2,DOWN\n3,UP\n"))
     assert ds.n_instances == 3
@@ -170,6 +181,23 @@ def test_arff_quoting_round_trip(value):
     text = to_arff(ds)
     assert "plain,B" in text  # values that need no quotes keep their bytes
     assert arff(text) == ds
+
+
+@pytest.mark.parametrize("name", ["a\tb", "it's", 'say "hi"', "a\\b", "{x",
+                                  "%x", "a b", "a,b", "?"])
+def test_arff_attribute_names_round_trip(name):
+    schema = (AttributeSchema(name, None), AttributeSchema(name + "!", ("A",)))
+    ds = StreamDataset(schema, (Instance((1.0,), 0),), 1)
+    assert arff(to_arff(ds)) == ds
+
+
+def test_arff_quoted_names_with_escapes():
+    text = MINIMAL_ARFF.replace("x numeric", "'x\\'s y' numeric").replace(
+        "cls {A,B}", '"c\\"d"{A,B}')
+    ds = arff(text + "1,A\n")
+    assert [a.name for a in ds.schema] == ["x's y", 'c"d']
+    with pytest.raises(ParseError, match="line 3: unterminated quoted"):
+        arff(MINIMAL_ARFF.replace("x numeric", "'x numeric"))
 
 
 def test_arff_quoted_values_with_escapes():
