@@ -144,9 +144,9 @@ def prequential_eval(classifier: Classifier, ds: StreamDataset) -> EvalReport:
     labels = ds.labels()
     predictions = []
     start = time.perf_counter()
-    for inst, true in zip(ds.instances, labels):
-        predictions.append(classifier.predict(inst.features))
-        classifier.update(inst.features, true)
+    for (features, _), true in zip(ds._rows(), labels):
+        predictions.append(classifier.predict(features))
+        classifier.update(features, true)
     elapsed = time.perf_counter() - start
     return _score(classifier.name, labels, predictions, elapsed)
 
@@ -339,7 +339,11 @@ def audit_prediction_log(log: Sequence, ds_labels: Optional[Sequence] = None,
 
 
 def read_prediction_log(source) -> list:
-    """Read a 'true,predicted' CSV (header required) into (true, pred) pairs."""
+    """Read a 'true,predicted' CSV (header required) into (true, pred) pairs.
+
+    Header cells may be padded with whitespace; data cells are read
+    verbatim, so labels keep their leading and trailing spaces.
+    """
     if isinstance(source, str):
         with open(source, "r", encoding="utf-8", newline="") as fh:
             return read_prediction_log(fh)
@@ -350,7 +354,7 @@ def read_prediction_log(source) -> list:
     log = []
     for row in reader:
         if len(row) == 2:
-            log.append((row[0].strip(), row[1].strip()))
+            log.append((row[0], row[1]))
         elif row:
             raise ParseError(f"row has {len(row)} cells, expected 2",
                              line=reader.line_num)

@@ -1,7 +1,7 @@
 """Stream dataset loading: ARFF (dense subset) and CSV.
 
-A dataset is an ordered sequence of instances plus an attribute schema.
-Instance order is the time axis and is preserved exactly as in the source
+A dataset is an attribute schema plus one column of values per attribute.
+Row order is the time axis and is preserved exactly as in the source
 file. The class attribute defaults to the last attribute, the usual layout
 for stream-mining benchmarks.
 
@@ -18,11 +18,15 @@ by row, so the error names the same line as a row-at-a-time parser would.
 """
 
 import csv
+import functools
 import io
 import itertools
+import operator
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence, TextIO, Union
+
+import numpy as np
 
 from .errors import ParseError, UnsupportedFeature
 
@@ -73,24 +77,86 @@ class Instance:
     label: int
 
 
-@dataclass(frozen=True)
 class StreamDataset:
-    """Ordered instances with their schema; position is the time index."""
+    """A stream with its schema; row position is the time index.
 
-    schema: tuple  # tuple of AttributeSchema
-    instances: tuple  # tuple of Instance
-    class_index: int = field(default=-1)
+    The data are held as columns, one per schema attribute and in schema
+    order, the class included: columns[j] is a read-only numpy array,
+    float64 for a numeric attribute and int32 indices into the value list
+    for a nominal one. StreamDataset(schema, instances, class_index)
+    converts a sequence of Instance to columns once; instances is a view
+    of the columns, built on first access.
+    """
 
-    def __post_init__(self):
-        if self.class_index < 0:
-            object.__setattr__(self, "class_index",
-                               len(self.schema) + self.class_index)
-        if not self.schema[self.class_index].is_nominal:
-            raise ValueError("class attribute must be nominal")
+    def __init__(self, schema: Sequence, instances, class_index: int = -1):
+        schema = tuple(schema)
+        cls = _class_position(schema, class_index)
+        rows = list(instances)
+        width = len(schema) - 1
+        if any(len(inst.features) != width for inst in rows):
+            raise ValueError(f"every instance needs {width} feature values")
+        columns = list(zip(*(inst.features for inst in rows))) or [()] * width
+        columns.insert(cls, [inst.label for inst in rows])
+        self._set(schema, list(map(_array, schema, columns)), cls)
+
+    @classmethod
+    def _from_columns(cls, schema: Sequence, columns: list, class_index: int):
+        """A dataset holding the given arrays, which nothing else may write."""
+        ds = cls.__new__(cls)
+        schema = tuple(schema)
+        ds._set(schema, columns, _class_position(schema, class_index))
+        return ds
+
+    def _set(self, schema: tuple, columns: list, class_index: int):
+        for attr, col in zip(schema, columns):
+            if attr.is_nominal and len(col) and \
+                    not 0 <= col.min() <= col.max() < len(attr.values):
+                raise ValueError(
+                    f"value index out of range for attribute {attr.name!r}")
+            col.flags.writeable = False
+        vars(self).update(schema=schema, columns=tuple(columns),
+                          class_index=class_index)
+
+    def __reduce__(self):  # copies and pickles get read-only columns too
+        return StreamDataset._from_columns, (self.schema, list(self.columns),
+                                             self.class_index)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to StreamDataset.{name}")
+
+    def __eq__(self, other):
+        if not isinstance(other, StreamDataset):
+            return NotImplemented
+        return (self.schema == other.schema
+                and self.class_index == other.class_index
+                and all(map(np.array_equal, self.columns, other.columns)))
+
+    def __hash__(self):
+        return hash((self.schema, self.class_index, self.n_instances))
+
+    def __repr__(self):
+        columns = tuple(col.tolist() for col in self.columns)
+        return (f"StreamDataset(schema={self.schema!r}, columns={columns!r}, "
+                f"class_index={self.class_index!r})")
+
+    @functools.cached_property
+    def instances(self) -> tuple:
+        """The rows as a tuple of Instance holding Python floats and ints."""
+        return tuple(itertools.starmap(Instance, self._rows()))
+
+    def _rows(self):
+        """(features, class code) pairs of Python values, in stream order,
+        made BLOCK_LINES rows at a time."""
+        for start in range(0, self.n_instances, BLOCK_LINES):
+            columns = [col[start:start + BLOCK_LINES].tolist()
+                       for col in self.columns]
+            codes = columns.pop(self.class_index)
+            yield from zip(zip(*columns) if columns else itertools.repeat(()),
+                           codes)
 
     @property
     def n_instances(self) -> int:
-        return len(self.instances)
+        return len(self.columns[self.class_index])
 
     @property
     def n_features(self) -> int:
@@ -106,12 +172,34 @@ class StreamDataset:
 
     def labels(self) -> list:
         """Class values in stream order, as the original nominal strings."""
-        values = self.class_values
-        return [values[inst.label] for inst in self.instances]
+        codes = self.columns[self.class_index].tolist()
+        return list(map(self.class_values.__getitem__, codes))
 
     def feature_schema(self) -> list:
         """Schema entries excluding the class attribute, in order."""
         return [a for i, a in enumerate(self.schema) if i != self.class_index]
+
+
+def _class_position(schema: tuple, class_index: int) -> int:
+    """class_index counted from the front; the class must be nominal."""
+    if not -len(schema) <= class_index < len(schema):
+        raise ValueError(f"class index {class_index} out of range for "
+                         f"{len(schema)} attributes")
+    if not schema[class_index].is_nominal:
+        raise ValueError("class attribute must be nominal")
+    return class_index % len(schema)
+
+
+def _dtype(attr: AttributeSchema):
+    return np.int32 if attr.is_nominal else np.float64
+
+
+def _array(attr: AttributeSchema, values: Sequence) -> np.ndarray:
+    """A column from Python values; nominal values must be int indices."""
+    n = len(values)
+    if attr.is_nominal:
+        values = map(operator.index, values)
+    return np.fromiter(values, _dtype(attr), n)
 
 
 def _split_row(text: str) -> list:
@@ -135,9 +223,9 @@ def _unquote(token: str) -> str:
 
 def _quote(value: str) -> str:
     """ARFF spelling of a nominal value or an attribute name: quoted and
-    escaped when it holds a comma, whitespace, a quote or a backslash,
-    starts with '%' or '{', or is '?'; otherwise the value itself."""
-    if value == "?" or value.startswith(("%", "{")) or \
+    escaped when it is empty or '?', holds a comma, whitespace, a quote or
+    a backslash, or starts with '%' or '{'; otherwise the value itself."""
+    if value in ("", "?") or value.startswith(("%", "{")) or \
             any(c in ",'\"\\" or c.isspace() for c in value):
         return "'" + value.replace("\\", "\\\\").replace("'", "\\'") + "'"
     return value
@@ -196,40 +284,35 @@ def _parse_attribute_line(rest: str, line_no: int) -> AttributeSchema:
     raise ParseError(f"unknown attribute type {type_part!r}", line=line_no)
 
 
-def _instances(columns: list, cls: int):
-    """Instances from converted columns, the class column among them."""
-    labels = columns.pop(cls)
-    features = zip(*columns) if columns else itertools.repeat(())
-    return map(Instance, features, labels)
-
-
-def _convert_column(attr: AttributeSchema, tokens: list) -> list:
+def _convert_column(attr: AttributeSchema, tokens: list) -> np.ndarray:
     if attr.is_nominal:
         codes = {t: _attr_value(attr, t, None) for t in dict.fromkeys(tokens)}
-        return list(map(codes.__getitem__, tokens))
-    return list(map(float, tokens))
+        values = map(codes.__getitem__, tokens)
+    else:
+        values = map(float, tokens)
+    return np.fromiter(values, _dtype(attr), len(tokens))
 
 
-def _convert_rows(schema: list, cls: int, rows: list, line_nos: list):
+def _convert_rows(schema: list, rows: list, line_nos: list) -> list:
     """Row-at-a-time conversion; raises on the first bad line."""
     columns = [[] for _ in schema]
     for line_no, row in zip(line_nos, rows):
         for col, attr, token in zip(columns, schema, _split_row(row)):
             col.append(_attr_value(attr, token, line_no))
-    return _instances(columns, cls)
+    return list(map(_array, schema, columns))
 
 
-def _convert_block(schema: list, cls: int, rows: list, line_nos: list,
-                   quoted: bool):
+def _convert_block(schema: list, rows: list, line_nos: list,
+                   quoted: bool) -> list:
     if not quoted:
         m = len(schema)
         flat = ",".join(rows).split(",")
         try:
-            return _instances([_convert_column(attr, flat[j::m])
-                               for j, attr in enumerate(schema)], cls)
+            return [_convert_column(attr, flat[j::m])
+                    for j, attr in enumerate(schema)]
         except (ValueError, ParseError, UnsupportedFeature):
             pass  # the row-wise pass names the first bad line
-    return _convert_rows(schema, cls, rows, line_nos)
+    return _convert_rows(schema, rows, line_nos)
 
 
 def parse_arff(source: Union[str, TextIO], class_index: Optional[int] = None
@@ -277,7 +360,7 @@ def parse_arff(source: Union[str, TextIO], class_index: Optional[int] = None
     cls = class_index if class_index is not None else m - 1
     convert = -m <= cls < m and schema[cls].is_nominal
     failure = None  # first conversion error, raised once the file is checked
-    instances = []
+    blocks = []  # per block, one array per attribute
     while True:
         block = list(itertools.islice(lines, BLOCK_LINES))
         if not block:
@@ -300,8 +383,7 @@ def parse_arff(source: Union[str, TextIO], class_index: Optional[int] = None
             line_nos.append(line_no)
         if convert and failure is None and rows:
             try:
-                instances.extend(_convert_block(schema, cls, rows, line_nos,
-                                                quoted))
+                blocks.append(_convert_block(schema, rows, line_nos, quoted))
             except (ParseError, UnsupportedFeature) as exc:
                 failure = exc
 
@@ -311,14 +393,16 @@ def parse_arff(source: Union[str, TextIO], class_index: Optional[int] = None
         raise ParseError(f"class attribute {schema[cls].name!r} is not nominal")
     if failure is not None:
         raise failure
-    return StreamDataset(tuple(schema), tuple(instances), cls)
+    columns = [np.concatenate(parts) for parts in zip(*blocks)] if blocks \
+        else [np.empty(0, _dtype(attr)) for attr in schema]
+    return StreamDataset._from_columns(schema, columns, cls)
 
 
 def _infer_column(values: Sequence[str]):
     """Numeric if every value parses as a number, else nominal by first
     occurrence order. Returns (AttributeSchema values or None, parsed col)."""
     try:
-        return None, list(map(float, values))
+        return None, np.fromiter(map(float, values), np.float64, len(values))
     except ValueError:
         return _nominal_column(values)
 
@@ -326,7 +410,8 @@ def _infer_column(values: Sequence[str]):
 def _nominal_column(values: Sequence[str]):
     """Nominal values in first-occurrence order and the column's codes."""
     codes = {v: i for i, v in enumerate(dict.fromkeys(values))}
-    return tuple(codes), list(map(codes.__getitem__, values))
+    return tuple(codes), np.fromiter(map(codes.__getitem__, values), np.int32,
+                                     len(values))
 
 
 def parse_csv(source: Union[str, TextIO], has_header: bool = True,
@@ -392,14 +477,13 @@ def parse_csv(source: Union[str, TextIO], has_header: bool = True,
             values, parsed = _infer_column(col)
         schema.append(AttributeSchema(header[i], values))
         parsed_cols.append(parsed)
-    return StreamDataset(tuple(schema), tuple(_instances(parsed_cols, cls)),
-                         cls)
+    return StreamDataset._from_columns(schema, parsed_cols, cls)
 
 
-def _format_column(attr: AttributeSchema, col) -> list:
+def _format_column(attr: AttributeSchema, col: np.ndarray):
     if attr.is_nominal:
-        return list(map([_quote(v) for v in attr.values].__getitem__, col))
-    return list(map(repr, map(float, col)))
+        return map([_quote(v) for v in attr.values].__getitem__, col.tolist())
+    return map(repr, col.tolist())
 
 
 def to_arff(ds: StreamDataset, relation: str = "stream") -> str:
@@ -414,10 +498,8 @@ def to_arff(ds: StreamDataset, relation: str = "stream") -> str:
         out.write(f"@attribute {_quote(attr.name)} {kind}\n")
     out.write("@data\n")
     for start in range(0, ds.n_instances, BLOCK_LINES):
-        block = ds.instances[start:start + BLOCK_LINES]
-        columns = list(zip(*(inst.features for inst in block)))
-        columns.insert(ds.class_index, [inst.label for inst in block])
-        formatted = map(_format_column, ds.schema, columns)
+        block = [col[start:start + BLOCK_LINES] for col in ds.columns]
+        formatted = map(_format_column, ds.schema, block)
         out.write("\n".join(map(",".join, zip(*formatted))) + "\n")
     return out.getvalue()
 
@@ -438,12 +520,11 @@ def write_csv(header: Sequence, rows, comment: Optional[str] = None) -> str:
 
 def dataset_summary(ds: StreamDataset) -> dict:
     """Exact instance/feature/class counts for a dataset."""
-    counts = {v: 0 for v in ds.class_values}
-    for inst in ds.instances:
-        counts[ds.class_values[inst.label]] += 1
+    counts = np.bincount(ds.columns[ds.class_index],
+                         minlength=len(ds.class_values))
     return {
         "n_instances": ds.n_instances,
         "n_features": ds.n_features,
         "class_values": list(ds.class_values),
-        "class_counts": counts,
+        "class_counts": dict(zip(ds.class_values, counts.tolist())),
     }

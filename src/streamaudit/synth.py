@@ -19,6 +19,8 @@ given (model, seed) reproduces the identical sequence everywhere.
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from . import stream_io
 from .errors import InvalidModel
 from .rng import uniforms
@@ -89,8 +91,9 @@ def labels_to_dataset(labels: Sequence[int]) -> stream_io.StreamDataset:
         stream_io.AttributeSchema("bias", None),
         stream_io.AttributeSchema("label", LABEL_VALUES),
     )
-    instances = tuple(stream_io.Instance((1.0,), int(lab)) for lab in labels)
-    return stream_io.StreamDataset(schema, instances, 1)
+    codes = np.array(labels, dtype=np.int32)
+    return stream_io.StreamDataset._from_columns(
+        schema, [np.ones(len(codes)), codes], 1)
 
 
 def labels_to_arff(labels: Sequence[int]) -> str:

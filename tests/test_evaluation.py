@@ -13,10 +13,10 @@ from streamaudit import (AttributeSchema, Classifier, EmptyLog, EmptyStream,
                          RandomRestartLearner, RestartPolicy, SchemaMismatch,
                          StreamDataset, Verdict, audit_accuracy,
                          audit_prediction_log, gen_markov_labels,
-                         majority_baseline, persistence_accuracy,
-                         prequential_eval, random_restart_run,
-                         random_restart_trace, read_prediction_log,
-                         write_prediction_log)
+                         majority_baseline, parse_arff,
+                         persistence_accuracy, prequential_eval,
+                         random_restart_run, random_restart_trace,
+                         read_prediction_log, write_prediction_log)
 from streamaudit.synth import MarkovLabelModel, labels_to_dataset
 
 
@@ -413,3 +413,23 @@ def test_prediction_log_ragged_row_names_line(text, line):
         read_prediction_log(io.StringIO(text + "DOWN,UP\n"))
     assert err.value.line == line
     assert str(err.value).startswith(f"line {line}: row has ")
+
+
+def test_prediction_log_keeps_cell_whitespace():
+    log = [(" a", "b "), ("b ", " a")]
+    text = write_prediction_log(log)
+    assert read_prediction_log(io.StringIO(text)) == log
+    padded = text.replace("true,predicted", " true , predicted ")
+    assert read_prediction_log(io.StringIO(padded)) == log
+
+
+def test_audit_prediction_log_keeps_quoted_arff_value():
+    ds = parse_arff(io.StringIO(
+        "@relation r\n@attribute x numeric\n@attribute cls {' a',b}\n"
+        "@data\n1,' a'\n2,b\n3,' a'\n"))
+    assert ds.labels() == [" a", "b", " a"]
+    text = write_prediction_log(list(zip(ds.labels(), [" a", " a", "b"])))
+    verdict, report = audit_prediction_log(read_prediction_log(
+        io.StringIO(text)), ds.labels())
+    assert report.correct == 1 and report.confusion[(" a", " a")] == 1
+    assert verdict.persistence_bar == persistence_accuracy(ds.labels())

@@ -1,16 +1,20 @@
+import copy
 import csv
 import io
+import pickle
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from streamaudit import (AttributeSchema, ParseError, StreamDataset,
-                         UnsupportedFeature, dataset_summary, parse_arff,
-                         parse_csv, to_arff)
+from streamaudit import (AttributeSchema, Classifier, NaiveBayesLearner,
+                         ParseError, StreamDataset, UnsupportedFeature,
+                         audit_accuracy, dataset_summary, diagnose,
+                         parse_arff, parse_csv, prequential_eval, to_arff)
 from streamaudit import stream_io
 from streamaudit.stream_io import Instance, _parse_attribute_line
+from streamaudit.synth import labels_to_dataset
 
 MINIMAL_ARFF = """\
 % a comment
@@ -594,3 +598,152 @@ def mixed_datasets(draw):
 def test_to_arff_matches_row_oracle(ds, block):
     with mock.patch.object(stream_io, "BLOCK_LINES", block):
         assert to_arff(ds, "r") == oracle_to_arff(ds, "r")
+
+
+def test_csv_empty_header_cell_round_trips():
+    ds = parse_csv(io.StringIO("a,,cls\n1,2,A\n"))
+    text = to_arff(ds)
+    assert "@attribute '' numeric" in text
+    assert arff(text) == ds
+    assert [a.name for a in arff(text).schema] == ["a", "", "cls"]
+
+
+# ---------------------------------------------------------------------------
+# columns: the dataset's one store; instances is a view built on demand
+
+@st.composite
+def instance_rows(draw):
+    """(schema, instances, class index): numeric features drawn as floats
+    or ints, nominal features and the class as value indices."""
+    kinds = draw(st.lists(st.booleans(), max_size=3))
+    words = st.text(alphabet="abXY01 ,'", min_size=1, max_size=3)
+    schema = [AttributeSchema(f"f{i}", tuple(draw(st.lists(
+        words, min_size=1, max_size=3, unique=True))) if nominal else None)
+        for i, nominal in enumerate(kinds)]
+    cls = draw(st.integers(0, len(schema)))
+    schema.insert(cls, AttributeSchema("class", ("A", "B", "c d")))
+    numbers = st.one_of(st.floats(allow_nan=False), st.integers(-9, 9))
+    instances = []
+    for _ in range(draw(st.integers(0, 12))):
+        row = [draw(st.integers(0, len(a.values) - 1)) if a.is_nominal
+               else draw(numbers) for a in schema]
+        label = row.pop(cls)
+        instances.append(Instance(tuple(row), label))
+    return tuple(schema), instances, cls
+
+
+class Recorder(Classifier):
+    """Keeps every (features, label) pair prequential_eval hands over."""
+
+    def __init__(self):
+        self.seen = []
+
+    def predict(self, features):
+        return None
+
+    def update(self, features, label):
+        self.seen.append((features, label))
+
+
+@given(instance_rows(), st.integers(1, 5))
+@settings(max_examples=200, deadline=None)
+def test_dataset_from_instances_equals_its_parsed_arff(rows, block):
+    schema, instances, cls = rows
+    with mock.patch.object(stream_io, "BLOCK_LINES", block):
+        ds = StreamDataset(schema, instances, cls)
+        again = parse_arff(io.StringIO(to_arff(ds)), class_index=cls)
+        assert again == ds and repr(again) == repr(ds)
+        types = [int if a.is_nominal else float for a in ds.feature_schema()]
+        for view in (ds.instances, again.instances):
+            assert view == tuple(instances)
+            for inst in view:
+                assert type(inst.label) is int
+                assert [type(v) for v in inst.features] == types
+        if instances:
+            recorder = Recorder()
+            prequential_eval(recorder, again)
+            assert recorder.seen == [
+                (inst.features, ds.class_values[inst.label])
+                for inst in instances]
+
+
+def test_columns_hold_one_typed_array_per_attribute():
+    ds = arff(MINIMAL_ARFF.replace("@data", "@attribute d {u,v}\n@data")
+              + "1.5,A,v\n2,B,u\n")
+    assert len(ds.columns) == len(ds.schema) == 3
+    assert [col.dtype.kind for col in ds.columns] == ["f", "i", "i"]
+    assert [col.tolist() for col in ds.columns] == [[1.5, 2.0], [0, 1],
+                                                    [1, 0]]
+
+
+def test_repr_is_complete_for_long_streams():
+    n = 1500
+    ds = StreamDataset((AttributeSchema("x", None),
+                        AttributeSchema("cls", ("A", "B"))),
+                       [Instance((i / 7,), i % 2) for i in range(n)], 1)
+    text = repr(ds)
+    assert "..." not in text
+    assert repr((n - 1) / 7) in text
+    assert repr(ds) != repr(StreamDataset(ds.schema, ds.instances[:-1], 1))
+
+
+def test_equality_compares_every_value():
+    schema = (AttributeSchema("x", None), AttributeSchema("cls", ("A", "B")))
+    rows = [Instance((i / 7,), i % 2) for i in range(20)]
+    ds = StreamDataset(schema, rows, 1)
+    assert ds == StreamDataset(schema, list(rows), -1)
+    assert hash(ds) == hash(StreamDataset(schema, rows, 1))
+    for changed in (Instance((0.5,), 1), Instance((19 / 7,), 0)):
+        assert ds != StreamDataset(schema, rows[:-1] + [changed], 1)
+    assert ds != StreamDataset(schema, rows[:-1], 1)
+    assert ds != ds.instances
+
+
+def test_columns_reject_writes():
+    built = StreamDataset((AttributeSchema("x", None),
+                           AttributeSchema("cls", ("A", "B"))),
+                          [Instance((1.0,), 0)], 1)
+    parsed = arff(SMALL_ARFF)
+    for ds in (parsed, parse_csv(io.StringIO("x,c\n1,A\n")), built,
+               labels_to_dataset([0, 1, 1]), copy.deepcopy(parsed),
+               pickle.loads(pickle.dumps(parsed))):
+        assert isinstance(ds.columns, tuple)
+        for col in ds.columns:
+            with pytest.raises(ValueError):
+                col[0] = 1
+        with pytest.raises(AttributeError):
+            ds.columns = ()
+    assert built.instances is built.instances  # built once
+
+
+def test_instance_codes_must_index_the_value_list():
+    schema = (AttributeSchema("x", None), AttributeSchema("cls", ("A", "B")))
+    for label in (2, -1):
+        with pytest.raises(ValueError, match="out of range"):
+            StreamDataset(schema, [Instance((1.0,), label)], 1)
+    with pytest.raises(ValueError, match="feature values"):
+        StreamDataset(schema, [Instance((1.0, 2.0), 0)], 1)
+    with pytest.raises(TypeError):
+        StreamDataset(schema, [Instance((1.0,), 1.0)], 1)
+
+
+def test_library_paths_construct_no_instances(monkeypatch):
+    made = []
+    init = Instance.__init__
+
+    def counting(self, *args, **kwargs):
+        made.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Instance, "__init__", counting)
+    rows = "".join(f"{i / 3!r},{'AB'[i // 5 % 2]}\n" for i in range(40))
+    ds = arff(SMALL_ARFF + rows)
+    from_csv = parse_csv(io.StringIO("x,cls\n" + rows))
+    assert arff(to_arff(from_csv)) == from_csv
+    assert ds.labels()[:3] == ["A", "B", "A"]
+    assert dataset_summary(ds)["class_counts"] == {"A": 22, "B": 21}
+    diagnose(ds, max_lag=4)
+    audit_accuracy(0.5, ds)
+    prequential_eval(NaiveBayesLearner(ds), ds)
+    assert made == []
+    assert len(ds.instances) == len(made) == 43  # the view is counted
