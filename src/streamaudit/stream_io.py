@@ -15,6 +15,19 @@ The parsers and the writer work a column at a time: the ARFF data section
 is read in blocks of BLOCK_LINES lines, each block split at once and
 converted column by column; a block that fails to convert is re-read row
 by row, so the error names the same line as a row-at-a-time parser would.
+
+A CSV is read BLOCK_LINES records at a time and each block is converted
+to column parts as soon as it is read, so at most one block's cells are
+alive at a time. A block without a '"' is split at commas like an ARFF
+block; from the first block with one (or with anything else csv.reader
+reads otherwise than a split: a NUL, a line break inside a line, a line
+over csv.field_size_limit()), csv.reader reads the rest of the source, so
+quoted fields, also those that span lines, read as csv.reader reads them.
+Only the text of earlier blocks is kept, while a column that has parsed
+as numbers so far may still turn nominal. Errors come in the order of a
+whole-file read: csv.reader's own, the first ragged or empty-cell record,
+a bad class column, a header without data rows. A negative class column
+counts from the end, as a negative ARFF class index does.
 """
 
 import csv
@@ -398,86 +411,201 @@ def parse_arff(source: Union[str, TextIO], class_index: Optional[int] = None
     return StreamDataset._from_columns(schema, columns, cls)
 
 
-def _infer_column(values: Sequence[str]):
-    """Numeric if every value parses as a number, else nominal by first
-    occurrence order. Returns (AttributeSchema values or None, parsed col)."""
-    try:
-        return None, np.fromiter(map(float, values), np.float64, len(values))
-    except ValueError:
-        return _nominal_column(values)
+def _csv_blocks(source):
+    """(record numbers, records, split) for each BLOCK_LINES records of
+    the source, without blank records and '#' comments; numbers count
+    every record from 1, as csv.reader does. While no block has held what
+    csv.reader reads otherwise than a split at commas (see the module
+    docstring), a record is a line without its line end (split is True);
+    from the first block that does, csv.reader reads the rest and a record
+    is its list of cells."""
+    def kept(records, first_cell):
+        nos = [no for no, rec in enumerate(records, start)
+               if rec and not first_cell(rec).lstrip().startswith("#")]
+        return nos, [records[no - start] for no in nos]
+
+    lines = iter(source)
+    start = 1
+    while True:
+        block = list(itertools.islice(lines, BLOCK_LINES))
+        if not block:
+            return
+        records = list(map(str.rstrip, block, itertools.repeat("\r\n")))
+        text = "\n".join(records)
+        if '"' in text or "\0" in text or "\r" in text \
+                or text.count("\n") != len(records) - 1 \
+                or max(map(len, records)) > csv.field_size_limit():
+            break
+        if "" in records or "#" in text:
+            yield (*kept(records, lambda line: line), True)
+        else:
+            yield range(start, start + len(records)), records, True
+        start += len(records)
+    reader = csv.reader(itertools.chain(block, lines))
+    while True:
+        records = list(itertools.islice(reader, BLOCK_LINES))
+        if not records:
+            return
+        yield (*kept(records, operator.itemgetter(0)), False)
+        start += len(records)
 
 
-def _nominal_column(values: Sequence[str]):
-    """Nominal values in first-occurrence order and the column's codes."""
-    codes = {v: i for i, v in enumerate(dict.fromkeys(values))}
-    return tuple(codes), np.fromiter(map(codes.__getitem__, values), np.int32,
-                                     len(values))
+def _cells(block) -> list:
+    """A block's cells, row after row: block is a list of cells or the
+    comma-joined text of its rows."""
+    return block.split(",") if isinstance(block, str) else block
+
+
+def _floats(tokens: list) -> Optional[np.ndarray]:
+    """float64 values of the tokens, or None if one is not a number."""
+    # float() ignores less whitespace than str.strip(): not '\x1c'-'\x1f'
+    for cells in (tokens, map(str.strip, tokens)):
+        try:
+            return np.fromiter(map(float, cells), np.float64, len(tokens))
+        except ValueError:
+            pass
+    return None
+
+
+def _codes(values: dict, tokens: list) -> Optional[np.ndarray]:
+    """int32 codes of the stripped tokens, adding new values to values (a
+    value -> code dict) in first-occurrence order; None if one is blank."""
+    codes = {}
+    for token in dict.fromkeys(tokens):
+        value = token.strip()
+        if not value:
+            return None
+        codes[token] = values.setdefault(value, len(values))
+    return np.fromiter(map(codes.__getitem__, tokens), np.int32, len(tokens))
+
+
+class _CsvColumns:
+    """A CSV's columns, converted a block at a time. A column is float64
+    while every cell so far is a number; after that, and the class column
+    from the start, it is int32 codes of its values by first occurrence.
+    The blocks are kept while a column may still turn nominal, because it
+    then recodes its earlier cells from their text: '3' and '3.0' are two
+    nominal values."""
+
+    def __init__(self, n_cols: int, nominal: Optional[int]):
+        # per column None (numeric so far) or its value -> code dict
+        self.values = [{} if j == nominal else None for j in range(n_cols)]
+        self.parts = [[] for _ in range(n_cols)]
+        self.blocks = []
+
+    def add(self, block) -> bool:
+        """Convert one block (see _cells); False if it holds a blank cell."""
+        m = len(self.values)
+        cells = _cells(block)
+        for j, values in enumerate(self.values):
+            tokens = cells[j::m]
+            if values is None:
+                part = _floats(tokens)
+                if part is None:  # not all numbers: the column turns nominal
+                    self.values[j] = values = {}
+                    self.parts[j] = [_codes(values, _cells(old)[j::m])
+                                     for old in self.blocks]
+            if values is not None:
+                part = _codes(values, tokens)
+                if part is None:
+                    return False
+            self.parts[j].append(part)
+        if None in self.values:
+            self.blocks.append(block)
+        else:
+            self.blocks.clear()
+        return True
+
+    def dataset(self, header: list, cls: int) -> StreamDataset:
+        schema = [AttributeSchema(name, None if values is None
+                                  else tuple(values))
+                  for name, values in zip(header, self.values)]
+        columns = [np.concatenate(parts) for parts in self.parts]
+        return StreamDataset._from_columns(schema, columns, cls)
+
+
+def _first_bad_record(nos, records, split: bool, n_cols: int):
+    """The error for the first ragged or empty-cell record."""
+    for no, cells in zip(nos, records):
+        cells = cells.split(",") if split else cells
+        if len(cells) != n_cols:
+            return ParseError(f"row has {len(cells)} cells, expected {n_cols}",
+                              line=no)
+        if not all(map(str.strip, cells)):
+            return UnsupportedFeature("empty cell", line=no)
+
+
+def _class_column(header: list, class_column: Union[int, str, None]) -> int:
+    n_cols = len(header)
+    if class_column is None:
+        return n_cols - 1
+    if isinstance(class_column, str):
+        try:
+            return header.index(class_column)
+        except ValueError:
+            raise ParseError(f"no column named {class_column!r}") from None
+    if not -n_cols <= class_column < n_cols:
+        raise ParseError(f"class column index {class_column} out of range")
+    return class_column % n_cols
 
 
 def parse_csv(source: Union[str, TextIO], has_header: bool = True,
               class_column: Union[int, str, None] = None) -> StreamDataset:
     """Parse a rectangular CSV into a StreamDataset.
 
-    The class column (default: last) is always treated as nominal, value
-    order by first occurrence. Other columns are numeric when every value
-    parses as a number, else nominal.
+    The class column (default: last; a negative index counts from the end)
+    is always treated as nominal, value order by first occurrence. Other
+    columns are numeric when every value parses as a number, else nominal.
+    Cells are whitespace-trimmed; blank records and records whose first
+    cell starts with '#' are skipped.
+
+    The source is read and converted BLOCK_LINES records at a time, split
+    at commas until a block holds a '"' and read by csv.reader from there
+    on (see the module docstring). Errors come in this order: csv.reader's
+    own, the first ragged or empty-cell record in the file, a bad class
+    column, a header without data rows. Line numbers count records, as
+    csv.reader does.
     """
     if isinstance(source, str):
         with open(source, "r", encoding="utf-8", newline="") as fh:
             return parse_csv(fh, has_header=has_header, class_column=class_column)
 
-    rows, row_nos = [], []
-    for row_no, row in enumerate(csv.reader(source), start=1):
-        if not row or row[0].lstrip().startswith("#"):  # '#' lines: metadata
+    header = None
+    failure = None  # the first ragged or empty-cell record
+    for nos, records, split in _csv_blocks(source):
+        if header is None and records:
+            first = records[0].split(",") if split else records[0]
+            n_cols = len(first)
+            if has_header:
+                header = [cell.strip() for cell in first]
+                nos, records = nos[1:], records[1:]
+            else:
+                header = [f"col{i}" for i in range(n_cols)]
+            try:
+                columns = _CsvColumns(n_cols, _class_column(header,
+                                                            class_column))
+            except ParseError:  # raised once the whole file is checked
+                columns = _CsvColumns(n_cols, None)
+        if failure is not None or not records:
             continue
-        rows.append(row)
-        row_nos.append(row_no)
-    if not rows:
-        raise ParseError("empty CSV input")
-
-    if has_header:
-        header = [c.strip() for c in rows[0]]
-        rows, row_nos = rows[1:], row_nos[1:]
-    else:
-        header = [f"col{i}" for i in range(len(rows[0]))]
-    n_cols = len(header)
-    if not rows and n_cols == 0:
-        raise ParseError("empty CSV input")
-    columns = [list(map(str.strip, col)) for col in zip(*rows)] \
-        if rows else [[] for _ in header]
-    if any(len(row) != n_cols for row in rows) or \
-            any("" in col for col in columns):
-        for row_no, row in zip(row_nos, rows):
-            if len(row) != n_cols:
-                raise ParseError(
-                    f"row has {len(row)} cells, expected {n_cols}", line=row_no)
-            if any(cell.strip() == "" for cell in row):
-                raise UnsupportedFeature("empty cell", line=row_no)
-
-    if class_column is None:
-        cls = n_cols - 1
-    elif isinstance(class_column, str):
-        try:
-            cls = header.index(class_column)
-        except ValueError:
-            raise ParseError(f"no column named {class_column!r}") from None
-    else:
-        cls = class_column
-        if not 0 <= cls < n_cols:
-            raise ParseError(f"class column index {cls} out of range")
-
-    schema = []
-    parsed_cols = []
-    for i, col in enumerate(columns):
-        if i == cls:
-            if not col:
-                raise ParseError("CSV with a header but no data rows")
-            values, parsed = _nominal_column(col)
+        if split:
+            ragged = set(map(str.count, records,
+                             itertools.repeat(","))) != {n_cols - 1}
+            block = ",".join(records)
         else:
-            values, parsed = _infer_column(col)
-        schema.append(AttributeSchema(header[i], values))
-        parsed_cols.append(parsed)
-    return StreamDataset._from_columns(schema, parsed_cols, cls)
+            ragged = set(map(len, records)) != {n_cols}
+            block = [cell for cells in records for cell in cells]
+        if ragged or not columns.add(block):
+            failure = _first_bad_record(nos, records, split, n_cols)
+
+    if failure is not None:
+        raise failure
+    if header is None:
+        raise ParseError("empty CSV input")
+    cls = _class_column(header, class_column)
+    if not columns.parts[cls]:
+        raise ParseError("CSV with a header but no data rows")
+    return columns.dataset(header, cls)
 
 
 def _format_column(attr: AttributeSchema, col: np.ndarray):

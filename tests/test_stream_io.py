@@ -1,9 +1,12 @@
 import copy
 import csv
+import hashlib
 import io
 import pickle
+import tracemalloc
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,8 +16,10 @@ from streamaudit import (AttributeSchema, Classifier, NaiveBayesLearner,
                          audit_accuracy, dataset_summary, diagnose,
                          parse_arff, parse_csv, prequential_eval, to_arff)
 from streamaudit import stream_io
+from streamaudit.rng import uniforms
 from streamaudit.stream_io import Instance, _parse_attribute_line
-from streamaudit.synth import labels_to_dataset
+from streamaudit.synth import (MarkovLabelModel, gen_markov_labels,
+                               labels_to_csv, labels_to_dataset)
 
 MINIMAL_ARFF = """\
 % a comment
@@ -119,6 +124,28 @@ def test_csv_empty_input():
 def test_csv_empty_cell():
     with pytest.raises(UnsupportedFeature):
         parse_csv(io.StringIO("x,cls\n,UP\n"))
+
+
+@pytest.mark.parametrize("k, cls", [(-1, 1), (-2, 0)])
+def test_csv_negative_class_column_counts_from_the_end(k, cls):
+    text = "x,cls\n1,A\n2,B\n"
+    ds = parse_csv(io.StringIO(text), class_column=k)
+    assert ds.class_index == cls
+    assert ds == parse_csv(io.StringIO(text), class_column=cls)
+    assert repr(ds) == repr(oracle_parse_csv(io.StringIO(text),
+                                             class_column=k))
+
+
+def test_csv_class_column_below_minus_n_cols_is_out_of_range():
+    with pytest.raises(ParseError, match="class column index -3 out of range"):
+        parse_csv(io.StringIO("x,cls\n1,A\n2,B\n"), class_column=-3)
+
+
+def test_csv_ragged_row_wins_over_a_bad_class_column():
+    for k in (-3, 2, "nope"):
+        with pytest.raises(ParseError, match="row has 1 cells") as err:
+            parse_csv(io.StringIO("x,cls\n1,A\n2\n3,B\n"), class_column=k)
+        assert err.value.line == 3
 
 
 def test_csv_arff_equivalence():
@@ -363,8 +390,9 @@ def oracle_parse_csv(source, has_header=True, class_column=None):
             raise ParseError(f"no column named {class_column!r}") from None
     else:
         cls = class_column
-        if not 0 <= cls < n_cols:
+        if not -n_cols <= cls < n_cols:  # negative counts from the end
             raise ParseError(f"class column index {cls} out of range")
+        cls %= n_cols
     columns = [[row[i] for _, row in rows] for i in range(n_cols)]
     schema = []
     parsed_cols = []
@@ -606,6 +634,208 @@ def test_csv_empty_header_cell_round_trips():
     assert "@attribute '' numeric" in text
     assert arff(text) == ds
     assert [a.name for a in arff(text).schema] == ["a", "", "cls"]
+
+
+# ---------------------------------------------------------------------------
+# CSV blocks: parse_csv splits blocks at commas until a block holds a '"',
+# then csv.reader reads the rest; both must read as the row oracle does
+
+def csv_outcome(parse, text, newline="\n", **kwargs):
+    """outcome() for CSV, read as a stream with the given newline mode,
+    where csv.reader's own errors count too."""
+    try:
+        return repr(parse(io.StringIO(text, newline=newline), **kwargs))
+    except (ParseError, UnsupportedFeature) as exc:
+        return type(exc), exc.line, str(exc)
+    except csv.Error as exc:
+        return type(exc), str(exc)
+
+
+NUMBER_CELLS = ["3", "3.0", "-0", "1e0", "nan", "1_0", "0.25"]
+WORD_CELLS = ["UP", "DOWN", "x y", "3", '"a,b"', '"p\nq"', '"r\r\ns"',
+              '"#c"', "a\x00b"]
+PADS = ["", " ", "\t", "\x0c", "\x1c"]
+
+
+@st.composite
+def csv_records(draw, n_cols, numeric, faults=True):
+    """One CSV line without its line end: a row, a blank or a comment, or,
+    with faults, a ragged row, an empty cell or a non-number."""
+    kinds = ["row"] * 6 + ["blank", "comment"]
+    kind = draw(st.sampled_from(kinds + (["ragged", "bad"] if faults else [])))
+    if kind == "blank":
+        return ""
+    if kind == "comment":
+        return draw(st.sampled_from(["# seed=1", "\t#,x"]))
+    cells = [draw(st.sampled_from(NUMBER_CELLS if num else WORD_CELLS))
+             for num in numeric]
+    if kind == "ragged":
+        cells = cells[:-1] if len(cells) > 1 else cells + ["1"]
+    if kind == "bad":
+        cells[draw(st.integers(0, n_cols - 1))] = \
+            draw(st.sampled_from(["", " ", "\x0c", "x", '"q"']))
+    pad = draw(st.sampled_from(PADS))
+    return ",".join(pad + c + pad for c in cells)
+
+
+@st.composite
+def csv_block_texts(draw):
+    r"""CSV texts with quoted fields (one across a line break), blank and
+    comment lines, '\n', '\r\n' and lone '\r' line ends, '\x0c', '\x1c'
+    and tab padding, a NUL, and numbers spelled two ways in a column that
+    a later non-number may turn nominal."""
+    n_cols = draw(st.integers(1, 4))
+    numeric = [draw(st.booleans()) for _ in range(n_cols)]
+    lines = [",".join(f"c{i}" for i in range(n_cols))]
+    lines += draw(st.lists(csv_records(n_cols, numeric), max_size=12))
+    ends = draw(st.lists(st.sampled_from(["\n", "\r\n", "\r"]),
+                         min_size=len(lines), max_size=len(lines)))
+    return "".join(map(str.__add__, lines, ends)), n_cols
+
+
+def class_columns(n_cols):
+    return st.one_of(st.none(), st.integers(-n_cols - 1, n_cols),
+                     st.sampled_from(["c0", f"c{n_cols - 1}", "nope"]))
+
+
+@given(csv_block_texts(), st.integers(1, 5), st.data())
+@settings(max_examples=500, deadline=None)
+def test_parse_csv_blocks_match_row_oracle(text_cols, block, data):
+    text, n_cols = text_cols
+    kwargs = {"has_header": data.draw(st.booleans()),
+              "class_column": data.draw(class_columns(n_cols)),
+              # file iteration as a path opens it (any line end), or '\n' only
+              "newline": data.draw(st.sampled_from(["", "\n"]))}
+    with mock.patch.object(stream_io, "BLOCK_LINES", block):
+        fast = csv_outcome(parse_csv, text, **kwargs)
+    assert fast == csv_outcome(oracle_parse_csv, text, **kwargs)
+
+
+@given(st.data(), st.integers(stream_io.BLOCK_LINES + 1,
+                              2 * stream_io.BLOCK_LINES + 100),
+       st.booleans())
+@settings(max_examples=10, deadline=None)
+def test_parse_csv_fault_in_a_later_block(data, at, clean_before):
+    """A ragged row, an empty cell, a non-number in a column that was
+    numeric so far or a '"' after record 4,096 lands in a later block; a
+    line before it may be faulty too, or quoted."""
+    n_cols = data.draw(st.integers(1, 4))
+    numeric = [data.draw(st.booleans()) for _ in range(n_cols)]
+    pattern = data.draw(st.lists(
+        csv_records(n_cols, numeric, faults=False).filter(
+            lambda line: '"' not in line and "\x00" not in line),
+        min_size=1, max_size=8))
+    lines = ([",".join(f"c{i}" for i in range(n_cols))]
+             + (pattern * (at // len(pattern) + 2))[:at + 50])
+    if not clean_before:
+        lines[data.draw(st.integers(1, at - 1))] = \
+            data.draw(csv_records(n_cols, numeric))
+    lines[at] = data.draw(st.one_of(
+        csv_records(n_cols, numeric),
+        csv_records(n_cols, [False] * n_cols, faults=False)))
+    text = "\n".join(lines) + "\n"
+    kwargs = {"class_column": data.draw(class_columns(n_cols))}
+    assert csv_outcome(parse_csv, text, **kwargs) == \
+        csv_outcome(oracle_parse_csv, text, **kwargs)
+
+
+def test_csv_nul_follows_the_local_csv_reader():
+    # csv.reader rejects a NUL on Python 3.10 and reads it from 3.11 on
+    text = "x,cls\n1,A\x00\n2,B\n"
+    try:
+        list(csv.reader(io.StringIO(text)))
+    except csv.Error:
+        with pytest.raises(csv.Error):
+            parse_csv(io.StringIO(text))
+    else:
+        assert parse_csv(io.StringIO(text)).class_values == ("A\x00", "B")
+
+
+def test_csv_field_over_the_size_limit_is_a_csv_reader_error():
+    text = "x,cls\n1,A\n" + "1" * 20 + ",B\n"
+    old = csv.field_size_limit(16)
+    try:
+        with pytest.raises(csv.Error, match="field larger than field limit"):
+            parse_csv(io.StringIO(text))
+    finally:
+        csv.field_size_limit(old)
+
+
+def test_csv_number_spellings_stay_apart_when_a_column_turns_nominal():
+    text = "x,cls\n3,A\n3.0,A\n" + "1,B\n" * 5 + "x,A\n3,B\n"
+    with mock.patch.object(stream_io, "BLOCK_LINES", 2):
+        ds = parse_csv(io.StringIO(text))
+    assert ds.schema[0].values == ("3", "3.0", "1", "x")
+    assert ds.columns[0].tolist() == [0, 1] + [2] * 5 + [3, 0]
+
+
+def multiclass_csv(n=45_312, seed=7):
+    """A 9-column 3-class CSV shaped like the benchmark's: a numeric date
+    and period, a spelled-out day, five more numeric features (all rounded
+    to 6 places) and sticky low/mid/high labels that move with probability
+    0.03."""
+    u = uniforms(seed, 9 * n).reshape(9, n)
+    state, labels = int(u[1, 0] * 3), []
+    for stay, pick in zip(u[0].tolist(), u[1].tolist()):
+        if stay >= 0.97:
+            state = (state + 1 + int(pick * 2)) % 3
+        labels.append(state)
+    t = np.arange(n)
+    y = np.asarray(labels) == 2
+    numeric = [np.round(col, 6) for col in [t / (n - 1), (t % 48) / 47] + [
+        0.2 + 0.5 * u[j] + 0.03 * j * y for j in range(2, 7)]]
+    days = ("mon", "tue", "wed", "thu", "fri", "sat", "sun")
+    lines = ["date,day,period,nswprice,nswdemand,vicprice,vicdemand,"
+             "transfer,class"]
+    for date, period, d, *rest, label in zip(
+            *(col.tolist() for col in numeric[:2]), (t // 48 % 7).tolist(),
+            *(col.tolist() for col in numeric[2:]), labels):
+        lines.append(f"{date!r},{days[d]},{period!r},"
+                     + ",".join(map(repr, rest))
+                     + f",{('low', 'mid', 'high')[label]}")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.fixture(scope="module")
+def multiclass_text():
+    return multiclass_csv()
+
+
+def _sha256(text):
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+# byte-identity gate for the block-wise CSV reader: sha256 of the parsed
+# dataset's repr and of its ARFF text, computed with the whole-file reader
+# that preceded it
+
+def test_parse_csv_golden_sha256(multiclass_text):
+    ds = parse_csv(io.StringIO(multiclass_text))
+    assert _sha256(repr(ds)) == \
+        "1a911d0c90478ca07b746d9be74dc3303ad552861a0f1a592d6710e90d31f8dd"
+    assert _sha256(to_arff(ds)) == \
+        "2b22dcd61d14f5efefcd200aaa15e554c740ff552fdc903e838ef92bddf3416a"
+    codes = gen_markov_labels(MarkovLabelModel(0.42, 0.7, 45312, seed=42))
+    ds = parse_csv(io.StringIO(labels_to_csv(codes, seed=42)))
+    assert _sha256(repr(ds)) == \
+        "9165f3cbaac0746b1398ab1d9fd1077c94d2cc14e6a7f07032800f9b9e0be5e6"
+    assert _sha256(to_arff(ds)) == \
+        "d75b8eadd5a11bf20672d686d338802809c66d392d360767ea546ecb72167ce5"
+
+
+def test_parse_csv_peak_memory_stays_near_the_file_size(multiclass_text,
+                                                        tmp_path):
+    """A reader that kept every cell as a str until the end peaked at
+    12.5 times the file's size on this input; block-wise about 3."""
+    path = tmp_path / "multi.csv"
+    path.write_text(multiclass_text, encoding="utf-8")
+    tracemalloc.start()
+    try:
+        parse_csv(str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * path.stat().st_size
 
 
 # ---------------------------------------------------------------------------
