@@ -105,7 +105,7 @@ class _CodedStream:
         self.prefix = np.zeros((k, n), np.int32)
         np.cumsum(seen, axis=1, dtype=np.int32, out=self.prefix[:, 1:])
         last = np.where(seen, np.arange(n - 1, dtype=np.int32), np.int32(-1))
-        self.last = np.maximum.accumulate(last, axis=1)
+        self.last = np.maximum.accumulate(last, axis=1, out=last)
 
     def predict(self, policy: RestartPolicy) -> np.ndarray:
         """The restart kernel: predicted codes for t = 1..n-1 of one run.
@@ -114,15 +114,32 @@ class _CodedStream:
         the window for t then starts at the latest j < t that fired (the
         just-seen label is re-inserted), or at 0. The prediction is the
         windowed majority, ties to the tied class seen most recently.
+
+        One pass per class keeps the running lexicographic maximum of
+        (window count, last-seen index), and the prediction is the class
+        at the winner's last-seen index. That is the rule above: the
+        window is never empty, so a class tied at the maximum count holds
+        a label in it and was last seen at or after its start, and no two
+        classes share a last-seen index.
         """
-        counts = self.prefix[:, 1:]
+        start = None
         if policy.rho > 0.0:
             m = len(self.codes) - 1
-            fire = uniforms(policy.seed, m) < policy.rho
-            start = np.maximum.accumulate(np.where(fire, np.arange(m), 0))
-            counts = counts - self.prefix[:, start]
-        tied = counts == counts.max(axis=0)
-        return np.argmax(np.where(tied, self.last, np.int32(-2)), axis=0)
+            start = np.arange(m, dtype=np.int32)
+            start *= uniforms(policy.seed, m) < policy.rho
+            np.maximum.accumulate(start, out=start)
+        best_count = best_last = None
+        for prefix, last in zip(self.prefix, self.last):
+            count = prefix[1:] if start is None \
+                else prefix[1:] - prefix.take(start)
+            if best_count is None:
+                best_count, best_last = count, last
+                continue
+            better = (count > best_count) | \
+                ((count == best_count) & (last > best_last))
+            best_count = np.maximum(best_count, count)
+            best_last = np.where(better, last, best_last)
+        return self.codes.take(best_last)
 
     def accuracy(self, policy: RestartPolicy) -> float:
         hits = np.count_nonzero(self.predict(policy) == self.codes[1:])
@@ -130,7 +147,8 @@ class _CodedStream:
         return correct / len(self.codes)
 
     def trace(self, policy: RestartPolicy) -> list:
-        return [self.first] + [self.classes[c] for c in self.predict(policy)]
+        codes = self.predict(policy).tolist()
+        return [self.first, *map(self.classes.__getitem__, codes)]
 
 
 def majority_baseline(labels: Sequence, cold_start=FIRST_LABEL) -> float:

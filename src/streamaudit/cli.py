@@ -11,7 +11,6 @@ Exit codes: 0 success, 1 usage error, 2 parse/data error, 3 failed
 """
 
 import argparse
-import functools
 import json
 import sys
 
@@ -40,6 +39,13 @@ def _probability(text):
     value = float(text)
     if not 0.0 <= value <= 1.0:
         raise argparse.ArgumentTypeError(f"{text} not in [0, 1]")
+    return value
+
+
+def _positive_int(text):
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{text} is not an integer >= 1")
     return value
 
 
@@ -107,7 +113,7 @@ def build_parser():
 
     p = sub.add_parser("acf", help="label autocorrelation series as CSV")
     add_input(p)
-    p.add_argument("--max-lag", type=int, required=True)
+    p.add_argument("--max-lag", type=_positive_int, required=True)
     p.add_argument("--out", default=None, help="output CSV (default stdout)")
 
     p = sub.add_parser("sweep",
@@ -116,7 +122,7 @@ def build_parser():
     add_input(p)
     p.add_argument("--grid", type=_parse_grid, required=True,
                    metavar="LO:HI:STEP")
-    p.add_argument("--reps", type=int, default=10)
+    p.add_argument("--reps", type=_positive_int, default=10)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--out", default=None, help="per-run CSV (default stdout)")
     p.add_argument("--summary", dest="summary_out", default=None,
@@ -145,27 +151,20 @@ def build_parser():
     return parser
 
 
-def _learner_factory(spec, seed):
-    """Check a --learner spec; returns a function from a dataset to the
-    learner."""
+def _learner_rho(spec):
+    """Check a --learner spec; returns None for naive-bayes, else the
+    restart rho of the label-only learner (majority is 0, persistence 1)."""
     if spec == "naive-bayes":
-        return evaluation.NaiveBayesLearner
-    if spec == "majority":
-        make = evaluation.MajorityLearner
-    elif spec == "persistence":
-        make = evaluation.PersistenceLearner
-    elif spec.startswith("restart:"):
+        return None
+    if spec in ("majority", "persistence"):
+        return float(spec == "persistence")
+    if spec.startswith("restart:"):
         try:
-            rho = _probability(spec.split(":", 1)[1])
+            return _probability(spec.split(":", 1)[1])
         except (argparse.ArgumentTypeError, ValueError):
             raise _UsageError(
                 f"learner {spec!r}: RHO must be a number in [0, 1]") from None
-        make = functools.partial(evaluation.RandomRestartLearner, rho, seed)
-    else:
-        raise _UsageError(f"unknown learner {spec!r}")
-    # the same cold start as the bars, so restart:1 == persistence and
-    # restart:0 == majority hold across commands
-    return lambda ds: make(diagnostics.first_prediction(ds.labels()))
+    raise _UsageError(f"unknown learner {spec!r}")
 
 
 def _cmd_summary(args):
@@ -229,12 +228,22 @@ def _cmd_synth(args):
 
 
 def _cmd_eval(args):
-    make_learner = _learner_factory(args.learner, args.seed)
+    rho = _learner_rho(args.learner)
     ds = _load_dataset(args.input, args.format)
-    learner = make_learner(ds)
-    if args.learner.startswith("restart:"):
-        print(f"# seed={args.seed}", file=sys.stderr)
-    report = evaluation.prequential_eval(learner, ds)
+    if rho is None:
+        report = evaluation.prequential_eval(
+            evaluation.NaiveBayesLearner(ds), ds)
+    else:
+        # the kernel and cold start of the bars, so restart:1 ==
+        # persistence and restart:0 == majority hold across commands
+        labels = ds.labels()
+        trace = baselines.random_restart_trace(
+            labels, baselines.RestartPolicy(rho, args.seed))
+        name = args.learner
+        if name.startswith("restart:"):
+            name = f"restart:{rho:g}"
+            print(f"# seed={args.seed}", file=sys.stderr)
+        report = evaluation._score(name, labels, trace)
     _write(args.out, report.to_json() + "\n")
     return EXIT_OK
 

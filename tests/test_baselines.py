@@ -210,6 +210,31 @@ def test_fast_paths_match_bruteforce_oracle():
             oracle_restart_trace(labels, rho, seed, cold)
 
 
+def test_kernel_matches_oracle_on_1_to_6_classes():
+    # round-robin streams tie the window counts at almost every step, so
+    # they exercise the last-seen rule; "Z" is a cold start never seen
+    rng = random.Random(20261018)
+    cases = [(["A"], 0.0), (["A"], 1.0), (["A", "B"], 0.5), (["B", "B"], 1.0)]
+    for _ in range(400):
+        classes = "ABCDEF"[:rng.randint(1, 6)]
+        n = rng.choice([1, 2, rng.randrange(3, 80)])
+        if rng.random() < 0.3:
+            offset = rng.randrange(len(classes))
+            labels = [classes[(t + offset) % len(classes)] for t in range(n)]
+        else:
+            labels = [rng.choice(classes) for _ in range(n)]
+        cases.append((labels, rng.choice([0.0, 1.0, rng.random()])))
+    cases.append((["C"] * 30, 0.4))
+    for labels, rho in cases:
+        seed = rng.randrange(2**64)
+        for cold in (labels[0], "Z"):
+            assert majority_trace(labels, cold_start=cold) == \
+                oracle_majority_trace(labels, cold)
+            assert random_restart_trace(labels, RestartPolicy(rho, seed),
+                                        cold_start=cold) == \
+                oracle_restart_trace(labels, rho, seed, cold)
+
+
 # ---------------------------------------------------------------------------
 # exact expected accuracy of the restart classifier on iid labels (used again
 # by acceptance criterion 6)
@@ -331,7 +356,10 @@ def sticky_stream(n, classes, stay, seed):
     (lambda: sticky_stream(2000, "ABC", 0.8, 7),
      "fef25046810e1ff8e7a772f36857c0abb0a99c6123b761a6fbf5ea79966fd160",
      "6ba094c19cda1cdef3dd08a545996f7c8a1ec2a555bf137a203be591563bf2b0"),
-], ids=["markov-45312", "sticky-3class-2000"])
+    (lambda: sticky_stream(3000, "ABCDEF", 0.7, 11),
+     "87637aa79966de9e2c27390831041e69f4bd2ad4f2c2fe37748ab4f9b7a50e49",
+     "3cd8432eda78fb28d3f40c796fb26736ae5cbfbd29785ac7777996ab9c6efcdc"),
+], ids=["markov-45312", "sticky-3class-2000", "sticky-6class-3000"])
 def test_sweep_csv_golden_sha256(make_labels, rows_sha, summary_sha):
     result = rho_sweep(make_labels(), SweepConfig(GRID, 10, master_seed=42))
     assert _sha256(result.to_csv()) == rows_sha

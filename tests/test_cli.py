@@ -1,9 +1,12 @@
+import hashlib
 import json
 
 import pytest
+from test_baselines import sticky_stream
 
 from streamaudit import parse_csv
 from streamaudit.cli import main
+from streamaudit.stream_io import write_csv
 
 
 @pytest.fixture()
@@ -24,6 +27,24 @@ def run(capsys, argv):
 def test_usage_error_exit_1(capsys):
     code, _, err = run(capsys, ["sweep", "--input", "x.csv", "--grid", "oops"])
     assert code == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--grid", "0:1:0.5", "--reps", "0"],
+    ["sweep", "--grid", "0:1:0.5", "--reps", "-1"],
+    ["sweep", "--grid", "0:1:0.5", "--reps", "2.5"],
+    ["acf", "--max-lag", "0"],
+    ["acf", "--max-lag", "-3"],
+], ids=["reps-0", "reps-negative", "reps-float", "max-lag-0",
+        "max-lag-negative"])
+@pytest.mark.parametrize("exists", [True, False],
+                         ids=["input-exists", "input-missing"])
+def test_counts_below_1_usage_error_before_input(synth_csv, capsys, argv,
+                                                 exists):
+    path = str(synth_csv) if exists else "/nonexistent.csv"
+    code, out, err = run(capsys, argv + ["--input", path])
+    assert code == 1 and out == ""
+    assert err.startswith("usage error: ") and "Traceback" not in err
 
 
 def test_unknown_learner_exit_1(synth_csv, capsys):
@@ -231,3 +252,46 @@ def test_eval_label_learners_equal_audit_bars(tmp_path, capsys):
                                     "--learner", learner])
         assert code == 0
         assert json.loads(out)["accuracy"] == bar, learner
+
+
+# byte-identity gate for `eval` on the label-only learners: sha256 of the
+# report JSON, computed with the per-instance learners run through
+# prequential_eval
+
+@pytest.fixture()
+def eval_inputs(tmp_path, capsys):
+    arff = tmp_path / "markov.arff"
+    assert main(["synth", "markov", "--n", "3000", "--prior", "0.42",
+                 "--acf1", "0.8", "--seed", "7", "--out", str(arff)]) == 0
+    sticky = tmp_path / "sticky3.csv"
+    sticky.write_text(write_csv(("label",),
+                                zip(sticky_stream(3000, "ABC", 0.7, 5))))
+    capsys.readouterr()
+    return {"markov-arff": arff, "sticky-3class-csv": sticky}
+
+
+@pytest.mark.parametrize("stream, learner, digest", [
+    ("markov-arff", "majority",
+     "a8608b9c6337458f57422644a54c6b0f0d5ff07df09071bfa93b12d5ac3a99e9"),
+    ("markov-arff", "persistence",
+     "e7e2650dc506088da612e3140437e142df501e906b85fa94bdbcb65aca28d935"),
+    ("markov-arff", "restart:0.3",
+     "6e6ae5edc7206e27e989d0e4d8973d6e233e19df62004f580045176ca27eed19"),
+    ("markov-arff", "restart:0.5",
+     "adb1c4d04d1fb729d792b8406ff0a7bfa1ae59f4542566aea9a0c4d345f44b7c"),
+    ("sticky-3class-csv", "majority",
+     "49854b592c0cccf54ad128763e5a70ffe933524767d064d829e48ec9ca13f36f"),
+    ("sticky-3class-csv", "persistence",
+     "cd2c15c63a98a4138254c6542e495882d1fa1bd9cbfb78d489ab3e3d0ac56fd3"),
+    ("sticky-3class-csv", "restart:0.3",
+     "099b920f9317851465614c4f2e1d477340e14cab6edfb9b206e3a8d46e169c9f"),
+    ("sticky-3class-csv", "restart:0.5",
+     "d58283ae3d197401d108c5bf67046bf20413d0ceaa7a9c819aa40159d44cf737"),
+])
+def test_eval_json_golden_sha256(eval_inputs, capsys, stream, learner,
+                                 digest):
+    code, out, err = run(capsys, ["eval", "--input", str(eval_inputs[stream]),
+                                  "--learner", learner, "--seed", "7"])
+    assert code == 0
+    assert err == ("# seed=7\n" if learner.startswith("restart:") else "")
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
