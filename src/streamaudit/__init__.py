@@ -16,11 +16,9 @@ from .errors import (EmptyLog, EmptyStream, InvalidModel, InvalidRho,
                      SchemaMismatch, StreamAuditError, UnsupportedFeature,
                      ZeroVariance)
 from .evaluation import (AuditVerdict, Classifier, EvalReport,
-                         MajorityLearner, NaiveBayesLearner,
-                         PersistenceLearner, RandomRestartLearner, Verdict,
-                         audit_accuracy, audit_prediction_log,
-                         prequential_eval, read_prediction_log,
-                         write_prediction_log)
+                         NaiveBayesLearner, Verdict, audit_accuracy,
+                         audit_prediction_log, prequential_eval,
+                         read_prediction_log, write_prediction_log)
 from .stream_io import (AttributeSchema, Instance, StreamDataset,
                         dataset_summary, parse_arff, parse_csv, to_arff)
 from .synth import (MarkovLabelModel, gen_iid_labels, gen_markov_labels,

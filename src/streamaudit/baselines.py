@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .diagnostics import FIRST_LABEL, first_prediction
+from .diagnostics import FIRST_LABEL, _encode, first_prediction
 from .errors import InvalidRho
 from .rng import derive_seed, uniforms
 from .stream_io import write_csv
@@ -87,19 +87,18 @@ class SweepResult:
 
 
 class _CodedStream:
-    """A label stream as int32 codes plus the prefix tables the restart
-    kernel reads, built once per stream and shared by every sweep cell.
+    """A label stream as int32 codes in first-occurrence order (the
+    diagnostics' encoding) plus the prefix tables the restart kernel
+    reads, built once per stream and shared by every sweep cell.
 
     prefix[c, t] counts class c in labels[0:t]; last[c, t - 1] is the last
     index before t that holds class c, or -1.
     """
 
     def __init__(self, labels: Sequence, cold_start):
-        self.first = first_prediction(labels, cold_start)
-        index = {}
-        self.codes = np.fromiter((index.setdefault(y, len(index))
-                                  for y in labels), np.int32, len(labels))
-        self.classes = list(index)
+        self.codes, self.classes = _encode(labels)
+        # classes[0] is the first label
+        self.first = first_prediction(self.classes, cold_start)
         n, k = len(self.codes), len(self.classes)
         seen = self.codes[:-1] == np.arange(k, dtype=np.int32)[:, None]
         self.prefix = np.zeros((k, n), np.int32)

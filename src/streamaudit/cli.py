@@ -194,7 +194,7 @@ def _cmd_audit(args):
 
 def _cmd_acf(args):
     ds = _load_dataset(args.input, args.format)
-    series = diagnostics.autocorrelation(ds.labels(), args.max_lag,
+    series = diagnostics.autocorrelation(ds, args.max_lag,
                                          class_order=ds.class_values)
     _write(args.out, series.to_csv())
     return EXIT_OK
@@ -204,7 +204,7 @@ def _cmd_sweep(args):
     ds = _load_dataset(args.input, args.format)
     config = baselines.SweepConfig(args.grid, args.reps, args.seed)
     print(f"# seed={args.seed}", file=sys.stderr)
-    result = baselines.rho_sweep(ds.labels(), config)
+    result = baselines.rho_sweep(ds, config)
     _write(args.out, result.to_csv())
     if args.summary_out is not None:
         _write(args.summary_out, result.summary_to_csv())

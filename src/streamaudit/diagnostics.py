@@ -9,20 +9,22 @@ The central quantities:
   stream. A large gap between the two means the labels are serially
   correlated, and restart-happy "adaptive" classifiers get a free ride.
 
-All functions take a plain ordered sequence of hashable labels, so they
-work on StreamDataset.labels() and on synthetic 0/1 sequences alike.
+All functions take a plain ordered sequence of hashable labels (such as
+StreamDataset.labels() or a synthetic 0/1 sequence) or a StreamDataset,
+whose class codes they read directly. Either way the labels are encoded
+once, as int codes in first-occurrence order (see _encode), and the
+statistics are numpy passes over the codes.
 """
 
 import json
 import math
 from dataclasses import dataclass
-from itertools import groupby
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from .errors import EmptyStream, LagTooLarge, NotBinary, ZeroVariance
-from .stream_io import write_csv
+from .stream_io import StreamDataset, write_csv
 
 #: Cold-start policy: predict the first instance's own label (the first
 #: prediction is then always counted correct). Alternative: pass an
@@ -42,9 +44,6 @@ class LabelDistribution:
     def frequencies(self) -> dict:
         return {c: k / self.n for c, k in self.counts.items()}
 
-    def majority_class(self):
-        return max(self.counts, key=lambda c: self.counts[c])
-
 
 @dataclass(frozen=True)
 class AcfSeries:
@@ -62,12 +61,11 @@ class AcfSeries:
 
 @dataclass(frozen=True)
 class RunLengthStats:
-    """Maximal constant-label runs: overall and per-class aggregates."""
+    """Maximal constant-label runs: how many, their mean and longest."""
 
     count: int
     mean: float
     max: int
-    per_class: dict  # class -> {"count", "mean", "max"}
 
 
 @dataclass(frozen=True)
@@ -97,13 +95,41 @@ class DiagnosticsReport:
         return json.dumps(doc, indent=2)
 
 
+class _Codes(NamedTuple):
+    """A label sequence as int32 codes: codes[t] indexes classes, the
+    distinct labels in first-occurrence order."""
+
+    codes: np.ndarray
+    classes: list
+
+
+def _encode(labels) -> _Codes:
+    """The codes of a label sequence, of a StreamDataset or (returned as
+    it is) of a _Codes. A dataset's class column is renumbered by first
+    occurrence, so declared values that never occur get no code."""
+    if isinstance(labels, _Codes):
+        return labels
+    if isinstance(labels, StreamDataset):
+        column = labels.columns[labels.class_index]
+        present, first = np.unique(column, return_index=True)
+        order = present[np.argsort(first)]
+        renumber = np.zeros(len(labels.class_values), np.int32)
+        renumber[order] = np.arange(len(order), dtype=np.int32)
+        return _Codes(renumber.take(column),
+                      [labels.class_values[c] for c in order.tolist()])
+    labels = labels if isinstance(labels, (list, tuple)) else list(labels)
+    classes = list(dict.fromkeys(labels))
+    index = dict(zip(classes, range(len(classes))))
+    return _Codes(np.fromiter(map(index.__getitem__, labels), np.int32,
+                              len(labels)), classes)
+
+
 def label_distribution(labels: Sequence) -> LabelDistribution:
-    if len(labels) == 0:
+    codes, classes = _encode(labels)
+    if len(codes) == 0:
         raise EmptyStream("cannot compute a distribution of zero labels")
-    counts = {}
-    for lab in labels:
-        counts[lab] = counts.get(lab, 0) + 1
-    return LabelDistribution(counts, len(labels))
+    counts = np.bincount(codes, minlength=len(classes)).tolist()
+    return LabelDistribution(dict(zip(classes, counts)), len(codes))
 
 
 def independence_bar(dist: LabelDistribution) -> float:
@@ -123,39 +149,43 @@ def persistence_accuracy(labels: Sequence, cold_start=FIRST_LABEL) -> float:
     """Accuracy of predicting each label as a copy of the previous one,
     the first instance predicted by first_prediction(labels, cold_start).
     """
-    correct = int(first_prediction(labels, cold_start) == labels[0])
-    n = len(labels)
-    correct += sum(labels[t] == labels[t - 1] for t in range(1, n))
-    return correct / n
+    codes, classes = _encode(labels)
+    # classes[0] is the first label
+    correct = int(first_prediction(classes, cold_start) == classes[0])
+    correct += int(np.count_nonzero(codes[1:] == codes[:-1]))
+    return correct / len(codes)
 
 
 def autocorrelation(labels: Sequence, max_lag: int,
                     class_order: Optional[Sequence] = None) -> AcfSeries:
     """Sample autocorrelation of a binary label sequence at lags 1..max_lag.
 
-    Labels are encoded 0/1 in class_order (default: first-occurrence
-    order); for binary data r(k) is invariant to the encoding. Uses the
-    standard full-series-variance normalization:
+    The two classes that occur are encoded 0/1 in class_order (default:
+    first-occurrence order; classes class_order lacks come after those it
+    lists); values it lists that never occur are ignored. For binary data
+    r(k) is invariant to the encoding. Uses the standard
+    full-series-variance normalization:
 
         r(k) = sum_{t=1..n-k} (x_t - mean)(x_{t+k} - mean)
                / sum_{t=1..n} (x_t - mean)^2
     """
-    n = len(labels)
-    classes = list(class_order) if class_order is not None else []
-    for lab in labels:
-        if lab not in classes:
-            classes.append(lab)
+    codes, classes = _encode(labels)
+    n = len(codes)
     if len(classes) > 2:
         raise NotBinary(f"{len(classes)} distinct classes; ACF needs 2")
-    if len(set(labels)) < 2:
+    if len(classes) < 2:
         raise ZeroVariance("only one class occurs; ACF undefined")
     if max_lag < 1:
         raise ValueError("max_lag must be >= 1")
     if max_lag >= n:
         raise LagTooLarge(f"max_lag {max_lag} >= stream length {n}")
 
-    index = {c: i for i, c in enumerate(classes)}
-    x = np.array([index[lab] for lab in labels], dtype=np.float64)
+    one = 1  # the code encoded as 1, unless class_order lists its class first
+    if class_order is not None:
+        rank = {c: i for i, c in enumerate(class_order)}
+        rank0, rank1 = (rank.get(c, len(rank)) for c in classes)
+        one = int(rank0 <= rank1)
+    x = (codes == one).astype(np.float64)
     x -= x.mean()
     denom = float(np.dot(x, x))
     values = tuple(float(np.dot(x[:-k], x[k:])) / denom
@@ -165,20 +195,13 @@ def autocorrelation(labels: Sequence, max_lag: int,
 
 def run_lengths(labels: Sequence) -> RunLengthStats:
     """Lengths of maximal constant-label runs; their sum is n."""
-    if len(labels) == 0:
+    codes = _encode(labels).codes
+    n = len(codes)
+    if n == 0:
         raise EmptyStream("run lengths of an empty stream")
-    runs = [(lab, sum(1 for _ in grp)) for lab, grp in groupby(labels)]
-    lengths = [length for _, length in runs]
-    per_class = {}
-    for lab, length in runs:
-        bucket = per_class.setdefault(lab, [])
-        bucket.append(length)
-    per_class_stats = {
-        lab: {"count": len(ls), "mean": sum(ls) / len(ls), "max": max(ls)}
-        for lab, ls in per_class.items()
-    }
-    return RunLengthStats(len(runs), len(labels) / len(runs), max(lengths),
-                          per_class_stats)
+    starts = np.flatnonzero(codes[1:] != codes[:-1]) + 1
+    lengths = np.diff(starts, prepend=0, append=n)
+    return RunLengthStats(len(lengths), n / len(lengths), int(lengths.max()))
 
 
 def diagnose(ds_or_labels, max_lag: int = 96,
@@ -190,8 +213,7 @@ def diagnose(ds_or_labels, max_lag: int = 96,
     or too short a stream for max_lag) the report carries acf=None and a
     note instead of failing.
     """
-    labels = ds_or_labels.labels() if hasattr(ds_or_labels, "labels") \
-        else list(ds_or_labels)
+    labels = _encode(ds_or_labels)
     dist = label_distribution(labels)
     acf = None
     note = None

@@ -26,7 +26,6 @@ from typing import Optional, Sequence
 from . import baselines, diagnostics
 from .errors import (EmptyLog, EmptyStream, LabelMismatch, ParseError,
                      SchemaMismatch)
-from .rng import SplitMix64
 from .stream_io import StreamDataset, write_csv
 
 
@@ -240,69 +239,13 @@ class NaiveBayesLearner(Classifier):
         return self._classes[best_c]
 
 
-class PersistenceLearner(Classifier):
-    """Predicts the most recently observed label; cold_start before any."""
-
-    name = "persistence"
-
-    def __init__(self, cold_start):
-        self._cold_start = cold_start
-        self.reset()
-
-    def reset(self):
-        self._last = None
-
-    def predict(self, features):
-        return self._last if self._last is not None else self._cold_start
-
-    def update(self, features, label):
-        self._last = label
-
-
-class RandomRestartLearner(Classifier):
-    """The rho-parameterized restart classifier behind the Classifier
-    contract, one instance at a time; equals baselines.random_restart_run
-    on the same stream, seed and cold start."""
-
-    def __init__(self, rho: float, seed: int, cold_start):
-        self._policy = baselines.RestartPolicy(rho, seed)
-        self._cold_start = cold_start
-        self.name = f"restart:{rho:g}"
-        self.reset()
-
-    def reset(self):
-        self._counts = {}  # label -> count since the last restart
-        self._rng = SplitMix64(self._policy.seed)
-
-    def predict(self, features):
-        if not self._counts:
-            return self._cold_start
-        # the window's labels are kept in last-seen order, so the first
-        # maximum over the reversed keys is the tied label seen last
-        return max(reversed(self._counts), key=self._counts.get)
-
-    def update(self, features, label):
-        self._counts[label] = self._counts.pop(label, 0) + 1
-        if self._policy.rho > 0.0 and self._rng.bernoulli(self._policy.rho):
-            self._counts = {label: 1}
-
-
-class MajorityLearner(RandomRestartLearner):
-    """Incremental majority = the restart classifier that never restarts."""
-
-    def __init__(self, cold_start):
-        super().__init__(0.0, 0, cold_start)
-        self.name = "majority"
-
-
 def audit_accuracy(subject_accuracy: float, ds_or_labels,
                    cold_start=diagnostics.FIRST_LABEL) -> AuditVerdict:
     """Grade an accuracy figure against the bars of the given stream."""
     if not 0.0 <= subject_accuracy <= 1.0:
         raise ValueError("subject accuracy must be in [0, 1]")
-    labels = ds_or_labels.labels() if hasattr(ds_or_labels, "labels") \
-        else list(ds_or_labels)
-    if len(labels) == 0:
+    labels = diagnostics._encode(ds_or_labels)  # once, for every bar
+    if len(labels.codes) == 0:
         raise EmptyStream("cannot audit against an empty stream")
     dist = diagnostics.label_distribution(labels)
     return AuditVerdict(
@@ -327,12 +270,13 @@ def audit_prediction_log(log: Sequence, ds_labels: Optional[Sequence] = None,
     true_col = [t for t, _ in log]
     if ds_labels is not None:
         ds_labels = list(ds_labels)
-        if len(ds_labels) != len(true_col):
-            raise LabelMismatch(min(len(ds_labels), len(true_col)),
-                                "<length mismatch>", "<length mismatch>")
-        for i, (a, b) in enumerate(zip(ds_labels, true_col)):
-            if a != b:
-                raise LabelMismatch(i, a, b)
+        if ds_labels != true_col:  # then find where
+            if len(ds_labels) != len(true_col):
+                raise LabelMismatch(min(len(ds_labels), len(true_col)),
+                                    "<length mismatch>", "<length mismatch>")
+            for i, (a, b) in enumerate(zip(ds_labels, true_col)):
+                if a != b:
+                    raise LabelMismatch(i, a, b)
     report = _score("prediction-log", true_col, [p for _, p in log])
     verdict = audit_accuracy(report.accuracy, true_col, cold_start=cold_start)
     return verdict, report
@@ -342,7 +286,8 @@ def read_prediction_log(source) -> list:
     """Read a 'true,predicted' CSV (header required) into (true, pred) pairs.
 
     Header cells may be padded with whitespace; data cells are read
-    verbatim, so labels keep their leading and trailing spaces.
+    verbatim, so labels keep their leading and trailing spaces. Equal
+    pairs are one shared tuple, so a k-class log holds at most k * k.
     """
     if isinstance(source, str):
         with open(source, "r", encoding="utf-8", newline="") as fh:
@@ -352,9 +297,11 @@ def read_prediction_log(source) -> list:
     if header is None or [c.strip() for c in header] != ["true", "predicted"]:
         raise EmptyLog("expected a CSV with header 'true,predicted'")
     log = []
+    pairs = {}
     for row in reader:
         if len(row) == 2:
-            log.append((row[0], row[1]))
+            pair = tuple(row)
+            log.append(pairs.setdefault(pair, pair))
         elif row:
             raise ParseError(f"row has {len(row)} cells, expected 2",
                              line=reader.line_num)

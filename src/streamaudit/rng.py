@@ -8,9 +8,10 @@ implements the same three lines of 64-bit arithmetic:
     state_k  = seed + (k + 1) * 0x9E3779B97F4A7C15   (mod 2^64)
     output_k = mix(state_k)
 
-where mix(z) is the usual xor-shift-multiply finalizer. Because the state
-sequence is a plain counter, the stream is also vectorizable (see
-`uniforms`); the scalar and vectorized paths are bit-identical.
+where mix(z) is the usual xor-shift-multiply finalizer (`mix64`). Because
+the state sequence is a plain counter, `uniforms` computes a whole stream
+in a few numpy passes; the tests keep the sequential generator as its
+bit-identity oracle.
 
 Uniform doubles are formed from the top 53 bits: u = (output >> 11) * 2^-53,
 giving values in [0, 1).
@@ -32,30 +33,11 @@ def mix64(z: int) -> int:
     return z ^ (z >> 31)
 
 
-class SplitMix64:
-    """Sequential SplitMix64 stream seeded with a 64-bit integer."""
-
-    def __init__(self, seed: int):
-        self._state = seed & _MASK
-
-    def next_u64(self) -> int:
-        self._state = (self._state + _GOLDEN) & _MASK
-        return mix64(self._state)
-
-    def random(self) -> float:
-        """Uniform double in [0, 1)."""
-        return (self.next_u64() >> 11) * 2.0**-53
-
-    def bernoulli(self, p: float) -> bool:
-        """One draw with success probability p (p=0 never, p=1 always)."""
-        return self.random() < p
-
-
 def uniforms(seed: int, n: int) -> np.ndarray:
-    """Vectorized batch of the first n uniforms of SplitMix64(seed).
+    """The first n uniforms of the SplitMix64 stream seeded with seed.
 
-    Bit-identical to calling SplitMix64(seed).random() n times. Works in
-    place on two n-sized buffers; the result reuses the second one.
+    Works in place on two n-sized buffers; the result reuses the second
+    one.
     """
     z = np.arange(1, n + 1, dtype=np.uint64)
     t = np.empty_like(z)

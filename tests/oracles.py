@@ -1,0 +1,205 @@
+"""Slow reference implementations the library's fast paths are checked
+against.
+
+* The label-only learners behind the Classifier contract, one instance at
+  a time, and the sequential SplitMix64 stream that drives the restart
+  learner: the per-instance form of baselines' restart kernel and of
+  rng.uniforms.
+* The label statistics on plain label sequences, one Python step per
+  label: distribution, persistence, run lengths and the binary ACF, and
+  the diagnose report and audit verdict built from them.
+"""
+
+import json
+import math
+from itertools import groupby
+
+import numpy as np
+
+from streamaudit.baselines import RestartPolicy
+from streamaudit.diagnostics import FIRST_LABEL, AcfSeries, LabelDistribution
+from streamaudit.errors import (EmptyStream, LagTooLarge, NotBinary,
+                                ZeroVariance)
+from streamaudit.evaluation import AuditVerdict, Classifier
+from streamaudit.rng import mix64
+
+_MASK = 0xFFFFFFFFFFFFFFFF
+_GOLDEN = 0x9E3779B97F4A7C15
+
+
+class SplitMix64:
+    """Sequential SplitMix64 stream seeded with a 64-bit integer."""
+
+    def __init__(self, seed: int):
+        self._state = seed & _MASK
+
+    def next_u64(self) -> int:
+        self._state = (self._state + _GOLDEN) & _MASK
+        return mix64(self._state)
+
+    def random(self) -> float:
+        """Uniform double in [0, 1)."""
+        return (self.next_u64() >> 11) * 2.0**-53
+
+    def bernoulli(self, p: float) -> bool:
+        """One draw with success probability p (p=0 never, p=1 always)."""
+        return self.random() < p
+
+
+# -------------------------------------------------------------------- learners
+
+class PersistenceLearner(Classifier):
+    """Predicts the most recently observed label; cold_start before any."""
+
+    name = "persistence"
+
+    def __init__(self, cold_start):
+        self._cold_start = cold_start
+        self.reset()
+
+    def reset(self):
+        self._last = None
+
+    def predict(self, features):
+        return self._last if self._last is not None else self._cold_start
+
+    def update(self, features, label):
+        self._last = label
+
+
+class RandomRestartLearner(Classifier):
+    """The rho-parameterized restart classifier behind the Classifier
+    contract, one instance at a time; equals baselines.random_restart_run
+    on the same stream, seed and cold start."""
+
+    def __init__(self, rho: float, seed: int, cold_start):
+        self._policy = RestartPolicy(rho, seed)
+        self._cold_start = cold_start
+        self.name = f"restart:{rho:g}"
+        self.reset()
+
+    def reset(self):
+        self._counts = {}  # label -> count since the last restart
+        self._rng = SplitMix64(self._policy.seed)
+
+    def predict(self, features):
+        if not self._counts:
+            return self._cold_start
+        # the window's labels are kept in last-seen order, so the first
+        # maximum over the reversed keys is the tied label seen last
+        return max(reversed(self._counts), key=self._counts.get)
+
+    def update(self, features, label):
+        self._counts[label] = self._counts.pop(label, 0) + 1
+        if self._policy.rho > 0.0 and self._rng.bernoulli(self._policy.rho):
+            self._counts = {label: 1}
+
+
+class MajorityLearner(RandomRestartLearner):
+    """Incremental majority = the restart classifier that never restarts."""
+
+    def __init__(self, cold_start):
+        super().__init__(0.0, 0, cold_start)
+        self.name = "majority"
+
+
+# ------------------------------------------------------------ label statistics
+
+def oracle_label_distribution(labels) -> LabelDistribution:
+    if len(labels) == 0:
+        raise EmptyStream("cannot compute a distribution of zero labels")
+    counts = {}
+    for lab in labels:
+        counts[lab] = counts.get(lab, 0) + 1
+    return LabelDistribution(counts, len(labels))
+
+
+def oracle_independence_bar(dist: LabelDistribution) -> float:
+    return math.fsum(f * f for f in dist.frequencies.values())
+
+
+def oracle_persistence_accuracy(labels, cold_start=FIRST_LABEL) -> float:
+    if len(labels) == 0:
+        raise EmptyStream("an empty stream has no first instance")
+    first = labels[0] if cold_start == FIRST_LABEL else cold_start
+    correct = int(first == labels[0])
+    n = len(labels)
+    correct += sum(labels[t] == labels[t - 1] for t in range(1, n))
+    return correct / n
+
+
+def oracle_autocorrelation(labels, max_lag, class_order=None) -> AcfSeries:
+    """The binary ACF with the classes that occur encoded 0/1: in
+    class_order order, undeclared classes after the declared ones in
+    first-occurrence order (default: first-occurrence order)."""
+    n = len(labels)
+    classes = list(class_order) if class_order is not None else []
+    for lab in labels:
+        if lab not in classes:
+            classes.append(lab)
+    classes = [c for c in classes if c in labels]
+    if len(classes) > 2:
+        raise NotBinary(f"{len(classes)} distinct classes; ACF needs 2")
+    if len(classes) < 2:
+        raise ZeroVariance("only one class occurs; ACF undefined")
+    if max_lag < 1:
+        raise ValueError("max_lag must be >= 1")
+    if max_lag >= n:
+        raise LagTooLarge(f"max_lag {max_lag} >= stream length {n}")
+
+    index = {c: i for i, c in enumerate(classes)}
+    x = np.array([index[lab] for lab in labels], dtype=np.float64)
+    x -= x.mean()
+    denom = float(np.dot(x, x))
+    values = tuple(float(np.dot(x[:-k], x[k:])) / denom
+                   for k in range(1, max_lag + 1))
+    return AcfSeries(tuple(range(1, max_lag + 1)), values)
+
+
+def oracle_run_lengths(labels) -> tuple:
+    """(count, mean, max) of the maximal constant-label runs."""
+    if len(labels) == 0:
+        raise EmptyStream("run lengths of an empty stream")
+    lengths = [sum(1 for _ in grp) for _, grp in groupby(labels)]
+    return len(lengths), len(labels) / len(lengths), max(lengths)
+
+
+def oracle_majority_accuracy(labels, cold_start=FIRST_LABEL) -> float:
+    """Prequential accuracy of MajorityLearner, one label at a time."""
+    learner = MajorityLearner(labels[0] if cold_start == FIRST_LABEL
+                              else cold_start)
+    correct = 0
+    for label in labels:
+        correct += learner.predict(()) == label
+        learner.update((), label)
+    return correct / len(labels)
+
+
+def oracle_diagnose_json(labels, max_lag=96, cold_start=FIRST_LABEL) -> str:
+    """DiagnosticsReport.to_json() of diagnose(labels, max_lag, cold_start)."""
+    dist = oracle_label_distribution(labels)
+    count, mean, longest = oracle_run_lengths(labels)
+    doc = {
+        "n": dist.n,
+        "class_priors": dist.frequencies,
+        "independence_bar": oracle_independence_bar(dist),
+        "persistence_bar": oracle_persistence_accuracy(labels, cold_start),
+        "run_lengths": {"count": count, "mean": mean, "max": longest},
+        "acf": None,
+    }
+    try:
+        doc["acf"] = list(oracle_autocorrelation(labels, max_lag).values)
+    except (ZeroVariance, NotBinary, LagTooLarge) as exc:
+        doc["acf_note"] = str(exc)
+    return json.dumps(doc, indent=2)
+
+
+def oracle_audit(subject_accuracy, labels,
+                 cold_start=FIRST_LABEL) -> AuditVerdict:
+    return AuditVerdict(
+        subject_accuracy=subject_accuracy,
+        persistence_bar=oracle_persistence_accuracy(labels, cold_start),
+        independence_bar=oracle_independence_bar(
+            oracle_label_distribution(labels)),
+        majority_bar=oracle_majority_accuracy(labels, cold_start),
+    )

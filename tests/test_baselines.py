@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import SplitMix64
 
 from streamaudit import (AttributeSchema, EmptyStream, Instance, InvalidRho,
                          NaiveBayesLearner, RestartPolicy, StreamDataset,
@@ -19,7 +20,7 @@ from streamaudit import (AttributeSchema, EmptyStream, Instance, InvalidRho,
                          random_restart_trace, rho_sweep, to_arff,
                          write_prediction_log)
 from streamaudit.baselines import majority_trace
-from streamaudit.rng import SplitMix64, uniforms
+from streamaudit.rng import uniforms
 from streamaudit.synth import MarkovLabelModel
 
 label_streams = st.lists(st.sampled_from("DU"), min_size=1, max_size=40)

@@ -4,7 +4,7 @@ import json
 import pytest
 from test_baselines import sticky_stream
 
-from streamaudit import parse_csv
+from streamaudit import diagnose, parse_arff, parse_csv, write_prediction_log
 from streamaudit.cli import main
 from streamaudit.stream_io import write_csv
 
@@ -294,4 +294,51 @@ def test_eval_json_golden_sha256(eval_inputs, capsys, stream, learner,
                                   "--learner", learner, "--seed", "7"])
     assert code == 0
     assert err == ("# seed=7\n" if learner.startswith("restart:") else "")
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+# `acf` on a binary stream whose class attribute declares a third value
+
+def test_acf_binary_stream_with_a_declared_absent_class(tmp_path, capsys):
+    labels = list("AABBBABAABBBAAAB")
+    path = tmp_path / "abc.arff"
+    path.write_text("@relation r\n@attribute class {A,B,C}\n@data\n"
+                    + "\n".join(labels) + "\n")
+    code, out, err = run(capsys, ["acf", "--input", str(path),
+                                  "--max-lag", "2"])
+    assert code == 0, err
+    acf = diagnose(parse_arff(str(path)), max_lag=2).acf
+    assert out == acf.to_csv()
+
+
+def test_acf_three_class_stream_still_not_binary(tmp_path, capsys):
+    path = tmp_path / "abc.arff"
+    path.write_text("@relation r\n@attribute class {A,B,C}\n@data\n"
+                    + "\n".join("AABBCCAB") + "\n")
+    code, out, err = run(capsys, ["acf", "--input", str(path),
+                                  "--max-lag", "2"])
+    assert code == 2 and out == ""
+    assert err == "error: 3 distinct classes; ACF needs 2\n"
+
+
+# byte-identity gate for `audit --predictions`: sha256 of its JSON,
+# computed before the audit read class codes and shared the log's pairs
+
+@pytest.mark.parametrize("stream, digest", [
+    ("markov-arff",
+     "5ebb2450e1e736342d79b7c33f366de98c6177777b94fe4d4086aa4f5c1755ea"),
+    ("sticky-3class-csv",
+     "c40b22416d9fde7963b1d6afce5d45e47add04c7ef1a33621f16e8efef59b630"),
+])
+def test_audit_predictions_json_golden_sha256(eval_inputs, tmp_path, capsys,
+                                              stream, digest):
+    path = eval_inputs[stream]
+    labels = parse_arff(str(path)).labels() if stream == "markov-arff" \
+        else parse_csv(str(path)).labels()
+    predicted = sticky_stream(len(labels), sorted(set(labels)), 0.6, 17)
+    log = tmp_path / "log.csv"
+    log.write_text(write_prediction_log(list(zip(labels, predicted))))
+    code, out, _ = run(capsys, ["audit", "--input", str(path),
+                                "--predictions", str(log)])
+    assert code == 0
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import random
@@ -6,11 +7,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from streamaudit import (EmptyStream, LagTooLarge, NotBinary, ZeroVariance,
-                         autocorrelation, diagnose, gen_iid_labels,
-                         independence_bar, label_distribution,
+from oracles import (oracle_audit, oracle_autocorrelation,
+                     oracle_diagnose_json, oracle_label_distribution,
+                     oracle_persistence_accuracy, oracle_run_lengths)
+from test_baselines import sticky_stream
+
+from streamaudit import (FIRST_LABEL, AttributeSchema, EmptyStream, Instance,
+                         LagTooLarge, NotBinary, StreamDataset, ZeroVariance,
+                         audit_accuracy, autocorrelation, diagnose,
+                         gen_iid_labels, gen_markov_labels, independence_bar,
+                         label_distribution, parse_arff, parse_csv,
                          persistence_accuracy, run_lengths)
-from streamaudit.synth import labels_to_dataset
+from streamaudit.stream_io import write_csv
+from streamaudit.synth import MarkovLabelModel, labels_to_dataset
 
 label_streams = st.lists(st.sampled_from("DU"), min_size=1, max_size=60)
 
@@ -19,7 +28,6 @@ def test_distribution_counts():
     d = label_distribution(list("DUUDDD"))
     assert d.counts == {"D": 4, "U": 2}
     assert d.frequencies == {"D": 4 / 6, "U": 2 / 6}
-    assert d.majority_class() == "D"
 
 
 def test_distribution_single():
@@ -128,8 +136,6 @@ def test_acf_values_in_range():
 def test_run_lengths_hand():
     stats = run_lengths(list("DUUDDD"))
     assert (stats.count, stats.mean, stats.max) == (3, 2.0, 3)
-    assert stats.per_class["D"] == {"count": 2, "mean": 2.0, "max": 3}
-    assert stats.per_class["U"] == {"count": 1, "mean": 2.0, "max": 2}
 
 
 def test_run_lengths_constant():
@@ -182,3 +188,112 @@ def test_acf_csv_export():
     lines = series.to_csv().splitlines()
     assert lines[0] == "lag,acf"
     assert lines[1].startswith("1,-0.875")
+
+
+# ---------------------------------------------------------------------------
+# the bars from class codes against the string oracles in oracles.py
+
+@st.composite
+def coded_datasets(draw):
+    """A dataset of 1-6 classes whose schema lists its values in another
+    order than their first occurrence, maybe with a value that never
+    occurs, and a cold start: the first label, a class, or a value absent
+    from the stream (declared or not)."""
+    k = draw(st.integers(1, 6))
+    alphabet = "ABCDEF"[:k]
+    labels = draw(st.lists(st.sampled_from(alphabet), min_size=1,
+                           max_size=60))
+    declared = tuple(draw(st.permutations(
+        alphabet + draw(st.sampled_from(["", "G"])))))
+    schema = (AttributeSchema("x", None), AttributeSchema("cls", declared))
+    ds = StreamDataset(schema, [Instance((0.0,), declared.index(lab))
+                                for lab in labels], 1)
+    cold = draw(st.sampled_from([FIRST_LABEL, "A", "G", "Z"]))
+    max_lag = draw(st.integers(1, len(labels) + 1))
+    return ds, labels, cold, max_lag
+
+
+@given(coded_datasets(), st.floats(0, 1))
+@settings(max_examples=150, deadline=None)
+def test_bars_from_codes_match_string_oracles(case, accuracy):
+    ds, labels, cold, max_lag = case
+    assert ds.labels() == labels
+    expected = oracle_diagnose_json(labels, max_lag, cold)
+    assert diagnose(ds, max_lag, cold).to_json() == expected
+    assert diagnose(ds.labels(), max_lag, cold).to_json() == expected
+    verdict = oracle_audit(accuracy, labels, cold)
+    assert audit_accuracy(accuracy, ds, cold) == verdict
+    assert audit_accuracy(accuracy, labels, cold) == verdict
+    dist = label_distribution(labels)
+    assert list(dist.counts.items()) == \
+        list(oracle_label_distribution(labels).counts.items())
+    stats = run_lengths(labels)
+    assert (stats.count, stats.mean, stats.max) == oracle_run_lengths(labels)
+    assert persistence_accuracy(labels, cold) == \
+        oracle_persistence_accuracy(labels, cold)
+
+
+def test_bars_from_codes_first_label_not_first_declared():
+    # explicit case: schema order {C,B,A}, first occurrence A, C, B
+    labels = list("AACCBBAC")
+    schema = (AttributeSchema("cls", ("C", "B", "A")),)
+    ds = StreamDataset(schema, [Instance((), "CBA".index(lab))
+                                for lab in labels], 0)
+    for cold in (FIRST_LABEL, "C", "Z"):
+        assert diagnose(ds, 3, cold).to_json() == \
+            oracle_diagnose_json(labels, 3, cold)
+        assert audit_accuracy(0.5, ds, cold) == oracle_audit(0.5, labels, cold)
+    priors = json.loads(diagnose(ds, 3).to_json())["class_priors"]
+    assert list(priors) == ["A", "C", "B"]
+
+
+@given(coded_datasets())
+@settings(max_examples=150, deadline=None)
+def test_acf_class_order_counts_occurring_classes(case):
+    # the ACF runs on any stream where two classes occur, whatever the
+    # schema declares; they are encoded 0/1 in the schema's order
+    ds, labels, _, max_lag = case
+    try:
+        expected = oracle_autocorrelation(labels, max_lag, ds.class_values)
+    except (ZeroVariance, NotBinary, LagTooLarge) as exc:
+        with pytest.raises(type(exc), match=str(exc)):
+            autocorrelation(labels, max_lag, class_order=ds.class_values)
+        return
+    assert autocorrelation(labels, max_lag,
+                           class_order=ds.class_values) == expected
+
+
+# golden sha256 of diagnose(...).to_json(), computed before the bars were
+# read from class codes: a 3-class CSV (declared in first-occurrence
+# order), a 3-class ARFF declared {A,B,C} whose first label is C, and a
+# binary ARFF declared {D,U} whose first label is U (the ACF's 0/1 order)
+
+def _arff(path, values, labels):
+    path.write_text(f"@relation r\n@attribute cls {{{','.join(values)}}}\n"
+                    "@data\n" + "\n".join(labels) + "\n")
+    return parse_arff(str(path))
+
+
+@pytest.mark.parametrize("stream, digest", [
+    ("sticky-3class-csv",
+     "c93def93e064cbb40ad297d502172767bbacb577f20b8282a73d779543f6d485"),
+    ("sticky-3class-arff-CBA",
+     "afb97b1c25e562a9771fb490f702a6ca83d509c2006957901d4c7e7b4a2f88f6"),
+    ("markov-arff-UD",
+     "73705e2cbec6cda5e0f794cf0aedd0f0ab55f6fb2a2a3fd8215452692c61de81"),
+])
+def test_diagnose_json_golden_sha256(tmp_path, stream, digest):
+    if stream == "sticky-3class-csv":
+        path = tmp_path / "sticky3.csv"
+        path.write_text(write_csv(("label",),
+                                  zip(sticky_stream(3000, "ABC", 0.7, 5))))
+        ds = parse_csv(str(path))
+    elif stream == "sticky-3class-arff-CBA":
+        ds = _arff(tmp_path / "s.arff", "ABC",
+                   ["C"] + sticky_stream(2999, "ABC", 0.8, 13))
+    else:
+        codes = gen_markov_labels(MarkovLabelModel(0.42, 0.7, 3000, seed=9))
+        ds = _arff(tmp_path / "m.arff", "DU",
+                   ["U"] + ["DU"[c] for c in codes])
+    text = diagnose(ds).to_json()
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest

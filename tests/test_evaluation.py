@@ -1,3 +1,4 @@
+import csv
 import io
 import json
 import math
@@ -6,11 +7,11 @@ import random
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import MajorityLearner, PersistenceLearner, RandomRestartLearner
 
 from streamaudit import (AttributeSchema, Classifier, EmptyLog, EmptyStream,
-                         Instance, LabelMismatch, MajorityLearner,
-                         NaiveBayesLearner, ParseError, PersistenceLearner,
-                         RandomRestartLearner, RestartPolicy, SchemaMismatch,
+                         Instance, LabelMismatch, NaiveBayesLearner,
+                         ParseError, RestartPolicy, SchemaMismatch,
                          StreamDataset, Verdict, audit_accuracy,
                          audit_prediction_log, gen_markov_labels,
                          majority_baseline, parse_arff,
@@ -433,3 +434,35 @@ def test_audit_prediction_log_keeps_quoted_arff_value():
         io.StringIO(text)), ds.labels())
     assert report.correct == 1 and report.confusion[(" a", " a")] == 1
     assert verdict.persistence_bar == persistence_accuracy(ds.labels())
+
+
+def test_prediction_log_shares_equal_pairs():
+    # a k-class log holds at most k*k distinct tuples, and reads as
+    # csv.reader does: quoted and space-padded data cells kept verbatim
+    values = [" A", "B ", "c,d", 'say "x"']
+    rng = random.Random(5)
+    rows = [(rng.choice(values), rng.choice(values)) for _ in range(500)]
+    body = write_prediction_log(rows).split("\n", 1)[1]
+    text = " true , predicted \n" + body
+    text = text.replace("\nB ,", "\n B ,")  # an unquoted padded first cell
+    log = read_prediction_log(io.StringIO(text))
+    oracle = [tuple(row) for row in csv.reader(io.StringIO(text)) if row][1:]
+    assert log == oracle
+    assert all(type(pair) is tuple for pair in log)
+    assert " B " in {t for t, _ in log}
+    k = len({cell for pair in log for cell in pair})
+    assert len(set(map(id, log))) <= k * k
+
+
+def test_audit_prediction_log_mismatch_report():
+    labels = list("DDUUDDUU")
+    log = [(lab, "D") for lab in labels]
+    audit_prediction_log(log, tuple(labels))  # any sequence of equal labels
+    for wrong, index, text in [
+            (labels[:3] + ["X"] + labels[4:], 3,
+             "true label at index 3 is 'U', dataset has 'X'"),
+            (labels[:-1], 7, "true label at index 7 is '<length mismatch>', "
+                             "dataset has '<length mismatch>'")]:
+        with pytest.raises(LabelMismatch) as err:
+            audit_prediction_log(log, wrong)
+        assert (err.value.index, str(err.value)) == (index, text)

@@ -1,12 +1,13 @@
 import io
 
 import pytest
+from oracles import SplitMix64
 
 from streamaudit import (InvalidModel, MarkovLabelModel, autocorrelation,
                          gen_iid_labels, gen_markov_labels, labels_to_arff,
                          labels_to_csv, parse_arff, parse_csv,
                          persistence_accuracy)
-from streamaudit.rng import SplitMix64, derive_seed, uniforms
+from streamaudit.rng import derive_seed, uniforms
 
 
 def test_splitmix_scalar_vector_agree():
