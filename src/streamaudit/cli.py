@@ -2,9 +2,8 @@
 
 Subcommands: summary, audit, acf, sweep, synth, eval. All machine-readable
 output is CSV or JSON; plotting is left to external tools. Randomized
-subcommands default to seed 42 and embed the effective seed in their
-output header, so any published figure can be regenerated from the file
-alone.
+subcommands default to seed 42; synth and sweep write it into their
+output's first line, eval --learner restart:RHO prints it only on stderr.
 
 Exit codes: 0 success, 1 usage error, 2 parse/data error, 3 failed
 --assert-above-bar assertion.
@@ -194,8 +193,7 @@ def _cmd_audit(args):
 
 def _cmd_acf(args):
     ds = _load_dataset(args.input, args.format)
-    series = diagnostics.autocorrelation(ds, args.max_lag,
-                                         class_order=ds.class_values)
+    series = diagnostics.autocorrelation(ds, args.max_lag)
     _write(args.out, series.to_csv())
     return EXIT_OK
 

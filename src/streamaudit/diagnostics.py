@@ -117,7 +117,10 @@ def _encode(labels) -> _Codes:
         renumber[order] = np.arange(len(order), dtype=np.int32)
         return _Codes(renumber.take(column),
                       [labels.class_values[c] for c in order.tolist()])
-    labels = labels if isinstance(labels, (list, tuple)) else list(labels)
+    if isinstance(labels, np.ndarray):  # Python scalars, not numpy ones
+        labels = labels.tolist()
+    elif not isinstance(labels, (list, tuple)):
+        labels = list(labels)
     classes = list(dict.fromkeys(labels))
     index = dict(zip(classes, range(len(classes))))
     return _Codes(np.fromiter(map(index.__getitem__, labels), np.int32,
@@ -156,18 +159,19 @@ def persistence_accuracy(labels: Sequence, cold_start=FIRST_LABEL) -> float:
     return correct / len(codes)
 
 
-def autocorrelation(labels: Sequence, max_lag: int,
-                    class_order: Optional[Sequence] = None) -> AcfSeries:
-    """Sample autocorrelation of a binary label sequence at lags 1..max_lag.
-
-    The two classes that occur are encoded 0/1 in class_order (default:
-    first-occurrence order; classes class_order lacks come after those it
-    lists); values it lists that never occur are ignored. For binary data
-    r(k) is invariant to the encoding. Uses the standard
-    full-series-variance normalization:
+def autocorrelation(labels: Sequence, max_lag: int) -> AcfSeries:
+    """Sample autocorrelation of a binary label sequence at lags 1..max_lag,
+    x_t = 1 for one class and 0 for the other (r(k) does not depend on
+    which), with the standard full-series-variance normalization:
 
         r(k) = sum_{t=1..n-k} (x_t - mean)(x_{t+k} - mean)
                / sum_{t=1..n} (x_t - mean)^2
+             = (n^2 C_k - n S (P[n-k] + S - P[k]) + (n-k) S^2) / (n S (n-S))
+
+    where S counts the ones, P[j] the ones among the first j labels and C_k
+    the pairs of ones k apart. It is evaluated in Python ints with one
+    division, so each value is the exact ratio correctly rounded, the same
+    on every platform.
     """
     codes, classes = _encode(labels)
     n = len(codes)
@@ -180,15 +184,13 @@ def autocorrelation(labels: Sequence, max_lag: int,
     if max_lag >= n:
         raise LagTooLarge(f"max_lag {max_lag} >= stream length {n}")
 
-    one = 1  # the code encoded as 1, unless class_order lists its class first
-    if class_order is not None:
-        rank = {c: i for i, c in enumerate(class_order)}
-        rank0, rank1 = (rank.get(c, len(rank)) for c in classes)
-        one = int(rank0 <= rank1)
-    x = (codes == one).astype(np.float64)
-    x -= x.mean()
-    denom = float(np.dot(x, x))
-    values = tuple(float(np.dot(x[:-k], x[k:])) / denom
+    ones = codes == 1
+    s = int(np.count_nonzero(ones))
+    head = np.cumsum(ones[:max_lag]).tolist()  # P[k] = head[k-1]
+    tail = np.cumsum(ones[::-1][:max_lag]).tolist()  # S - P[n-k] = tail[k-1]
+    values = tuple((n * n * int(np.count_nonzero(ones[:-k] & ones[k:]))
+                    - n * s * (2 * s - head[k - 1] - tail[k - 1])
+                    + (n - k) * s * s) / (n * s * (n - s))
                    for k in range(1, max_lag + 1))
     return AcfSeries(tuple(range(1, max_lag + 1)), values)
 
@@ -215,8 +217,7 @@ def diagnose(ds_or_labels, max_lag: int = 96,
     """
     labels = _encode(ds_or_labels)
     dist = label_distribution(labels)
-    acf = None
-    note = None
+    acf = note = None
     try:
         acf = autocorrelation(labels, max_lag)
     except (ZeroVariance, NotBinary, LagTooLarge) as exc:

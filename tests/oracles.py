@@ -12,9 +12,8 @@ against.
 
 import json
 import math
+import operator
 from itertools import groupby
-
-import numpy as np
 
 from streamaudit.baselines import RestartPolicy
 from streamaudit.diagnostics import FIRST_LABEL, AcfSeries, LabelDistribution
@@ -128,16 +127,13 @@ def oracle_persistence_accuracy(labels, cold_start=FIRST_LABEL) -> float:
     return correct / n
 
 
-def oracle_autocorrelation(labels, max_lag, class_order=None) -> AcfSeries:
-    """The binary ACF with the classes that occur encoded 0/1: in
-    class_order order, undeclared classes after the declared ones in
-    first-occurrence order (default: first-occurrence order)."""
+def oracle_autocorrelation(labels, max_lag) -> AcfSeries:
+    """The binary ACF from its definition, exactly: with b_t = 1 for the
+    first label's class (the library encodes the other class 1), S the
+    number of ones and d_t = n b_t - S, r(k) = sum_t d_t d_{t+k} /
+    sum_t d_t^2 in Python ints, one correctly rounded division per lag."""
     n = len(labels)
-    classes = list(class_order) if class_order is not None else []
-    for lab in labels:
-        if lab not in classes:
-            classes.append(lab)
-    classes = [c for c in classes if c in labels]
+    classes = list(dict.fromkeys(labels))
     if len(classes) > 2:
         raise NotBinary(f"{len(classes)} distinct classes; ACF needs 2")
     if len(classes) < 2:
@@ -147,11 +143,11 @@ def oracle_autocorrelation(labels, max_lag, class_order=None) -> AcfSeries:
     if max_lag >= n:
         raise LagTooLarge(f"max_lag {max_lag} >= stream length {n}")
 
-    index = {c: i for i, c in enumerate(classes)}
-    x = np.array([index[lab] for lab in labels], dtype=np.float64)
-    x -= x.mean()
-    denom = float(np.dot(x, x))
-    values = tuple(float(np.dot(x[:-k], x[k:])) / denom
+    b = [int(lab == classes[0]) for lab in labels]
+    s = sum(b)
+    d = [n * x - s for x in b]
+    denom = sum(x * x for x in d)
+    values = tuple(sum(map(operator.mul, d[:-k], d[k:])) / denom
                    for k in range(1, max_lag + 1))
     return AcfSeries(tuple(range(1, max_lag + 1)), values)
 

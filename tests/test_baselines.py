@@ -417,8 +417,8 @@ def test_electricity_shaped_golden_sha256():
 # byte-identity gate for the shared CSV writer and the shared confusion
 # scoring: sha256 of every label-derived output on an Electricity-shaped
 # stream, computed with the per-output writers that preceded them. n = 2**15
-# makes the label mean a dyadic fraction, so every ACF dot product is an
-# exact sum and the digests do not depend on the BLAS summation order.
+# made the label mean a dyadic fraction, so the float ACF of those writers
+# was exact too and the exact integer ACF gives the same bytes.
 
 def test_electricity_shaped_writers_golden_sha256():
     n, seed = 2 ** 15, 42
@@ -426,7 +426,7 @@ def test_electricity_shaped_writers_golden_sha256():
     labels = ds.labels()
     assert _sha256(diagnose(ds, max_lag=96).to_json()) == \
         "e0f922af94751a6adc6195cf86977992d97890f3ba8b6a470364e34f196df6ae"
-    acf = autocorrelation(labels, 96, class_order=ds.class_values)
+    acf = autocorrelation(labels, 96)
     assert _sha256(acf.to_csv()) == \
         "a24bb489a7e4fa2514cb6342f9898f7b09c7ad23e37288826f83c76e7438789e"
     codes = gen_markov_labels(MarkovLabelModel(0.42, 0.7, n, seed=seed))

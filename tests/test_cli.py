@@ -29,6 +29,18 @@ def test_usage_error_exit_1(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("grid, message", [
+    ("0:1:0", "need STEP > 0 and HI >= LO"),
+    ("1:0:0.1", "need STEP > 0 and HI >= LO"),
+    ("0:2:0.5", "grid values must lie in [0, 1]"),
+])
+def test_bad_sweep_grid_exit_1(synth_csv, capsys, grid, message):
+    code, out, err = run(capsys, ["sweep", "--input", str(synth_csv),
+                                  "--grid", grid])
+    assert code == 1 and out == ""
+    assert err.startswith("usage error: ") and message in err
+
+
 @pytest.mark.parametrize("argv", [
     ["sweep", "--grid", "0:1:0.5", "--reps", "0"],
     ["sweep", "--grid", "0:1:0.5", "--reps", "-1"],
@@ -222,6 +234,28 @@ def test_stdin_input(synth_csv, capsys, monkeypatch):
     code, out, _ = run(capsys, ["summary", "--input", "-", "--format", "csv"])
     assert code == 0
     assert json.loads(out)["n_instances"] == 3000
+
+
+def test_stdin_input_defaults_to_arff(tmp_path, capsys, monkeypatch):
+    import io
+    import sys
+    path = tmp_path / "labels.arff"
+    assert main(["synth", "markov", "--n", "500", "--prior", "0.42",
+                 "--acf1", "0.8", "--seed", "7", "--out", str(path)]) == 0
+    code, from_file, _ = run(capsys, ["summary", "--input", str(path)])
+    assert code == 0
+    monkeypatch.setattr(sys, "stdin", io.StringIO(path.read_text()))
+    code, from_stdin, _ = run(capsys, ["summary", "--input", "-"])
+    assert code == 0 and from_stdin == from_file
+    assert json.loads(from_stdin)["n_instances"] == 500
+
+
+def test_arff_header_fault_exit_2(tmp_path, capsys):
+    path = tmp_path / "bad.arff"
+    path.write_text("@relation r\n@attribute x widget\n@data\n")
+    code, out, err = run(capsys, ["summary", "--input", str(path)])
+    assert code == 2 and out == ""
+    assert err == "error: line 2: unknown attribute type 'widget'\n"
 
 
 def test_sweep_help_has_no_threads_flag(capsys):

@@ -3,6 +3,7 @@ import json
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 from oracles import (oracle_audit, oracle_autocorrelation,
                      oracle_diagnose_json, oracle_label_distribution,
                      oracle_persistence_accuracy, oracle_run_lengths)
-from test_baselines import sticky_stream
+from test_baselines import electricity_shaped, sticky_stream
 
 from streamaudit import (FIRST_LABEL, AttributeSchema, EmptyStream, Instance,
                          LagTooLarge, NotBinary, StreamDataset, ZeroVariance,
@@ -18,6 +19,7 @@ from streamaudit import (FIRST_LABEL, AttributeSchema, EmptyStream, Instance,
                          gen_iid_labels, gen_markov_labels, independence_bar,
                          label_distribution, parse_arff, parse_csv,
                          persistence_accuracy, run_lengths)
+from streamaudit.diagnostics import _Codes, _encode
 from streamaudit.stream_io import write_csv
 from streamaudit.synth import MarkovLabelModel, labels_to_dataset
 
@@ -98,10 +100,13 @@ def test_acf_errors():
 
 
 def test_acf_encoding_invariance():
+    # r(k) is exact, so it is the same whichever class is x = 1: on the
+    # complemented labels, and on codes handed in with the other class as 1
     labels = list("UUDUDDUUUDUD")
-    a = autocorrelation(labels, 3, class_order=["U", "D"])
-    b = autocorrelation(labels, 3, class_order=["D", "U"])
-    assert a.values == pytest.approx(b.values, abs=1e-12)
+    a = autocorrelation(labels, 3)
+    assert autocorrelation(["UD"[lab == "U"] for lab in labels], 3) == a
+    codes, classes = _encode(labels)
+    assert autocorrelation(_Codes(1 - codes, classes[::-1]), 3) == a
 
 
 def acf_bruteforce(xs, k):
@@ -120,10 +125,17 @@ def test_acf_matches_bruteforce():
         if len(set(labels)) < 2:
             continue
         max_lag = min(20, n - 1)
-        series = autocorrelation(labels, max_lag, class_order=["U", "D"])
+        series = autocorrelation(labels, max_lag)
         xs = [0 if lab == "U" else 1 for lab in labels]
         for k in range(1, max_lag + 1):
             assert series[k] == pytest.approx(acf_bruteforce(xs, k), abs=1e-12)
+
+
+def test_acf_is_exact_on_an_electricity_shaped_stream():
+    # 45,312 labels is no power of two: a float ACF rounds differently with
+    # the summation order, the integer one equals the exact oracle
+    ds = electricity_shaped()
+    assert autocorrelation(ds, 96) == oracle_autocorrelation(ds.labels(), 96)
 
 
 def test_acf_values_in_range():
@@ -181,6 +193,19 @@ def test_diagnose_single_instance():
 def test_diagnose_accepts_dataset():
     report = diagnose(labels_to_dataset([0, 1, 1, 0]), max_lag=2)
     assert report.distribution.counts == {"1": 2, "0": 2}
+
+
+@pytest.mark.parametrize("labels", [[0, 1, 1, 0, 1], list("abaab")],
+                         ids=["ints", "strs"])
+def test_numpy_label_array_reads_like_a_list(labels):
+    # the classes are Python scalars, so the JSON keys serialise
+    array = np.array(labels)
+    assert diagnose(array, max_lag=2).to_json() == \
+        diagnose(labels, max_lag=2).to_json()
+    assert audit_accuracy(0.7, array) == audit_accuracy(0.7, labels)
+    counts = label_distribution(array).counts
+    assert counts == label_distribution(labels).counts
+    assert {type(c) for c in counts} == {type(labels[0])}
 
 
 def test_acf_csv_export():
@@ -249,24 +274,26 @@ def test_bars_from_codes_first_label_not_first_declared():
 
 @given(coded_datasets())
 @settings(max_examples=150, deadline=None)
-def test_acf_class_order_counts_occurring_classes(case):
+def test_acf_counts_occurring_classes(case):
     # the ACF runs on any stream where two classes occur, whatever the
-    # schema declares; they are encoded 0/1 in the schema's order
+    # schema declares, and equals the exact oracle
     ds, labels, _, max_lag = case
     try:
-        expected = oracle_autocorrelation(labels, max_lag, ds.class_values)
+        expected = oracle_autocorrelation(labels, max_lag)
     except (ZeroVariance, NotBinary, LagTooLarge) as exc:
         with pytest.raises(type(exc), match=str(exc)):
-            autocorrelation(labels, max_lag, class_order=ds.class_values)
+            autocorrelation(labels, max_lag)
         return
-    assert autocorrelation(labels, max_lag,
-                           class_order=ds.class_values) == expected
+    assert autocorrelation(labels, max_lag) == expected
+    assert autocorrelation(ds, max_lag) == expected
 
 
 # golden sha256 of diagnose(...).to_json(), computed before the bars were
 # read from class codes: a 3-class CSV (declared in first-occurrence
 # order), a 3-class ARFF declared {A,B,C} whose first label is C, and a
-# binary ARFF declared {D,U} whose first label is U (the ACF's 0/1 order)
+# binary ARFF declared {D,U} whose first label is U. The binary digest is
+# the exact ACF's: n = 3,001 is no power of two, so a float ACF's last
+# digits would follow the BLAS summation order.
 
 def _arff(path, values, labels):
     path.write_text(f"@relation r\n@attribute cls {{{','.join(values)}}}\n"
@@ -280,7 +307,7 @@ def _arff(path, values, labels):
     ("sticky-3class-arff-CBA",
      "afb97b1c25e562a9771fb490f702a6ca83d509c2006957901d4c7e7b4a2f88f6"),
     ("markov-arff-UD",
-     "73705e2cbec6cda5e0f794cf0aedd0f0ab55f6fb2a2a3fd8215452692c61de81"),
+     "62e890229da9e23d8b0e4ae96e8d7c38790889f0c5d5b048803060413a52b955"),
 ])
 def test_diagnose_json_golden_sha256(tmp_path, stream, digest):
     if stream == "sticky-3class-csv":

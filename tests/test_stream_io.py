@@ -551,6 +551,52 @@ def test_parse_arff_error_in_a_later_block(data, at, clean_before):
     assert fast == outcome(oracle_parse_arff, text, class_index=cls)
 
 
+# every header fault parse_arff names: the text, the line it names (None
+# for the faults only the end of the file shows) and the message
+
+ARFF_HEADER_FAULTS = {
+    "attribute-without-name": (
+        "@relation r\n@attribute\n@data\n", 2, "@attribute without a name"),
+    "attribute-without-type": (
+        "@relation r\n@attribute x numeric\n@attribute cls\n@data\n", 3,
+        "attribute 'cls' has no type"),
+    "unterminated-value-list": (
+        "@relation r\n@attribute cls {A,B\n@data\n", 2,
+        "unterminated nominal value list"),
+    "empty-nominal-value": (
+        "% c\n@relation r\n@attribute cls {A,,B}\n@data\n", 3,
+        "empty nominal value"),
+    "duplicate-nominal-values": (
+        "@relation r\n@attribute cls {A,B,A}\n@data\n", 2,
+        "duplicate nominal values"),
+    "unknown-type": (
+        "@relation r\n@attribute x widget 3\n@data\n", 2,
+        "unknown attribute type 'widget 3'"),
+    "data-before-attribute": (
+        "@relation r\n\n@data\nA\n", 3, "@data before any @attribute"),
+    "unexpected-header-line": (
+        "@relation r\n@attribute cls {A}\ncls {A}\n@data\n", 3,
+        "unexpected header line 'cls {A}'"),
+    "no-header": (
+        "% only a comment\n\n", None, "no @relation/@attribute header found"),
+    "no-data-section": (
+        "@relation r\n@attribute cls {A,B}\n", None, "no @data section found"),
+}
+
+
+@pytest.mark.parametrize("text, line, message", ARFF_HEADER_FAULTS.values(),
+                         ids=ARFF_HEADER_FAULTS.keys())
+def test_arff_header_faults_are_parse_errors_naming_the_line(text, line,
+                                                             message):
+    with pytest.raises(ParseError) as err:
+        arff(text)
+    assert type(err.value) is ParseError and err.value.line == line
+    assert str(err.value) == (message if line is None
+                              else f"line {line}: {message}")
+    assert outcome(oracle_parse_arff, text) == \
+        (ParseError, line, str(err.value))
+
+
 def test_parse_arff_lines_follow_newlines_only():
     # \x0c and \x1c split lines for str.splitlines(), not for file iteration
     text = MINIMAL_ARFF + "1.0,A\x0c\n2.0\x1c,B\nx,A\n"
