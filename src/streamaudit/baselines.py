@@ -17,13 +17,15 @@ accuracy label autocorrelation alone can buy.
 
 import math
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 from typing import Sequence
 
 import numpy as np
 
 from .diagnostics import FIRST_LABEL, _encode, first_prediction
 from .errors import InvalidRho
-from .rng import derive_seed, uniforms
+from .rng import bernoullis, derive_seed
 from .stream_io import write_csv
 
 
@@ -71,8 +73,9 @@ class SweepResult:
         out = []
         for rho in self.config.rho_grid:
             accs = self.accuracies(rho)
-            mean = sum(accs) / len(accs)
-            var = sum((a - mean) ** 2 for a in accs) / len(accs)
+            # left folds: sum() of floats is compensated from Python 3.12
+            mean = reduce(add, accs) / len(accs)
+            var = reduce(add, [(a - mean) ** 2 for a in accs]) / len(accs)
             out.append((rho, mean, min(accs), max(accs), math.sqrt(var)))
         return out
 
@@ -88,11 +91,14 @@ class SweepResult:
 
 class _CodedStream:
     """A label stream as int32 codes in first-occurrence order (the
-    diagnostics' encoding) plus the prefix tables the restart kernel
-    reads, built once per stream and shared by every sweep cell.
+    diagnostics' encoding) plus the key tables the restart kernel reads,
+    built once per stream and shared by every sweep cell.
 
-    prefix[c, t] counts class c in labels[0:t]; last[c, t - 1] is the last
-    index before t that holds class c, or -1.
+    A key is count << s | last-seen index, s = n.bit_length(), so its
+    maximum is the lexicographic one; it fits in 63 bits, as n < 2**31.
+    hi[c, t] is class c's count in labels[0:t] << s, base[c, t - 1] is
+    hi[c, t] + the last index before t that holds c, or 0: a class with
+    no label in the window has count 0 and never wins.
     """
 
     def __init__(self, labels: Sequence, cold_start):
@@ -100,53 +106,54 @@ class _CodedStream:
         # classes[0] is the first label
         self.first = first_prediction(self.classes, cold_start)
         n, k = len(self.codes), len(self.classes)
+        self.low = (1 << n.bit_length()) - 1
         seen = self.codes[:-1] == np.arange(k, dtype=np.int32)[:, None]
-        self.prefix = np.zeros((k, n), np.int32)
-        np.cumsum(seen, axis=1, dtype=np.int32, out=self.prefix[:, 1:])
-        last = np.where(seen, np.arange(n - 1, dtype=np.int32), np.int32(-1))
-        self.last = np.maximum.accumulate(last, axis=1, out=last)
+        self.hi = np.zeros((k, n), np.int64)
+        np.cumsum(seen, axis=1, dtype=np.int64, out=self.hi[:, 1:])
+        self.hi <<= n.bit_length()
+        last = np.where(seen, np.arange(n - 1, dtype=np.int64), 0)
+        self.base = np.maximum.accumulate(last, axis=1, out=last)
+        self.base += self.hi[:, 1:]
 
-    def predict(self, policy: RestartPolicy) -> np.ndarray:
-        """The restart kernel: predicted codes for t = 1..n-1 of one run.
-
-        The draw after instance j fires a restart with probability rho;
-        the window for t then starts at the latest j < t that fired (the
-        just-seen label is re-inserted), or at 0. The prediction is the
-        windowed majority, ties to the tied class seen most recently.
-
-        One pass per class keeps the running lexicographic maximum of
-        (window count, last-seen index), and the prediction is the class
-        at the winner's last-seen index. That is the rule above: the
-        window is never empty, so a class tied at the maximum count holds
-        a label in it and was last seen at or after its start, and no two
-        classes share a last-seen index.
-        """
-        start = None
-        if policy.rho > 0.0:
-            m = len(self.codes) - 1
-            start = np.arange(m, dtype=np.int32)
-            start *= uniforms(policy.seed, m) < policy.rho
+    def starts(self, policy: RestartPolicy):
+        """The window starts of one seeded run (None: no restarts). The
+        draw after instance j fires a restart with probability rho; the
+        window for t starts at the latest j < t that fired (the just-seen
+        label is re-inserted), or at 0."""
+        if policy.rho == 0.0:
+            return None
+        start = np.arange(len(self.codes) - 1, dtype=np.int32)
+        if policy.rho < 1.0:
+            start *= bernoullis(policy.seed, len(start), policy.rho)
             np.maximum.accumulate(start, out=start)
-        best_count = best_last = None
-        for prefix, last in zip(self.prefix, self.last):
-            count = prefix[1:] if start is None \
-                else prefix[1:] - prefix.take(start)
-            if best_count is None:
-                best_count, best_last = count, last
-                continue
-            better = (count > best_count) | \
-                ((count == best_count) & (last > best_last))
-            best_count = np.maximum(best_count, count)
-            best_last = np.where(better, last, best_last)
-        return self.codes.take(best_last)
+        return start
 
-    def accuracy(self, policy: RestartPolicy) -> float:
-        hits = np.count_nonzero(self.predict(policy) == self.codes[1:])
+    def predict(self, start=None) -> np.ndarray:
+        """The restart kernel: predicted codes for t = 1..n-1, where the
+        window for t is labels[start[t - 1]:t] (labels[0:t] for None).
+
+        The windowed majority, ties to the tied class seen most recently,
+        is the class at the largest key's last-seen index: the window is
+        never empty, so a class tied at the top count was last seen at or
+        after its start, and no two classes share a last-seen index.
+        """
+        best = np.zeros(len(self.codes) - 1, np.int64)
+        key = np.empty_like(best)
+        for hi, base in zip(self.hi, self.base):
+            if start is not None:
+                base = np.subtract(base, hi.take(start, out=key, mode="clip"),
+                                   out=key)
+            np.maximum(best, base, out=best)
+        best &= self.low
+        return self.codes.take(best)
+
+    def accuracy(self, start=None) -> float:
+        hits = np.count_nonzero(self.predict(start) == self.codes[1:])
         correct = int(self.first == self.classes[0]) + int(hits)
         return correct / len(self.codes)
 
-    def trace(self, policy: RestartPolicy) -> list:
-        codes = self.predict(policy).tolist()
+    def trace(self, start=None) -> list:
+        codes = self.predict(start).tolist()
         return [self.first, *map(self.classes.__getitem__, codes)]
 
 
@@ -154,25 +161,25 @@ def majority_baseline(labels: Sequence, cold_start=FIRST_LABEL) -> float:
     """Prequential incremental-majority accuracy: at each step predict the
     majority class of everything seen so far, ties toward the most
     recently observed label."""
-    return random_restart_run(labels, RestartPolicy(0.0),
-                              cold_start=cold_start)
+    return _CodedStream(labels, cold_start).accuracy()
 
 
 def majority_trace(labels: Sequence, cold_start=FIRST_LABEL) -> list:
-    return random_restart_trace(labels, RestartPolicy(0.0),
-                                cold_start=cold_start)
+    return _CodedStream(labels, cold_start).trace()
 
 
 def random_restart_run(labels: Sequence, policy: RestartPolicy,
                        cold_start=FIRST_LABEL) -> float:
     """Accuracy of one seeded run of the random-restart classifier."""
-    return _CodedStream(labels, cold_start).accuracy(policy)
+    stream = _CodedStream(labels, cold_start)
+    return stream.accuracy(stream.starts(policy))
 
 
 def random_restart_trace(labels: Sequence, policy: RestartPolicy,
                          cold_start=FIRST_LABEL) -> list:
     """Full prediction trace of one seeded run (audit mode)."""
-    return _CodedStream(labels, cold_start).trace(policy)
+    stream = _CodedStream(labels, cold_start)
+    return stream.trace(stream.starts(policy))
 
 
 def rho_sweep(labels: Sequence, config: SweepConfig,
@@ -188,5 +195,6 @@ def rho_sweep(labels: Sequence, config: SweepConfig,
     for i, rho in enumerate(config.rho_grid):
         for rep in range(config.repetitions):
             policy = RestartPolicy(rho, derive_seed(config.master_seed, i, rep))
-            rows.append((rho, rep, stream.accuracy(policy)))
+            start = stream.starts(policy)
+            rows.append((rho, rep, stream.accuracy(start)))
     return SweepResult(tuple(rows), config)

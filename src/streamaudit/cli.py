@@ -241,7 +241,7 @@ def _cmd_eval(args):
         if name.startswith("restart:"):
             name = f"restart:{rho:g}"
             print(f"# seed={args.seed}", file=sys.stderr)
-        report = evaluation._score(name, labels, trace)
+        report = evaluation._score(name, zip(labels, trace))
     _write(args.out, report.to_json() + "\n")
     return EXIT_OK
 

@@ -10,8 +10,8 @@ The audit verdict compares a subject accuracy against three label-only
 bars computed from the same stream: the incremental-majority bar, the
 independence bar (sum of squared priors) and the persistence bar. A
 classifier only demonstrates adaptation worth having when it lands
-strictly above the persistence bar; matching it proves nothing, so ties
-grade as BelowPersistence.
+strictly above the persistence bar and not below the majority bar; ties
+with persistence prove nothing and grade as BelowPersistence.
 """
 
 import csv
@@ -74,12 +74,12 @@ class EvalReport:
         }, indent=2)
 
 
-def _score(name: str, true: Sequence, predicted: Sequence,
-           wall_time: float = 0.0) -> EvalReport:
-    """The report on paired true and predicted labels."""
-    confusion = dict(Counter(zip(true, predicted)))
+def _score(name: str, pairs, wall_time: float = 0.0) -> EvalReport:
+    """The report on (true, predicted) pairs."""
+    confusion = dict(Counter(pairs))
     correct = sum(count for (t, p), count in confusion.items() if t == p)
-    return EvalReport(name, len(true), correct, confusion, wall_time)
+    return EvalReport(name, sum(confusion.values()), correct, confusion,
+                      wall_time)
 
 
 def _nested(confusion: dict) -> dict:
@@ -110,10 +110,10 @@ class AuditVerdict:
 
     @property
     def verdict(self) -> Verdict:
-        if self.subject_accuracy > self.persistence_bar:
-            return Verdict.ABOVE_PERSISTENCE
         if self.subject_accuracy < self.majority_bar:
             return Verdict.BELOW_MAJORITY
+        if self.subject_accuracy > self.persistence_bar:
+            return Verdict.ABOVE_PERSISTENCE
         return Verdict.BELOW_PERSISTENCE
 
     def to_json(self, n: Optional[int] = None,
@@ -147,7 +147,7 @@ def prequential_eval(classifier: Classifier, ds: StreamDataset) -> EvalReport:
         predictions.append(classifier.predict(features))
         classifier.update(features, true)
     elapsed = time.perf_counter() - start
-    return _score(classifier.name, labels, predictions, elapsed)
+    return _score(classifier.name, zip(labels, predictions), elapsed)
 
 
 class NaiveBayesLearner(Classifier):
@@ -277,7 +277,7 @@ def audit_prediction_log(log: Sequence, ds_labels: Optional[Sequence] = None,
             for i, (a, b) in enumerate(zip(ds_labels, true_col)):
                 if a != b:
                     raise LabelMismatch(i, a, b)
-    report = _score("prediction-log", true_col, [p for _, p in log])
+    report = _score("prediction-log", log)
     verdict = audit_accuracy(report.accuracy, true_col, cold_start=cold_start)
     return verdict, report
 

@@ -14,7 +14,9 @@ in a few numpy passes; the tests keep the sequential generator as its
 bit-identity oracle.
 
 Uniform doubles are formed from the top 53 bits: u = (output >> 11) * 2^-53,
-giving values in [0, 1).
+giving values in [0, 1). So for p < 1, u < p exactly when
+output < ceil(p * 2^53) << 11, since p * 2^53 is exact and an integer is
+below a real exactly when it is below its ceiling; `bernoullis` draws so.
 """
 
 import numpy as np
@@ -33,12 +35,8 @@ def mix64(z: int) -> int:
     return z ^ (z >> 31)
 
 
-def uniforms(seed: int, n: int) -> np.ndarray:
-    """The first n uniforms of the SplitMix64 stream seeded with seed.
-
-    Works in place on two n-sized buffers; the result reuses the second
-    one.
-    """
+def _outputs(seed: int, n: int):
+    """The first n outputs for seed, and a scratch buffer like them."""
     z = np.arange(1, n + 1, dtype=np.uint64)
     t = np.empty_like(z)
     with np.errstate(over="ignore"):
@@ -50,8 +48,22 @@ def uniforms(seed: int, n: int) -> np.ndarray:
             z *= np.uint64(mult)
     np.right_shift(z, np.uint64(31), out=t)
     z ^= t
+    return z, t
+
+
+def uniforms(seed: int, n: int) -> np.ndarray:
+    """The first n uniforms of the SplitMix64 stream seeded with seed; the
+    result reuses the scratch buffer."""
+    z, t = _outputs(seed, n)
     z >>= np.uint64(11)
     return np.multiply(z, 2.0**-53, out=t.view(np.float64))
+
+
+def bernoullis(seed: int, n: int, p: float) -> np.ndarray:
+    """uniforms(seed, n) < p as integer compares, no uniform formed."""
+    if p >= 1.0:
+        return np.ones(n, dtype=bool)
+    return _outputs(seed, n)[0] < np.uint64(int(np.ceil(p * 2.0**53)) << 11)
 
 
 def derive_seed(master: int, *indices: int) -> int:

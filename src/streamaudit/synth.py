@@ -23,7 +23,7 @@ import numpy as np
 
 from . import stream_io
 from .errors import InvalidModel
-from .rng import uniforms
+from .rng import bernoullis, uniforms
 
 LABEL_VALUES = ("0", "1")  # nominal class names used in exported files
 
@@ -74,7 +74,7 @@ def gen_iid_labels(p: float, n: int, seed: int = 42) -> list:
         raise InvalidModel(f"p must be in [0, 1], got {p}")
     if n < 1:
         raise InvalidModel("n must be >= 1")
-    return (uniforms(seed, n) < p).astype(int).tolist()
+    return bernoullis(seed, n, p).astype(int).tolist()
 
 
 def labels_to_csv(labels: Sequence[int], seed=None) -> str:

@@ -19,7 +19,7 @@ from streamaudit import (AttributeSchema, EmptyStream, Instance, InvalidRho,
                          prequential_eval, random_restart_run,
                          random_restart_trace, rho_sweep, to_arff,
                          write_prediction_log)
-from streamaudit.baselines import majority_trace
+from streamaudit.baselines import SweepResult, _CodedStream, majority_trace
 from streamaudit.rng import uniforms
 from streamaudit.synth import MarkovLabelModel
 
@@ -98,6 +98,17 @@ def test_sweep_rows_and_summary():
         assert lo <= mean <= hi and sd >= 0
     # autocorrelated stream: persistence end beats majority end
     assert summary[-1][1] > summary[0][1]
+
+
+def test_summary_sums_with_a_left_fold():
+    # 0.1 added ten times left to right is 0.9999999999999999; a
+    # compensated sum (Python 3.12's sum()) would give 1.0 and a mean of 0.1
+    config = SweepConfig((0.5,), repetitions=10)
+    result = SweepResult(tuple((0.5, rep, 0.1) for rep in range(10)), config)
+    [(rho, mean, lo, hi, sd)] = result.summary()
+    assert mean == 0.9999999999999999 / 10
+    assert repr(mean) == "0.09999999999999999"
+    assert (rho, lo, hi) == (0.5, 0.1, 0.1)
 
 
 def test_sweep_reproducible_and_order_independent():
@@ -234,6 +245,28 @@ def test_kernel_matches_oracle_on_1_to_6_classes():
             assert random_restart_trace(labels, RestartPolicy(rho, seed),
                                         cold_start=cold) == \
                 oracle_restart_trace(labels, rho, seed, cold)
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_kernel_with_explicit_starts_matches_oracle(data):
+    classes = "ABCDEF"[:data.draw(st.integers(1, 6))]
+    labels = data.draw(st.lists(st.sampled_from(classes), min_size=1,
+                                max_size=60))
+    n = len(labels)
+    restarts = data.draw(st.one_of(
+        st.just([False] * n), st.just([True] * n),
+        st.lists(st.booleans(), min_size=n, max_size=n)))
+    start, s = [], 0
+    for j in range(n - 1):  # the window for j + 1 starts at the last restart
+        s = j if restarts[j] else s
+        start.append(s)
+    cold = data.draw(st.sampled_from([labels[0], "Z"]))
+    stream = _CodedStream(labels, cold)
+    expected = oracle_window_trace(labels, iter(restarts), cold)
+    assert stream.trace(np.array(start, dtype=np.int32)) == expected
+    if not any(restarts):
+        assert stream.trace(None) == expected
 
 
 # ---------------------------------------------------------------------------

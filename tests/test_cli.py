@@ -376,3 +376,14 @@ def test_audit_predictions_json_golden_sha256(eval_inputs, tmp_path, capsys,
                                 "--predictions", str(log)])
     assert code == 0
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+def test_assert_above_bar_fails_below_majority(tmp_path, capsys):
+    # iid labels put the majority bar (0.5777) above persistence (0.5109)
+    path = tmp_path / "iid.csv"
+    assert main(["synth", "iid", "--n", "45312", "--prior", "0.42",
+                 "--seed", "7", "--out", str(path)]) == 0
+    code, out, _ = run(capsys, ["audit", "--input", str(path), "--accuracy",
+                                "0.5341", "--assert-above-bar"])
+    assert code == 3
+    assert json.loads(out)["verdict"] == "BelowMajority"

@@ -9,11 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import MajorityLearner, PersistenceLearner, RandomRestartLearner
 
-from streamaudit import (AttributeSchema, Classifier, EmptyLog, EmptyStream,
-                         Instance, LabelMismatch, NaiveBayesLearner,
-                         ParseError, RestartPolicy, SchemaMismatch,
-                         StreamDataset, Verdict, audit_accuracy,
-                         audit_prediction_log, gen_markov_labels,
+from streamaudit import (AttributeSchema, AuditVerdict, Classifier, EmptyLog,
+                         EmptyStream, Instance, LabelMismatch,
+                         NaiveBayesLearner, ParseError, RestartPolicy,
+                         SchemaMismatch, StreamDataset, Verdict,
+                         audit_accuracy, audit_prediction_log,
+                         gen_iid_labels, gen_markov_labels,
                          majority_baseline, parse_arff,
                          persistence_accuracy, prequential_eval,
                          random_restart_run, random_restart_trace,
@@ -334,6 +335,27 @@ def test_audit_verdicts():
     verdict = audit_accuracy(bar - 0.01, labels)
     assert verdict.verdict is Verdict.BELOW_PERSISTENCE
     assert verdict.margin == pytest.approx(-0.01)
+
+
+def test_below_majority_wins_over_above_persistence():
+    # iid labels: the majority bar is above the persistence bar, and a
+    # subject between them is below majority, not above persistence
+    labels = gen_iid_labels(0.42, 45312, 7)
+    verdict = audit_accuracy(0.5341, labels)
+    assert round(verdict.persistence_bar, 4) == 0.5109
+    assert round(verdict.majority_bar, 4) == 0.5777
+    assert verdict.verdict is Verdict.BELOW_MAJORITY
+    assert verdict.margin == 0.5341 - verdict.persistence_bar
+
+
+@given(st.floats(0, 1), st.floats(0, 1), st.floats(0, 1), st.floats(0, 1))
+def test_above_persistence_only_above_both_bars(subject, persistence,
+                                                independence, majority):
+    verdict = AuditVerdict(subject, persistence, independence, majority)
+    above_both = subject > persistence and subject >= majority
+    assert (verdict.verdict is Verdict.ABOVE_PERSISTENCE) == above_both
+    assert (verdict.verdict is Verdict.BELOW_MAJORITY) == \
+        (subject < majority)
 
 
 def test_audit_json_fields():

@@ -1,5 +1,7 @@
 import io
+import math
 
+import numpy as np
 import pytest
 from oracles import SplitMix64
 
@@ -7,7 +9,7 @@ from streamaudit import (InvalidModel, MarkovLabelModel, autocorrelation,
                          gen_iid_labels, gen_markov_labels, labels_to_arff,
                          labels_to_csv, parse_arff, parse_csv,
                          persistence_accuracy)
-from streamaudit.rng import derive_seed, uniforms
+from streamaudit.rng import bernoullis, derive_seed, uniforms
 
 
 def test_splitmix_scalar_vector_agree():
@@ -16,6 +18,23 @@ def test_splitmix_scalar_vector_agree():
             rng = SplitMix64(seed)
             scalar = [rng.random() for _ in range(n)]
             assert scalar == uniforms(seed, n).tolist(), (seed, n)
+
+
+def test_bernoullis_equal_uniform_compares_at_the_seams():
+    seed, n = 20261018, 5000
+    u = uniforms(seed, n)
+    drawn = float(u[1234])
+    rhos = [drawn, math.nextafter(drawn, 0.0), math.nextafter(drawn, 1.0),
+            2.0**-1074, 1.0 - 2.0**-53, 0.0, 1.0,
+            3 * 2.0**-3, 12345 * 2.0**-53]  # the last two: p * 2^53 integral
+    assert all(r * 2.0**53 == int(r * 2.0**53) for r in rhos[-2:])
+    for rho in rhos:
+        mask = bernoullis(seed, n, rho)
+        assert mask.dtype == bool
+        assert np.array_equal(mask, u < rho), rho
+    # the drawn uniform itself is not below rho = u_j, and is just above
+    assert not bernoullis(seed, n, drawn)[1234]
+    assert bernoullis(seed, n, math.nextafter(drawn, 1.0))[1234]
 
 
 def test_derive_seed_distinct():
