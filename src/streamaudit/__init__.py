@@ -7,9 +7,9 @@ harness with an accuracy audit protocol.
 from .baselines import (RestartPolicy, SweepConfig, SweepResult,
                         majority_baseline, random_restart_run,
                         random_restart_trace, rho_sweep)
-from .diagnostics import (FIRST_LABEL, AcfSeries, DiagnosticsReport,
-                          LabelDistribution, RunLengthStats, autocorrelation,
-                          diagnose, independence_bar, label_distribution,
+from .diagnostics import (AcfSeries, DiagnosticsReport, LabelDistribution,
+                          RunLengthStats, autocorrelation, diagnose,
+                          independence_bar, label_distribution,
                           persistence_accuracy, run_lengths)
 from .errors import (EmptyLog, EmptyStream, InvalidModel, InvalidRho,
                      LabelMismatch, LagTooLarge, NotBinary, ParseError,

@@ -11,6 +11,10 @@ endpoints exact identities rather than approximations:
     rho = 0  ->  incremental majority over the whole history
     rho = 1  ->  persistence (window always holds just the last label)
 
+Every classifier here predicts the first instance as its own label (the
+diagnostics' cold start), so its accuracy is (1 + hits) / n and the two
+endpoints equal diagnostics' majority and persistence bars to the bit.
+
 None of these classifiers look at features; they exist to show how much
 accuracy label autocorrelation alone can buy.
 """
@@ -23,8 +27,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .diagnostics import FIRST_LABEL, _encode, first_prediction
-from .errors import InvalidRho
+from .diagnostics import _encode
+from .errors import EmptyStream, InvalidRho
 from .rng import bernoullis, derive_seed
 from .stream_io import write_csv
 
@@ -101,10 +105,10 @@ class _CodedStream:
     no label in the window has count 0 and never wins.
     """
 
-    def __init__(self, labels: Sequence, cold_start):
+    def __init__(self, labels: Sequence):
         self.codes, self.classes = _encode(labels)
-        # classes[0] is the first label
-        self.first = first_prediction(self.classes, cold_start)
+        if len(self.codes) == 0:
+            raise EmptyStream("an empty stream has no first instance")
         n, k = len(self.codes), len(self.classes)
         self.low = (1 << n.bit_length()) - 1
         seen = self.codes[:-1] == np.arange(k, dtype=np.int32)[:, None]
@@ -149,48 +153,41 @@ class _CodedStream:
 
     def accuracy(self, start=None) -> float:
         hits = np.count_nonzero(self.predict(start) == self.codes[1:])
-        correct = int(self.first == self.classes[0]) + int(hits)
-        return correct / len(self.codes)
+        return (1 + int(hits)) / len(self.codes)
 
     def trace(self, start=None) -> list:
         codes = self.predict(start).tolist()
-        return [self.first, *map(self.classes.__getitem__, codes)]
+        # classes[0] is the first label: instance 0 predicts itself
+        return [self.classes[0], *map(self.classes.__getitem__, codes)]
 
 
-def majority_baseline(labels: Sequence, cold_start=FIRST_LABEL) -> float:
+def majority_baseline(labels: Sequence) -> float:
     """Prequential incremental-majority accuracy: at each step predict the
     majority class of everything seen so far, ties toward the most
     recently observed label."""
-    return _CodedStream(labels, cold_start).accuracy()
+    return _CodedStream(labels).accuracy()
 
 
-def majority_trace(labels: Sequence, cold_start=FIRST_LABEL) -> list:
-    return _CodedStream(labels, cold_start).trace()
-
-
-def random_restart_run(labels: Sequence, policy: RestartPolicy,
-                       cold_start=FIRST_LABEL) -> float:
+def random_restart_run(labels: Sequence, policy: RestartPolicy) -> float:
     """Accuracy of one seeded run of the random-restart classifier."""
-    stream = _CodedStream(labels, cold_start)
+    stream = _CodedStream(labels)
     return stream.accuracy(stream.starts(policy))
 
 
-def random_restart_trace(labels: Sequence, policy: RestartPolicy,
-                         cold_start=FIRST_LABEL) -> list:
+def random_restart_trace(labels: Sequence, policy: RestartPolicy) -> list:
     """Full prediction trace of one seeded run (audit mode)."""
-    stream = _CodedStream(labels, cold_start)
+    stream = _CodedStream(labels)
     return stream.trace(stream.starts(policy))
 
 
-def rho_sweep(labels: Sequence, config: SweepConfig,
-              cold_start=FIRST_LABEL) -> SweepResult:
+def rho_sweep(labels: Sequence, config: SweepConfig) -> SweepResult:
     """Run the restart classifier over the whole (rho, repetition) grid.
 
     Each cell gets an independent seed derived from (master_seed, rho
     index, repetition index), so the sweep is reproducible and cells are
     order-independent.
     """
-    stream = _CodedStream(labels, cold_start)
+    stream = _CodedStream(labels)
     rows = []
     for i, rho in enumerate(config.rho_grid):
         for rep in range(config.repetitions):

@@ -14,6 +14,12 @@ StreamDataset.labels() or a synthetic 0/1 sequence) or a StreamDataset,
 whose class codes they read directly. Either way the labels are encoded
 once, as int codes in first-occurrence order (see _encode), and the
 statistics are numpy passes over the codes.
+
+Cold start: the first instance is predicted as its own label, so it
+counts as correct and every label-only bar is (1 + hits) / n. The
+restart kernel in baselines follows the same rule, which is what makes
+its rho = 0 and rho = 1 endpoints equal the majority and persistence
+bars exactly.
 """
 
 import json
@@ -25,13 +31,6 @@ import numpy as np
 
 from .errors import EmptyStream, LagTooLarge, NotBinary, ZeroVariance
 from .stream_io import StreamDataset, write_csv
-
-#: Cold-start policy: predict the first instance's own label (the first
-#: prediction is then always counted correct). Alternative: pass an
-#: explicit label value. Whatever policy is used must be shared across
-#: the baselines for the rho endpoint identities to hold exactly.
-FIRST_LABEL = "first-label"
-
 
 @dataclass(frozen=True)
 class LabelDistribution:
@@ -140,23 +139,14 @@ def independence_bar(dist: LabelDistribution) -> float:
     return math.fsum(f * f for f in dist.frequencies.values())
 
 
-def first_prediction(labels: Sequence, cold_start=FIRST_LABEL):
-    """The prediction for the first instance: an explicit cold_start label
-    value, or under FIRST_LABEL the first instance's own label."""
-    if len(labels) == 0:
-        raise EmptyStream("an empty stream has no first instance")
-    return labels[0] if cold_start == FIRST_LABEL else cold_start
-
-
-def persistence_accuracy(labels: Sequence, cold_start=FIRST_LABEL) -> float:
+def persistence_accuracy(labels: Sequence) -> float:
     """Accuracy of predicting each label as a copy of the previous one,
-    the first instance predicted by first_prediction(labels, cold_start).
-    """
-    codes, classes = _encode(labels)
-    # classes[0] is the first label
-    correct = int(first_prediction(classes, cold_start) == classes[0])
-    correct += int(np.count_nonzero(codes[1:] == codes[:-1]))
-    return correct / len(codes)
+    the first instance predicted as itself."""
+    codes = _encode(labels).codes
+    if len(codes) == 0:
+        raise EmptyStream("an empty stream has no first instance")
+    hits = int(np.count_nonzero(codes[1:] == codes[:-1]))
+    return (1 + hits) / len(codes)
 
 
 def autocorrelation(labels: Sequence, max_lag: int) -> AcfSeries:
@@ -175,6 +165,8 @@ def autocorrelation(labels: Sequence, max_lag: int) -> AcfSeries:
     """
     codes, classes = _encode(labels)
     n = len(codes)
+    if n == 0:
+        raise EmptyStream("cannot compute the ACF of zero labels")
     if len(classes) > 2:
         raise NotBinary(f"{len(classes)} distinct classes; ACF needs 2")
     if len(classes) < 2:
@@ -206,8 +198,7 @@ def run_lengths(labels: Sequence) -> RunLengthStats:
     return RunLengthStats(len(lengths), n / len(lengths), int(lengths.max()))
 
 
-def diagnose(ds_or_labels, max_lag: int = 96,
-             cold_start=FIRST_LABEL) -> DiagnosticsReport:
+def diagnose(ds_or_labels, max_lag: int = 96) -> DiagnosticsReport:
     """Full report: priors, both bars, run lengths and (when computable)
     the ACF. Accepts a StreamDataset or a bare label sequence.
 
@@ -225,7 +216,7 @@ def diagnose(ds_or_labels, max_lag: int = 96,
     return DiagnosticsReport(
         distribution=dist,
         independence_bar=independence_bar(dist),
-        persistence_bar=persistence_accuracy(labels, cold_start=cold_start),
+        persistence_bar=persistence_accuracy(labels),
         run_lengths=run_lengths(labels),
         acf=acf,
         acf_note=note,

@@ -239,8 +239,7 @@ class NaiveBayesLearner(Classifier):
         return self._classes[best_c]
 
 
-def audit_accuracy(subject_accuracy: float, ds_or_labels,
-                   cold_start=diagnostics.FIRST_LABEL) -> AuditVerdict:
+def audit_accuracy(subject_accuracy: float, ds_or_labels) -> AuditVerdict:
     """Grade an accuracy figure against the bars of the given stream."""
     if not 0.0 <= subject_accuracy <= 1.0:
         raise ValueError("subject accuracy must be in [0, 1]")
@@ -250,14 +249,13 @@ def audit_accuracy(subject_accuracy: float, ds_or_labels,
     dist = diagnostics.label_distribution(labels)
     return AuditVerdict(
         subject_accuracy=subject_accuracy,
-        persistence_bar=diagnostics.persistence_accuracy(labels, cold_start),
+        persistence_bar=diagnostics.persistence_accuracy(labels),
         independence_bar=diagnostics.independence_bar(dist),
-        majority_bar=baselines.majority_baseline(labels, cold_start),
+        majority_bar=baselines.majority_baseline(labels),
     )
 
 
-def audit_prediction_log(log: Sequence, ds_labels: Optional[Sequence] = None,
-                         cold_start=diagnostics.FIRST_LABEL):
+def audit_prediction_log(log: Sequence, ds_labels: Optional[Sequence] = None):
     """Audit an externally produced (true, predicted) log.
 
     When ds_labels is supplied the log's true-label column must match it
@@ -278,7 +276,7 @@ def audit_prediction_log(log: Sequence, ds_labels: Optional[Sequence] = None,
                 if a != b:
                     raise LabelMismatch(i, a, b)
     report = _score("prediction-log", log)
-    verdict = audit_accuracy(report.accuracy, true_col, cold_start=cold_start)
+    verdict = audit_accuracy(report.accuracy, true_col)
     return verdict, report
 
 

@@ -41,7 +41,7 @@ def _outputs(seed: int, n: int):
     t = np.empty_like(z)
     with np.errstate(over="ignore"):
         z *= np.uint64(_GOLDEN)
-        z += np.uint64(seed)
+        z += np.uint64(seed & _MASK)
         for shift, mult in ((30, _MIX1), (27, _MIX2)):  # as in mix64
             np.right_shift(z, np.uint64(shift), out=t)
             z ^= t

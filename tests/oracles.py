@@ -16,7 +16,7 @@ import operator
 from itertools import groupby
 
 from streamaudit.baselines import RestartPolicy
-from streamaudit.diagnostics import FIRST_LABEL, AcfSeries, LabelDistribution
+from streamaudit.diagnostics import AcfSeries, LabelDistribution
 from streamaudit.errors import (EmptyStream, LagTooLarge, NotBinary,
                                 ZeroVariance)
 from streamaudit.evaluation import AuditVerdict, Classifier
@@ -24,6 +24,11 @@ from streamaudit.rng import mix64
 
 _MASK = 0xFFFFFFFFFFFFFFFF
 _GOLDEN = 0x9E3779B97F4A7C15
+
+#: Cold start of the label-statistics oracles: predict the first instance
+#: as its own label, the library's one rule. Any other value is predicted
+#: literally.
+FIRST_LABEL = "first-label"
 
 
 class SplitMix64:

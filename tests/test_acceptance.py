@@ -16,7 +16,6 @@ from streamaudit import (RestartPolicy, SweepConfig, Verdict, audit_accuracy,
                          label_distribution, majority_baseline,
                          persistence_accuracy, prequential_eval,
                          random_restart_run, random_restart_trace, rho_sweep)
-from streamaudit.baselines import majority_trace
 from streamaudit.evaluation import NaiveBayesLearner
 
 from test_baselines import (iid_expected_accuracy, oracle_majority_trace,
@@ -116,15 +115,13 @@ def test_c09_oracle_equivalence_on_random_streams():
         labels = [rng.choice("DU") for _ in range(n)]
         rho = rng.random() if rng.random() < 0.8 else rng.choice([0.0, 1.0])
         seed = rng.randrange(2**64)
-        cold = rng.choice("DU")
-        pers_oracle = [cold] + labels[:-1]
-        assert persistence_accuracy(labels, cold_start=cold) == \
+        pers_oracle = labels[:1] + labels[:-1]
+        assert persistence_accuracy(labels) == \
             sum(p == y for p, y in zip(pers_oracle, labels)) / n
-        assert majority_trace(labels, cold_start=cold) == \
-            oracle_majority_trace(labels, cold)
-        assert random_restart_trace(labels, RestartPolicy(rho, seed),
-                                    cold_start=cold) == \
-            oracle_restart_trace(labels, rho, seed, cold)
+        assert random_restart_trace(labels, RestartPolicy(0.0)) == \
+            oracle_majority_trace(labels, labels[0])
+        assert random_restart_trace(labels, RestartPolicy(rho, seed)) == \
+            oracle_restart_trace(labels, rho, seed, labels[0])
 
 
 def test_c10_shuffling_destroys_the_gap(electricity_labels):

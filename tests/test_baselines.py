@@ -19,7 +19,7 @@ from streamaudit import (AttributeSchema, EmptyStream, Instance, InvalidRho,
                          prequential_eval, random_restart_run,
                          random_restart_trace, rho_sweep, to_arff,
                          write_prediction_log)
-from streamaudit.baselines import SweepResult, _CodedStream, majority_trace
+from streamaudit.baselines import SweepResult, _CodedStream
 from streamaudit.rng import uniforms
 from streamaudit.synth import MarkovLabelModel
 
@@ -28,12 +28,13 @@ seeds = st.integers(0, 2**64 - 1)
 
 
 def test_majority_hand_trace():
-    assert majority_trace(list("DUUDDD"), cold_start="D") == list("DDUUDD")
-    assert majority_baseline(list("DUUDDD"), cold_start="D") == pytest.approx(4 / 6)
+    assert random_restart_trace(list("DUUDDD"), RestartPolicy(0.0)) == \
+        list("DDUUDD")
+    assert majority_baseline(list("DUUDDD")) == pytest.approx(4 / 6)
 
 
 def test_majority_constant_stream():
-    assert majority_baseline(list("AAAA"), cold_start="A") == 1.0
+    assert majority_baseline(list("AAAA")) == 1.0
 
 
 def test_empty_stream_rejected():
@@ -51,31 +52,28 @@ def test_invalid_rho():
 
 
 def test_restart_rho1_hand_trace():
-    trace = random_restart_trace(list("DUU"), RestartPolicy(1.0, 99),
-                                 cold_start="D")
+    trace = random_restart_trace(list("DUU"), RestartPolicy(1.0, 99))
     assert trace == ["D", "D", "U"]
-    assert random_restart_run(list("DUU"), RestartPolicy(1.0, 99),
-                              cold_start="D") == pytest.approx(2 / 3)
+    assert random_restart_run(list("DUU"), RestartPolicy(1.0, 99)) == \
+        pytest.approx(2 / 3)
 
 
 @given(label_streams, seeds)
 @settings(max_examples=80, deadline=None)
 def test_endpoint_identities(labels, seed):
     # exact identities for every stream and every seed
-    assert random_restart_run(labels, RestartPolicy(1.0, seed),
-                              cold_start="D") == \
-        persistence_accuracy(labels, cold_start="D")
-    assert random_restart_run(labels, RestartPolicy(0.0, seed),
-                              cold_start="D") == \
-        majority_baseline(labels, cold_start="D")
+    assert random_restart_run(labels, RestartPolicy(1.0, seed)) == \
+        persistence_accuracy(labels)
+    assert random_restart_run(labels, RestartPolicy(0.0, seed)) == \
+        majority_baseline(labels)
 
 
 @given(label_streams, seeds, st.floats(0, 1))
 @settings(max_examples=50, deadline=None)
 def test_restart_determinism(labels, seed, rho):
     policy = RestartPolicy(rho, seed)
-    assert random_restart_run(labels, policy, cold_start="D") == \
-        random_restart_run(labels, policy, cold_start="D")
+    assert random_restart_run(labels, policy) == \
+        random_restart_run(labels, policy)
 
 
 def test_sweep_deterministic_rows_at_rho0():
@@ -145,9 +143,9 @@ def test_strictly_increasing_grid_required():
 def test_trace_rescoring_audit_mode():
     labels = [random.Random(5).choice("DU") for _ in range(200)]
     policy = RestartPolicy(0.3, 77)
-    trace = random_restart_trace(labels, policy, cold_start="D")
+    trace = random_restart_trace(labels, policy)
     rescored = sum(p == y for p, y in zip(trace, labels)) / len(labels)
-    assert rescored == random_restart_run(labels, policy, cold_start="D")
+    assert rescored == random_restart_run(labels, policy)
 
 
 # ---------------------------------------------------------------------------
@@ -209,22 +207,20 @@ def oracle_window_trace(labels, restarts, cold_start):
 
 def test_fast_paths_match_bruteforce_oracle():
     rng = random.Random(20240317)
-    # n = 1 explicitly; cold start "Z" never occurs in the stream
+    # n = 1 explicitly
     for n in [1, 1] + [rng.randrange(1, 50) for _ in range(100)]:
         labels = [rng.choice("DUX") for _ in range(n)]
         rho = rng.choice([0.0, 0.1, 0.5, 0.9, 1.0])
         seed = rng.randrange(2**64)
-        cold = rng.choice("DZ")
-        assert majority_trace(labels, cold_start=cold) == \
-            oracle_majority_trace(labels, cold)
-        assert random_restart_trace(labels, RestartPolicy(rho, seed),
-                                    cold_start=cold) == \
-            oracle_restart_trace(labels, rho, seed, cold)
+        assert random_restart_trace(labels, RestartPolicy(0.0)) == \
+            oracle_majority_trace(labels, labels[0])
+        assert random_restart_trace(labels, RestartPolicy(rho, seed)) == \
+            oracle_restart_trace(labels, rho, seed, labels[0])
 
 
 def test_kernel_matches_oracle_on_1_to_6_classes():
     # round-robin streams tie the window counts at almost every step, so
-    # they exercise the last-seen rule; "Z" is a cold start never seen
+    # they exercise the last-seen rule
     rng = random.Random(20261018)
     cases = [(["A"], 0.0), (["A"], 1.0), (["A", "B"], 0.5), (["B", "B"], 1.0)]
     for _ in range(400):
@@ -239,12 +235,10 @@ def test_kernel_matches_oracle_on_1_to_6_classes():
     cases.append((["C"] * 30, 0.4))
     for labels, rho in cases:
         seed = rng.randrange(2**64)
-        for cold in (labels[0], "Z"):
-            assert majority_trace(labels, cold_start=cold) == \
-                oracle_majority_trace(labels, cold)
-            assert random_restart_trace(labels, RestartPolicy(rho, seed),
-                                        cold_start=cold) == \
-                oracle_restart_trace(labels, rho, seed, cold)
+        assert random_restart_trace(labels, RestartPolicy(0.0)) == \
+            oracle_majority_trace(labels, labels[0])
+        assert random_restart_trace(labels, RestartPolicy(rho, seed)) == \
+            oracle_restart_trace(labels, rho, seed, labels[0])
 
 
 @given(st.data())
@@ -261,9 +255,8 @@ def test_kernel_with_explicit_starts_matches_oracle(data):
     for j in range(n - 1):  # the window for j + 1 starts at the last restart
         s = j if restarts[j] else s
         start.append(s)
-    cold = data.draw(st.sampled_from([labels[0], "Z"]))
-    stream = _CodedStream(labels, cold)
-    expected = oracle_window_trace(labels, iter(restarts), cold)
+    stream = _CodedStream(labels)
+    expected = oracle_window_trace(labels, iter(restarts), labels[0])
     assert stream.trace(np.array(start, dtype=np.int32)) == expected
     if not any(restarts):
         assert stream.trace(None) == expected

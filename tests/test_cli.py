@@ -4,7 +4,11 @@ import json
 import pytest
 from test_baselines import sticky_stream
 
-from streamaudit import diagnose, parse_arff, parse_csv, write_prediction_log
+from streamaudit import (EmptyStream, RestartPolicy, SweepConfig, diagnose,
+                         majority_baseline, parse_arff, parse_csv,
+                         persistence_accuracy, random_restart_run,
+                         random_restart_trace, rho_sweep,
+                         write_prediction_log)
 from streamaudit.cli import main
 from streamaudit.stream_io import write_csv
 
@@ -109,6 +113,33 @@ def test_acf_empty_dataset_exit_2(tmp_path, capsys):
                     "@attribute cls {A,B}\n@data\n")
     code, _, err = run(capsys, ["acf", "--input", str(path), "--max-lag", "10"])
     assert code == 2
+    assert err == "error: cannot compute the ACF of zero labels\n"
+
+
+@pytest.mark.parametrize("entry", [
+    lambda: persistence_accuracy([]),
+    lambda: majority_baseline([]),
+    lambda: random_restart_run([], RestartPolicy(0.5, 1)),
+    lambda: random_restart_trace([], RestartPolicy(0.5, 1)),
+    lambda: rho_sweep([], SweepConfig((0.0, 0.5, 1.0), 2)),
+    ["eval", "--learner", "majority"],
+    ["eval", "--learner", "restart:0.3"],
+    ["sweep", "--grid", "0:1:0.5"],
+], ids=["persistence_accuracy", "majority_baseline", "random_restart_run",
+        "random_restart_trace", "rho_sweep", "eval-majority",
+        "eval-restart", "sweep"])
+def test_empty_stream_has_no_first_instance(tmp_path, capsys, entry):
+    message = "an empty stream has no first instance"
+    if callable(entry):
+        with pytest.raises(EmptyStream, match=f"^{message}$"):
+            entry()
+        return
+    path = tmp_path / "empty.arff"
+    path.write_text("@relation e\n@attribute x numeric\n"
+                    "@attribute cls {A,B}\n@data\n")
+    code, out, err = run(capsys, entry + ["--input", str(path)])
+    assert code == 2 and out == ""
+    assert err.splitlines()[-1] == f"error: {message}"
 
 
 def test_audit_accuracy_json(synth_csv, capsys):
@@ -193,6 +224,23 @@ def test_synth_outputs_are_byte_identical(tmp_path, capsys):
     capsys.readouterr()
     assert a.read_bytes() == b.read_bytes()
     assert a.read_text().splitlines()[0] == "# seed=11"
+
+
+def test_seeds_are_taken_mod_2_64(synth_csv, tmp_path, capsys):
+    for model in (["markov", "--acf1", "0.6"], ["iid"]):
+        labels = []
+        for seed in ("-1", str(2**64 - 1)):
+            path = tmp_path / f"{model[0]}{seed}.csv"
+            code, _, err = run(capsys, ["synth", *model, "--n", "500",
+                                        "--prior", "0.4", "--seed", seed,
+                                        "--out", str(path)])
+            assert code == 0 and err == f"# seed={seed}\n"
+            labels.append(path.read_text().splitlines()[1:])
+        assert labels[0] == labels[1]
+    code, out, err = run(capsys, ["eval", "--input", str(synth_csv),
+                                  "--learner", "restart:0.3", "--seed", "-1"])
+    assert code == 0 and err == "# seed=-1\n"
+    assert json.loads(out)["n"] == 3000
 
 
 def test_synth_arff_output_reingests(tmp_path, capsys):

@@ -13,7 +13,7 @@ from oracles import (oracle_audit, oracle_autocorrelation,
                      oracle_persistence_accuracy, oracle_run_lengths)
 from test_baselines import electricity_shaped, sticky_stream
 
-from streamaudit import (FIRST_LABEL, AttributeSchema, EmptyStream, Instance,
+from streamaudit import (AttributeSchema, EmptyStream, Instance,
                          LagTooLarge, NotBinary, StreamDataset, ZeroVariance,
                          audit_accuracy, autocorrelation, diagnose,
                          gen_iid_labels, gen_markov_labels, independence_bar,
@@ -63,11 +63,11 @@ def test_independence_bar_minimized_by_uniform(labels):
 
 
 def test_persistence_hand_trace():
-    assert persistence_accuracy(list("DUUDDD"), cold_start="D") == pytest.approx(4 / 6)
+    assert persistence_accuracy(list("DUUDDD")) == pytest.approx(4 / 6)
 
 
 def test_persistence_constant_stream():
-    assert persistence_accuracy(list("DDDD"), cold_start="D") == 1.0
+    assert persistence_accuracy(list("DDDD")) == 1.0
 
 
 def test_persistence_empty():
@@ -79,9 +79,8 @@ def test_persistence_empty():
 def test_persistence_equals_one_minus_alternation_rate(labels):
     # oracle: count adjacent equal pairs directly
     alternations = sum(labels[t] != labels[t - 1] for t in range(1, len(labels)))
-    cold_miss = int(labels[0] != "D")
-    expected = 1 - (alternations + cold_miss) / len(labels)
-    assert persistence_accuracy(labels, cold_start="D") == pytest.approx(expected)
+    expected = 1 - alternations / len(labels)
+    assert persistence_accuracy(labels) == pytest.approx(expected)
 
 
 def test_acf_alternating_hand_values():
@@ -222,8 +221,7 @@ def test_acf_csv_export():
 def coded_datasets(draw):
     """A dataset of 1-6 classes whose schema lists its values in another
     order than their first occurrence, maybe with a value that never
-    occurs, and a cold start: the first label, a class, or a value absent
-    from the stream (declared or not)."""
+    occurs."""
     k = draw(st.integers(1, 6))
     alphabet = "ABCDEF"[:k]
     labels = draw(st.lists(st.sampled_from(alphabet), min_size=1,
@@ -233,29 +231,27 @@ def coded_datasets(draw):
     schema = (AttributeSchema("x", None), AttributeSchema("cls", declared))
     ds = StreamDataset(schema, [Instance((0.0,), declared.index(lab))
                                 for lab in labels], 1)
-    cold = draw(st.sampled_from([FIRST_LABEL, "A", "G", "Z"]))
     max_lag = draw(st.integers(1, len(labels) + 1))
-    return ds, labels, cold, max_lag
+    return ds, labels, max_lag
 
 
 @given(coded_datasets(), st.floats(0, 1))
 @settings(max_examples=150, deadline=None)
 def test_bars_from_codes_match_string_oracles(case, accuracy):
-    ds, labels, cold, max_lag = case
+    ds, labels, max_lag = case
     assert ds.labels() == labels
-    expected = oracle_diagnose_json(labels, max_lag, cold)
-    assert diagnose(ds, max_lag, cold).to_json() == expected
-    assert diagnose(ds.labels(), max_lag, cold).to_json() == expected
-    verdict = oracle_audit(accuracy, labels, cold)
-    assert audit_accuracy(accuracy, ds, cold) == verdict
-    assert audit_accuracy(accuracy, labels, cold) == verdict
+    expected = oracle_diagnose_json(labels, max_lag)
+    assert diagnose(ds, max_lag).to_json() == expected
+    assert diagnose(ds.labels(), max_lag).to_json() == expected
+    verdict = oracle_audit(accuracy, labels)
+    assert audit_accuracy(accuracy, ds) == verdict
+    assert audit_accuracy(accuracy, labels) == verdict
     dist = label_distribution(labels)
     assert list(dist.counts.items()) == \
         list(oracle_label_distribution(labels).counts.items())
     stats = run_lengths(labels)
     assert (stats.count, stats.mean, stats.max) == oracle_run_lengths(labels)
-    assert persistence_accuracy(labels, cold) == \
-        oracle_persistence_accuracy(labels, cold)
+    assert persistence_accuracy(labels) == oracle_persistence_accuracy(labels)
 
 
 def test_bars_from_codes_first_label_not_first_declared():
@@ -264,10 +260,8 @@ def test_bars_from_codes_first_label_not_first_declared():
     schema = (AttributeSchema("cls", ("C", "B", "A")),)
     ds = StreamDataset(schema, [Instance((), "CBA".index(lab))
                                 for lab in labels], 0)
-    for cold in (FIRST_LABEL, "C", "Z"):
-        assert diagnose(ds, 3, cold).to_json() == \
-            oracle_diagnose_json(labels, 3, cold)
-        assert audit_accuracy(0.5, ds, cold) == oracle_audit(0.5, labels, cold)
+    assert diagnose(ds, 3).to_json() == oracle_diagnose_json(labels, 3)
+    assert audit_accuracy(0.5, ds) == oracle_audit(0.5, labels)
     priors = json.loads(diagnose(ds, 3).to_json())["class_priors"]
     assert list(priors) == ["A", "C", "B"]
 
@@ -277,7 +271,7 @@ def test_bars_from_codes_first_label_not_first_declared():
 def test_acf_counts_occurring_classes(case):
     # the ACF runs on any stream where two classes occur, whatever the
     # schema declares, and equals the exact oracle
-    ds, labels, _, max_lag = case
+    ds, labels, max_lag = case
     try:
         expected = oracle_autocorrelation(labels, max_lag)
     except (ZeroVariance, NotBinary, LagTooLarge) as exc:

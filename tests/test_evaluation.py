@@ -276,30 +276,28 @@ def test_prequential_is_single_pass_test_then_train():
 def test_wrapped_learners_match_label_only_functions(labels, seed):
     ds = labels_to_dataset([0 if lab == "D" else 1 for lab in labels])
     names = ds.labels()
-    cold = ds.class_values[0]
+    cold = names[0]
     assert prequential_eval(PersistenceLearner(cold), ds).accuracy == \
-        persistence_accuracy(names, cold_start=cold)
+        persistence_accuracy(names)
     assert prequential_eval(MajorityLearner(cold), ds).accuracy == \
-        majority_baseline(names, cold_start=cold)
+        majority_baseline(names)
     rho = (seed % 11) / 10
     assert prequential_eval(RandomRestartLearner(rho, seed, cold), ds).accuracy \
-        == random_restart_run(names, RestartPolicy(rho, seed), cold_start=cold)
+        == random_restart_run(names, RestartPolicy(rho, seed))
 
 
 @given(st.lists(st.sampled_from("ABCD"), min_size=1, max_size=40),
-       st.integers(0, 2**64 - 1), st.floats(0, 1), st.sampled_from("ABCDZ"))
+       st.integers(0, 2**64 - 1), st.floats(0, 1))
 @settings(max_examples=80, deadline=None)
-def test_restart_learner_matches_kernel_on_k_class_streams(labels, seed, rho,
-                                                           cold):
+def test_restart_learner_matches_kernel_on_k_class_streams(labels, seed, rho):
     # the sequential learner and the vectorised kernel are the two restart
-    # implementations; "Z" is a cold start absent from every stream
+    # implementations
     ds = numeric_dataset([(0.0, lab) for lab in labels], "ABCD")
-    report = prequential_eval(RandomRestartLearner(rho, seed, cold), ds)
+    report = prequential_eval(RandomRestartLearner(rho, seed, labels[0]), ds)
     policy = RestartPolicy(rho, seed)
-    trace = random_restart_trace(labels, policy, cold_start=cold)
+    trace = random_restart_trace(labels, policy)
     assert report.correct == sum(p == y for p, y in zip(trace, labels))
-    assert report.accuracy == random_restart_run(labels, policy,
-                                                 cold_start=cold)
+    assert report.accuracy == random_restart_run(labels, policy)
 
 
 def test_confusion_reconstructs_accuracy():

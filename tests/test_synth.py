@@ -13,7 +13,7 @@ from streamaudit.rng import bernoullis, derive_seed, uniforms
 
 
 def test_splitmix_scalar_vector_agree():
-    for seed in (987654321, 0, 2**64 - 1):
+    for seed in (987654321, 0, 2**64 - 1, -1, 2**64, -(2**70)):
         for n in (1000, 0, 1, 2):
             rng = SplitMix64(seed)
             scalar = [rng.random() for _ in range(n)]
