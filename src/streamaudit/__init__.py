@@ -12,9 +12,8 @@ from .diagnostics import (AcfSeries, DiagnosticsReport, LabelDistribution,
                           independence_bar, label_distribution,
                           persistence_accuracy, run_lengths)
 from .errors import (EmptyLog, EmptyStream, InvalidModel, InvalidRho,
-                     LabelMismatch, LagTooLarge, NotBinary, ParseError,
-                     SchemaMismatch, StreamAuditError, UnsupportedFeature,
-                     ZeroVariance)
+                     LabelMismatch, LagTooLarge, ParseError, SchemaMismatch,
+                     StreamAuditError, UnsupportedFeature, ZeroVariance)
 from .evaluation import (AuditVerdict, Classifier, EvalReport,
                          NaiveBayesLearner, Verdict, audit_accuracy,
                          audit_prediction_log, prequential_eval,

@@ -110,7 +110,8 @@ def build_parser():
     p.add_argument("--assert-above-bar", action="store_true",
                    help="exit 3 unless the verdict is AbovePersistence")
 
-    p = sub.add_parser("acf", help="label autocorrelation series as CSV")
+    p = sub.add_parser("acf", help="label autocorrelation series as CSV, "
+                                   "any number of classes")
     add_input(p)
     p.add_argument("--max-lag", type=_positive_int, required=True)
     p.add_argument("--out", default=None, help="output CSV (default stdout)")

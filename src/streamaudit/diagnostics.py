@@ -11,9 +11,9 @@ The central quantities:
 
 All functions take a plain ordered sequence of hashable labels (such as
 StreamDataset.labels() or a synthetic 0/1 sequence) or a StreamDataset,
-whose class codes they read directly. Either way the labels are encoded
-once, as int codes in first-occurrence order (see _encode), and the
-statistics are numpy passes over the codes.
+whose class codes they read directly, with any number of classes.
+Either way the labels are encoded once, as int codes in first-occurrence
+order (see _encode), and the statistics are numpy passes over the codes.
 
 Cold start: the first instance is predicted as its own label, so it
 counts as correct and every label-only bar is (1 + hits) / n. The
@@ -29,7 +29,7 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .errors import EmptyStream, LagTooLarge, NotBinary, ZeroVariance
+from .errors import EmptyStream, LagTooLarge, ZeroVariance
 from .stream_io import StreamDataset, write_csv
 
 @dataclass(frozen=True)
@@ -150,25 +150,29 @@ def persistence_accuracy(labels: Sequence) -> float:
 
 
 def autocorrelation(labels: Sequence, max_lag: int) -> AcfSeries:
-    """Sample autocorrelation of a binary label sequence at lags 1..max_lag,
-    x_t = 1 for one class and 0 for the other (r(k) does not depend on
-    which), with the standard full-series-variance normalization:
+    """Sample autocorrelation at lags 1..max_lag of a label sequence with
+    any number of classes: the one-hot indicator series of the classes
+    that occur, pooled, with the full-series variance normalization,
 
-        r(k) = sum_{t=1..n-k} (x_t - mean)(x_{t+k} - mean)
-               / sum_{t=1..n} (x_t - mean)^2
-             = (n^2 C_k - n S (P[n-k] + S - P[k]) + (n-k) S^2) / (n S (n-S))
+        r(k) = sum_c sum_{t=1..n-k} (b^c_t - m_c)(b^c_{t+k} - m_c)
+               / sum_c sum_{t=1..n} (b^c_t - m_c)^2
+             = (n^2 E_k - n (2Q - H_k - T_k) + (n-k) Q) / (n (n^2 - Q))
 
-    where S counts the ones, P[j] the ones among the first j labels and C_k
-    the pairs of ones k apart. It is evaluated in Python ints with one
-    division, so each value is the exact ratio correctly rounded, the same
-    on every platform.
+    where b^c_t = 1 when x_t = c, S_c counts class c, m_c = S_c / n,
+    Q = sum_c S_c^2, E_k counts the equal labels k apart, and H_k and T_k
+    sum S[x_t] over the first and the last k labels. Two classes' series
+    share one autocovariance, so a binary r(k) is either series' ACF.
+    Each value is one division of Python ints: the exact ratio correctly
+    rounded, the same on every platform.
+
+    At lag 1, with P the persistence bar and I = Q / n^2 the independence
+    bar, r(1) = (P - I - (1 + I)/n + (S[x_1] + S[x_n])/n^2) / (1 - I)
+    exactly, so r(1) is (P - I) / (1 - I) to within 2 / (n (1 - I)).
     """
     codes, classes = _encode(labels)
     n = len(codes)
     if n == 0:
         raise EmptyStream("cannot compute the ACF of zero labels")
-    if len(classes) > 2:
-        raise NotBinary(f"{len(classes)} distinct classes; ACF needs 2")
     if len(classes) < 2:
         raise ZeroVariance("only one class occurs; ACF undefined")
     if max_lag < 1:
@@ -176,13 +180,13 @@ def autocorrelation(labels: Sequence, max_lag: int) -> AcfSeries:
     if max_lag >= n:
         raise LagTooLarge(f"max_lag {max_lag} >= stream length {n}")
 
-    ones = codes == 1
-    s = int(np.count_nonzero(ones))
-    head = np.cumsum(ones[:max_lag]).tolist()  # P[k] = head[k-1]
-    tail = np.cumsum(ones[::-1][:max_lag]).tolist()  # S - P[n-k] = tail[k-1]
-    values = tuple((n * n * int(np.count_nonzero(ones[:-k] & ones[k:]))
-                    - n * s * (2 * s - head[k - 1] - tail[k - 1])
-                    + (n - k) * s * s) / (n * s * (n - s))
+    counts = np.bincount(codes)
+    q = sum(s * s for s in counts.tolist())
+    head = np.cumsum(counts.take(codes[:max_lag])).tolist()  # H_k = head[k-1]
+    tail = np.cumsum(counts.take(codes[::-1][:max_lag])).tolist()  # T_k
+    values = tuple((n * n * int(np.count_nonzero(codes[:-k] == codes[k:]))
+                    - n * (2 * q - head[k - 1] - tail[k - 1])
+                    + (n - k) * q) / (n * (n * n - q))
                    for k in range(1, max_lag + 1))
     return AcfSeries(tuple(range(1, max_lag + 1)), values)
 
@@ -202,16 +206,15 @@ def diagnose(ds_or_labels, max_lag: int = 96) -> DiagnosticsReport:
     """Full report: priors, both bars, run lengths and (when computable)
     the ACF. Accepts a StreamDataset or a bare label sequence.
 
-    When the ACF is not computable (single class, more than two classes,
-    or too short a stream for max_lag) the report carries acf=None and a
-    note instead of failing.
+    When the ACF is undefined (one class, or max_lag >= n) the report
+    carries acf=None and a note instead of failing.
     """
     labels = _encode(ds_or_labels)
     dist = label_distribution(labels)
     acf = note = None
     try:
         acf = autocorrelation(labels, max_lag)
-    except (ZeroVariance, NotBinary, LagTooLarge) as exc:
+    except (ZeroVariance, LagTooLarge) as exc:
         note = str(exc)
     return DiagnosticsReport(
         distribution=dist,

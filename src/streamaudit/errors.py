@@ -37,10 +37,6 @@ class ZeroVariance(StreamAuditError):
     """Autocorrelation is undefined: only one class occurs."""
 
 
-class NotBinary(StreamAuditError):
-    """Autocorrelation requires exactly two distinct classes."""
-
-
 class LagTooLarge(StreamAuditError):
     """Requested max_lag is not smaller than the stream length."""
 

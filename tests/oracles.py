@@ -6,7 +6,7 @@ against.
   learner: the per-instance form of baselines' restart kernel and of
   rng.uniforms.
 * The label statistics on plain label sequences, one Python step per
-  label: distribution, persistence, run lengths and the binary ACF, and
+  label: distribution, persistence, run lengths and the k-class ACF, and
   the diagnose report and audit verdict built from them.
 """
 
@@ -17,8 +17,7 @@ from itertools import groupby
 
 from streamaudit.baselines import RestartPolicy
 from streamaudit.diagnostics import AcfSeries, LabelDistribution
-from streamaudit.errors import (EmptyStream, LagTooLarge, NotBinary,
-                                ZeroVariance)
+from streamaudit.errors import EmptyStream, LagTooLarge, ZeroVariance
 from streamaudit.evaluation import AuditVerdict, Classifier
 from streamaudit.rng import mix64
 
@@ -133,14 +132,13 @@ def oracle_persistence_accuracy(labels, cold_start=FIRST_LABEL) -> float:
 
 
 def oracle_autocorrelation(labels, max_lag) -> AcfSeries:
-    """The binary ACF from its definition, exactly: with b_t = 1 for the
-    first label's class (the library encodes the other class 1), S the
-    number of ones and d_t = n b_t - S, r(k) = sum_t d_t d_{t+k} /
-    sum_t d_t^2 in Python ints, one correctly rounded division per lag."""
+    """The ACF pooled over the one-hot series of every class, from its
+    definition, exactly: per class c, with b_t = 1 when label t is c, S_c
+    the count of c and d_t = n b_t - S_c, r(k) = sum_c sum_t d_t d_{t+k} /
+    sum_c sum_t d_t^2 in Python ints, one correctly rounded division per
+    lag."""
     n = len(labels)
     classes = list(dict.fromkeys(labels))
-    if len(classes) > 2:
-        raise NotBinary(f"{len(classes)} distinct classes; ACF needs 2")
     if len(classes) < 2:
         raise ZeroVariance("only one class occurs; ACF undefined")
     if max_lag < 1:
@@ -148,13 +146,17 @@ def oracle_autocorrelation(labels, max_lag) -> AcfSeries:
     if max_lag >= n:
         raise LagTooLarge(f"max_lag {max_lag} >= stream length {n}")
 
-    b = [int(lab == classes[0]) for lab in labels]
-    s = sum(b)
-    d = [n * x - s for x in b]
-    denom = sum(x * x for x in d)
-    values = tuple(sum(map(operator.mul, d[:-k], d[k:])) / denom
-                   for k in range(1, max_lag + 1))
-    return AcfSeries(tuple(range(1, max_lag + 1)), values)
+    covs = [0] * max_lag
+    var = 0
+    for c in classes:
+        b = [int(lab == c) for lab in labels]
+        s = sum(b)
+        d = [n * x - s for x in b]
+        var += sum(x * x for x in d)
+        for k in range(1, max_lag + 1):
+            covs[k - 1] += sum(map(operator.mul, d[:-k], d[k:]))
+    return AcfSeries(tuple(range(1, max_lag + 1)),
+                     tuple(cov / var for cov in covs))
 
 
 def oracle_run_lengths(labels) -> tuple:
@@ -190,7 +192,7 @@ def oracle_diagnose_json(labels, max_lag=96, cold_start=FIRST_LABEL) -> str:
     }
     try:
         doc["acf"] = list(oracle_autocorrelation(labels, max_lag).values)
-    except (ZeroVariance, NotBinary, LagTooLarge) as exc:
+    except (ZeroVariance, LagTooLarge) as exc:
         doc["acf_note"] = str(exc)
     return json.dumps(doc, indent=2)
 

@@ -2,6 +2,7 @@ import hashlib
 import json
 
 import pytest
+from oracles import oracle_autocorrelation
 from test_baselines import sticky_stream
 
 from streamaudit import (EmptyStream, RestartPolicy, SweepConfig, diagnose,
@@ -379,7 +380,7 @@ def test_eval_json_golden_sha256(eval_inputs, capsys, stream, learner,
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
-# `acf` on a binary stream whose class attribute declares a third value
+# `acf` counts the classes that occur, however many
 
 def test_acf_binary_stream_with_a_declared_absent_class(tmp_path, capsys):
     labels = list("AABBBABAABBBAAAB")
@@ -393,14 +394,14 @@ def test_acf_binary_stream_with_a_declared_absent_class(tmp_path, capsys):
     assert out == acf.to_csv()
 
 
-def test_acf_three_class_stream_still_not_binary(tmp_path, capsys):
+def test_acf_three_class_stream_prints_the_oracle_csv(tmp_path, capsys):
     path = tmp_path / "abc.arff"
     path.write_text("@relation r\n@attribute class {A,B,C}\n@data\n"
                     + "\n".join("AABBCCAB") + "\n")
     code, out, err = run(capsys, ["acf", "--input", str(path),
                                   "--max-lag", "2"])
-    assert code == 2 and out == ""
-    assert err == "error: 3 distinct classes; ACF needs 2\n"
+    assert code == 0 and err == ""
+    assert out == oracle_autocorrelation(list("AABBCCAB"), 2).to_csv()
 
 
 # byte-identity gate for `audit --predictions`: sha256 of its JSON,

@@ -2,6 +2,8 @@ import hashlib
 import json
 import math
 import random
+from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -14,7 +16,7 @@ from oracles import (oracle_audit, oracle_autocorrelation,
 from test_baselines import electricity_shaped, sticky_stream
 
 from streamaudit import (AttributeSchema, EmptyStream, Instance,
-                         LagTooLarge, NotBinary, StreamDataset, ZeroVariance,
+                         LagTooLarge, StreamDataset, ZeroVariance,
                          audit_accuracy, autocorrelation, diagnose,
                          gen_iid_labels, gen_markov_labels, independence_bar,
                          label_distribution, parse_arff, parse_csv,
@@ -92,8 +94,8 @@ def test_acf_alternating_hand_values():
 def test_acf_errors():
     with pytest.raises(ZeroVariance):
         autocorrelation(list("DDDD"), 2)
-    with pytest.raises(NotBinary):
-        autocorrelation(list("ABCA"), 2)
+    three = list("ABCA")
+    assert autocorrelation(three, 2) == oracle_autocorrelation(three, 2)
     with pytest.raises(LagTooLarge):
         autocorrelation(list("UDUD"), 4)
 
@@ -106,6 +108,10 @@ def test_acf_encoding_invariance():
     assert autocorrelation(["UD"[lab == "U"] for lab in labels], 3) == a
     codes, classes = _encode(labels)
     assert autocorrelation(_Codes(1 - codes, classes[::-1]), 3) == a
+    # and with three classes, under a renaming of the codes
+    codes, classes = _encode(list("AABCCBAACBBBCA"))
+    a = autocorrelation(_Codes(codes, classes), 4)
+    assert autocorrelation(_Codes(2 - codes, classes), 4) == a
 
 
 def acf_bruteforce(xs, k):
@@ -269,12 +275,12 @@ def test_bars_from_codes_first_label_not_first_declared():
 @given(coded_datasets())
 @settings(max_examples=150, deadline=None)
 def test_acf_counts_occurring_classes(case):
-    # the ACF runs on any stream where two classes occur, whatever the
-    # schema declares, and equals the exact oracle
+    # the ACF runs on any stream where at least two classes occur, however
+    # many and whatever the schema declares, and equals the exact oracle
     ds, labels, max_lag = case
     try:
         expected = oracle_autocorrelation(labels, max_lag)
-    except (ZeroVariance, NotBinary, LagTooLarge) as exc:
+    except (ZeroVariance, LagTooLarge) as exc:
         with pytest.raises(type(exc), match=str(exc)):
             autocorrelation(labels, max_lag)
         return
@@ -282,12 +288,30 @@ def test_acf_counts_occurring_classes(case):
     assert autocorrelation(ds, max_lag) == expected
 
 
-# golden sha256 of diagnose(...).to_json(), computed before the bars were
-# read from class codes: a 3-class CSV (declared in first-occurrence
-# order), a 3-class ARFF declared {A,B,C} whose first label is C, and a
-# binary ARFF declared {D,U} whose first label is U. The binary digest is
-# the exact ACF's: n = 3,001 is no power of two, so a float ACF's last
-# digits would follow the BLAS summation order.
+@given(st.lists(st.sampled_from("ABCDE"), min_size=2, max_size=80)
+       .filter(lambda labels: len(set(labels)) > 1))
+@settings(max_examples=150, deadline=None)
+def test_acf_lag1_identity(labels):
+    # r(1) = (P - I - (1 + I)/n + (S[x_1] + S[x_n])/n^2) / (1 - I) exactly,
+    # with P the persistence bar and I the independence bar as fractions
+    n = len(labels)
+    counts = Counter(labels)
+    hits = sum(a == b for a, b in zip(labels, labels[1:]))
+    p = Fraction(1 + hits, n)
+    i = Fraction(sum(s * s for s in counts.values()), n * n)
+    r1 = (p - i - (1 + i) / n
+          + Fraction(counts[labels[0]] + counts[labels[-1]], n * n)) / (1 - i)
+    assert autocorrelation(labels, 1)[1] == float(r1)
+    assert persistence_accuracy(labels) == float(p)
+    assert abs(r1 - (p - i) / (1 - i)) <= Fraction(2, n) / (1 - i)
+
+
+# golden sha256 of diagnose(...).to_json(), each report first checked
+# against the oracle's: a 3-class CSV (declared in first-occurrence order),
+# a 3-class ARFF declared {A,B,C} whose first label is C, and a binary ARFF
+# declared {D,U} whose first label is U. The digests are the exact ACF's:
+# n = 3,000 and 3,001 are no powers of two, so a float ACF's last digits
+# would follow the BLAS summation order.
 
 def _arff(path, values, labels):
     path.write_text(f"@relation r\n@attribute cls {{{','.join(values)}}}\n"
@@ -297,9 +321,9 @@ def _arff(path, values, labels):
 
 @pytest.mark.parametrize("stream, digest", [
     ("sticky-3class-csv",
-     "c93def93e064cbb40ad297d502172767bbacb577f20b8282a73d779543f6d485"),
+     "89cb0a4dc80b12b9f12cc8d8eafb016fe7a86a4a151e50a5fd6dbb3e6bf79814"),
     ("sticky-3class-arff-CBA",
-     "afb97b1c25e562a9771fb490f702a6ca83d509c2006957901d4c7e7b4a2f88f6"),
+     "58edc52260ad2f4a912739f692f353af0cefa54c2fbbaa45eb2d71a77a288f45"),
     ("markov-arff-UD",
      "62e890229da9e23d8b0e4ae96e8d7c38790889f0c5d5b048803060413a52b955"),
 ])
@@ -317,4 +341,5 @@ def test_diagnose_json_golden_sha256(tmp_path, stream, digest):
         ds = _arff(tmp_path / "m.arff", "DU",
                    ["U"] + ["DU"[c] for c in codes])
     text = diagnose(ds).to_json()
+    assert text == oracle_diagnose_json(ds.labels())
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
