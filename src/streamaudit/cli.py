@@ -64,16 +64,21 @@ def _parse_grid(text):
     return tuple(grid)
 
 
-def _load_dataset(path, fmt=None):
+def _load_dataset(path, fmt=None, class_only=False):
+    """The dataset at path ('-' for stdin). With class_only a CSV's class
+    column is the only one read; an ARFF is read whole, since its feature
+    values are checked against their declared types."""
     if fmt is None:
         if path == "-":
             fmt = "arff"
         else:
             fmt = "csv" if path.lower().endswith(".csv") else "arff"
-    parse = stream_io.parse_arff if fmt == "arff" else stream_io.parse_csv
-    if path == "-":
-        return parse(sys.stdin)
-    return parse(path)
+    source = sys.stdin if path == "-" else path
+    if fmt == "arff":
+        return stream_io.parse_arff(source)
+    if class_only:
+        return stream_io._read_csv(source, class_only=True)
+    return stream_io.parse_csv(source)
 
 
 def _write(path, text):
@@ -176,7 +181,7 @@ def _cmd_summary(args):
 def _cmd_audit(args):
     if (args.accuracy is None) == (args.predictions is None):
         raise _UsageError("give exactly one of --accuracy or --predictions")
-    ds = _load_dataset(args.input, args.format)
+    ds = _load_dataset(args.input, args.format, class_only=True)
     if args.predictions is not None:
         log = evaluation.read_prediction_log(args.predictions)
         verdict, report = evaluation.audit_prediction_log(log, ds.labels())
@@ -193,14 +198,14 @@ def _cmd_audit(args):
 
 
 def _cmd_acf(args):
-    ds = _load_dataset(args.input, args.format)
+    ds = _load_dataset(args.input, args.format, class_only=True)
     series = diagnostics.autocorrelation(ds, args.max_lag)
     _write(args.out, series.to_csv())
     return EXIT_OK
 
 
 def _cmd_sweep(args):
-    ds = _load_dataset(args.input, args.format)
+    ds = _load_dataset(args.input, args.format, class_only=True)
     config = baselines.SweepConfig(args.grid, args.reps, args.seed)
     print(f"# seed={args.seed}", file=sys.stderr)
     result = baselines.rho_sweep(ds, config)
@@ -228,7 +233,7 @@ def _cmd_synth(args):
 
 def _cmd_eval(args):
     rho = _learner_rho(args.learner)
-    ds = _load_dataset(args.input, args.format)
+    ds = _load_dataset(args.input, args.format, class_only=rho is not None)
     if rho is None:
         report = evaluation.prequential_eval(
             evaluation.NaiveBayesLearner(ds), ds)

@@ -26,7 +26,7 @@ from typing import Optional, Sequence
 from . import baselines, diagnostics
 from .errors import (EmptyLog, EmptyStream, LabelMismatch, ParseError,
                      SchemaMismatch)
-from .stream_io import StreamDataset, write_csv
+from .stream_io import StreamDataset, _utf8, write_csv
 
 
 class Classifier:
@@ -280,29 +280,35 @@ def audit_prediction_log(log: Sequence, ds_labels: Optional[Sequence] = None):
     return verdict, report
 
 
+@_utf8
 def read_prediction_log(source) -> list:
     """Read a 'true,predicted' CSV (header required) into (true, pred) pairs.
 
     Header cells may be padded with whitespace; data cells are read
     verbatim, so labels keep their leading and trailing spaces. Equal
     pairs are one shared tuple, so a k-class log holds at most k * k.
+    A csv.reader error and input that is not UTF-8 are ParseErrors.
     """
     if isinstance(source, str):
         with open(source, "r", encoding="utf-8", newline="") as fh:
             return read_prediction_log(fh)
     reader = csv.reader(source)
-    header = next(filter(None, reader), None)  # the first non-blank row
-    if header is None or [c.strip() for c in header] != ["true", "predicted"]:
-        raise EmptyLog("expected a CSV with header 'true,predicted'")
     log = []
     pairs = {}
-    for row in reader:
-        if len(row) == 2:
-            pair = tuple(row)
-            log.append(pairs.setdefault(pair, pair))
-        elif row:
-            raise ParseError(f"row has {len(row)} cells, expected 2",
-                             line=reader.line_num)
+    try:
+        header = next(filter(None, reader), None)  # the first non-blank row
+        if header is None or \
+                [c.strip() for c in header] != ["true", "predicted"]:
+            raise EmptyLog("expected a CSV with header 'true,predicted'")
+        for row in reader:
+            if len(row) == 2:
+                pair = tuple(row)
+                log.append(pairs.setdefault(pair, pair))
+            elif row:
+                raise ParseError(f"row has {len(row)} cells, expected 2",
+                                 line=reader.line_num)
+    except csv.Error as exc:
+        raise ParseError(str(exc), line=reader.line_num) from None
     return log
 
 

@@ -27,7 +27,12 @@ Only the text of earlier blocks is kept, while a column that has parsed
 as numbers so far may still turn nominal. Errors come in the order of a
 whole-file read: csv.reader's own, the first ragged or empty-cell record,
 a bad class column, a header without data rows. A negative class column
-counts from the end, as a negative ARFF class index does.
+counts from the end, as a negative ARFF class index does. The read that
+the CLI's label-only commands use runs the same block loop but converts
+only the class column: every other cell is only checked for blanks, and
+no block text is kept.
+
+A csv.reader error and input that is not UTF-8 are raised as ParseError.
 """
 
 import csv
@@ -56,6 +61,9 @@ _TOKEN = re.compile(rf"\s*(?:{_QUOTED})\s*(?=,|\Z)|[^,]*", re.DOTALL)
 _NAME = re.compile(rf"{_QUOTED}|[^\s'\"]\S*", re.DOTALL)
 _ESCAPE = re.compile(r"\\(.)", re.DOTALL)
 _ESCAPED = {"t": "\t", "n": "\n", "r": "\r"}
+# a blank cell in a block's comma-joined text with a comma put at each end;
+# \s is the whitespace str.strip() strips
+_BLANK = re.compile(r",\s*,")
 
 
 @dataclass(frozen=True)
@@ -193,6 +201,29 @@ class StreamDataset:
         return [a for i, a in enumerate(self.schema) if i != self.class_index]
 
 
+def _utf8(read):
+    """read, raising a ParseError for input that does not decode."""
+    @functools.wraps(read)
+    def wrapper(source, *args, **kwargs):
+        try:
+            return read(source, *args, **kwargs)
+        except UnicodeDecodeError as exc:
+            name = getattr(source, "name", "input")
+            raise ParseError(f"{name} is not {exc.encoding.upper()} text"
+                             ) from None
+    return wrapper
+
+
+def _concatenate(parts: list) -> list:
+    """One array per column from its list of parts; each list is emptied
+    once its column is built, so at most one column is held twice."""
+    columns = []
+    for column in parts:
+        columns.append(np.concatenate(column))
+        column.clear()
+    return columns
+
+
 def _class_position(schema: tuple, class_index: int) -> int:
     """class_index counted from the front; the class must be nominal."""
     if not -len(schema) <= class_index < len(schema):
@@ -328,6 +359,7 @@ def _convert_block(schema: list, rows: list, line_nos: list,
     return _convert_rows(schema, rows, line_nos)
 
 
+@_utf8
 def parse_arff(source: Union[str, TextIO], class_index: Optional[int] = None
                ) -> StreamDataset:
     """Parse a dense-format ARFF text stream into a StreamDataset.
@@ -373,7 +405,7 @@ def parse_arff(source: Union[str, TextIO], class_index: Optional[int] = None
     cls = class_index if class_index is not None else m - 1
     convert = -m <= cls < m and schema[cls].is_nominal
     failure = None  # first conversion error, raised once the file is checked
-    blocks = []  # per block, one array per attribute
+    parts = [[] for _ in schema]  # per attribute, one array per block
     while True:
         block = list(itertools.islice(lines, BLOCK_LINES))
         if not block:
@@ -396,7 +428,9 @@ def parse_arff(source: Union[str, TextIO], class_index: Optional[int] = None
             line_nos.append(line_no)
         if convert and failure is None and rows:
             try:
-                blocks.append(_convert_block(schema, rows, line_nos, quoted))
+                for column, part in zip(parts, _convert_block(
+                        schema, rows, line_nos, quoted)):
+                    column.append(part)
             except (ParseError, UnsupportedFeature) as exc:
                 failure = exc
 
@@ -406,7 +440,7 @@ def parse_arff(source: Union[str, TextIO], class_index: Optional[int] = None
         raise ParseError(f"class attribute {schema[cls].name!r} is not nominal")
     if failure is not None:
         raise failure
-    columns = [np.concatenate(parts) for parts in zip(*blocks)] if blocks \
+    columns = _concatenate(parts) if parts[0] \
         else [np.empty(0, _dtype(attr)) for attr in schema]
     return StreamDataset._from_columns(schema, columns, cls)
 
@@ -441,13 +475,24 @@ def _csv_blocks(source):
         else:
             yield range(start, start + len(records)), records, True
         start += len(records)
-    reader = csv.reader(itertools.chain(block, lines))
+    reader = _csv_records(itertools.chain(block, lines), start)
     while True:
         records = list(itertools.islice(reader, BLOCK_LINES))
         if not records:
             return
         yield (*kept(records, operator.itemgetter(0)), False)
         start += len(records)
+
+
+def _csv_records(lines, first: int):
+    """csv.reader's records of the lines, numbered from first; its errors
+    are raised as ParseError naming the record."""
+    no = first - 1
+    try:
+        for no, record in enumerate(csv.reader(lines), first):
+            yield record
+    except csv.Error as exc:
+        raise ParseError(str(exc), line=no + 1) from None
 
 
 def _cells(block) -> list:
@@ -485,19 +530,25 @@ class _CsvColumns:
     from the start, it is int32 codes of its values by first occurrence.
     The blocks are kept while a column may still turn nominal, because it
     then recodes its earlier cells from their text: '3' and '3.0' are two
-    nominal values."""
+    nominal values. With class_only, the class column is the only one
+    converted: the other cells are only checked for blanks."""
 
-    def __init__(self, n_cols: int, nominal: Optional[int]):
+    def __init__(self, n_cols: int, nominal: Optional[int], class_only: bool):
         # per column None (numeric so far) or its value -> code dict
         self.values = [{} if j == nominal else None for j in range(n_cols)]
         self.parts = [[] for _ in range(n_cols)]
         self.blocks = []
+        self.converted = [j for j in range(n_cols)
+                          if not class_only or j == nominal]
 
     def add(self, block) -> bool:
         """Convert one block (see _cells); False if it holds a blank cell."""
         m = len(self.values)
+        if len(self.converted) < m and _has_blank(block):
+            return False
         cells = _cells(block)
-        for j, values in enumerate(self.values):
+        for j in self.converted:
+            values = self.values[j]
             tokens = cells[j::m]
             if values is None:
                 part = _floats(tokens)
@@ -510,18 +561,27 @@ class _CsvColumns:
                 if part is None:
                     return False
             self.parts[j].append(part)
-        if None in self.values:
+        if any(self.values[j] is None for j in self.converted):
             self.blocks.append(block)
         else:
             self.blocks.clear()
         return True
 
     def dataset(self, header: list, cls: int) -> StreamDataset:
-        schema = [AttributeSchema(name, None if values is None
-                                  else tuple(values))
-                  for name, values in zip(header, self.values)]
-        columns = [np.concatenate(parts) for parts in self.parts]
-        return StreamDataset._from_columns(schema, columns, cls)
+        self.blocks.clear()
+        schema = [AttributeSchema(header[j], None if self.values[j] is None
+                                  else tuple(self.values[j]))
+                  for j in self.converted]
+        columns = _concatenate([self.parts[j] for j in self.converted])
+        return StreamDataset._from_columns(schema, columns,
+                                           self.converted.index(cls))
+
+
+def _has_blank(block) -> bool:
+    """Whether a block (see _cells) holds a cell that str.strip() empties."""
+    if isinstance(block, str):
+        return _BLANK.search(f",{block},") is not None
+    return not all(map(str.strip, block))
 
 
 def _first_bad_record(nos, records, split: bool, n_cols: int):
@@ -562,13 +622,25 @@ def parse_csv(source: Union[str, TextIO], has_header: bool = True,
     The source is read and converted BLOCK_LINES records at a time, split
     at commas until a block holds a '"' and read by csv.reader from there
     on (see the module docstring). Errors come in this order: csv.reader's
-    own, the first ragged or empty-cell record in the file, a bad class
-    column, a header without data rows. Line numbers count records, as
-    csv.reader does.
+    own (a ParseError naming the record), the first ragged or empty-cell
+    record in the file, a bad class column, a header without data rows.
+    Line numbers count records, as csv.reader does. Input that is not
+    UTF-8 is a ParseError too.
+    """
+    return _read_csv(source, has_header, class_column, class_only=False)
+
+
+@_utf8
+def _read_csv(source: Union[str, TextIO], has_header: bool = True,
+              class_column: Union[int, str, None] = None,
+              class_only: bool = False) -> StreamDataset:
+    """parse_csv; with class_only, its dataset reduced to the class
+    attribute, for callers that need only the labels. Every other cell is
+    checked only for blanks, and the errors are parse_csv's, in its order.
     """
     if isinstance(source, str):
         with open(source, "r", encoding="utf-8", newline="") as fh:
-            return parse_csv(fh, has_header=has_header, class_column=class_column)
+            return _read_csv(fh, has_header, class_column, class_only)
 
     header = None
     failure = None  # the first ragged or empty-cell record
@@ -582,10 +654,10 @@ def parse_csv(source: Union[str, TextIO], has_header: bool = True,
             else:
                 header = [f"col{i}" for i in range(n_cols)]
             try:
-                columns = _CsvColumns(n_cols, _class_column(header,
-                                                            class_column))
+                nominal = _class_column(header, class_column)
             except ParseError:  # raised once the whole file is checked
-                columns = _CsvColumns(n_cols, None)
+                nominal = None
+            columns = _CsvColumns(n_cols, nominal, class_only)
         if failure is not None or not records:
             continue
         if split:

@@ -1,9 +1,11 @@
+import csv
 import hashlib
 import json
 
 import pytest
 from oracles import oracle_autocorrelation
 from test_baselines import sticky_stream
+from test_stream_io import multiclass_csv
 
 from streamaudit import (EmptyStream, RestartPolicy, SweepConfig, diagnose,
                          majority_baseline, parse_arff, parse_csv,
@@ -436,3 +438,105 @@ def test_assert_above_bar_fails_below_majority(tmp_path, capsys):
                                 "0.5341", "--assert-above-bar"])
     assert code == 3
     assert json.loads(out)["verdict"] == "BelowMajority"
+
+
+# byte-identity gate for the commands that read only a CSV's class column:
+# sha256 of their stdout on a 9-column CSV with a nominal feature, computed
+# while they parsed every column
+
+@pytest.fixture()
+def nine_column_csv(tmp_path):
+    path = tmp_path / "multi.csv"
+    path.write_text(multiclass_csv(n=3000, seed=11), encoding="utf-8")
+    labels = parse_csv(str(path)).labels()
+    log = tmp_path / "log.csv"
+    log.write_text(write_prediction_log(list(zip(
+        labels, sticky_stream(len(labels), ("low", "mid", "high"), 0.9, 3)))))
+    return path, log
+
+
+@pytest.mark.parametrize("argv, err, digest", [
+    (["audit", "--accuracy", "0.886"], "",
+     "163f867fcbdcc2663d57542410e74d123027b05edb847a4adb73f4aa51449383"),
+    (["audit", "--predictions", "LOG"], "",
+     "d58865cfebdc779eec5a48fec60a60cce70e6d12de22ae75d8c217ddd951fbbb"),
+    (["acf", "--max-lag", "96"], "",
+     "0339494faae80fbced7029dca824b82d96c498ab5aef9969052a81aa2d0c3365"),
+    (["sweep", "--grid", "0:1:0.25", "--reps", "3", "--seed", "7"],
+     "# seed=7\n",
+     "d1459bd72262e789698edc90d3ebb7ae7b828251ef8470e30dfbd2f580cd45b9"),
+    (["eval", "--learner", "restart:0.5", "--seed", "7"], "# seed=7\n",
+     "0c525bfa1950727426f9e1ad00b02bf1879ec3cd3948e486bdca3424cc8accc3"),
+], ids=["audit-accuracy", "audit-predictions", "acf", "sweep",
+        "eval-restart"])
+def test_label_commands_on_a_nine_column_csv_golden_sha256(
+        nine_column_csv, capsys, argv, err, digest):
+    path, log = nine_column_csv
+    argv = [argv[0], "--input", str(path)] + \
+        [str(log) if a == "LOG" else a for a in argv[1:]]
+    code, out, got_err = run(capsys, argv)
+    assert (code, got_err) == (0, err)
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+# the label-only commands read a CSV's class column alone, yet fail on a
+# faulty CSV exactly as `summary`, which reads every column, does
+
+LABEL_COMMANDS = [["audit", "--accuracy", "0.9"], ["acf", "--max-lag", "1"],
+                  ["sweep", "--grid", "0:1:0.5", "--reps", "1"],
+                  ["eval", "--learner", "majority"],
+                  ["eval", "--learner", "restart:0.3"]]
+
+
+@pytest.mark.parametrize("text", [
+    "x,day,cls\n1,mon,A\n2,,B\n",
+    "x,day,cls\n1,mon,A\n2,\u3000,B\n",
+    "x,day,cls\n1,mon,A\n2,\x1c,B\n3,tue\n",
+    "x,day,cls\n1,mon,A\n2,tue,B,C\n",
+    'x,day,cls\n1,"mon\ntue",A\n2,,B\n',
+    "x,day,cls\n",
+    "x,day,\n1,mon,\n",
+], ids=["empty-feature", "ideographic-space", "x1c-then-ragged", "ragged",
+        "quoted-then-empty", "no-rows", "empty-class"])
+@pytest.mark.parametrize("argv", LABEL_COMMANDS,
+                         ids=lambda argv: "-".join(argv[:1] + argv[2:3]))
+def test_label_commands_fail_on_a_csv_as_summary_does(tmp_path, capsys,
+                                                      text, argv):
+    path = tmp_path / "bad.csv"
+    path.write_text(text, encoding="utf-8")
+    summary = run(capsys, ["summary", "--input", str(path)])
+    assert summary[0] == 2 and summary[2].startswith("error: ")
+    assert run(capsys, [argv[0], "--input", str(path)] + argv[1:]) == summary
+
+
+def test_undecodable_or_oversized_input_exits_2_without_a_traceback(
+        tmp_path, capsys):
+    latin1 = tmp_path / "latin1.csv"
+    latin1.write_bytes("x,cls\n1,caf\xe9\n".encode("latin-1"))
+    for argv in [["summary"], ["eval", "--learner", "naive-bayes"]] \
+            + LABEL_COMMANDS:
+        code, out, err = run(capsys, [argv[0], "--input", str(latin1)]
+                             + argv[1:])
+        assert (code, out, err) == \
+            (2, "", f"error: {latin1} is not UTF-8 text\n"), argv
+    arff = tmp_path / "latin1.arff"
+    arff.write_bytes("@relation r\n@attribute cls {A,B}\n@data\n% caf\xe9\nA\n"
+                     .encode("latin-1"))
+    assert run(capsys, ["acf", "--input", str(arff), "--max-lag", "1"]) == \
+        (2, "", f"error: {arff} is not UTF-8 text\n")
+    good = tmp_path / "good.csv"
+    good.write_text("x,cls\n1,A\n2,B\n")
+    log = tmp_path / "log.csv"
+    log.write_bytes("true,predicted\ncaf\xe9,A\n".encode("latin-1"))
+    assert run(capsys, ["audit", "--input", str(good), "--predictions",
+                        str(log)]) == \
+        (2, "", f"error: {log} is not UTF-8 text\n")
+    old = csv.field_size_limit(16)
+    try:
+        long = tmp_path / "long.csv"
+        long.write_text("x,cls\n1,A\n" + "1" * 20 + ",B\n")
+        code, out, err = run(capsys, ["summary", "--input", str(long)])
+    finally:
+        csv.field_size_limit(old)
+    assert (code, out) == (2, "")
+    assert err == "error: line 3: field larger than field limit (16)\n"

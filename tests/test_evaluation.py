@@ -486,3 +486,18 @@ def test_audit_prediction_log_mismatch_report():
         with pytest.raises(LabelMismatch) as err:
             audit_prediction_log(log, wrong)
         assert (err.value.index, str(err.value)) == (index, text)
+
+
+def test_prediction_log_csv_and_decoding_errors_are_parse_errors(tmp_path):
+    old = csv.field_size_limit(16)
+    try:
+        with pytest.raises(ParseError, match="^line 3: field larger than "
+                                             "field limit"):
+            read_prediction_log(io.StringIO("true,predicted\nA,A\n"
+                                            + "B" * 20 + ",B\n"))
+    finally:
+        csv.field_size_limit(old)
+    path = tmp_path / "log.csv"
+    path.write_bytes("true,predicted\ncaf\xe9,A\n".encode("latin-1"))
+    with pytest.raises(ParseError, match=" is not UTF-8 text$"):
+        read_prediction_log(str(path))

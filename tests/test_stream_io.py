@@ -3,6 +3,7 @@ import csv
 import hashlib
 import io
 import pickle
+import re
 import tracemalloc
 from unittest import mock
 
@@ -360,10 +361,14 @@ def oracle_infer_column(values):
 def oracle_parse_csv(source, has_header=True, class_column=None):
     reader = csv.reader(source)
     rows = []
-    for row_no, row in enumerate(reader, start=1):
-        if not row or row[0].lstrip().startswith("#"):
-            continue
-        rows.append((row_no, [c.strip() for c in row]))
+    row_no = 0
+    try:
+        for row_no, row in enumerate(reader, start=1):
+            if not row or row[0].lstrip().startswith("#"):
+                continue
+            rows.append((row_no, [c.strip() for c in row]))
+    except csv.Error as exc:  # named by the record csv.reader stopped in
+        raise ParseError(str(exc), line=row_no + 1) from None
     if not rows:
         raise ParseError("empty CSV input")
     if has_header:
@@ -687,20 +692,17 @@ def test_csv_empty_header_cell_round_trips():
 # then csv.reader reads the rest; both must read as the row oracle does
 
 def csv_outcome(parse, text, newline="\n", **kwargs):
-    """outcome() for CSV, read as a stream with the given newline mode,
-    where csv.reader's own errors count too."""
+    """outcome() for CSV, read as a stream with the given newline mode."""
     try:
         return repr(parse(io.StringIO(text, newline=newline), **kwargs))
     except (ParseError, UnsupportedFeature) as exc:
         return type(exc), exc.line, str(exc)
-    except csv.Error as exc:
-        return type(exc), str(exc)
 
 
 NUMBER_CELLS = ["3", "3.0", "-0", "1e0", "nan", "1_0", "0.25"]
 WORD_CELLS = ["UP", "DOWN", "x y", "3", '"a,b"', '"p\nq"', '"r\r\ns"',
               '"#c"', "a\x00b"]
-PADS = ["", " ", "\t", "\x0c", "\x1c"]
+PADS = ["", " ", "\t", "\x0c", "\x1c", "\u3000"]
 
 
 @st.composite
@@ -719,7 +721,8 @@ def csv_records(draw, n_cols, numeric, faults=True):
         cells = cells[:-1] if len(cells) > 1 else cells + ["1"]
     if kind == "bad":
         cells[draw(st.integers(0, n_cols - 1))] = \
-            draw(st.sampled_from(["", " ", "\x0c", "x", '"q"']))
+            draw(st.sampled_from(["", " ", "\x0c", "\x1c", "\u3000", "x",
+                                  '"q"']))
     pad = draw(st.sampled_from(PADS))
     return ",".join(pad + c + pad for c in cells)
 
@@ -727,9 +730,9 @@ def csv_records(draw, n_cols, numeric, faults=True):
 @st.composite
 def csv_block_texts(draw):
     r"""CSV texts with quoted fields (one across a line break), blank and
-    comment lines, '\n', '\r\n' and lone '\r' line ends, '\x0c', '\x1c'
-    and tab padding, a NUL, and numbers spelled two ways in a column that
-    a later non-number may turn nominal."""
+    comment lines, '\n', '\r\n' and lone '\r' line ends, '\x0c', '\x1c',
+    '\u3000' and tab padding, a NUL, and numbers spelled two ways in a
+    column that a later non-number may turn nominal."""
     n_cols = draw(st.integers(1, 4))
     numeric = [draw(st.booleans()) for _ in range(n_cols)]
     lines = [",".join(f"c{i}" for i in range(n_cols))]
@@ -755,6 +758,39 @@ def test_parse_csv_blocks_match_row_oracle(text_cols, block, data):
     with mock.patch.object(stream_io, "BLOCK_LINES", block):
         fast = csv_outcome(parse_csv, text, **kwargs)
     assert fast == csv_outcome(oracle_parse_csv, text, **kwargs)
+
+
+def labels_outcome(parse, text, newline, **kwargs):
+    """The class attribute and labels that parse reads, or its error."""
+    try:
+        ds = parse(io.StringIO(text, newline=newline), **kwargs)
+    except (ParseError, UnsupportedFeature) as exc:
+        return type(exc), exc.line, str(exc)
+    return ds.class_attribute, ds.labels()
+
+
+@given(csv_block_texts(), st.integers(1, 5), st.data())
+@settings(max_examples=500, deadline=None)
+def test_class_only_read_matches_parse_csv(text_cols, block, data):
+    """The class-only read converts no feature, yet raises parse_csv's
+    error or reads its class attribute and labels, also when a numeric
+    column turns nominal in a later block."""
+    text, n_cols = text_cols
+    kwargs = {"has_header": data.draw(st.booleans()),
+              "class_column": data.draw(class_columns(n_cols)),
+              "newline": data.draw(st.sampled_from(["", "\n"]))}
+    with mock.patch.object(stream_io, "BLOCK_LINES", block):
+        full = labels_outcome(parse_csv, text, **kwargs)
+        labels = labels_outcome(stream_io._read_csv, text, class_only=True,
+                                **kwargs)
+    assert labels == full
+
+
+def test_class_only_read_holds_the_class_column_alone(multiclass_text):
+    full = parse_csv(io.StringIO(multiclass_text))
+    ds = stream_io._read_csv(io.StringIO(multiclass_text), class_only=True)
+    assert ds.schema == (full.class_attribute,) and ds.class_index == 0
+    assert np.array_equal(ds.columns[0], full.columns[full.class_index])
 
 
 @given(st.data(), st.integers(stream_io.BLOCK_LINES + 1,
@@ -790,21 +826,41 @@ def test_csv_nul_follows_the_local_csv_reader():
     text = "x,cls\n1,A\x00\n2,B\n"
     try:
         list(csv.reader(io.StringIO(text)))
-    except csv.Error:
-        with pytest.raises(csv.Error):
+    except csv.Error as exc:
+        with pytest.raises(ParseError, match=re.escape(f"line 2: {exc}")):
             parse_csv(io.StringIO(text))
     else:
         assert parse_csv(io.StringIO(text)).class_values == ("A\x00", "B")
 
 
 def test_csv_field_over_the_size_limit_is_a_csv_reader_error():
+    # a ParseError naming the record, also when csv.reader takes over in a
+    # later block and a quoted field spans two lines before it
     text = "x,cls\n1,A\n" + "1" * 20 + ",B\n"
+    later = "x,cls\n" + "1,A\n" * 5 + '"2\n3",B\n' + "1" * 20 + ",B\n"
     old = csv.field_size_limit(16)
     try:
-        with pytest.raises(csv.Error, match="field larger than field limit"):
+        with pytest.raises(ParseError, match="^line 3: field larger than "
+                                             "field limit \\(16\\)$"):
             parse_csv(io.StringIO(text))
+        with mock.patch.object(stream_io, "BLOCK_LINES", 2), \
+                pytest.raises(ParseError) as err:
+            stream_io._read_csv(io.StringIO(later), class_only=True)
+        assert err.value.line == 8
     finally:
         csv.field_size_limit(old)
+
+
+@pytest.mark.parametrize("read, text", [
+    (parse_csv, "x,cls\n1,caf\xe9\n"),
+    (parse_arff, MINIMAL_ARFF + "1.0,A\n% caf\xe9\n"),
+], ids=["csv", "arff"])
+def test_latin1_input_is_a_parse_error(tmp_path, read, text):
+    path = tmp_path / "latin1"
+    path.write_bytes(text.encode("latin-1"))
+    with pytest.raises(ParseError) as err:
+        read(str(path))
+    assert str(err.value) == f"{path} is not UTF-8 text"
 
 
 def test_csv_number_spellings_stay_apart_when_a_column_turns_nominal():
