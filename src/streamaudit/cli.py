@@ -54,8 +54,11 @@ def _parse_grid(text):
     if len(parts) != 3:
         raise argparse.ArgumentTypeError("grid must be LO:HI:STEP")
     lo, hi, step = (float(p) for p in parts)
-    if step <= 0 or hi < lo:
+    if not step > 0 or hi < lo:
         raise argparse.ArgumentTypeError("need STEP > 0 and HI >= LO")
+    # before counting: a HI far out with a small STEP is a huge count
+    if not 0.0 <= lo <= hi <= 1.0:
+        raise argparse.ArgumentTypeError("grid values must lie in [0, 1]")
     m = (hi - lo) / step
     count = round(m) if abs(m - round(m)) < 1e-9 else int(m)
     grid = [round(lo + i * step, 12) for i in range(count + 1)]

@@ -2,8 +2,8 @@
 
 A dataset is an attribute schema plus one column of values per attribute.
 Row order is the time axis and is preserved exactly as in the source
-file. The class attribute defaults to the last attribute, the usual layout
-for stream-mining benchmarks.
+file. The class attribute is the last attribute, the usual layout for
+stream-mining benchmarks; only parse_arff can be told another.
 
 Supported ARFF subset: @relation, @attribute with numeric/real/integer or
 nominal {a,b,...} types, '%' comments, dense comma-separated @data rows.
@@ -24,13 +24,12 @@ reads otherwise than a split: a NUL, a line break inside a line, a line
 over csv.field_size_limit()), csv.reader reads the rest of the source, so
 quoted fields, also those that span lines, read as csv.reader reads them.
 Only the text of earlier blocks is kept, while a column that has parsed
-as numbers so far may still turn nominal. Errors come in the order of a
+as numbers so far may still turn nominal. The first record is the header
+and the class is its last column. Errors come in the order of a
 whole-file read: csv.reader's own, the first ragged or empty-cell record,
-a bad class column, a header without data rows. A negative class column
-counts from the end, as a negative ARFF class index does. The read that
-the CLI's label-only commands use runs the same block loop but converts
-only the class column: every other cell is only checked for blanks, and
-no block text is kept.
+a header without data rows. The read that the CLI's label-only commands
+use runs the same block loop but converts only the class column: every
+other cell is only checked for blanks, and no block text is kept.
 
 A csv.reader error and input that is not UTF-8 are raised as ParseError.
 """
@@ -61,6 +60,9 @@ _TOKEN = re.compile(rf"\s*(?:{_QUOTED})\s*(?=,|\Z)|[^,]*", re.DOTALL)
 _NAME = re.compile(rf"{_QUOTED}|[^\s'\"]\S*", re.DOTALL)
 _ESCAPE = re.compile(r"\\(.)", re.DOTALL)
 _ESCAPED = {"t": "\t", "n": "\n", "r": "\r"}
+# the ARFF escape of each character _quote escapes
+_ESCAPES = str.maketrans({"\\": "\\\\", "'": "\\'", "\n": "\\n",
+                          "\r": "\\r"})
 # a blank cell in a block's comma-joined text with a comma put at each end;
 # \s is the whitespace str.strip() strips
 _BLANK = re.compile(r",\s*,")
@@ -268,10 +270,11 @@ def _unquote(token: str) -> str:
 def _quote(value: str) -> str:
     """ARFF spelling of a nominal value or an attribute name: quoted and
     escaped when it is empty or '?', holds a comma, whitespace, a quote or
-    a backslash, or starts with '%' or '{'; otherwise the value itself."""
+    a backslash, or starts with '%' or '{'; otherwise the value itself. A
+    line break is escaped too, so the quoted value stays on one line."""
     if value in ("", "?") or value.startswith(("%", "{")) or \
             any(c in ",'\"\\" or c.isspace() for c in value):
-        return "'" + value.replace("\\", "\\\\").replace("'", "\\'") + "'"
+        return "'" + value.translate(_ESCAPES) + "'"
     return value
 
 
@@ -527,19 +530,18 @@ def _codes(values: dict, tokens: list) -> Optional[np.ndarray]:
 class _CsvColumns:
     """A CSV's columns, converted a block at a time. A column is float64
     while every cell so far is a number; after that, and the class column
-    from the start, it is int32 codes of its values by first occurrence.
-    The blocks are kept while a column may still turn nominal, because it
-    then recodes its earlier cells from their text: '3' and '3.0' are two
-    nominal values. With class_only, the class column is the only one
-    converted: the other cells are only checked for blanks."""
+    (the last) from the start, it is int32 codes of its values by first
+    occurrence. The blocks are kept while a column may still turn nominal,
+    because it then recodes its earlier cells from their text: '3' and
+    '3.0' are two nominal values. With class_only, the class column is the
+    only one converted: the other cells are only checked for blanks."""
 
-    def __init__(self, n_cols: int, nominal: Optional[int], class_only: bool):
+    def __init__(self, n_cols: int, class_only: bool):
         # per column None (numeric so far) or its value -> code dict
-        self.values = [{} if j == nominal else None for j in range(n_cols)]
+        self.values = [None] * (n_cols - 1) + [{}]
         self.parts = [[] for _ in range(n_cols)]
         self.blocks = []
-        self.converted = [j for j in range(n_cols)
-                          if not class_only or j == nominal]
+        self.converted = range(n_cols - 1 if class_only else 0, n_cols)
 
     def add(self, block) -> bool:
         """Convert one block (see _cells); False if it holds a blank cell."""
@@ -567,14 +569,13 @@ class _CsvColumns:
             self.blocks.clear()
         return True
 
-    def dataset(self, header: list, cls: int) -> StreamDataset:
+    def dataset(self, header: list) -> StreamDataset:
         self.blocks.clear()
         schema = [AttributeSchema(header[j], None if self.values[j] is None
                                   else tuple(self.values[j]))
                   for j in self.converted]
         columns = _concatenate([self.parts[j] for j in self.converted])
-        return StreamDataset._from_columns(schema, columns,
-                                           self.converted.index(cls))
+        return StreamDataset._from_columns(schema, columns, -1)
 
 
 def _has_blank(block) -> bool:
@@ -595,69 +596,45 @@ def _first_bad_record(nos, records, split: bool, n_cols: int):
             return UnsupportedFeature("empty cell", line=no)
 
 
-def _class_column(header: list, class_column: Union[int, str, None]) -> int:
-    n_cols = len(header)
-    if class_column is None:
-        return n_cols - 1
-    if isinstance(class_column, str):
-        try:
-            return header.index(class_column)
-        except ValueError:
-            raise ParseError(f"no column named {class_column!r}") from None
-    if not -n_cols <= class_column < n_cols:
-        raise ParseError(f"class column index {class_column} out of range")
-    return class_column % n_cols
-
-
-def parse_csv(source: Union[str, TextIO], has_header: bool = True,
-              class_column: Union[int, str, None] = None) -> StreamDataset:
+def parse_csv(source: Union[str, TextIO]) -> StreamDataset:
     """Parse a rectangular CSV into a StreamDataset.
 
-    The class column (default: last; a negative index counts from the end)
-    is always treated as nominal, value order by first occurrence. Other
-    columns are numeric when every value parses as a number, else nominal.
-    Cells are whitespace-trimmed; blank records and records whose first
-    cell starts with '#' are skipped.
+    The first record is the header. The class is the last column and is
+    always nominal, value order by first occurrence. Other columns are
+    numeric when every value parses as a number, else nominal. Cells are
+    whitespace-trimmed; blank records and records whose first cell starts
+    with '#' are skipped.
 
     The source is read and converted BLOCK_LINES records at a time, split
     at commas until a block holds a '"' and read by csv.reader from there
     on (see the module docstring). Errors come in this order: csv.reader's
     own (a ParseError naming the record), the first ragged or empty-cell
-    record in the file, a bad class column, a header without data rows.
-    Line numbers count records, as csv.reader does. Input that is not
-    UTF-8 is a ParseError too.
+    record in the file, a header without data rows. Line numbers count
+    records, as csv.reader does. Input that is not UTF-8 is a ParseError
+    too.
     """
-    return _read_csv(source, has_header, class_column, class_only=False)
+    return _read_csv(source, class_only=False)
 
 
 @_utf8
-def _read_csv(source: Union[str, TextIO], has_header: bool = True,
-              class_column: Union[int, str, None] = None,
-              class_only: bool = False) -> StreamDataset:
+def _read_csv(source: Union[str, TextIO], class_only: bool) -> StreamDataset:
     """parse_csv; with class_only, its dataset reduced to the class
     attribute, for callers that need only the labels. Every other cell is
     checked only for blanks, and the errors are parse_csv's, in its order.
     """
     if isinstance(source, str):
         with open(source, "r", encoding="utf-8", newline="") as fh:
-            return _read_csv(fh, has_header, class_column, class_only)
+            return _read_csv(fh, class_only)
 
     header = None
     failure = None  # the first ragged or empty-cell record
     for nos, records, split in _csv_blocks(source):
         if header is None and records:
             first = records[0].split(",") if split else records[0]
-            n_cols = len(first)
-            if has_header:
-                header = [cell.strip() for cell in first]
-                nos, records = nos[1:], records[1:]
-            else:
-                header = [f"col{i}" for i in range(n_cols)]
-            try:
-                nominal = _class_column(header, class_column)
-            except ParseError:  # raised once the whole file is checked
-                nominal = None
-            columns = _CsvColumns(n_cols, nominal, class_only)
+            header = [cell.strip() for cell in first]
+            n_cols = len(header)
+            nos, records = nos[1:], records[1:]
+            columns = _CsvColumns(n_cols, class_only)
         if failure is not None or not records:
             continue
         if split:
@@ -674,10 +651,9 @@ def _read_csv(source: Union[str, TextIO], has_header: bool = True,
         raise failure
     if header is None:
         raise ParseError("empty CSV input")
-    cls = _class_column(header, class_column)
-    if not columns.parts[cls]:
+    if not columns.parts[-1]:
         raise ParseError("CSV with a header but no data rows")
-    return columns.dataset(header, cls)
+    return columns.dataset(header)
 
 
 def _format_column(attr: AttributeSchema, col: np.ndarray):

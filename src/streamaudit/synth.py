@@ -86,7 +86,8 @@ def labels_to_csv(labels: Sequence[int], seed=None) -> str:
 
 def labels_to_dataset(labels: Sequence[int]) -> stream_io.StreamDataset:
     """Wrap a 0/1 label sequence in a StreamDataset with one constant
-    feature (the container format requires at least one non-class column)."""
+    feature. A class-only dataset would round-trip as well; the 'bias'
+    column keeps the ARFF that synth has always written byte for byte."""
     schema = (
         stream_io.AttributeSchema("bias", None),
         stream_io.AttributeSchema("label", LABEL_VALUES),

@@ -40,12 +40,17 @@ def test_usage_error_exit_1(capsys):
     ("0:1:0", "need STEP > 0 and HI >= LO"),
     ("1:0:0.1", "need STEP > 0 and HI >= LO"),
     ("0:2:0.5", "grid values must lie in [0, 1]"),
+    # bounds are checked before the grid is counted
+    ("0:inf:1", "grid values must lie in [0, 1]"),
+    ("0:1e400:1", "grid values must lie in [0, 1]"),
+    ("-inf:0:1", "grid values must lie in [0, 1]"),
+    ("0:nan:0.5", "grid values must lie in [0, 1]"),
 ])
 def test_bad_sweep_grid_exit_1(synth_csv, capsys, grid, message):
     code, out, err = run(capsys, ["sweep", "--input", str(synth_csv),
-                                  "--grid", grid])
+                                  f"--grid={grid}"])
     assert code == 1 and out == ""
-    assert err.startswith("usage error: ") and message in err
+    assert err == f"usage error: argument --grid: {message}\n"
 
 
 @pytest.mark.parametrize("argv", [

@@ -104,11 +104,18 @@ def test_csv_basic():
     assert ds.labels() == ["UP", "DOWN", "UP"]
 
 
-def test_csv_class_column_by_name():
-    ds = parse_csv(io.StringIO("x,cls\n1,UP\n2,DOWN\n3,UP\n"), class_column="x")
-    assert ds.class_values == ("1", "2", "3")
-    assert ds.feature_schema()[0].name == "cls"
-    assert ds.schema[1].values == ("UP", "DOWN")  # inferred nominal feature
+def test_csv_non_number_column_is_a_nominal_feature():
+    ds = parse_csv(io.StringIO("dir,x,cls\nUP,1,A\nDOWN,2,B\nUP,3,A\n"))
+    assert ds.schema[0].values == ("UP", "DOWN")  # inferred nominal feature
+    assert not ds.schema[1].is_nominal
+    assert ds.class_index == 2 and ds.class_values == ("A", "B")
+
+
+def test_csv_first_record_is_the_header():
+    ds = parse_csv(io.StringIO("1,A\n2,B\n"))
+    assert ds.n_instances == 1
+    assert [a.name for a in ds.schema] == ["1", "A"]
+    assert ds.class_attribute == AttributeSchema("A", ("B",))
 
 
 def test_csv_ragged_row():
@@ -125,28 +132,6 @@ def test_csv_empty_input():
 def test_csv_empty_cell():
     with pytest.raises(UnsupportedFeature):
         parse_csv(io.StringIO("x,cls\n,UP\n"))
-
-
-@pytest.mark.parametrize("k, cls", [(-1, 1), (-2, 0)])
-def test_csv_negative_class_column_counts_from_the_end(k, cls):
-    text = "x,cls\n1,A\n2,B\n"
-    ds = parse_csv(io.StringIO(text), class_column=k)
-    assert ds.class_index == cls
-    assert ds == parse_csv(io.StringIO(text), class_column=cls)
-    assert repr(ds) == repr(oracle_parse_csv(io.StringIO(text),
-                                             class_column=k))
-
-
-def test_csv_class_column_below_minus_n_cols_is_out_of_range():
-    with pytest.raises(ParseError, match="class column index -3 out of range"):
-        parse_csv(io.StringIO("x,cls\n1,A\n2,B\n"), class_column=-3)
-
-
-def test_csv_ragged_row_wins_over_a_bad_class_column():
-    for k in (-3, 2, "nope"):
-        with pytest.raises(ParseError, match="row has 1 cells") as err:
-            parse_csv(io.StringIO("x,cls\n1,A\n2\n3,B\n"), class_column=k)
-        assert err.value.line == 3
 
 
 def test_csv_arff_equivalence():
@@ -216,11 +201,24 @@ def test_arff_quoting_round_trip(value):
 
 
 @pytest.mark.parametrize("name", ["a\tb", "it's", 'say "hi"', "a\\b", "{x",
-                                  "%x", "a b", "a,b", "?"])
+                                  "%x", "a b", "a,b", "?", "f\nx\r"])
 def test_arff_attribute_names_round_trip(name):
     schema = (AttributeSchema(name, None), AttributeSchema(name + "!", ("A",)))
     ds = StreamDataset(schema, (Instance((1.0,), 0),), 1)
     assert arff(to_arff(ds)) == ds
+
+
+@pytest.mark.parametrize("brk", ["\n", "\r", "\r\n"],
+                         ids=["lf", "cr", "crlf"])
+def test_line_breaks_in_csv_cells_round_trip_through_files(tmp_path, brk):
+    # a quoted line break in a header cell and in a value
+    csv_path, arff_path = tmp_path / "x.csv", tmp_path / "x.arff"
+    csv_path.write_text(f'"f{brk}x",cls\n1,"a{brk}b"\n2,B\n', newline="")
+    ds = parse_csv(str(csv_path))
+    assert [a.name for a in ds.schema] == [f"f{brk}x", "cls"]
+    assert ds.class_values == (f"a{brk}b", "B")
+    arff_path.write_text(to_arff(ds), newline="")
+    assert parse_arff(str(arff_path)) == ds
 
 
 def test_arff_quoted_names_with_escapes():
@@ -249,7 +247,7 @@ def test_arff_quoted_missing_value_is_a_value():
 
 nominal_strings = st.text(
     alphabet=st.sampled_from(
-        "abcXYZ019 \t,'\"%\\{}?"), min_size=1, max_size=6)
+        "abcXYZ019 \t\n\r,'\"%\\{}?"), min_size=1, max_size=6)
 
 
 @given(st.lists(nominal_strings, min_size=1, max_size=5, unique=True),
@@ -358,7 +356,7 @@ def oracle_infer_column(values):
     return tuple(seen.keys()), [seen[v] for v in values]
 
 
-def oracle_parse_csv(source, has_header=True, class_column=None):
+def oracle_parse_csv(source):
     reader = csv.reader(source)
     rows = []
     row_no = 0
@@ -371,14 +369,9 @@ def oracle_parse_csv(source, has_header=True, class_column=None):
         raise ParseError(str(exc), line=row_no + 1) from None
     if not rows:
         raise ParseError("empty CSV input")
-    if has_header:
-        header = rows[0][1]
-        rows = rows[1:]
-    else:
-        header = [f"col{i}" for i in range(len(rows[0][1]))]
+    header = rows[0][1]
+    rows = rows[1:]
     n_cols = len(header)
-    if not rows and n_cols == 0:
-        raise ParseError("empty CSV input")
     for row_no, row in rows:
         if len(row) != n_cols:
             raise ParseError(
@@ -386,18 +379,7 @@ def oracle_parse_csv(source, has_header=True, class_column=None):
         for cell in row:
             if cell == "":
                 raise UnsupportedFeature("empty cell", line=row_no)
-    if class_column is None:
-        cls = n_cols - 1
-    elif isinstance(class_column, str):
-        try:
-            cls = header.index(class_column)
-        except ValueError:
-            raise ParseError(f"no column named {class_column!r}") from None
-    else:
-        cls = class_column
-        if not -n_cols <= cls < n_cols:  # negative counts from the end
-            raise ParseError(f"class column index {cls} out of range")
-        cls %= n_cols
+    cls = n_cols - 1
     columns = [[row[i] for _, row in rows] for i in range(n_cols)]
     schema = []
     parsed_cols = []
@@ -637,19 +619,13 @@ def csv_texts(draw):
         pad = draw(st.sampled_from(["", " "]))
         lines.append(",".join(pad + c + pad for c in cells))
     newline = draw(st.sampled_from(["\n", "\r\n"]))
-    return newline.join(lines) + newline, n_cols
+    return newline.join(lines) + newline
 
 
-@given(csv_texts(), st.data())
+@given(csv_texts())
 @settings(max_examples=300, deadline=None)
-def test_parse_csv_matches_row_oracle(text_cols, data):
-    text, n_cols = text_cols
-    kwargs = {"has_header": data.draw(st.booleans()),
-              "class_column": data.draw(st.one_of(
-                  st.none(), st.integers(-1, n_cols), st.sampled_from(
-                      ["c0", f"c{n_cols - 1}", "nope"])))}
-    assert outcome(parse_csv, text, **kwargs) == \
-        outcome(oracle_parse_csv, text, **kwargs)
+def test_parse_csv_matches_row_oracle(text):
+    assert outcome(parse_csv, text) == outcome(oracle_parse_csv, text)
 
 
 @st.composite
@@ -691,10 +667,10 @@ def test_csv_empty_header_cell_round_trips():
 # CSV blocks: parse_csv splits blocks at commas until a block holds a '"',
 # then csv.reader reads the rest; both must read as the row oracle does
 
-def csv_outcome(parse, text, newline="\n", **kwargs):
+def csv_outcome(parse, text, newline="\n"):
     """outcome() for CSV, read as a stream with the given newline mode."""
     try:
-        return repr(parse(io.StringIO(text, newline=newline), **kwargs))
+        return repr(parse(io.StringIO(text, newline=newline)))
     except (ParseError, UnsupportedFeature) as exc:
         return type(exc), exc.line, str(exc)
 
@@ -739,25 +715,17 @@ def csv_block_texts(draw):
     lines += draw(st.lists(csv_records(n_cols, numeric), max_size=12))
     ends = draw(st.lists(st.sampled_from(["\n", "\r\n", "\r"]),
                          min_size=len(lines), max_size=len(lines)))
-    return "".join(map(str.__add__, lines, ends)), n_cols
-
-
-def class_columns(n_cols):
-    return st.one_of(st.none(), st.integers(-n_cols - 1, n_cols),
-                     st.sampled_from(["c0", f"c{n_cols - 1}", "nope"]))
+    return "".join(map(str.__add__, lines, ends))
 
 
 @given(csv_block_texts(), st.integers(1, 5), st.data())
 @settings(max_examples=500, deadline=None)
-def test_parse_csv_blocks_match_row_oracle(text_cols, block, data):
-    text, n_cols = text_cols
-    kwargs = {"has_header": data.draw(st.booleans()),
-              "class_column": data.draw(class_columns(n_cols)),
-              # file iteration as a path opens it (any line end), or '\n' only
-              "newline": data.draw(st.sampled_from(["", "\n"]))}
+def test_parse_csv_blocks_match_row_oracle(text, block, data):
+    # file iteration as a path opens it (any line end), or '\n' only
+    newline = data.draw(st.sampled_from(["", "\n"]))
     with mock.patch.object(stream_io, "BLOCK_LINES", block):
-        fast = csv_outcome(parse_csv, text, **kwargs)
-    assert fast == csv_outcome(oracle_parse_csv, text, **kwargs)
+        fast = csv_outcome(parse_csv, text, newline)
+    assert fast == csv_outcome(oracle_parse_csv, text, newline)
 
 
 def labels_outcome(parse, text, newline, **kwargs):
@@ -771,18 +739,15 @@ def labels_outcome(parse, text, newline, **kwargs):
 
 @given(csv_block_texts(), st.integers(1, 5), st.data())
 @settings(max_examples=500, deadline=None)
-def test_class_only_read_matches_parse_csv(text_cols, block, data):
+def test_class_only_read_matches_parse_csv(text, block, data):
     """The class-only read converts no feature, yet raises parse_csv's
     error or reads its class attribute and labels, also when a numeric
     column turns nominal in a later block."""
-    text, n_cols = text_cols
-    kwargs = {"has_header": data.draw(st.booleans()),
-              "class_column": data.draw(class_columns(n_cols)),
-              "newline": data.draw(st.sampled_from(["", "\n"]))}
+    newline = data.draw(st.sampled_from(["", "\n"]))
     with mock.patch.object(stream_io, "BLOCK_LINES", block):
-        full = labels_outcome(parse_csv, text, **kwargs)
-        labels = labels_outcome(stream_io._read_csv, text, class_only=True,
-                                **kwargs)
+        full = labels_outcome(parse_csv, text, newline)
+        labels = labels_outcome(stream_io._read_csv, text, newline,
+                                class_only=True)
     assert labels == full
 
 
@@ -816,9 +781,7 @@ def test_parse_csv_fault_in_a_later_block(data, at, clean_before):
         csv_records(n_cols, numeric),
         csv_records(n_cols, [False] * n_cols, faults=False)))
     text = "\n".join(lines) + "\n"
-    kwargs = {"class_column": data.draw(class_columns(n_cols))}
-    assert csv_outcome(parse_csv, text, **kwargs) == \
-        csv_outcome(oracle_parse_csv, text, **kwargs)
+    assert csv_outcome(parse_csv, text) == csv_outcome(oracle_parse_csv, text)
 
 
 def test_csv_nul_follows_the_local_csv_reader():
