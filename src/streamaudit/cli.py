@@ -22,6 +22,7 @@ EXIT_DATA = 2
 EXIT_ASSERTION = 3
 
 DEFAULT_SEED = 42
+MAX_GRID_VALUES = 10_001  # 0:1:0.0001
 
 
 class _UsageError(Exception):
@@ -59,11 +60,19 @@ def _parse_grid(text):
     # before counting: a HI far out with a small STEP is a huge count
     if not 0.0 <= lo <= hi <= 1.0:
         raise argparse.ArgumentTypeError("grid values must lie in [0, 1]")
-    m = (hi - lo) / step
+    # counted before it is built; m may be inf (a tiny STEP), so it is
+    # capped, at a value whose count is over the cap too
+    m = min((hi - lo) / step, MAX_GRID_VALUES)
     count = round(m) if abs(m - round(m)) < 1e-9 else int(m)
+    if count + 1 > MAX_GRID_VALUES:
+        raise argparse.ArgumentTypeError(
+            f"grid has more than {MAX_GRID_VALUES} values")
     grid = [round(lo + i * step, 12) for i in range(count + 1)]
     if any(not 0.0 <= g <= 1.0 for g in grid):
         raise argparse.ArgumentTypeError("grid values must lie in [0, 1]")
+    if any(a >= b for a, b in zip(grid, grid[1:])):
+        raise argparse.ArgumentTypeError(
+            "grid values repeat when rounded to 12 decimals")
     return tuple(grid)
 
 

@@ -12,6 +12,12 @@ independence bar (sum of squared priors) and the persistence bar. A
 classifier only demonstrates adaptation worth having when it lands
 strictly above the persistence bar and not below the majority bar; ties
 with persistence prove nothing and grade as BelowPersistence.
+
+NaiveBayesLearner serves the stream it is made from out of one
+whole-stream pass: while the calls walk that stream in order, each
+predict reads the prediction _naive_bayes_trace computed for its row with
+the learner's own float operations, and the per-instance statistics are
+built only when a call leaves the stream.
 """
 
 import csv
@@ -23,10 +29,12 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
+import numpy as np
+
 from . import baselines, diagnostics
 from .errors import (EmptyLog, EmptyStream, LabelMismatch, ParseError,
                      SchemaMismatch)
-from .stream_io import StreamDataset, _utf8, write_csv
+from .stream_io import BLOCK_LINES, StreamDataset, _utf8, write_csv
 
 
 class Classifier:
@@ -160,10 +168,21 @@ class NaiveBayesLearner(Classifier):
     update keeps, per (class, feature), the Gaussian's (mean, variance,
     log(2*pi*variance)) and each frequency table's smoothed total, so
     predict only combines them.
+
+    The learner keeps a cursor into the dataset it is made from. While
+    each update is that dataset's next row (a tuple equal to its values)
+    and label, those statistics are left unbuilt, and a predict on the
+    next row returns that row's entry of the stream's trace: the
+    predictions of _naive_bayes_trace, computed on the first such predict
+    and kept across reset. The first call that leaves the stream (other
+    values or another label, a row holding NaN, which equals nothing, or
+    any call after the last row) learns the rows passed so far one at a
+    time, and until reset the learner works instance by instance.
     """
 
     name = "naive-bayes"
     VARIANCE_FLOOR = 1e-9
+    CURSOR_ROWS = 256  # the stream's rows the cursor holds as Python values
 
     def __init__(self, ds: StreamDataset):
         self.schema = ds.schema
@@ -173,6 +192,8 @@ class NaiveBayesLearner(Classifier):
         self._nominal_at = [f for f, a in enumerate(self._features)
                             if a.is_nominal]
         self._classes = ds.class_values
+        self._stream = ds
+        self._trace = None  # the stream's predicted codes, made on first use
         self.reset()
 
     def reset(self):
@@ -189,12 +210,59 @@ class NaiveBayesLearner(Classifier):
         # nominal: sum(table) + len(table), the smoothed denominator
         self._totals = [[len(a.values) if a.is_nominal else None
                          for a in self._features] for _ in range(k)]
+        # the stream's rows learned while on it, None once off it; the
+        # stream's rows from _block_start on, CURSOR_ROWS at most
+        self._cursor = 0
+        self._block_start, self._block = 0, []
 
     def _class_index(self, label):
         return self._classes.index(label)
 
+    def _next_row(self, features):
+        """The class code of the stream's row at the cursor if features
+        are that row's values, else None."""
+        at = self._cursor - self._block_start
+        if at == len(self._block):  # the next block; empty past the end
+            self._block_start, at = self._cursor, 0
+            self._block = list(self._stream._rows(
+                self._cursor, self._cursor + self.CURSOR_ROWS))
+            if not self._block:
+                return None
+        row, code = self._block[at]
+        # == on a numpy array would compare elementwise
+        if isinstance(features, tuple) and features == row:
+            return code
+        return None
+
+    def _traced(self) -> bool:
+        """Whether the stream's trace is there, made on the first call."""
+        if self._trace is None:
+            try:
+                self._trace = _naive_bayes_trace(self._stream,
+                                                 self.VARIANCE_FLOOR)
+            except (OverflowError, ValueError):
+                # ** 2 of a large finite value, or math.log of a variance
+                # floored at 0: row by row the call that meets it raises
+                self._trace = ()
+        return len(self._trace) > 0
+
+    def _leave_stream(self):
+        """Learn the rows before the cursor one at a time; until reset,
+        every call is served instance by instance."""
+        for features, code in self._stream._rows(0, self._cursor):
+            self._learn(features, code)
+        self._cursor, self._block = None, []
+
     def update(self, features, label):
-        c = self._class_index(label)
+        if self._cursor is not None:
+            code = self._next_row(features)
+            if code is not None and label == self._classes[code]:
+                self._cursor += 1
+                return
+            self._leave_stream()
+        self._learn(features, self._class_index(label))
+
+    def _learn(self, features, c):
         self._n += 1
         self._class_counts[c] += 1
         gauss, terms, totals = self._gauss[c], self._terms[c], self._totals[c]
@@ -215,15 +283,31 @@ class NaiveBayesLearner(Classifier):
             totals[f] += 1
 
     def predict(self, features):
+        if self._cursor is not None:
+            if self._next_row(features) is not None and self._traced():
+                return self._classes[self._trace[self._cursor]]
+            self._leave_stream()
+        best_c = 0
+        best_score = None
+        for c, score in enumerate(self._scores(features)):
+            if score is not None and (best_score is None
+                                      or score > best_score):
+                best_score = score
+                best_c = c
+        return self._classes[best_c]
+
+    def _scores(self, features) -> list:
+        """Each class's log score for features from the statistics learned
+        so far; None for a class that predict passes over."""
         k = len(self._classes)
         n = self._n
         log = math.log
-        best_c = 0
-        best_score = None
+        scores = []
         for c, count in enumerate(self._class_counts):
             # a class never seen in training has no likelihood model; it
             # cannot outscore trained classes just by skipping the penalty
             if count == 0 and n > 0:
+                scores.append(None)
                 continue
             score = log((count + 1) / (n + k))
             for value, term, total in zip(features, self._terms[c],
@@ -233,10 +317,117 @@ class NaiveBayesLearner(Classifier):
                 elif term is not None:  # None: no evidence from it yet
                     mean, var, log_norm = term
                     score -= 0.5 * (log_norm + (value - mean) ** 2 / var)
-            if best_score is None or score > best_score:
-                best_score = score
-                best_c = c
-        return self._classes[best_c]
+            scores.append(score)
+        return scores
+
+
+def _naive_bayes_trace(ds: StreamDataset, variance_floor: float):
+    """The class codes NaiveBayesLearner predicts in a prequential pass
+    over ds, all at once. As predict's loop does, each row takes its first
+    trained class in schema order and changes only to a strictly greater
+    score; at t = 0 no class is trained and the first class is taken."""
+    n, k = ds.n_instances, len(ds.class_values)
+    best = np.zeros(n, np.min_scalar_type(k - 1))
+    best_score = np.zeros(n)
+    taken = np.zeros(n, bool)
+    for c in range(k):
+        score, trained = _naive_bayes_scores(ds, c, variance_floor)
+        with np.errstate(invalid="ignore"):  # a NaN score is never greater
+            take = trained & (~taken | (score > best_score))
+        best[take] = c
+        best_score[take] = score[take]
+        taken |= trained
+    return best
+
+
+def _naive_bayes_scores(ds: StreamDataset, c: int, variance_floor: float):
+    """(scores, trained): class c's score at every row of a prequential
+    naive Bayes pass over ds, and whether class c has a row before it.
+
+    Where trained[t], scores[t] is bit for bit the score NaiveBayesLearner
+    gives class c when it predicts row t after learning rows [0, t);
+    elsewhere it means nothing. The float operations are the learner's,
+    in its order: only the Welford mean recurrence runs in Python, M2 is
+    its left fold by np.cumsum, math.log and ** 2 are applied by Python
+    (np.log and d * d differ from them in the last bit on some values),
+    and the terms are added in schema order. Terms are made BLOCK_LINES
+    rows at a time, so no more Python floats than that are alive.
+    """
+    n, k = ds.n_instances, len(ds.class_values)
+    blocks = [slice(start, min(start + BLOCK_LINES, n))
+              for start in range(0, n, BLOCK_LINES)]
+    is_c = ds.columns[ds.class_index] == c
+    before = np.cumsum(is_c, dtype=np.int32) - is_c  # c's rows in [0, t)
+    last = np.maximum(before - 1, 0)  # the last of them
+    score = np.empty(n)
+    for rows in blocks:
+        score[rows] = _logs((before[rows] + 1)
+                            / np.arange(rows.start + k, rows.stop + k))
+    for j, (attr, col) in enumerate(zip(ds.schema, ds.columns)):
+        if j == ds.class_index:
+            continue
+        if attr.is_nominal:
+            same = _earlier_equal(col, is_c)
+            for rows in blocks:
+                score[rows] += _logs((same[rows] + 1)
+                                     / (before[rows] + len(attr.values)))
+            continue
+        x = col[is_c]
+        if not len(x):
+            continue  # never trained
+        with np.errstate(all="ignore"):  # inf and NaN values, as in Python
+            mean = _welford_means(x)
+            delta = x - np.concatenate(([0.0], mean[:-1]))
+            var = np.cumsum(delta * (x - mean)) / np.arange(1, len(x) + 1)
+            var[var < variance_floor] = variance_floor
+            log_norm = np.concatenate(
+                [_logs(2.0 * math.pi * var[start:start + BLOCK_LINES])
+                 for start in range(0, len(var), BLOCK_LINES)])
+            for rows in blocks:
+                at = last[rows]
+                score[rows] -= 0.5 * (log_norm[at]
+                                      + _squares(col[rows] - mean[at])
+                                      / var[at])
+    return score, before > 0
+
+
+def _earlier_equal(col, is_c):
+    """For each row t, the rows before t of the class is_c marks that
+    hold row t's value of the nominal column col: a count along the rows
+    sorted stably by value, less the count where that value's run
+    starts."""
+    order = np.argsort(col, kind="stable")
+    hit = is_c[order]
+    count = np.cumsum(hit, dtype=np.int32) - hit
+    starts = np.flatnonzero(np.diff(col[order], prepend=-1))
+    count -= np.repeat(count[starts], np.diff(starts, append=len(col)))
+    same = np.empty_like(count)
+    same[order] = count
+    return same
+
+
+def _welford_means(values):
+    """The running means of the array values, as NaiveBayesLearner._learn
+    makes them, BLOCK_LINES at a time."""
+    means = np.empty(len(values))
+    mean = 0.0
+    for start in range(0, len(values), BLOCK_LINES):
+        block = []
+        append = block.append
+        for count, value in enumerate(
+                values[start:start + BLOCK_LINES].tolist(), start + 1):
+            mean += (value - mean) / count
+            append(mean)
+        means[start:start + BLOCK_LINES] = block
+    return means
+
+
+def _logs(values):
+    return np.array(list(map(math.log, values.tolist())))
+
+
+def _squares(values):
+    return np.array([value ** 2 for value in values.tolist()])
 
 
 def audit_accuracy(subject_accuracy: float, ds_or_labels) -> AuditVerdict:

@@ -167,12 +167,13 @@ class StreamDataset:
         """The rows as a tuple of Instance holding Python floats and ints."""
         return tuple(itertools.starmap(Instance, self._rows()))
 
-    def _rows(self):
-        """(features, class code) pairs of Python values, in stream order,
-        made BLOCK_LINES rows at a time."""
-        for start in range(0, self.n_instances, BLOCK_LINES):
-            columns = [col[start:start + BLOCK_LINES].tolist()
-                       for col in self.columns]
+    def _rows(self, first: int = 0, stop: Optional[int] = None):
+        """(features, class code) pairs of Python values of rows [first,
+        stop), in stream order, made BLOCK_LINES rows at a time."""
+        stop = self.n_instances if stop is None else stop
+        for start in range(first, stop, BLOCK_LINES):
+            end = min(start + BLOCK_LINES, stop)
+            columns = [col[start:end].tolist() for col in self.columns]
             codes = columns.pop(self.class_index)
             yield from zip(zip(*columns) if columns else itertools.repeat(()),
                            codes)

@@ -12,7 +12,7 @@ from streamaudit import (EmptyStream, RestartPolicy, SweepConfig, diagnose,
                          persistence_accuracy, random_restart_run,
                          random_restart_trace, rho_sweep,
                          write_prediction_log)
-from streamaudit.cli import main
+from streamaudit.cli import MAX_GRID_VALUES, _parse_grid, main
 from streamaudit.stream_io import write_csv
 
 
@@ -45,12 +45,23 @@ def test_usage_error_exit_1(capsys):
     ("0:1e400:1", "grid values must lie in [0, 1]"),
     ("-inf:0:1", "grid values must lie in [0, 1]"),
     ("0:nan:0.5", "grid values must lie in [0, 1]"),
+    # the values are counted before the grid is built
+    ("0:1:1e-6", "grid has more than 10001 values"),
+    ("0:1:0.00009999", "grid has more than 10001 values"),
+    ("0:1:1e-320", "grid has more than 10001 values"),
+    ("0:1e-10:1e-14", "grid values repeat when rounded to 12 decimals"),
 ])
 def test_bad_sweep_grid_exit_1(synth_csv, capsys, grid, message):
     code, out, err = run(capsys, ["sweep", "--input", str(synth_csv),
                                   f"--grid={grid}"])
     assert code == 1 and out == ""
     assert err == f"usage error: argument --grid: {message}\n"
+
+
+def test_grid_of_the_most_values_allowed():
+    grid = _parse_grid("0:1:0.0001")
+    assert len(grid) == MAX_GRID_VALUES == 10001
+    assert (grid[0], grid[1], grid[-1]) == (0.0, 0.0001, 1.0)
 
 
 @pytest.mark.parametrize("argv", [
@@ -447,7 +458,8 @@ def test_assert_above_bar_fails_below_majority(tmp_path, capsys):
 
 # byte-identity gate for the commands that read only a CSV's class column:
 # sha256 of their stdout on a 9-column CSV with a nominal feature, computed
-# while they parsed every column
+# while they parsed every column; and for naive Bayes' whole-stream pass,
+# computed while it ran instance by instance
 
 @pytest.fixture()
 def nine_column_csv(tmp_path):
@@ -472,8 +484,11 @@ def nine_column_csv(tmp_path):
      "d1459bd72262e789698edc90d3ebb7ae7b828251ef8470e30dfbd2f580cd45b9"),
     (["eval", "--learner", "restart:0.5", "--seed", "7"], "# seed=7\n",
      "0c525bfa1950727426f9e1ad00b02bf1879ec3cd3948e486bdca3424cc8accc3"),
+    # 3-class naive Bayes with a nominal feature, which reads every column
+    (["eval", "--learner", "naive-bayes"], "",
+     "1519ebb7cc9ad5df76639a4b26ae259b9183c7c690eb29a4c84df6a8824f4212"),
 ], ids=["audit-accuracy", "audit-predictions", "acf", "sweep",
-        "eval-restart"])
+        "eval-restart", "eval-naive-bayes"])
 def test_label_commands_on_a_nine_column_csv_golden_sha256(
         nine_column_csv, capsys, argv, err, digest):
     path, log = nine_column_csv

@@ -1,11 +1,15 @@
+import copy
 import csv
 import io
 import json
 import math
+import pickle
 import random
+import struct
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import MajorityLearner, PersistenceLearner, RandomRestartLearner
 
@@ -19,6 +23,7 @@ from streamaudit import (AttributeSchema, AuditVerdict, Classifier, EmptyLog,
                          persistence_accuracy, prequential_eval,
                          random_restart_run, random_restart_trace,
                          read_prediction_log, write_prediction_log)
+from streamaudit.evaluation import _naive_bayes_scores, _naive_bayes_trace
 from streamaudit.synth import MarkovLabelModel, labels_to_dataset
 
 
@@ -106,6 +111,9 @@ class OracleNaiveBayes(Classifier):
     def __init__(self, ds):
         self._features = ds.feature_schema()
         self._classes = ds.class_values
+        self.reset()
+
+    def reset(self):
         k = len(self._classes)
         self._n = 0
         self._class_counts = [0] * k
@@ -164,8 +172,11 @@ def prediction_trace(learner, ds):
 
 @st.composite
 def mixed_streams(draw):
-    """Numeric and nominal features in any order; labels drawn from a
-    subset of the classes, so some classes are never seen."""
+    """Numeric and nominal features in any order, or none; labels drawn
+    from a subset of the classes, so some classes are never seen (and on
+    short streams some are seen once). Each numeric feature is plain,
+    constant (its variances hit the floor), a large offset with a small
+    spread, or plain with +-inf and NaN among its values."""
     kinds = draw(st.lists(st.booleans(), max_size=4))
     k = draw(st.integers(1, 4))
     seen = draw(st.lists(st.integers(0, k - 1), min_size=1, max_size=k,
@@ -174,35 +185,100 @@ def mixed_streams(draw):
         st.integers(1, 3))] if nominal else None)
         for i, nominal in enumerate(kinds)) \
         + (AttributeSchema("cls", tuple("ABCD"[:k])),)
-    numbers = st.one_of(st.sampled_from([0.0, 1.0, -2.5]),
-                        st.floats(-1e3, 1e3, allow_nan=False),
-                        st.floats(-1e-6, 1e-6, allow_nan=False))
+    plain = st.one_of(st.sampled_from([0.0, 1.0, -2.5]),
+                      st.floats(-1e3, 1e3, allow_nan=False),
+                      st.floats(-1e-6, 1e-6, allow_nan=False))
+    # the strategy of each numeric feature's values
+    numeric = st.one_of(
+        st.just(plain),
+        plain.map(st.just),  # constant
+        st.sampled_from([1e6, -3e8, 1e12]).map(
+            lambda at: st.floats(-1e-3, 1e-3).map(lambda d: at + d)),
+        st.just(st.one_of(plain, st.sampled_from([math.inf, -math.inf,
+                                                  math.nan]))))
+    columns = [st.integers(0, len(a.values) - 1) if a.is_nominal
+               else draw(numeric) for a in schema[:-1]]
     instances = tuple(
-        Instance(tuple(draw(st.integers(0, len(a.values) - 1))
-                       if a.is_nominal else draw(numbers)
-                       for a in schema[:-1]),
+        Instance(tuple(draw(column) for column in columns),
                  draw(st.sampled_from(seen)))
         for _ in range(draw(st.integers(1, 30))))
     return StreamDataset(schema, instances, len(schema) - 1)
 
 
+def rowless(ds):
+    """A dataset with ds's schema and no rows: a learner made from it
+    works instance by instance from its first call."""
+    return StreamDataset(ds.schema, (), ds.class_index)
+
+
+# one stream of each case mixed_streams draws, so that every run has them
+NB_EDGE_CASES = [
+    numeric_dataset([(1e12 + d, c) for d, c in
+                     [(1e-4, "A"), (2e-4, "B"), (3e-4, "A"), (2e-4, "B"),
+                      (1e-4, "A"), (4e-4, "B")]]),
+    numeric_dataset([(2.0, "A"), (2.0, "B"), (2.0, "A"), (2.0, "B"),
+                     (3.0, "A")]),
+    numeric_dataset([(0.0, "A"), (5.0, "B"), (0.5, "A"), (4.0, "A")]),
+    numeric_dataset([(math.inf, "A"), (1.0, "B"), (-math.inf, "A"),
+                     (math.nan, "B"), (2.0, "A"), (math.nan, "A")]),
+    StreamDataset((AttributeSchema("cls", ("A", "B", "C")),),
+                  [Instance((), c) for c in (1, 1, 0, 2, 0, 0)], 0),
+]
+
+
+def with_edge_cases(test):
+    for ds in NB_EDGE_CASES:
+        test = example(ds)(test)
+    return test
+
+
 @given(mixed_streams())
+@with_edge_cases
 @settings(max_examples=300, deadline=None)
 def test_naive_bayes_matches_unmemoised_oracle(ds):
-    nb = NaiveBayesLearner(ds)
-    assert prediction_trace(nb, ds) == prediction_trace(OracleNaiveBayes(ds),
-                                                        ds)
-    nb.reset()
-    assert prediction_trace(nb, ds) == prediction_trace(OracleNaiveBayes(ds),
-                                                        ds)
+    expected = prediction_trace(OracleNaiveBayes(ds), ds)
+    for nb in (NaiveBayesLearner(ds), NaiveBayesLearner(rowless(ds))):
+        assert prediction_trace(nb, ds) == expected
+        nb.reset()
+        assert prediction_trace(nb, ds) == expected
+    codes = _naive_bayes_trace(ds, NaiveBayesLearner.VARIANCE_FLOOR)
+    assert [ds.class_values[c] for c in codes] == expected
+
+
+def same_float(a, b):
+    """a and b have the same bits, or are both NaN."""
+    a, b = float(a), float(b)
+    return struct.pack("<d", a) == struct.pack("<d", b) or \
+        math.isnan(a) and math.isnan(b)
+
+
+@given(mixed_streams())
+@with_edge_cases
+@settings(max_examples=200, deadline=None)
+def test_whole_stream_scores_are_the_learners_bit_for_bit(ds):
+    scores, trained = map(np.array, zip(*(
+        _naive_bayes_scores(ds, c, NaiveBayesLearner.VARIANCE_FLOOR)
+        for c in range(len(ds.class_values)))))
+    assert scores.shape == trained.shape == \
+        (len(ds.class_values), ds.n_instances)
+    assert not trained[:, 0].any()  # t = 0 takes the first class
+    nb = NaiveBayesLearner(rowless(ds))
+    for t, inst in enumerate(ds.instances):
+        if t:
+            expected = nb._scores(inst.features)
+            assert trained[:, t].tolist() == [s is not None for s in expected]
+            assert all(same_float(scores[c, t], s)
+                       for c, s in enumerate(expected) if s is not None)
+        nb.update(inst.features, ds.class_values[inst.label])
 
 
 @given(mixed_streams())
 @settings(max_examples=100, deadline=None)
 def test_naive_bayes_cached_terms_are_bit_identical(ds):
     # an argmax rarely shows a last-bit difference in a score, so compare
-    # the cached terms with the ones the oracle's predict computes
-    nb, oracle = NaiveBayesLearner(ds), OracleNaiveBayes(ds)
+    # the cached terms with the ones the oracle's predict computes; a
+    # learner made from the fed stream would not build them
+    nb, oracle = NaiveBayesLearner(rowless(ds)), OracleNaiveBayes(ds)
     for inst in ds.instances:
         label = ds.class_values[inst.label]
         nb.update(inst.features, label)
@@ -219,7 +295,152 @@ def test_naive_bayes_cached_terms_are_bit_identical(ds):
                     assert terms[f] is None
                     continue
                 var = max(m2 / count, oracle.VARIANCE_FLOOR)
-                assert terms[f] == (mean, var, math.log(2.0 * math.pi * var))
+                assert all(map(same_float, terms[f],
+                               (mean, var, math.log(2.0 * math.pi * var))))
+
+
+# calls that leave the stream a learner is made from: its predictions stay
+# the oracle's, which has no stream
+
+def run_calls(learner, calls):
+    """The predictions of learner on calls: ("predict", features),
+    ("update", features, label) or ("reset",)."""
+    out = []
+    for name, *args in calls:
+        if name == "predict":
+            out.append(learner.predict(*args))
+        else:
+            getattr(learner, name)(*args)
+    return out
+
+
+def walk(ds, rows):
+    """A prequential pass over the given rows of ds."""
+    calls = []
+    for t in rows:
+        inst = ds.instances[t]
+        calls += [("predict", inst.features),
+                  ("update", inst.features, ds.class_values[inst.label])]
+    return calls
+
+
+def three_class_stream(n=60, seed=3):
+    rnd = random.Random(seed)
+    schema = (AttributeSchema("x", None), AttributeSchema("day", ("m", "t")),
+              AttributeSchema("y", None),
+              AttributeSchema("cls", ("A", "B", "C")))
+    return StreamDataset(schema, [
+        Instance((rnd.gauss(c, 1.0), rnd.randrange(2), rnd.random()), c)
+        for c in (rnd.randrange(3) for _ in range(n))], 3)
+
+
+STREAM = three_class_stream()
+OTHER = three_class_stream(seed=4)
+N = STREAM.n_instances
+HALF = N // 2
+LEAVING_CALLS = {
+    "foreign-predict": walk(STREAM, range(HALF))
+    + [("predict", (0.25, 1, 0.5))] + walk(STREAM, range(HALF, N)),
+    "predict-of-a-later-row": walk(STREAM, range(HALF))
+    + [("predict", STREAM.instances[HALF + 1].features)]
+    + walk(STREAM, range(HALF, N)),
+    "foreign-update": walk(STREAM, range(HALF))
+    + [("update", STREAM.instances[HALF].features, "C"
+        if STREAM.labels()[HALF] != "C" else "A")]
+    + walk(STREAM, range(HALF, N)),
+    "list-not-tuple": walk(STREAM, range(HALF))
+    + [("predict", list(STREAM.instances[HALF].features))]
+    + walk(STREAM, range(HALF, N)),
+    "numpy-array": walk(STREAM, range(HALF))
+    + [("predict", np.array(STREAM.instances[HALF].features, dtype=object))]
+    + walk(STREAM, range(HALF, N)),
+    "after-the-last-row": walk(STREAM, range(N)) + walk(STREAM, range(N)),
+    "another-dataset": walk(OTHER, range(N)),
+}
+
+
+@pytest.mark.parametrize("calls", LEAVING_CALLS.values(), ids=LEAVING_CALLS)
+def test_calls_leaving_the_stream_match_the_oracle(calls):
+    nb = NaiveBayesLearner(STREAM)
+    assert run_calls(nb, calls) == run_calls(OracleNaiveBayes(STREAM), calls)
+    assert nb._cursor is None  # it works instance by instance now
+    nb.reset()
+    assert run_calls(nb, walk(STREAM, range(N))) == \
+        run_calls(OracleNaiveBayes(STREAM), walk(STREAM, range(N)))
+    assert nb._cursor == N
+
+
+def test_reset_mid_stream_keeps_the_trace():
+    nb = NaiveBayesLearner(STREAM)
+    calls = walk(STREAM, range(HALF)) + [("reset",)] + walk(STREAM, range(N))
+    first = run_calls(nb, walk(STREAM, range(HALF)))
+    trace = nb._trace
+    assert first + run_calls(nb, [("reset",)] + walk(STREAM, range(N))) == \
+        run_calls(OracleNaiveBayes(STREAM), calls)
+    assert nb._trace is trace and nb._cursor == N
+    assert nb._n == 0  # no per-instance statistics were built
+
+
+def test_a_copy_mid_stream_carries_on():
+    nb = NaiveBayesLearner(STREAM)
+    run_calls(nb, walk(STREAM, range(HALF)))
+    rest = walk(STREAM, range(HALF, N))
+    oracle = OracleNaiveBayes(STREAM)
+    run_calls(oracle, walk(STREAM, range(HALF)))
+    expected = run_calls(oracle, rest)
+    for twin in (copy.deepcopy(nb), pickle.loads(pickle.dumps(nb)), nb):
+        assert twin._cursor == HALF
+        assert run_calls(twin, rest) == expected
+        assert twin._cursor == N
+
+
+@given(mixed_streams(), st.lists(st.tuples(
+    st.sampled_from(["next", "predict", "update", "reset"]),
+    st.integers(0, 29), st.integers(0, 3)), max_size=40))
+@settings(max_examples=150, deadline=None)
+def test_any_calls_match_the_oracle(ds, script):
+    # "next" is the stream's next row; past the end it wraps around
+    calls, t = [], 0
+    for name, row, label in script:
+        if name == "reset":
+            calls.append(("reset",))
+            t = 0
+        elif name == "next":
+            calls += walk(ds, [t % ds.n_instances])
+            t += 1
+        else:
+            features = ds.instances[row % ds.n_instances].features
+            calls.append(("predict", features) if name == "predict" else
+                         ("update", features, ds.class_values[
+                             label % len(ds.class_values)]))
+    assert run_calls(NaiveBayesLearner(ds), calls) == \
+        run_calls(OracleNaiveBayes(ds), calls)
+
+
+def test_a_square_too_large_raises_where_the_oracle_does():
+    # ** 2 of a finite value raises OverflowError: the learner answers the
+    # rows before it, then raises at the row that meets it
+    ds = numeric_dataset([(1e200, "A"), (-1e200, "B"), (0.0, "A")])
+    for learner in (OracleNaiveBayes(ds), NaiveBayesLearner(ds)):
+        inst = ds.instances
+        assert learner.predict(inst[0].features) == "A"
+        learner.update(inst[0].features, "A")
+        with pytest.raises(OverflowError):
+            learner.predict(inst[1].features)
+
+
+class ZeroFloorNaiveBayes(NaiveBayesLearner):
+    VARIANCE_FLOOR = 0.0
+
+
+def test_log_of_a_zero_variance_raises_where_row_by_row_does():
+    # math.log(0) raises ValueError in the update that makes the variance
+    ds = numeric_dataset([(2.0, "A"), (2.0, "A"), (1.0, "B")])
+    for learner in (ZeroFloorNaiveBayes(rowless(ds)), ZeroFloorNaiveBayes(ds)):
+        inst = ds.instances
+        assert learner.predict(inst[0].features) == "A"
+        with pytest.raises(ValueError, match="math domain error"):
+            learner.update(inst[0].features, "A")
 
 
 def test_prequential_empty_stream():
