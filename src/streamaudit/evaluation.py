@@ -15,9 +15,13 @@ with persistence prove nothing and grade as BelowPersistence.
 
 NaiveBayesLearner serves the stream it is made from out of one
 whole-stream pass: while the calls walk that stream in order, each
-predict reads the prediction _naive_bayes_trace computed for its row with
-the learner's own float operations, and the per-instance statistics are
-built only when a call leaves the stream.
+predict reads the prediction _naive_bayes_trace computed for its row, and
+the per-instance statistics are built only when a call leaves the stream.
+The trace scores every row with numpy's log and square, and keeps a row's
+class where an error bound shows that the learner's own float operations
+rank the classes the same way; it scores the other rows with those
+operations. So its predictions are exact, and its scores are the
+learner's only on the rows it scores again.
 """
 
 import csv
@@ -173,11 +177,12 @@ class NaiveBayesLearner(Classifier):
     each update is that dataset's next row (a tuple equal to its values)
     and label, those statistics are left unbuilt, and a predict on the
     next row returns that row's entry of the stream's trace: the
-    predictions of _naive_bayes_trace, computed on the first such predict
-    and kept across reset. The first call that leaves the stream (other
-    values or another label, a row holding NaN, which equals nothing, or
-    any call after the last row) learns the rows passed so far one at a
-    time, and until reset the learner works instance by instance.
+    predictions of _naive_bayes_trace, which are this learner's exactly,
+    computed on the first such predict and kept across reset. The first
+    call that leaves the stream (other values or another label, a row
+    holding NaN, which equals nothing, or any call after the last row)
+    learns the rows passed so far one at a time, and until reset the
+    learner works instance by instance.
     """
 
     name = "naive-bayes"
@@ -325,52 +330,120 @@ def _naive_bayes_trace(ds: StreamDataset, variance_floor: float):
     """The class codes NaiveBayesLearner predicts in a prequential pass
     over ds, all at once. As predict's loop does, each row takes its first
     trained class in schema order and changes only to a strictly greater
-    score; at t = 0 no class is trained and the first class is taken."""
+    score; at t = 0 no class is trained and the first class is taken.
+
+    The predictions are exact; the scores behind them are the learner's
+    only on the rows step 2 scores again. Step 1 scores every row with
+    np.log and np.square, which differ from math.log and ** 2 in the last
+    bits on some values (and np.log with numpy's SIMD dispatch), and keeps
+    each score's size, the sum of its terms' magnitudes. A row is settled
+    when its best trained class beats every other trained class by more
+    than the two classes' error bounds, tol = scale * size: then the exact
+    scores order the classes the same way. Step 2 scores the other rows,
+    and those with a score that is not finite, with the learner's own
+    operations (_naive_bayes_scores), so exact ties break its way.
+    """
     n, k = ds.n_instances, len(ds.class_values)
+    # The bound. A score is m = len(ds.schema) terms, the prior and one per
+    # feature, added left to right. Both steps make each term from the same
+    # float arguments; only the kernels differ. np.log and math.log, and
+    # np.square and ** 2, each lie within 4 ulps of the true value, so the
+    # two kernels' results differ by less than 2**-49 of themselves. size
+    # bounds every term and every partial sum, so with the three roundings
+    # that make a term and add it (each under 2**-53 of a value no larger
+    # than size, on each side) one term moves the two scores apart by less
+    # than 2**-48 * size, and m terms by less than m * 2**-48 * size.
+    # 2**-44 per term is a margin of 16: kernels 2**7 ulps off are safe.
+    scale = len(ds.schema) * 2.0 ** -44
     best = np.zeros(n, np.min_scalar_type(k - 1))
-    best_score = np.zeros(n)
-    taken = np.zeros(n, bool)
+    best_score, best_tol = np.zeros(n), np.zeros(n)
+    others_high = np.full(n, -np.inf)  # max of score + tol over the rest
+    taken, unsure = np.zeros(n, bool), np.zeros(n, bool)
     for c in range(k):
-        score, trained = _naive_bayes_scores(ds, c, variance_floor)
+        score, trained, tol = _class_scores(ds, c, variance_floor, None,
+                                            np.log, np.square)
+        tol *= scale  # from size to the bound, in place
         with np.errstate(invalid="ignore"):  # a NaN score is never greater
+            high = score + tol
+            unsure |= trained & ~np.isfinite(high)
             take = trained & (~taken | (score > best_score))
+            # the rest gains a class that does not take the lead, or the
+            # one it takes the lead from
+            np.maximum(others_high, high, out=others_high,
+                       where=trained & taken & ~take)
+            np.maximum(others_high, best_score + best_tol, out=others_high,
+                       where=take & taken)
         best[take] = c
+        best_score[take] = score[take]
+        best_tol[take] = tol[take]
+        taken |= trained
+        del score, tol, high  # freed before the next class's are made
+    with np.errstate(invalid="ignore"):
+        rows = np.flatnonzero(taken & (unsure | ~(best_score - best_tol
+                                                  > others_high)))
+    best_score, taken = np.zeros(len(rows)), np.zeros(len(rows), bool)
+    for c in range(k if len(rows) else 0):
+        score, trained = _naive_bayes_scores(ds, c, variance_floor, rows)
+        with np.errstate(invalid="ignore"):
+            take = trained & (~taken | (score > best_score))
+        best[rows[take]] = c
         best_score[take] = score[take]
         taken |= trained
     return best
 
 
-def _naive_bayes_scores(ds: StreamDataset, c: int, variance_floor: float):
-    """(scores, trained): class c's score at every row of a prequential
-    naive Bayes pass over ds, and whether class c has a row before it.
+def _naive_bayes_scores(ds: StreamDataset, c: int, variance_floor: float,
+                        rows=None):
+    """(scores, trained): class c's score at each of rows (an index array;
+    by default every row) of a prequential naive Bayes pass over ds, and
+    whether class c has a row before it.
 
-    Where trained[t], scores[t] is bit for bit the score NaiveBayesLearner
+    Where trained, the score is bit for bit the one NaiveBayesLearner
     gives class c when it predicts row t after learning rows [0, t);
     elsewhere it means nothing. The float operations are the learner's,
     in its order: only the Welford mean recurrence runs in Python, M2 is
-    its left fold by np.cumsum, math.log and ** 2 are applied by Python
-    (np.log and d * d differ from them in the last bit on some values),
-    and the terms are added in schema order. Terms are made BLOCK_LINES
-    rows at a time, so no more Python floats than that are alive.
+    its left fold by np.cumsum, math.log and ** 2 are applied by Python,
+    and the terms are added in schema order.
+    """
+    score, trained, _ = _class_scores(ds, c, variance_floor, rows,
+                                      _logs, _squares)
+    return score, trained
+
+
+def _class_scores(ds, c, variance_floor, rows, log, square):
+    """(scores, trained, size) as _naive_bayes_scores gives them, with log
+    and square as the kernels; size is the sum of each score's terms'
+    magnitudes, a Gaussian's 0.5 * (|log(2 pi var)| + (x - mean)**2 / var).
+    Terms are made BLOCK_LINES rows at a time, so no more Python floats
+    or temporary values than that are alive.
+
+    Whatever the kernels, this raises where the learner's math.log and
+    ** 2 would for any row's values: ValueError for a variance of class c
+    at or below 0, read by a later row or not, since the learner takes its
+    log in the update that makes it; OverflowError for a difference too
+    large to square, read by a trained row or not.
     """
     n, k = ds.n_instances, len(ds.class_values)
-    blocks = [slice(start, min(start + BLOCK_LINES, n))
-              for start in range(0, n, BLOCK_LINES)]
+    rows = np.arange(n) if rows is None else rows
+    blocks = [(slice(start, start + BLOCK_LINES),
+               rows[start:start + BLOCK_LINES])
+              for start in range(0, len(rows), BLOCK_LINES)]
     is_c = ds.columns[ds.class_index] == c
     before = np.cumsum(is_c, dtype=np.int32) - is_c  # c's rows in [0, t)
     last = np.maximum(before - 1, 0)  # the last of them
-    score = np.empty(n)
-    for rows in blocks:
-        score[rows] = _logs((before[rows] + 1)
-                            / np.arange(rows.start + k, rows.stop + k))
+    score, size = np.empty(len(rows)), np.empty(len(rows))
+    for out, t in blocks:
+        score[out] = log((before[t] + 1) / (t + k))
+        size[out] = np.abs(score[out])
     for j, (attr, col) in enumerate(zip(ds.schema, ds.columns)):
         if j == ds.class_index:
             continue
         if attr.is_nominal:
             same = _earlier_equal(col, is_c)
-            for rows in blocks:
-                score[rows] += _logs((same[rows] + 1)
-                                     / (before[rows] + len(attr.values)))
+            for out, t in blocks:
+                term = log((same[t] + 1) / (before[t] + len(attr.values)))
+                score[out] += term
+                size[out] += np.abs(term)
             continue
         x = col[is_c]
         if not len(x):
@@ -380,15 +453,19 @@ def _naive_bayes_scores(ds: StreamDataset, c: int, variance_floor: float):
             delta = x - np.concatenate(([0.0], mean[:-1]))
             var = np.cumsum(delta * (x - mean)) / np.arange(1, len(x) + 1)
             var[var < variance_floor] = variance_floor
-            log_norm = np.concatenate(
-                [_logs(2.0 * math.pi * var[start:start + BLOCK_LINES])
-                 for start in range(0, len(var), BLOCK_LINES)])
-            for rows in blocks:
-                at = last[rows]
-                score[rows] -= 0.5 * (log_norm[at]
-                                      + _squares(col[rows] - mean[at])
-                                      / var[at])
-    return score, before > 0
+            spread = 2.0 * math.pi * var
+            if (spread <= 0).any():
+                raise ValueError("math domain error")
+            for out, t in blocks:
+                at = last[t]
+                diff = col[t] - mean[at]
+                # ** 2 raises OverflowError here if the learner's would
+                _squares(diff[np.abs(diff) >= 2.0 ** 511])
+                log_norm = log(spread[at])
+                quad = square(diff) / var[at]
+                score[out] -= 0.5 * (log_norm + quad)
+                size[out] += 0.5 * (np.abs(log_norm) + quad)
+    return score, before[rows] > 0, size
 
 
 def _earlier_equal(col, is_c):
@@ -458,7 +535,8 @@ def audit_prediction_log(log: Sequence, ds_labels: Optional[Sequence] = None):
         raise EmptyLog("prediction log has no rows")
     true_col = [t for t, _ in log]
     if ds_labels is not None:
-        ds_labels = list(ds_labels)
+        if not isinstance(ds_labels, list):  # a list compares at once
+            ds_labels = list(ds_labels)
         if ds_labels != true_col:  # then find where
             if len(ds_labels) != len(true_col):
                 raise LabelMismatch(min(len(ds_labels), len(true_col)),
@@ -466,9 +544,9 @@ def audit_prediction_log(log: Sequence, ds_labels: Optional[Sequence] = None):
             for i, (a, b) in enumerate(zip(ds_labels, true_col)):
                 if a != b:
                     raise LabelMismatch(i, a, b)
+    true = diagnostics._encode(true_col)  # once, for every bar
     report = _score("prediction-log", log)
-    verdict = audit_accuracy(report.accuracy, true_col)
-    return verdict, report
+    return audit_accuracy(report.accuracy, true), report
 
 
 @_utf8

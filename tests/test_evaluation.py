@@ -23,6 +23,7 @@ from streamaudit import (AttributeSchema, AuditVerdict, Classifier, EmptyLog,
                          persistence_accuracy, prequential_eval,
                          random_restart_run, random_restart_trace,
                          read_prediction_log, write_prediction_log)
+from streamaudit import evaluation
 from streamaudit.evaluation import _naive_bayes_scores, _naive_bayes_trace
 from streamaudit.synth import MarkovLabelModel, labels_to_dataset
 
@@ -441,6 +442,163 @@ def test_log_of_a_zero_variance_raises_where_row_by_row_does():
         assert learner.predict(inst[0].features) == "A"
         with pytest.raises(ValueError, match="math domain error"):
             learner.update(inst[0].features, "A")
+
+
+def first_raise(learner, calls):
+    """(index, type) of the first of calls that raises OverflowError or
+    ValueError on learner, or None."""
+    for i, (name, *args) in enumerate(calls):
+        try:
+            getattr(learner, name)(*args)
+        except (OverflowError, ValueError) as exc:
+            return i, type(exc)
+    return None
+
+
+def test_a_variance_no_row_reads_raises_where_row_by_row_does():
+    # no prediction reads the one row's variance, but the learner takes
+    # its log in the update that makes it
+    ds = numeric_dataset([(2.0, "A")])
+    for learner in (ZeroFloorNaiveBayes(rowless(ds)), ZeroFloorNaiveBayes(ds)):
+        assert first_raise(learner, walk(ds, range(1))) == (1, ValueError)
+
+
+SQUARE_LIMIT = 1.3407807929942596e154  # the largest float ** 2 keeps finite
+
+
+@pytest.mark.parametrize("diff", [SQUARE_LIMIT, -SQUARE_LIMIT,
+                                  math.nextafter(SQUARE_LIMIT, math.inf),
+                                  -math.nextafter(SQUARE_LIMIT, math.inf)])
+def test_squares_at_the_overflow_limit_raise_where_the_oracle_does(diff):
+    # row 2 is diff away from class A's mean; ** 2 and np.square both
+    # overflow just past SQUARE_LIMIT; row 3's scores are not finite
+    overflows = abs(diff) > SQUARE_LIMIT
+    with np.errstate(over="ignore"):
+        assert math.isinf(np.square(diff)) == overflows
+    ds = numeric_dataset([(-1.0, "A"), (1.0, "A"), (diff, "B"), (0.0, "A")])
+    calls = walk(ds, range(4))
+    expected = first_raise(OracleNaiveBayes(ds), calls)
+    assert expected == ((4, OverflowError) if overflows else None)
+    for learner in (NaiveBayesLearner(rowless(ds)), NaiveBayesLearner(ds)):
+        assert first_raise(learner, calls) == expected
+    if not overflows:
+        assert run_calls(NaiveBayesLearner(ds), calls) == \
+            run_calls(OracleNaiveBayes(ds), calls)
+
+
+def test_a_square_no_prediction_makes_still_raises_in_the_trace():
+    # row 0 is too far from class B's first value to square, but no
+    # prediction scores B there: the trace raises as it did when it
+    # squared every row, and the learner answers row by row
+    ds = numeric_dataset([(0.0, "A"), (1.3e154, "A"), (1.95e154, "A"),
+                          (2.38e154, "B")])
+    with pytest.raises(OverflowError):
+        _naive_bayes_trace(ds, NaiveBayesLearner.VARIANCE_FLOOR)
+    assert prediction_trace(NaiveBayesLearner(ds), ds) == \
+        prediction_trace(OracleNaiveBayes(ds), ds)
+
+
+# The trace settles a row from np.log and np.square scores only when an
+# error bound shows the exact scores order the classes the same way, and
+# scores the rest again with the learner's operations.
+
+def mirrored_dataset(values):
+    """Class A learns each value and class B its negation, in turn, so at
+    a row of value 0.0 that starts a pair the two scores are equal."""
+    return numeric_dataset([(sign * v, c) for v in values
+                            for sign, c in ((1.0, "A"), (-1.0, "B"))])
+
+
+@st.composite
+def tied_streams(draw):
+    """Streams with exact ties on some rows: nominal-only ones whose first
+    two rows differ only in the label, and mirrored ones of values near an
+    offset, whose second pair is 0.0."""
+    if draw(st.booleans()):
+        sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+        k = draw(st.integers(2, 3))
+        schema = tuple(AttributeSchema(f"f{i}", ("p", "q", "r")[:size])
+                       for i, size in enumerate(sizes)) \
+            + (AttributeSchema("cls", tuple("ABC"[:k])),)
+        rows = draw(st.lists(st.tuples(*(st.integers(0, size - 1)
+                                         for size in sizes)),
+                             min_size=3, max_size=30))
+        labels = [0, 1] + [draw(st.integers(0, k - 1)) for _ in rows[2:]]
+        rows[1] = rows[0]
+        return StreamDataset(schema, [Instance(row, c) for row, c
+                                      in zip(rows, labels)], len(sizes))
+    at = draw(st.sampled_from([1.0, 5.0, -300.0]))
+    values = draw(st.lists(st.one_of(st.just(0.0), st.floats(-1e-2, 1e-2)
+                                     .map(lambda d: at + d)),
+                           min_size=1, max_size=15))
+    return mirrored_dataset(values[:1] + [0.0] + values[1:])
+
+
+NB_TIE_CASES = [
+    mirrored_dataset([5.0, 0.0, 5.01, 0.0, 4.99, 0.0, 5.0]),
+    mirrored_dataset([-300.0, 0.0, -300.001, 0.0]),
+    StreamDataset((AttributeSchema("a", ("p", "q", "r")),
+                   AttributeSchema("b", ("p", "q")),
+                   AttributeSchema("cls", ("A", "B", "C"))),
+                  [Instance((a, b), c) for a, b, c in
+                   [(0, 1, 0), (0, 1, 1), (2, 0, 2), (1, 1, 0), (2, 0, 1),
+                    (1, 1, 2), (0, 0, 1), (0, 0, 0), (1, 0, 2), (2, 1, 0)]],
+                  2),
+]
+
+
+def with_tie_cases(test):
+    for ds in NB_TIE_CASES:
+        test = example(ds)(test)
+    return test
+
+
+def traced_predictions(ds):
+    """The trace's predictions, and how many rows it scored again."""
+    rescored = []
+
+    def spy(ds, c, variance_floor, rows=None):
+        rescored.append(len(rows))
+        return _naive_bayes_scores(ds, c, variance_floor, rows)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(evaluation, "_naive_bayes_scores", spy)
+        codes = _naive_bayes_trace(ds, NaiveBayesLearner.VARIANCE_FLOOR)
+    k = len(ds.class_values)
+    return [ds.class_values[c] for c in codes], sum(rescored) // k
+
+
+@given(tied_streams())
+@with_tie_cases
+@settings(max_examples=150, deadline=None)
+def test_exact_ties_are_scored_again_and_break_the_learners_way(ds):
+    predictions, rescored = traced_predictions(ds)
+    assert predictions == prediction_trace(OracleNaiveBayes(ds), ds)
+    assert rescored > 0
+
+
+def moved(kernel, units):
+    """kernel with each result moved by units * 2**-52 of itself, one way
+    or the other by its argument's sign bit and lowest bit, so that equal
+    scores from mirrored or merely different arguments come apart."""
+    def kernel_moved(x):
+        down = np.signbit(x) ^ (x.view(np.int64) & 1).astype(bool)
+        return kernel(x) * np.where(down, 1 - units * 2.0 ** -52,
+                                    1 + units * 2.0 ** -52)
+    return kernel_moved
+
+
+@given(st.one_of(mixed_streams(), tied_streams()))
+@with_edge_cases
+@with_tie_cases
+@settings(max_examples=300, deadline=None)
+def test_kernels_a_few_hundred_ulps_off_keep_the_trace(ds):
+    # the bound, not np.log agreeing with math.log, makes the trace exact
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(np, "log", moved(np.log, 300))
+        mp.setattr(np, "square", moved(np.square, 300))
+        predictions, _ = traced_predictions(ds)
+    assert predictions == prediction_trace(OracleNaiveBayes(ds), ds)
 
 
 def test_prequential_empty_stream():
