@@ -359,9 +359,10 @@ def _naive_bayes_trace(ds: StreamDataset, variance_floor: float):
     best_score, best_tol = np.zeros(n), np.zeros(n)
     others_high = np.full(n, -np.inf)  # max of score + tol over the rest
     taken, unsure = np.zeros(n, bool), np.zeros(n, bool)
+    runs = _nominal_runs(ds)
     for c in range(k):
         score, trained, tol = _class_scores(ds, c, variance_floor, None,
-                                            np.log, np.square)
+                                            np.log, np.square, runs)
         tol *= scale  # from size to the bound, in place
         with np.errstate(invalid="ignore"):  # a NaN score is never greater
             high = score + tol
@@ -410,12 +411,14 @@ def _naive_bayes_scores(ds: StreamDataset, c: int, variance_floor: float,
     return score, trained
 
 
-def _class_scores(ds, c, variance_floor, rows, log, square):
+def _class_scores(ds, c, variance_floor, rows, log, square, runs=None):
     """(scores, trained, size) as _naive_bayes_scores gives them, with log
     and square as the kernels; size is the sum of each score's terms'
     magnitudes, a Gaussian's 0.5 * (|log(2 pi var)| + (x - mean)**2 / var).
     Terms are made BLOCK_LINES rows at a time, so no more Python floats
-    or temporary values than that are alive.
+    or temporary values than that are alive. runs is _nominal_runs(ds),
+    made here if not given: a caller that scores several classes sorts
+    each nominal column once.
 
     Whatever the kernels, this raises where the learner's math.log and
     ** 2 would for any row's values: ValueError for a variance of class c
@@ -425,6 +428,7 @@ def _class_scores(ds, c, variance_floor, rows, log, square):
     """
     n, k = ds.n_instances, len(ds.class_values)
     rows = np.arange(n) if rows is None else rows
+    runs = _nominal_runs(ds) if runs is None else runs
     blocks = [(slice(start, start + BLOCK_LINES),
                rows[start:start + BLOCK_LINES])
               for start in range(0, len(rows), BLOCK_LINES)]
@@ -439,7 +443,7 @@ def _class_scores(ds, c, variance_floor, rows, log, square):
         if j == ds.class_index:
             continue
         if attr.is_nominal:
-            same = _earlier_equal(col, is_c)
+            same = _earlier_equal(is_c, *runs[j])
             for out, t in blocks:
                 term = log((same[t] + 1) / (before[t] + len(attr.values)))
                 score[out] += term
@@ -468,16 +472,28 @@ def _class_scores(ds, c, variance_floor, rows, log, square):
     return score, before[rows] > 0, size
 
 
-def _earlier_equal(col, is_c):
+def _nominal_runs(ds: StreamDataset) -> dict:
+    """For each nominal feature, by schema position: its rows sorted stably
+    by value, and where each value's run starts in that order and how long
+    it is. They depend on the column alone, not on the class."""
+    runs = {}
+    for j, (attr, col) in enumerate(zip(ds.schema, ds.columns)):
+        if attr.is_nominal and j != ds.class_index:
+            order = np.argsort(col, kind="stable")
+            starts = np.flatnonzero(np.diff(col[order], prepend=-1))
+            runs[j] = order, starts, np.diff(starts, append=len(col))
+    return runs
+
+
+def _earlier_equal(is_c, order, starts, lengths):
     """For each row t, the rows before t of the class is_c marks that
-    hold row t's value of the nominal column col: a count along the rows
-    sorted stably by value, less the count where that value's run
-    starts."""
-    order = np.argsort(col, kind="stable")
+    hold row t's value of a nominal column: a count along the rows sorted
+    stably by value (order, with its runs of one value at starts, of the
+    given lengths; see _nominal_runs), less the count where that value's
+    run starts."""
     hit = is_c[order]
     count = np.cumsum(hit, dtype=np.int32) - hit
-    starts = np.flatnonzero(np.diff(col[order], prepend=-1))
-    count -= np.repeat(count[starts], np.diff(starts, append=len(col)))
+    count -= np.repeat(count[starts], lengths)
     same = np.empty_like(count)
     same[order] = count
     return same

@@ -11,10 +11,12 @@ Nominal values may be quoted with ' or " and use backslash escapes, as
 Weka writes them. Sparse rows, string/date/relational attributes and
 missing values ('?') are rejected with UnsupportedFeature.
 
-The parsers and the writer work a column at a time: the ARFF data section
-is read in blocks of BLOCK_LINES lines, each block split at once and
-converted column by column; a block that fails to convert is re-read row
-by row, so the error names the same line as a row-at-a-time parser would.
+The parsers work a column at a time: the ARFF data section is read in
+blocks of BLOCK_LINES lines, each block split at once and converted column
+by column; a block that fails to convert is re-read row by row, so the
+error names the same line as a row-at-a-time parser would. The writer,
+to_arff, makes the text of each BLOCK_LINES rows from one byte matrix,
+with no Python work per value unless a numeric block needs repr.
 
 A CSV is read BLOCK_LINES records at a time and each block is converted
 to column parts as soon as it is read, so at most one block's cells are
@@ -66,6 +68,9 @@ _ESCAPES = str.maketrans({"\\": "\\\\", "'": "\\'", "\n": "\\n",
 # a blank cell in a block's comma-joined text with a comma put at each end;
 # \s is the whitespace str.strip() strips
 _BLANK = re.compile(r",\s*,")
+# to_arff pads its byte fields with a byte that no UTF-8 text holds
+_PAD = 0xFF
+_ZERO = ord("0")
 
 
 @dataclass(frozen=True)
@@ -657,16 +662,133 @@ def _read_csv(source: Union[str, TextIO], class_only: bool) -> StreamDataset:
     return columns.dataset(header)
 
 
-def _format_column(attr: AttributeSchema, col: np.ndarray):
-    if attr.is_nominal:
-        return map([_quote(v) for v in attr.values].__getitem__, col.tolist())
-    return map(repr, col.tolist())
+def _byte_rows(texts: list) -> np.ndarray:
+    """The UTF-8 bytes of the strings as the rows of a uint8 matrix, each
+    padded with _PAD to the longest; lone surrogates pass through."""
+    raw = [text.encode("utf-8", "surrogatepass") for text in texts]
+    width = max(map(len, raw))
+    return np.frombuffer(b"".join(r.ljust(width, bytes((_PAD,))) for r in raw),
+                         np.uint8).reshape(len(raw), width)
+
+
+def _numeric_field(x: np.ndarray) -> np.ndarray:
+    """repr of each value of x as the rows of a _PAD-padded uint8 matrix,
+    made from the values' decimal digits where to_arff says, else by repr.
+    1e-4 is where repr's fixed notation starts."""
+    a = np.abs(x)
+    with np.errstate(invalid="ignore", over="ignore"):
+        # NaN fails the range test, and ±inf the digit count in _grid
+        if ((a >= 1e-4) | (a == 0)).all():
+            for k in range(16):
+                # the first values rule out most k at a small cost
+                if _grid(a[:64], k) is not None and \
+                        (digits := _grid(a, k)) is not None:
+                    return _decimal_field(np.signbit(x), digits, k)
+    text = np.array(list(map(repr, x.tolist())), "S")
+    field = text.view(np.uint8).reshape(len(x), text.itemsize)
+    field[field == 0] = _PAD
+    return field
+
+
+def _grid(a: np.ndarray, k: int) -> Optional[np.ndarray]:
+    """The int64 digits rint(a * 10**k) if each is below 10**15 and, divided
+    by 10**k, gives its value of a back; else None."""
+    scale = 10.0 ** k
+    digits = np.rint(a * scale)
+    if ((digits < 1e15) & (digits / scale == a)).all():
+        return digits.astype(np.int64)
+    return None
+
+
+def _decimal_field(negative: np.ndarray, digits: np.ndarray, k: int
+                   ) -> np.ndarray:
+    """The rows '-'?, the integer part without leading zeros, '.', and the
+    k fraction digits without trailing zeros (at least one), of the values
+    digits / 10**k (digits: int64 below 10**15), padded with _PAD.
+
+    This is repr's string when digits / 10**k, divided as doubles, gives the
+    value back: 10**k and digits are exact doubles, so the quotient is the
+    double nearest that decimal, as float() of its string is. A double is
+    the nearest of at most one decimal of 15 or fewer significant digits
+    (DBL_DIG), so no shorter string reads back to it, and this one is repr's.
+    """
+    whole = digits // 10 ** k
+    fraction = digits - whole * 10 ** k
+    width = len(str(int(whole.max())))  # integer digits, at most
+    n_whole = (width + 3) // 4  # 4-digit groups
+    n_fraction = max(1, (k + 3) // 4)
+    groups = _groups(whole, n_whole) + \
+        _groups(fraction * 10 ** (4 * n_fraction - k), n_fraction)
+    # a whole group with only zeros before it drops its leading zeros, and
+    # a fraction group with only zeros after it its trailing ones
+    zeros = np.ones(len(digits), bool)
+    for j in range(n_whole):
+        groups[j] = groups[j] + 10000 * zeros
+        zeros &= groups[j] == 10000
+    zeros[:] = True
+    for j in range(len(groups) - 1, n_whole - 1, -1):
+        groups[j] = groups[j] + 20000 * zeros
+        zeros &= groups[j] == 20000
+    text = _digit_groups().take(np.stack(groups, axis=1), axis=0).reshape(
+        len(digits), -1)
+    units = 4 * n_whole  # text[:, :units] is the integer part
+    signed = bool(negative.any())
+    dot = signed + width
+    field = np.empty((len(digits), dot + 1 + max(k, 1)), np.uint8)
+    if signed:
+        field[:, 0] = np.where(negative, ord("-"), _PAD)
+    field[:, signed:dot] = text[:, units - width:units]
+    field[:, dot] = ord(".")
+    field[:, dot + 1:] = text[:, units:units + max(k, 1)]
+    # the units digit and the first fraction digit stay when they are 0
+    field[whole == 0, dot - 1] = _ZERO
+    field[fraction == 0, dot + 1] = _ZERO
+    return field
+
+
+@functools.cache
+def _digit_groups() -> np.ndarray:
+    """Row i holds the four ASCII digits of i, "0000" to "9999"; row
+    10000 + i the same with its leading zeros, and row 20000 + i with its
+    trailing zeros, replaced by _PAD ("0000" gives four _PADs in both).
+    Made on first use, so that importing the package does not pay for it.
+    """
+    digits = np.indices((10,) * 4, np.uint8).reshape(4, -1)  # i's digits
+    lead = np.logical_and.accumulate(digits == 0)
+    trail = np.logical_and.accumulate(digits[::-1] == 0)[::-1]
+    text = (digits + _ZERO).astype(np.uint8)
+    table = np.concatenate([text, np.where(lead, _PAD, text),
+                            np.where(trail, _PAD, text)], axis=1).T.copy()
+    table.flags.writeable = False
+    return table
+
+
+def _groups(values: np.ndarray, n: int) -> list:
+    """The n 4-digit groups of the int64 values, most significant first."""
+    groups = []
+    for _ in range(n):
+        rest = values // 10000
+        groups.append(values - rest * 10000)
+        values = rest
+    return groups[::-1]
 
 
 def to_arff(ds: StreamDataset, relation: str = "stream") -> str:
-    """Serialize a dataset back to dense ARFF; round-trips via parse_arff."""
+    """Serialize a dataset back to dense ARFF; round-trips via parse_arff.
+
+    The relation, attribute names and nominal values are written as _quote
+    spells them, and numbers as repr does. Each BLOCK_LINES rows become one
+    uint8 matrix, a field per column padded with a byte no UTF-8 text
+    holds, and its text is the matrix's bytes without that byte. A nominal
+    field is gathered from a table of the attribute's quoted values. A
+    numeric block whose values are all 0, -0.0 or at least 1e-4 and lie on
+    one decimal grid of at most 15 places with fewer than 16 digits is
+    written from those integer digits (see _decimal_field); any other
+    numeric block, with a NaN, an infinity or a value off every such grid,
+    by repr of each value.
+    """
     out = io.StringIO()
-    out.write(f"@relation {relation}\n")
+    out.write(f"@relation {_quote(relation)}\n")
     for attr in ds.schema:
         if attr.is_nominal:
             kind = "{" + ",".join(map(_quote, attr.values)) + "}"
@@ -674,10 +796,19 @@ def to_arff(ds: StreamDataset, relation: str = "stream") -> str:
             kind = "numeric"
         out.write(f"@attribute {_quote(attr.name)} {kind}\n")
     out.write("@data\n")
+    tables = [_byte_rows(list(map(_quote, attr.values)))
+              if attr.is_nominal else None for attr in ds.schema]
     for start in range(0, ds.n_instances, BLOCK_LINES):
-        block = [col[start:start + BLOCK_LINES] for col in ds.columns]
-        formatted = map(_format_column, ds.schema, block)
-        out.write("\n".join(map(",".join, zip(*formatted))) + "\n")
+        fields = [_numeric_field(col[start:start + BLOCK_LINES])
+                  if table is None
+                  else table.take(col[start:start + BLOCK_LINES], axis=0)
+                  for table, col in zip(tables, ds.columns)]
+        comma = np.full((len(fields[0]), 1), ord(","), np.uint8)
+        block = np.concatenate([part for field in fields
+                                for part in (field, comma)], axis=1)
+        block[:, -1] = ord("\n")
+        out.write(block.tobytes().replace(bytes((_PAD,)), b"").decode(
+            "utf-8", "surrogatepass"))
     return out.getvalue()
 
 

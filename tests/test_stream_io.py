@@ -5,6 +5,7 @@ import io
 import pickle
 import re
 import tracemalloc
+from decimal import Decimal
 from unittest import mock
 
 import numpy as np
@@ -653,6 +654,101 @@ def mixed_datasets(draw):
 def test_to_arff_matches_row_oracle(ds, block):
     with mock.patch.object(stream_io, "BLOCK_LINES", block):
         assert to_arff(ds, "r") == oracle_to_arff(ds, "r")
+
+
+@st.composite
+def decimal_datasets(draw):
+    """Numeric columns of decimals of 0 to 18 places and magnitudes from
+    1e-6 to 1e17, as float(Decimal) rounds them. A column's values share
+    one number of places or each draw their own, so a block lies on one
+    decimal grid, on several, or (past 15 digits) on none to_arff uses."""
+    columns = []
+    n = draw(st.integers(1, 12))
+    for _ in range(draw(st.integers(1, 3))):
+        shared = draw(st.integers(0, 18))
+        column = []
+        for _ in range(n):
+            places = draw(st.one_of(st.just(shared), st.integers(0, 18)))
+            digits = draw(st.integers(-6, 17)) + places
+            bound = 10 ** digits if digits >= 0 else 0
+            unscaled = draw(st.integers(-bound, bound))
+            column.append(float(Decimal(unscaled).scaleb(-places)))
+        columns.append(column)
+    schema = [AttributeSchema(f"x{j}") for j in range(len(columns))]
+    schema.append(AttributeSchema("cls", ("A", "B")))
+    labels = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    return StreamDataset(schema, [Instance(features, label) for features,
+                                  label in zip(zip(*columns), labels)])
+
+
+@given(decimal_datasets(), st.integers(1, 5))
+@settings(max_examples=300, deadline=None)
+def test_to_arff_writes_decimals_as_repr_does(ds, block):
+    with mock.patch.object(stream_io, "BLOCK_LINES", block):
+        assert to_arff(ds, "r") == oracle_to_arff(ds, "r")
+
+
+# the values of one numeric block, at the edges of to_arff's decimal path,
+# and the lines it writes for them: repr's, which the test checks first
+TO_ARFF_NUMBERS = {
+    "zeros-and-signs": ([0.0, -0.0, 2.5, -0.125],
+                        ["0.0", "-0.0", "2.5", "-0.125"]),
+    "fixed-notation-floor": ([1e-4, 0.00012, 7.0],
+                             ["0.0001", "0.00012", "7.0"]),
+    "grid-value-below-the-floor": ([1e-05, 0.5], ["1e-05", "0.5"]),
+    "double-below-the-floor": ([float(np.nextafter(1e-4, 0)), 0.5],
+                               ["9.999999999999999e-05", "0.5"]),
+    "15-digits": ([999999999999999.9, 1e15 - 1, 0.5],
+                  ["999999999999999.9", "999999999999999.0", "0.5"]),
+    "1e15-and-up": ([1e15, 1e16, 1.5e17, 2.0],
+                    ["1000000000000000.0", "1e+16", "1.5e+17", "2.0"]),
+    # 16 digits: 926.1190538231188 reads back to this double too
+    "16-digit-grid": ([926.1190538231187, 0.5], ["926.1190538231187", "0.5"]),
+    "integer-valued": ([3.0, -17.0, 120.0, 0.0, 123456789012345.0],
+                       ["3.0", "-17.0", "120.0", "0.0", "123456789012345.0"]),
+    "one-ulp-off-the-grid": ([0.25, float(np.nextafter(0.1, 1))],
+                             ["0.25", "0.10000000000000002"]),
+    "nan-in-a-grid-block": ([0.5, float("nan"), 0.25],
+                            ["0.5", "nan", "0.25"]),
+    "infinities-in-a-grid-block": ([0.5, float("inf"), -float("inf")],
+                                   ["0.5", "inf", "-inf"]),
+    "full-precision-in-a-grid-block": ([0.5, 1 / 3, -2.75],
+                                       ["0.5", "0.3333333333333333", "-2.75"]),
+}
+
+
+@pytest.mark.parametrize("values, lines", TO_ARFF_NUMBERS.values(),
+                         ids=TO_ARFF_NUMBERS.keys())
+def test_to_arff_numbers_at_the_decimal_path_edges(values, lines):
+    assert lines == list(map(repr, values))
+    ds = StreamDataset((AttributeSchema("x"), AttributeSchema("cls", ("A",))),
+                       [Instance((value,), 0) for value in values])
+    text = to_arff(ds)
+    assert text.split("@data\n")[1] == "".join(f"{line},A\n"
+                                                for line in lines)
+    assert repr(arff(text)) == repr(ds)  # exact for nan and -0.0
+
+
+def test_to_arff_nominal_values_with_nul_accent_quote_and_surrogate():
+    # a NUL byte would vanish with padding of NULs, and a lone surrogate
+    # has no strict UTF-8 form
+    values = ("a\0b", "é", "'", "plain", "x\udc80")
+    ds = StreamDataset((AttributeSchema("v", values),
+                        AttributeSchema("cls", ("A", "B"))),
+                       [Instance((j,), j % 2) for j in (0, 1, 2, 3, 4, 0)])
+    text = to_arff(ds)
+    assert "@attribute v {a\0b,é,'\\'',plain,x\udc80}\n" in text
+    assert text.split("@data\n")[1] == \
+        "a\0b,A\né,B\n'\\'',A\nplain,B\nx\udc80,A\na\0b,A\n"
+    assert arff(text) == ds
+
+
+def test_to_arff_quotes_the_relation():
+    ds = arff(SMALL_ARFF)
+    assert to_arff(ds).startswith("@relation stream\n")
+    text = to_arff(ds, relation="a\nb")
+    assert text.startswith("@relation 'a\\nb'\n")
+    assert arff(text) == ds
 
 
 def test_csv_empty_header_cell_round_trips():
