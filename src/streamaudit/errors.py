@@ -50,7 +50,8 @@ class InvalidRho(StreamAuditError):
 
 
 class SchemaMismatch(StreamAuditError):
-    """A classifier bound to one schema was evaluated on another."""
+    """A classifier bound to one dataset was given another's schema or
+    rows."""
 
 
 class LabelMismatch(StreamAuditError):

@@ -13,15 +13,15 @@ classifier only demonstrates adaptation worth having when it lands
 strictly above the persistence bar and not below the majority bar; ties
 with persistence prove nothing and grade as BelowPersistence.
 
-NaiveBayesLearner serves the stream it is made from out of one
-whole-stream pass: while the calls walk that stream in order, each
-predict reads the prediction _naive_bayes_trace computed for its row, and
-the per-instance statistics are built only when a call leaves the stream.
-The trace scores every row with numpy's log and square, and keeps a row's
-class where an error bound shows that the learner's own float operations
-rank the classes the same way; it scores the other rows with those
-operations. So its predictions are exact, and its scores are the
-learner's only on the rows it scores again.
+NaiveBayesLearner is the subject of an audit, made from one stream: its
+calls must walk that stream in order, and any other call raises
+SchemaMismatch. Each predict reads the prediction _naive_bayes_trace
+computed for its row. The trace scores every row with numpy's log and
+square, and keeps a row's class where an error bound shows that a
+row-by-row learner's float operations (math.log and ** 2, in its order;
+OracleNaiveBayes in tests/oracles.py) rank the classes the same way; it
+scores the other rows with those operations. So its predictions are that
+learner's exactly, and its scores are only on the rows it scores again.
 """
 
 import csv
@@ -39,6 +39,8 @@ from . import baselines, diagnostics
 from .errors import (EmptyLog, EmptyStream, LabelMismatch, ParseError,
                      SchemaMismatch)
 from .stream_io import BLOCK_LINES, StreamDataset, _utf8, write_csv
+
+_VARIANCE_FLOOR = 1e-9  # naive Bayes' least Gaussian variance
 
 
 class Classifier:
@@ -163,174 +165,81 @@ def prequential_eval(classifier: Classifier, ds: StreamDataset) -> EvalReport:
 
 
 class NaiveBayesLearner(Classifier):
-    """Streaming naive Bayes: per-class Gaussians for numeric features
-    (mean/variance maintained incrementally, variance floored at 1e-9),
-    per-class frequency tables with add-one smoothing for nominal
-    features, add-one-smoothed class priors. Ties break toward the
-    earlier class in schema order.
+    """Streaming naive Bayes over the dataset it is made from: per-class
+    Gaussians for numeric features (variance floored at 1e-9), add-one
+    frequency tables for nominal ones, add-one class priors; ties break
+    toward the earlier class in schema order.
 
-    update keeps, per (class, feature), the Gaussian's (mean, variance,
-    log(2*pi*variance)) and each frequency table's smoothed total, so
-    predict only combines them.
-
-    The learner keeps a cursor into the dataset it is made from. While
-    each update is that dataset's next row (a tuple equal to its values)
-    and label, those statistics are left unbuilt, and a predict on the
-    next row returns that row's entry of the stream's trace: the
-    predictions of _naive_bayes_trace, which are this learner's exactly,
-    computed on the first such predict and kept across reset. The first
-    call that leaves the stream (other values or another label, a row
-    holding NaN, which equals nothing, or any call after the last row)
-    learns the rows passed so far one at a time, and until reset the
-    learner works instance by instance.
+    The learner is a cursor into that dataset, and its calls must walk it
+    in order. update takes the row at the cursor (a tuple equal to its
+    values, NaN matching NaN) and its label, and moves the cursor on.
+    predict takes that row and returns its entry of the stream's trace,
+    the predictions of _naive_bayes_trace, computed on the first predict
+    and kept across reset. Any other call (another row's values, a list
+    or an array, another label, or any call after the last row) raises
+    SchemaMismatch naming the row at the cursor, and moves nothing.
     """
 
     name = "naive-bayes"
-    VARIANCE_FLOOR = 1e-9
     CURSOR_ROWS = 256  # the stream's rows the cursor holds as Python values
 
     def __init__(self, ds: StreamDataset):
         self.schema = ds.schema
-        self._features = ds.feature_schema()
-        self._numeric_at = [f for f, a in enumerate(self._features)
-                            if not a.is_nominal]
-        self._nominal_at = [f for f, a in enumerate(self._features)
-                            if a.is_nominal]
         self._classes = ds.class_values
         self._stream = ds
         self._trace = None  # the stream's predicted codes, made on first use
         self.reset()
 
     def reset(self):
-        k = len(self._classes)
-        self._n = 0
-        self._class_counts = [0] * k
-        # numeric: (count, mean, M2) Welford accumulators per (class, feature)
-        self._gauss = [[None if a.is_nominal else (0, 0.0, 0.0)
-                        for a in self._features] for _ in range(k)]
-        # numeric: (mean, var, log(2*pi*var)), None before the first value;
-        # nominal: the frequency table
-        self._terms = [[[0] * len(a.values) if a.is_nominal else None
-                        for a in self._features] for _ in range(k)]
-        # nominal: sum(table) + len(table), the smoothed denominator
-        self._totals = [[len(a.values) if a.is_nominal else None
-                         for a in self._features] for _ in range(k)]
-        # the stream's rows learned while on it, None once off it; the
-        # stream's rows from _block_start on, CURSOR_ROWS at most
+        # the stream's rows from _block_start on, CURSOR_ROWS at most
         self._cursor = 0
         self._block_start, self._block = 0, []
 
-    def _class_index(self, label):
-        return self._classes.index(label)
-
     def _next_row(self, features):
-        """The class code of the stream's row at the cursor if features
-        are that row's values, else None."""
+        """The class code of the stream's row at the cursor; SchemaMismatch
+        if features are not that row's values."""
         at = self._cursor - self._block_start
         if at == len(self._block):  # the next block; empty past the end
             self._block_start, at = self._cursor, 0
             self._block = list(self._stream._rows(
                 self._cursor, self._cursor + self.CURSOR_ROWS))
             if not self._block:
-                return None
+                raise SchemaMismatch(f"row {self._cursor}: past the end of "
+                                     "the stream the learner is bound to")
         row, code = self._block[at]
         # == on a numpy array would compare elementwise
-        if isinstance(features, tuple) and features == row:
+        if isinstance(features, tuple) and (features == row
+                                            or _nan_equal(features, row)):
             return code
-        return None
-
-    def _traced(self) -> bool:
-        """Whether the stream's trace is there, made on the first call."""
-        if self._trace is None:
-            try:
-                self._trace = _naive_bayes_trace(self._stream,
-                                                 self.VARIANCE_FLOOR)
-            except (OverflowError, ValueError):
-                # ** 2 of a large finite value, or math.log of a variance
-                # floored at 0: row by row the call that meets it raises
-                self._trace = ()
-        return len(self._trace) > 0
-
-    def _leave_stream(self):
-        """Learn the rows before the cursor one at a time; until reset,
-        every call is served instance by instance."""
-        for features, code in self._stream._rows(0, self._cursor):
-            self._learn(features, code)
-        self._cursor, self._block = None, []
+        raise SchemaMismatch(f"row {self._cursor}: not the values of the "
+                             "stream the learner is bound to")
 
     def update(self, features, label):
-        if self._cursor is not None:
-            code = self._next_row(features)
-            if code is not None and label == self._classes[code]:
-                self._cursor += 1
-                return
-            self._leave_stream()
-        self._learn(features, self._class_index(label))
-
-    def _learn(self, features, c):
-        self._n += 1
-        self._class_counts[c] += 1
-        gauss, terms, totals = self._gauss[c], self._terms[c], self._totals[c]
-        for f in self._numeric_at:
-            value = features[f]
-            count, mean, m2 = gauss[f]
-            count += 1
-            delta = value - mean
-            mean += delta / count
-            m2 += delta * (value - mean)
-            gauss[f] = (count, mean, m2)
-            var = m2 / count
-            if var < self.VARIANCE_FLOOR:
-                var = self.VARIANCE_FLOOR
-            terms[f] = (mean, var, math.log(2.0 * math.pi * var))
-        for f in self._nominal_at:
-            terms[f][features[f]] += 1
-            totals[f] += 1
+        expected = self._classes[self._next_row(features)]
+        if label != expected:
+            raise SchemaMismatch(f"row {self._cursor}: label {label!r} is "
+                                 f"not the stream's {expected!r}")
+        self._cursor += 1
 
     def predict(self, features):
-        if self._cursor is not None:
-            if self._next_row(features) is not None and self._traced():
-                return self._classes[self._trace[self._cursor]]
-            self._leave_stream()
-        best_c = 0
-        best_score = None
-        for c, score in enumerate(self._scores(features)):
-            if score is not None and (best_score is None
-                                      or score > best_score):
-                best_score = score
-                best_c = c
-        return self._classes[best_c]
-
-    def _scores(self, features) -> list:
-        """Each class's log score for features from the statistics learned
-        so far; None for a class that predict passes over."""
-        k = len(self._classes)
-        n = self._n
-        log = math.log
-        scores = []
-        for c, count in enumerate(self._class_counts):
-            # a class never seen in training has no likelihood model; it
-            # cannot outscore trained classes just by skipping the penalty
-            if count == 0 and n > 0:
-                scores.append(None)
-                continue
-            score = log((count + 1) / (n + k))
-            for value, term, total in zip(features, self._terms[c],
-                                          self._totals[c]):
-                if total is not None:  # nominal: term is the table
-                    score += log((term[value] + 1) / total)
-                elif term is not None:  # None: no evidence from it yet
-                    mean, var, log_norm = term
-                    score -= 0.5 * (log_norm + (value - mean) ** 2 / var)
-            scores.append(score)
-        return scores
+        self._next_row(features)
+        if self._trace is None:
+            self._trace = _naive_bayes_trace(self._stream)
+        return self._classes[self._trace[self._cursor]]
 
 
-def _naive_bayes_trace(ds: StreamDataset, variance_floor: float):
-    """The class codes NaiveBayesLearner predicts in a prequential pass
-    over ds, all at once. As predict's loop does, each row takes its first
-    trained class in schema order and changes only to a strictly greater
-    score; at t = 0 no class is trained and the first class is taken.
+def _nan_equal(features, row) -> bool:
+    """Whether the tuples are equal where NaN equals NaN."""
+    return len(features) == len(row) and all(
+        a == b or a != a and b != b for a, b in zip(features, row))
+
+
+def _naive_bayes_trace(ds: StreamDataset):
+    """The class codes a row-by-row naive Bayes learner (OracleNaiveBayes
+    in tests/oracles.py) predicts in a prequential pass over ds, all at
+    once. As its predict does, each row takes its first trained class in
+    schema order and changes only to a strictly greater score; at t = 0 no
+    class is trained and the first class is taken.
 
     The predictions are exact; the scores behind them are the learner's
     only on the rows step 2 scores again. Step 1 scores every row with
@@ -361,8 +270,8 @@ def _naive_bayes_trace(ds: StreamDataset, variance_floor: float):
     taken, unsure = np.zeros(n, bool), np.zeros(n, bool)
     runs = _nominal_runs(ds)
     for c in range(k):
-        score, trained, tol = _class_scores(ds, c, variance_floor, None,
-                                            np.log, np.square, runs)
+        score, trained, tol = _class_scores(ds, c, None, np.log, np.square,
+                                            runs)
         tol *= scale  # from size to the bound, in place
         with np.errstate(invalid="ignore"):  # a NaN score is never greater
             high = score + tol
@@ -384,7 +293,7 @@ def _naive_bayes_trace(ds: StreamDataset, variance_floor: float):
                                                   > others_high)))
     best_score, taken = np.zeros(len(rows)), np.zeros(len(rows), bool)
     for c in range(k if len(rows) else 0):
-        score, trained = _naive_bayes_scores(ds, c, variance_floor, rows)
+        score, trained = _naive_bayes_scores(ds, c, rows)
         with np.errstate(invalid="ignore"):
             take = trained & (~taken | (score > best_score))
         best[rows[take]] = c
@@ -393,25 +302,24 @@ def _naive_bayes_trace(ds: StreamDataset, variance_floor: float):
     return best
 
 
-def _naive_bayes_scores(ds: StreamDataset, c: int, variance_floor: float,
-                        rows=None):
+def _naive_bayes_scores(ds: StreamDataset, c: int, rows=None):
     """(scores, trained): class c's score at each of rows (an index array;
     by default every row) of a prequential naive Bayes pass over ds, and
     whether class c has a row before it.
 
-    Where trained, the score is bit for bit the one NaiveBayesLearner
-    gives class c when it predicts row t after learning rows [0, t);
-    elsewhere it means nothing. The float operations are the learner's,
-    in its order: only the Welford mean recurrence runs in Python, M2 is
-    its left fold by np.cumsum, math.log and ** 2 are applied by Python,
-    and the terms are added in schema order.
+    Where trained, the score is bit for bit the one a row-by-row learner
+    (OracleNaiveBayes in tests/oracles.py) gives class c when it predicts
+    row t after learning rows [0, t); elsewhere it means nothing. The
+    float operations are the learner's, in its order: only the Welford
+    mean recurrence runs in Python, M2 is its left fold by np.cumsum,
+    math.log and ** 2 are applied by Python, and the terms are added in
+    schema order.
     """
-    score, trained, _ = _class_scores(ds, c, variance_floor, rows,
-                                      _logs, _squares)
+    score, trained, _ = _class_scores(ds, c, rows, _logs, _squares)
     return score, trained
 
 
-def _class_scores(ds, c, variance_floor, rows, log, square, runs=None):
+def _class_scores(ds, c, rows, log, square, runs=None):
     """(scores, trained, size) as _naive_bayes_scores gives them, with log
     and square as the kernels; size is the sum of each score's terms'
     magnitudes, a Gaussian's 0.5 * (|log(2 pi var)| + (x - mean)**2 / var).
@@ -420,11 +328,10 @@ def _class_scores(ds, c, variance_floor, rows, log, square, runs=None):
     made here if not given: a caller that scores several classes sorts
     each nominal column once.
 
-    Whatever the kernels, this raises where the learner's math.log and
-    ** 2 would for any row's values: ValueError for a variance of class c
-    at or below 0, read by a later row or not, since the learner takes its
-    log in the update that makes it; OverflowError for a difference too
-    large to square, read by a trained row or not.
+    Whatever the kernels, this raises OverflowError where the row-by-row
+    learner's ** 2 would: at a row where class c is trained and the row's
+    value is too far from c's mean to square. Where c is not yet trained
+    the difference is taken as 0, since no prediction reads it.
     """
     n, k = ds.n_instances, len(ds.class_values)
     rows = np.arange(n) if rows is None else rows
@@ -456,13 +363,12 @@ def _class_scores(ds, c, variance_floor, rows, log, square, runs=None):
             mean = _welford_means(x)
             delta = x - np.concatenate(([0.0], mean[:-1]))
             var = np.cumsum(delta * (x - mean)) / np.arange(1, len(x) + 1)
-            var[var < variance_floor] = variance_floor
-            spread = 2.0 * math.pi * var
-            if (spread <= 0).any():
-                raise ValueError("math domain error")
+            var[var < _VARIANCE_FLOOR] = _VARIANCE_FLOOR
+            spread = 2.0 * math.pi * var  # positive or NaN
             for out, t in blocks:
                 at = last[t]
                 diff = col[t] - mean[at]
+                diff[before[t] == 0] = 0.0  # c untrained: nothing reads it
                 # ** 2 raises OverflowError here if the learner's would
                 _squares(diff[np.abs(diff) >= 2.0 ** 511])
                 log_norm = log(spread[at])
@@ -500,8 +406,9 @@ def _earlier_equal(is_c, order, starts, lengths):
 
 
 def _welford_means(values):
-    """The running means of the array values, as NaiveBayesLearner._learn
-    makes them, BLOCK_LINES at a time."""
+    """The running means of the array values, as the row-by-row learner's
+    update (OracleNaiveBayes in tests/oracles.py) makes them, BLOCK_LINES
+    at a time."""
     means = np.empty(len(values))
     mean = 0.0
     for start in range(0, len(values), BLOCK_LINES):

@@ -5,6 +5,9 @@ against.
   a time, and the sequential SplitMix64 stream that drives the restart
   learner: the per-instance form of baselines' restart kernel and of
   rng.uniforms.
+* Naive Bayes one instance at a time, the reference for the predictions
+  and scores of evaluation's whole-stream trace, which NaiveBayesLearner
+  serves.
 * The label statistics on plain label sequences, one Python step per
   label: distribution, persistence, run lengths and the k-class ACF, and
   the diagnose report and audit verdict built from them.
@@ -104,6 +107,81 @@ class MajorityLearner(RandomRestartLearner):
     def __init__(self, cold_start):
         super().__init__(0.0, 0, cold_start)
         self.name = "majority"
+
+
+class OracleNaiveBayes(Classifier):
+    """Naive Bayes one instance at a time, on any rows: per-class Welford
+    Gaussians for numeric features (variance floored at 1e-9), add-one
+    frequency tables for nominal ones, add-one class priors. scores
+    recomputes every Gaussian log term, variance and table total. The
+    reference that NaiveBayesLearner's trace must match prediction for
+    prediction, and _naive_bayes_scores score for score."""
+
+    name = "naive-bayes"
+    VARIANCE_FLOOR = 1e-9
+
+    def __init__(self, ds):
+        self._features = ds.feature_schema()
+        self._classes = ds.class_values
+        self.reset()
+
+    def reset(self):
+        k = len(self._classes)
+        self._n = 0
+        self._class_counts = [0] * k
+        self._gauss = [[[0, 0.0, 0.0] for _ in range(k)]
+                       if not a.is_nominal else None for a in self._features]
+        self._tables = [[[0] * len(a.values) for _ in range(k)]
+                        if a.is_nominal else None for a in self._features]
+
+    def update(self, features, label):
+        c = self._classes.index(label)
+        self._n += 1
+        self._class_counts[c] += 1
+        for f, value in enumerate(features):
+            if self._gauss[f] is not None:
+                acc = self._gauss[f][c]
+                acc[0] += 1
+                delta = value - acc[1]
+                acc[1] += delta / acc[0]
+                acc[2] += delta * (value - acc[1])
+            else:
+                self._tables[f][c][value] += 1
+
+    def scores(self, features) -> list:
+        """Each class's log score for features, in schema order; None for
+        a class never trained once any class is (predict passes over it)."""
+        k = len(self._classes)
+        scores = []
+        for c in range(k):
+            if self._class_counts[c] == 0 and self._n > 0:
+                scores.append(None)
+                continue
+            score = math.log((self._class_counts[c] + 1) / (self._n + k))
+            for f, value in enumerate(features):
+                if self._gauss[f] is not None:
+                    count, mean, m2 = self._gauss[f][c]
+                    if count == 0:
+                        continue
+                    var = max(m2 / count, self.VARIANCE_FLOOR)
+                    score -= 0.5 * (math.log(2.0 * math.pi * var)
+                                    + (value - mean) ** 2 / var)
+                else:
+                    table = self._tables[f][c]
+                    score += math.log((table[value] + 1)
+                                      / (sum(table) + len(table)))
+            scores.append(score)
+        return scores
+
+    def predict(self, features):
+        """The first class with the greatest score; ties go to the
+        earlier class."""
+        best_c, best_score = 0, None
+        for c, score in enumerate(self.scores(features)):
+            if score is not None and (best_score is None
+                                      or score > best_score):
+                best_c, best_score = c, score
+        return self._classes[best_c]
 
 
 # ------------------------------------------------------------ label statistics

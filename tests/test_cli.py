@@ -3,13 +3,14 @@ import hashlib
 import json
 
 import pytest
-from oracles import oracle_autocorrelation
+from oracles import OracleNaiveBayes, oracle_autocorrelation
 from test_baselines import sticky_stream
 from test_stream_io import multiclass_csv
 
 from streamaudit import (EmptyStream, RestartPolicy, SweepConfig, diagnose,
                          majority_baseline, parse_arff, parse_csv,
-                         persistence_accuracy, random_restart_run,
+                         persistence_accuracy, prequential_eval,
+                         random_restart_run,
                          random_restart_trace, rho_sweep,
                          write_prediction_log)
 from streamaudit.cli import MAX_GRID_VALUES, _parse_grid, main
@@ -282,6 +283,22 @@ def test_eval_learners(synth_csv, tmp_path, capsys):
         doc = json.loads(report_path.read_text())
         assert doc["n"] == 3000
         assert 0.0 <= doc["accuracy"] <= 1.0
+
+
+def test_eval_naive_bayes_on_nan_and_huge_values(tmp_path, capsys):
+    # nan cells, and values too far apart to square before their class is
+    # seen: the learner walks its own stream and scores it as row by row
+    path = tmp_path / "edge.csv"
+    path.write_text("x,y,cls\n1e308,0.5,A\n-1e308,nan,A\n0.0,1.5,B\n"
+                    "1.0,nan,A\n" + "".join(f"{i},{i / 7:.2f},{'AB'[i % 2]}\n"
+                                           for i in range(96)))
+    code, out, _ = run(capsys, ["eval", "--input", str(path),
+                                "--learner", "naive-bayes"])
+    assert code == 0
+    ds = parse_csv(str(path))
+    oracle = prequential_eval(OracleNaiveBayes(ds), ds)
+    assert (json.loads(out)["n"], json.loads(out)["correct"]) == \
+        (100, oracle.correct)
 
 
 def test_eval_restart_equals_persistence_at_rho_1(synth_csv, capsys):

@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import MajorityLearner, PersistenceLearner, RandomRestartLearner
+from oracles import (MajorityLearner, OracleNaiveBayes, PersistenceLearner,
+                     RandomRestartLearner)
 
 from streamaudit import (AttributeSchema, AuditVerdict, Classifier, EmptyLog,
                          EmptyStream, Instance, LabelMismatch,
@@ -19,7 +20,7 @@ from streamaudit import (AttributeSchema, AuditVerdict, Classifier, EmptyLog,
                          SchemaMismatch, StreamDataset, Verdict,
                          audit_accuracy, audit_prediction_log,
                          gen_iid_labels, gen_markov_labels,
-                         majority_baseline, parse_arff,
+                         majority_baseline, parse_arff, parse_csv,
                          persistence_accuracy, prequential_eval,
                          random_restart_run, random_restart_trace,
                          read_prediction_log, write_prediction_log)
@@ -36,47 +37,79 @@ def numeric_dataset(points, class_values=("A", "B")):
     return StreamDataset(schema, instances, 1)
 
 
-def test_naive_bayes_single_class_updates():
-    ds = numeric_dataset([(0.0, "A"), (1.0, "A")])
-    nb = NaiveBayesLearner(ds)
+def prediction_trace(learner, ds):
+    trace = []
     for inst in ds.instances:
-        nb.update(inst.features, "A")
-    assert nb.predict((5.0,)) == "A"
-    assert nb.predict((-100.0,)) == "A"
+        trace.append(learner.predict(inst.features))
+        learner.update(inst.features, ds.class_values[inst.label])
+    return trace
+
+
+def run_calls(learner, calls):
+    """The predictions of learner on calls: ("predict", features),
+    ("update", features, label) or ("reset",)."""
+    out = []
+    for name, *args in calls:
+        if name == "predict":
+            out.append(learner.predict(*args))
+        else:
+            getattr(learner, name)(*args)
+    return out
+
+
+def walk(ds, rows):
+    """A prequential pass over the given rows of ds."""
+    calls = []
+    for t in rows:
+        inst = ds.instances[t]
+        calls += [("predict", inst.features),
+                  ("update", inst.features, ds.class_values[inst.label])]
+    return calls
+
+
+# NaiveBayesLearner predicts only the rows of its own stream, so a probe
+# is the last row of a stream: its prediction reads the rows before it,
+# and its label counts for nothing
+
+def probe(points, x):
+    """The prediction of x after learning points, from a pass over the
+    stream of points then x; the oracle's too."""
+    ds = numeric_dataset(points + [(x, "B")])
+    predicted = prediction_trace(NaiveBayesLearner(ds), ds)[-1]
+    assert predicted == prediction_trace(OracleNaiveBayes(ds), ds)[-1]
+    return predicted
+
+
+def test_naive_bayes_single_class_updates():
+    points = [(0.0, "A"), (1.0, "A")]
+    assert probe(points, 5.0) == "A"
+    assert probe(points, -100.0) == "A"
 
 
 def test_naive_bayes_hand_gaussians():
-    ds = numeric_dataset([(0.0, "A"), (1.0, "A"), (10.0, "B"), (11.0, "B")])
-    nb = NaiveBayesLearner(ds)
-    for inst in ds.instances:
-        nb.update(inst.features, ds.class_values[inst.label])
+    points = [(0.0, "A"), (1.0, "A"), (10.0, "B"), (11.0, "B")]
     # both classes: mean 0.5 / 10.5, variance 0.25; equal priors, so the
     # posterior is decided by squared distance to the class mean
-    assert nb.predict((0.5,)) == "A"
-    assert nb.predict((10.5,)) == "B"
-    assert nb.predict((5.49,)) == "A"
-    assert nb.predict((5.51,)) == "B"
+    assert probe(points, 0.5) == "A"
+    assert probe(points, 10.5) == "B"
+    assert probe(points, 5.49) == "A"
+    assert probe(points, 5.51) == "B"
 
 
 def test_naive_bayes_before_any_update_uses_class_order():
-    ds = numeric_dataset([(0.0, "A")])
-    nb = NaiveBayesLearner(ds)
-    assert nb.predict((3.0,)) == "A"  # all-equal scores tie to first class
+    assert probe([], 3.0) == "A"  # all-equal scores tie to first class
 
 
 def test_naive_bayes_nominal_features():
     schema = (AttributeSchema("color", ("red", "blue")),
               AttributeSchema("cls", ("A", "B")))
-    instances = tuple(Instance((f,), c) for f, c in
-                      [(0, 0), (0, 0), (1, 1), (1, 1), (0, 0)])
-    ds = StreamDataset(schema, instances, 1)
-    report = prequential_eval(NaiveBayesLearner(ds), ds)
-    assert report.n == 5
-    nb = NaiveBayesLearner(ds)
-    for inst in ds.instances:
-        nb.update(inst.features, ds.class_values[inst.label])
-    assert nb.predict((0,)) == "A"
-    assert nb.predict((1,)) == "B"
+    rows = [(0, 0), (0, 0), (1, 1), (1, 1), (0, 0)]
+    for color, expected in [(0, "A"), (1, "B")]:
+        ds = StreamDataset(schema, tuple(Instance((f,), c) for f, c in
+                                         rows + [(color, 1)]), 1)
+        report = prequential_eval(NaiveBayesLearner(ds), ds)
+        assert report.n == 6
+        assert prediction_trace(NaiveBayesLearner(ds), ds)[-1] == expected
 
 
 def test_naive_bayes_reset_restores_fresh_state():
@@ -90,85 +123,13 @@ def test_naive_bayes_reset_restores_fresh_state():
 
 
 def test_naive_bayes_argmax_rescaling_invariance():
-    # adding a constant to every class log-score cannot change the argmax;
-    # equivalently the prediction only depends on score differences
-    ds = numeric_dataset([(0.0, "A"), (1.0, "A"), (4.0, "B")])
-    nb = NaiveBayesLearner(ds)
-    for inst in ds.instances:
-        nb.update(inst.features, ds.class_values[inst.label])
+    # predict is read-only: predicting the probe row again gives the same
+    # class, the oracle's
     for x in (-2.0, 0.5, 2.0, 3.9, 7.0):
-        pred = nb.predict((x,))
-        again = nb.predict((x,))
-        assert pred == again  # predict is read-only
-
-
-class OracleNaiveBayes(Classifier):
-    """The naive Bayes learner as first written: predict recomputes every
-    Gaussian log term, variance and table total. The reference that the
-    memoised NaiveBayesLearner must match prediction for prediction."""
-
-    VARIANCE_FLOOR = 1e-9
-
-    def __init__(self, ds):
-        self._features = ds.feature_schema()
-        self._classes = ds.class_values
-        self.reset()
-
-    def reset(self):
-        k = len(self._classes)
-        self._n = 0
-        self._class_counts = [0] * k
-        self._gauss = [[[0, 0.0, 0.0] for _ in range(k)]
-                       if not a.is_nominal else None for a in self._features]
-        self._tables = [[[0] * len(a.values) for _ in range(k)]
-                        if a.is_nominal else None for a in self._features]
-
-    def update(self, features, label):
-        c = self._classes.index(label)
-        self._n += 1
-        self._class_counts[c] += 1
-        for f, value in enumerate(features):
-            if self._gauss[f] is not None:
-                acc = self._gauss[f][c]
-                acc[0] += 1
-                delta = value - acc[1]
-                acc[1] += delta / acc[0]
-                acc[2] += delta * (value - acc[1])
-            else:
-                self._tables[f][c][value] += 1
-
-    def predict(self, features):
-        k = len(self._classes)
-        best_c = 0
-        best_score = None
-        for c in range(k):
-            if self._class_counts[c] == 0 and self._n > 0:
-                continue
-            score = math.log((self._class_counts[c] + 1) / (self._n + k))
-            for f, value in enumerate(features):
-                if self._gauss[f] is not None:
-                    count, mean, m2 = self._gauss[f][c]
-                    if count == 0:
-                        continue
-                    var = max(m2 / count, self.VARIANCE_FLOOR)
-                    score -= 0.5 * (math.log(2.0 * math.pi * var)
-                                    + (value - mean) ** 2 / var)
-                else:
-                    table = self._tables[f][c]
-                    score += math.log((table[value] + 1)
-                                      / (sum(table) + len(table)))
-            if best_score is None or score > best_score:
-                best_score = score
-                best_c = c
-        return self._classes[best_c]
-
-
-def prediction_trace(learner, ds):
-    trace = []
-    for inst in ds.instances:
-        trace.append(learner.predict(inst.features))
-        learner.update(inst.features, ds.class_values[inst.label])
-    return trace
+        ds = numeric_dataset([(0.0, "A"), (1.0, "A"), (4.0, "B"), (x, "A")])
+        calls = walk(ds, range(3)) + [("predict", (x,))] * 2
+        pred, again = run_calls(NaiveBayesLearner(ds), calls)[-2:]
+        assert pred == again == run_calls(OracleNaiveBayes(ds), calls)[-1]
 
 
 @st.composite
@@ -206,13 +167,11 @@ def mixed_streams(draw):
     return StreamDataset(schema, instances, len(schema) - 1)
 
 
-def rowless(ds):
-    """A dataset with ds's schema and no rows: a learner made from it
-    works instance by instance from its first call."""
-    return StreamDataset(ds.schema, (), ds.class_index)
-
-
-# one stream of each case mixed_streams draws, so that every run has them
+NAN_STREAM = numeric_dataset([(math.inf, "A"), (1.0, "B"), (-math.inf, "A"),
+                              (math.nan, "B"), (2.0, "A"), (math.nan, "A")])
+# one stream of each case mixed_streams draws, so that every run has them,
+# and one whose values are too far apart to square before a class that
+# no prediction scores there is trained
 NB_EDGE_CASES = [
     numeric_dataset([(1e12 + d, c) for d, c in
                      [(1e-4, "A"), (2e-4, "B"), (3e-4, "A"), (2e-4, "B"),
@@ -220,10 +179,10 @@ NB_EDGE_CASES = [
     numeric_dataset([(2.0, "A"), (2.0, "B"), (2.0, "A"), (2.0, "B"),
                      (3.0, "A")]),
     numeric_dataset([(0.0, "A"), (5.0, "B"), (0.5, "A"), (4.0, "A")]),
-    numeric_dataset([(math.inf, "A"), (1.0, "B"), (-math.inf, "A"),
-                     (math.nan, "B"), (2.0, "A"), (math.nan, "A")]),
+    NAN_STREAM,
     StreamDataset((AttributeSchema("cls", ("A", "B", "C")),),
                   [Instance((), c) for c in (1, 1, 0, 2, 0, 0)], 0),
+    numeric_dataset([(1e308, "A"), (-1e308, "A"), (0.0, "B"), (1.0, "A")]),
 ]
 
 
@@ -238,12 +197,14 @@ def with_edge_cases(test):
 @settings(max_examples=300, deadline=None)
 def test_naive_bayes_matches_unmemoised_oracle(ds):
     expected = prediction_trace(OracleNaiveBayes(ds), ds)
-    for nb in (NaiveBayesLearner(ds), NaiveBayesLearner(rowless(ds))):
-        assert prediction_trace(nb, ds) == expected
-        nb.reset()
-        assert prediction_trace(nb, ds) == expected
-    codes = _naive_bayes_trace(ds, NaiveBayesLearner.VARIANCE_FLOOR)
+    nb = NaiveBayesLearner(ds)
+    assert prediction_trace(nb, ds) == expected
+    nb.reset()
+    assert prediction_trace(nb, ds) == expected
+    codes = _naive_bayes_trace(ds)
     assert [ds.class_values[c] for c in codes] == expected
+    assert prequential_eval(NaiveBayesLearner(ds), ds).confusion == \
+        prequential_eval(OracleNaiveBayes(ds), ds).confusion
 
 
 def same_float(a, b):
@@ -258,71 +219,52 @@ def same_float(a, b):
 @settings(max_examples=200, deadline=None)
 def test_whole_stream_scores_are_the_learners_bit_for_bit(ds):
     scores, trained = map(np.array, zip(*(
-        _naive_bayes_scores(ds, c, NaiveBayesLearner.VARIANCE_FLOOR)
-        for c in range(len(ds.class_values)))))
+        _naive_bayes_scores(ds, c) for c in range(len(ds.class_values)))))
     assert scores.shape == trained.shape == \
         (len(ds.class_values), ds.n_instances)
     assert not trained[:, 0].any()  # t = 0 takes the first class
-    nb = NaiveBayesLearner(rowless(ds))
+    oracle = OracleNaiveBayes(ds)
     for t, inst in enumerate(ds.instances):
         if t:
-            expected = nb._scores(inst.features)
+            expected = oracle.scores(inst.features)
             assert trained[:, t].tolist() == [s is not None for s in expected]
             assert all(same_float(scores[c, t], s)
                        for c, s in enumerate(expected) if s is not None)
-        nb.update(inst.features, ds.class_values[inst.label])
+        oracle.update(inst.features, ds.class_values[inst.label])
 
 
-@given(mixed_streams())
-@settings(max_examples=100, deadline=None)
-def test_naive_bayes_cached_terms_are_bit_identical(ds):
-    # an argmax rarely shows a last-bit difference in a score, so compare
-    # the cached terms with the ones the oracle's predict computes; a
-    # learner made from the fed stream would not build them
-    nb, oracle = NaiveBayesLearner(rowless(ds)), OracleNaiveBayes(ds)
-    for inst in ds.instances:
-        label = ds.class_values[inst.label]
-        nb.update(inst.features, label)
-        oracle.update(inst.features, label)
-        for f, gauss in enumerate(oracle._gauss):
-            for c, terms in enumerate(nb._terms):
-                if gauss is None:
-                    table = oracle._tables[f][c]
-                    assert (terms[f], nb._totals[c][f]) == \
-                        (table, sum(table) + len(table))
-                    continue
-                count, mean, m2 = gauss[c]
-                if count == 0:
-                    assert terms[f] is None
-                    continue
-                var = max(m2 / count, oracle.VARIANCE_FLOOR)
-                assert all(map(same_float, terms[f],
-                               (mean, var, math.log(2.0 * math.pi * var))))
+def test_rows_holding_nan_stay_on_the_stream():
+    # NaN equals nothing, itself included; the learner takes NaN to match
+    # NaN in the same position, so it serves such a stream from its trace
+    text = "x,day,cls\n1.5,mon,A\nnan,tue,B\n2.0,mon,A\n-1.0,tue,B\n" \
+        "nan,mon,A\n0.5,tue,B\n3.0,tue,A\n"
+    csv_ds = parse_csv(io.StringIO(text))
+    assert math.isnan(csv_ds.columns[0][1])
+    for ds in (NAN_STREAM, csv_ds):
+        nb = NaiveBayesLearner(ds)
+        report = prequential_eval(nb, ds)
+        assert nb._cursor == ds.n_instances
+        assert report.confusion == \
+            prequential_eval(OracleNaiveBayes(ds), ds).confusion
 
 
-# calls that leave the stream a learner is made from: its predictions stay
-# the oracle's, which has no stream
+# calls that leave the stream a learner is made from raise SchemaMismatch
+# naming the row at its cursor; the calls before them get the oracle's
+# predictions, which has no stream
 
-def run_calls(learner, calls):
-    """The predictions of learner on calls: ("predict", features),
-    ("update", features, label) or ("reset",)."""
+def run_until_off_stream(learner, calls):
+    """learner's predictions on calls up to the first that raises
+    SchemaMismatch, that call's index and the error's message; None and
+    None if no call raises."""
     out = []
-    for name, *args in calls:
+    for i, (name, *args) in enumerate(calls):
+        try:
+            result = getattr(learner, name)(*args)
+        except SchemaMismatch as exc:
+            return out, i, str(exc)
         if name == "predict":
-            out.append(learner.predict(*args))
-        else:
-            getattr(learner, name)(*args)
-    return out
-
-
-def walk(ds, rows):
-    """A prequential pass over the given rows of ds."""
-    calls = []
-    for t in rows:
-        inst = ds.instances[t]
-        calls += [("predict", inst.features),
-                  ("update", inst.features, ds.class_values[inst.label])]
-    return calls
+            out.append(result)
+    return out, None, None
 
 
 def three_class_stream(n=60, seed=3):
@@ -339,36 +281,58 @@ STREAM = three_class_stream()
 OTHER = three_class_stream(seed=4)
 N = STREAM.n_instances
 HALF = N // 2
+# each script walks the stream's first `row` rows, then leaves it
 LEAVING_CALLS = {
-    "foreign-predict": walk(STREAM, range(HALF))
-    + [("predict", (0.25, 1, 0.5))] + walk(STREAM, range(HALF, N)),
-    "predict-of-a-later-row": walk(STREAM, range(HALF))
-    + [("predict", STREAM.instances[HALF + 1].features)]
-    + walk(STREAM, range(HALF, N)),
-    "foreign-update": walk(STREAM, range(HALF))
-    + [("update", STREAM.instances[HALF].features, "C"
-        if STREAM.labels()[HALF] != "C" else "A")]
-    + walk(STREAM, range(HALF, N)),
-    "list-not-tuple": walk(STREAM, range(HALF))
-    + [("predict", list(STREAM.instances[HALF].features))]
-    + walk(STREAM, range(HALF, N)),
-    "numpy-array": walk(STREAM, range(HALF))
-    + [("predict", np.array(STREAM.instances[HALF].features, dtype=object))]
-    + walk(STREAM, range(HALF, N)),
-    "after-the-last-row": walk(STREAM, range(N)) + walk(STREAM, range(N)),
-    "another-dataset": walk(OTHER, range(N)),
+    "foreign-predict": (HALF, walk(STREAM, range(HALF))
+                        + [("predict", (0.25, 1, 0.5))]
+                        + walk(STREAM, range(HALF, N))),
+    "predict-of-a-later-row": (HALF, walk(STREAM, range(HALF))
+                               + [("predict",
+                                   STREAM.instances[HALF + 1].features)]
+                               + walk(STREAM, range(HALF, N))),
+    "foreign-update": (HALF, walk(STREAM, range(HALF))
+                       + [("update", STREAM.instances[HALF].features, "C"
+                           if STREAM.labels()[HALF] != "C" else "A")]
+                       + walk(STREAM, range(HALF, N))),
+    "list-not-tuple": (HALF, walk(STREAM, range(HALF))
+                       + [("predict", list(STREAM.instances[HALF].features))]
+                       + walk(STREAM, range(HALF, N))),
+    "numpy-array": (HALF, walk(STREAM, range(HALF))
+                    + [("predict", np.array(STREAM.instances[HALF].features,
+                                            dtype=object))]
+                    + walk(STREAM, range(HALF, N))),
+    "after-the-last-row": (N, walk(STREAM, range(N))
+                           + walk(STREAM, range(N))),
+    "another-dataset": (0, walk(OTHER, range(N))),
 }
 
 
-@pytest.mark.parametrize("calls", LEAVING_CALLS.values(), ids=LEAVING_CALLS)
-def test_calls_leaving_the_stream_match_the_oracle(calls):
+@pytest.mark.parametrize("row, calls", LEAVING_CALLS.values(),
+                         ids=LEAVING_CALLS)
+def test_calls_leaving_the_stream_match_the_oracle(row, calls):
     nb = NaiveBayesLearner(STREAM)
-    assert run_calls(nb, calls) == run_calls(OracleNaiveBayes(STREAM), calls)
-    assert nb._cursor is None  # it works instance by instance now
+    predictions, at, message = run_until_off_stream(nb, calls)
+    assert at == 2 * row and message.startswith(f"row {row}: ")
+    assert predictions == run_calls(OracleNaiveBayes(STREAM), calls[:at])
+    assert nb._cursor == row  # the call that raised moved nothing
     nb.reset()
     assert run_calls(nb, walk(STREAM, range(N))) == \
         run_calls(OracleNaiveBayes(STREAM), walk(STREAM, range(N)))
     assert nb._cursor == N
+
+
+def test_a_call_off_the_stream_moves_nothing():
+    # after the call that raises, the walk goes on where it stood
+    nb = NaiveBayesLearner(STREAM)
+    first = run_calls(nb, walk(STREAM, range(HALF)))
+    for bad in [("predict", (0.25, 1, 0.5)),
+                ("update", STREAM.instances[HALF + 1].features, "A")]:
+        with pytest.raises(SchemaMismatch, match=f"^row {HALF}: "):
+            run_calls(nb, [bad])
+    assert first + run_calls(nb, walk(STREAM, range(HALF, N))) == \
+        run_calls(OracleNaiveBayes(STREAM), walk(STREAM, range(N)))
+    with pytest.raises(SchemaMismatch, match=f"^row {N}: past the end"):
+        nb.update(*walk(STREAM, [0])[1][1:])
 
 
 def test_reset_mid_stream_keeps_the_trace():
@@ -379,7 +343,6 @@ def test_reset_mid_stream_keeps_the_trace():
     assert first + run_calls(nb, [("reset",)] + walk(STREAM, range(N))) == \
         run_calls(OracleNaiveBayes(STREAM), calls)
     assert nb._trace is trace and nb._cursor == N
-    assert nb._n == 0  # no per-instance statistics were built
 
 
 def test_a_copy_mid_stream_carries_on():
@@ -393,6 +356,30 @@ def test_a_copy_mid_stream_carries_on():
         assert twin._cursor == HALF
         assert run_calls(twin, rest) == expected
         assert twin._cursor == N
+
+
+def first_off_stream(ds, calls):
+    """The index of the first of calls that does not walk ds in order
+    (NaN matching NaN), and the row it came at; None and None if every
+    call does."""
+    cursor = 0
+    for i, (name, *args) in enumerate(calls):
+        if name == "reset":
+            cursor = 0
+            continue
+        if cursor == ds.n_instances:
+            return i, cursor
+        inst = ds.instances[cursor]
+        features = args[0]
+        if not (isinstance(features, tuple)
+                and len(features) == len(inst.features)
+                and all(a == b or math.isnan(a) and math.isnan(b)
+                        for a, b in zip(features, inst.features))) \
+                or name == "update" \
+                and args[1] != ds.class_values[inst.label]:
+            return i, cursor
+        cursor += name == "update"
+    return None, None
 
 
 @given(mixed_streams(), st.lists(st.tuples(
@@ -414,53 +401,33 @@ def test_any_calls_match_the_oracle(ds, script):
             calls.append(("predict", features) if name == "predict" else
                          ("update", features, ds.class_values[
                              label % len(ds.class_values)]))
-    assert run_calls(NaiveBayesLearner(ds), calls) == \
-        run_calls(OracleNaiveBayes(ds), calls)
+    at, cursor = first_off_stream(ds, calls)
+    predictions, raised_at, message = \
+        run_until_off_stream(NaiveBayesLearner(ds), calls)
+    assert raised_at == at
+    assert at is None or message.startswith(f"row {cursor}: ")
+    assert predictions == run_calls(OracleNaiveBayes(ds), calls[:at])
+
+
+# ** 2 of a finite value raises OverflowError. The oracle raises at the
+# row that meets it, the learner in the trace at its first predict, so
+# the two are compared pass for pass
+
+def pass_outcome(learner, ds):
+    """The predictions of a prequential pass of learner over ds, or
+    OverflowError if the pass raises it."""
+    try:
+        return prediction_trace(learner, ds)
+    except OverflowError:
+        return OverflowError
 
 
 def test_a_square_too_large_raises_where_the_oracle_does():
-    # ** 2 of a finite value raises OverflowError: the learner answers the
-    # rows before it, then raises at the row that meets it
     ds = numeric_dataset([(1e200, "A"), (-1e200, "B"), (0.0, "A")])
-    for learner in (OracleNaiveBayes(ds), NaiveBayesLearner(ds)):
-        inst = ds.instances
-        assert learner.predict(inst[0].features) == "A"
-        learner.update(inst[0].features, "A")
-        with pytest.raises(OverflowError):
-            learner.predict(inst[1].features)
-
-
-class ZeroFloorNaiveBayes(NaiveBayesLearner):
-    VARIANCE_FLOOR = 0.0
-
-
-def test_log_of_a_zero_variance_raises_where_row_by_row_does():
-    # math.log(0) raises ValueError in the update that makes the variance
-    ds = numeric_dataset([(2.0, "A"), (2.0, "A"), (1.0, "B")])
-    for learner in (ZeroFloorNaiveBayes(rowless(ds)), ZeroFloorNaiveBayes(ds)):
-        inst = ds.instances
-        assert learner.predict(inst[0].features) == "A"
-        with pytest.raises(ValueError, match="math domain error"):
-            learner.update(inst[0].features, "A")
-
-
-def first_raise(learner, calls):
-    """(index, type) of the first of calls that raises OverflowError or
-    ValueError on learner, or None."""
-    for i, (name, *args) in enumerate(calls):
-        try:
-            getattr(learner, name)(*args)
-        except (OverflowError, ValueError) as exc:
-            return i, type(exc)
-    return None
-
-
-def test_a_variance_no_row_reads_raises_where_row_by_row_does():
-    # no prediction reads the one row's variance, but the learner takes
-    # its log in the update that makes it
-    ds = numeric_dataset([(2.0, "A")])
-    for learner in (ZeroFloorNaiveBayes(rowless(ds)), ZeroFloorNaiveBayes(ds)):
-        assert first_raise(learner, walk(ds, range(1))) == (1, ValueError)
+    assert pass_outcome(OracleNaiveBayes(ds), ds) is OverflowError
+    assert pass_outcome(NaiveBayesLearner(ds), ds) is OverflowError
+    with pytest.raises(OverflowError):
+        _naive_bayes_trace(ds)
 
 
 SQUARE_LIMIT = 1.3407807929942596e154  # the largest float ** 2 keeps finite
@@ -476,26 +443,23 @@ def test_squares_at_the_overflow_limit_raise_where_the_oracle_does(diff):
     with np.errstate(over="ignore"):
         assert math.isinf(np.square(diff)) == overflows
     ds = numeric_dataset([(-1.0, "A"), (1.0, "A"), (diff, "B"), (0.0, "A")])
-    calls = walk(ds, range(4))
-    expected = first_raise(OracleNaiveBayes(ds), calls)
-    assert expected == ((4, OverflowError) if overflows else None)
-    for learner in (NaiveBayesLearner(rowless(ds)), NaiveBayesLearner(ds)):
-        assert first_raise(learner, calls) == expected
-    if not overflows:
-        assert run_calls(NaiveBayesLearner(ds), calls) == \
-            run_calls(OracleNaiveBayes(ds), calls)
+    expected = pass_outcome(OracleNaiveBayes(ds), ds)
+    assert (expected is OverflowError) == overflows
+    assert pass_outcome(NaiveBayesLearner(ds), ds) == expected
 
 
-def test_a_square_no_prediction_makes_still_raises_in_the_trace():
-    # row 0 is too far from class B's first value to square, but no
-    # prediction scores B there: the trace raises as it did when it
-    # squared every row, and the learner answers row by row
-    ds = numeric_dataset([(0.0, "A"), (1.3e154, "A"), (1.95e154, "A"),
-                          (2.38e154, "B")])
-    with pytest.raises(OverflowError):
-        _naive_bayes_trace(ds, NaiveBayesLearner.VARIANCE_FLOOR)
-    assert prediction_trace(NaiveBayesLearner(ds), ds) == \
-        prediction_trace(OracleNaiveBayes(ds), ds)
+def test_a_square_no_prediction_makes_does_not_raise_in_the_trace():
+    # a value too far from the first value of a class not yet trained to
+    # square: no prediction scores that class there, so neither the
+    # oracle nor the trace squares it
+    for points in ([(0.0, "A"), (1.3e154, "A"), (1.95e154, "A"),
+                    (2.38e154, "B")],
+                   [(1e308, "A"), (-1e308, "A"), (0.0, "B"), (1.0, "A")]):
+        ds = numeric_dataset(points)
+        expected = prediction_trace(OracleNaiveBayes(ds), ds)
+        assert [ds.class_values[c] for c in _naive_bayes_trace(ds)] == \
+            expected
+        assert prediction_trace(NaiveBayesLearner(ds), ds) == expected
 
 
 # The trace settles a row from np.log and np.square scores only when an
@@ -557,13 +521,13 @@ def traced_predictions(ds):
     """The trace's predictions, and how many rows it scored again."""
     rescored = []
 
-    def spy(ds, c, variance_floor, rows=None):
+    def spy(ds, c, rows=None):
         rescored.append(len(rows))
-        return _naive_bayes_scores(ds, c, variance_floor, rows)
+        return _naive_bayes_scores(ds, c, rows)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(evaluation, "_naive_bayes_scores", spy)
-        codes = _naive_bayes_trace(ds, NaiveBayesLearner.VARIANCE_FLOOR)
+        codes = _naive_bayes_trace(ds)
     k = len(ds.class_values)
     return [ds.class_values[c] for c in codes], sum(rescored) // k
 
