@@ -73,10 +73,12 @@ class SweepResult:
         return [acc for r, _, acc in self.rows if r == rho]
 
     def summary(self) -> list:
-        """Per-rho (rho, mean, min, max, stddev), in grid order."""
+        """Per-rho (rho, mean, min, max, stddev), in grid order; one pass."""
+        groups = {rho: [] for rho in self.config.rho_grid}
+        for rho, _, acc in self.rows:  # rows off the grid are dropped
+            groups.get(rho, []).append(acc)
         out = []
-        for rho in self.config.rho_grid:
-            accs = self.accuracies(rho)
+        for rho, accs in groups.items():
             # left folds: sum() of floats is compensated from Python 3.12
             mean = reduce(add, accs) / len(accs)
             var = reduce(add, [(a - mean) ** 2 for a in accs]) / len(accs)

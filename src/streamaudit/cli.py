@@ -252,14 +252,13 @@ def _cmd_eval(args):
     else:
         # the kernel and cold start of the bars, so restart:1 ==
         # persistence and restart:0 == majority hold across commands
-        labels = ds.labels()
         trace = baselines.random_restart_trace(
-            labels, baselines.RestartPolicy(rho, args.seed))
+            ds, baselines.RestartPolicy(rho, args.seed))
         name = args.learner
         if name.startswith("restart:"):
             name = f"restart:{rho:g}"
             print(f"# seed={args.seed}", file=sys.stderr)
-        report = evaluation._score(name, zip(labels, trace))
+        report = evaluation._score(name, zip(ds.labels(), trace))
     _write(args.out, report.to_json() + "\n")
     return EXIT_OK
 

@@ -41,6 +41,7 @@ from .errors import (EmptyLog, EmptyStream, LabelMismatch, ParseError,
 from .stream_io import BLOCK_LINES, StreamDataset, _utf8, write_csv
 
 _VARIANCE_FLOOR = 1e-9  # naive Bayes' least Gaussian variance
+_CURSOR_ROWS = 256  # the stream's rows NaiveBayesLearner holds as Python values
 
 
 class Classifier:
@@ -181,7 +182,6 @@ class NaiveBayesLearner(Classifier):
     """
 
     name = "naive-bayes"
-    CURSOR_ROWS = 256  # the stream's rows the cursor holds as Python values
 
     def __init__(self, ds: StreamDataset):
         self.schema = ds.schema
@@ -191,7 +191,7 @@ class NaiveBayesLearner(Classifier):
         self.reset()
 
     def reset(self):
-        # the stream's rows from _block_start on, CURSOR_ROWS at most
+        # the stream's rows from _block_start on, _CURSOR_ROWS at most
         self._cursor = 0
         self._block_start, self._block = 0, []
 
@@ -202,7 +202,7 @@ class NaiveBayesLearner(Classifier):
         if at == len(self._block):  # the next block; empty past the end
             self._block_start, at = self._cursor, 0
             self._block = list(self._stream._rows(
-                self._cursor, self._cursor + self.CURSOR_ROWS))
+                self._cursor, self._cursor + _CURSOR_ROWS))
             if not self._block:
                 raise SchemaMismatch(f"row {self._cursor}: past the end of "
                                      "the stream the learner is bound to")
@@ -245,12 +245,12 @@ def _naive_bayes_trace(ds: StreamDataset):
     only on the rows step 2 scores again. Step 1 scores every row with
     np.log and np.square, which differ from math.log and ** 2 in the last
     bits on some values (and np.log with numpy's SIMD dispatch), and keeps
-    each score's size, the sum of its terms' magnitudes. A row is settled
-    when its best trained class beats every other trained class by more
-    than the two classes' error bounds, tol = scale * size: then the exact
-    scores order the classes the same way. Step 2 scores the other rows,
-    and those with a score that is not finite, with the learner's own
-    operations (_naive_bayes_scores), so exact ties break its way.
+    each score's size, the sum of its terms' magnitudes; an untrained
+    class scores -inf with a bound of 0. A row is settled when its best
+    class beats every other class by more than the two classes' error
+    bounds, tol = scale * size: then the exact scores order the classes
+    the same way. Step 2 scores the other rows after row 0, and those with
+    a score that is not finite, by the learner's own operations and rule.
     """
     n, k = ds.n_instances, len(ds.class_values)
     # The bound. A score is m = len(ds.schema) terms, the prior and one per
@@ -265,47 +265,50 @@ def _naive_bayes_trace(ds: StreamDataset):
     # 2**-44 per term is a margin of 16: kernels 2**7 ulps off are safe.
     scale = len(ds.schema) * 2.0 ** -44
     best = np.zeros(n, np.min_scalar_type(k - 1))
-    best_score, best_tol = np.zeros(n), np.zeros(n)
+    best_score, best_tol = np.full(n, -np.inf), np.zeros(n)
     others_high = np.full(n, -np.inf)  # max of score + tol over the rest
-    taken, unsure = np.zeros(n, bool), np.zeros(n, bool)
+    unsure = np.zeros(n, bool)
     runs = _nominal_runs(ds)
     for c in range(k):
         score, trained, tol = _class_scores(ds, c, None, np.log, np.square,
                                             runs)
         tol *= scale  # from size to the bound, in place
+        score[~trained], tol[~trained] = -np.inf, 0.0
         with np.errstate(invalid="ignore"):  # a NaN score is never greater
             high = score + tol
             unsure |= trained & ~np.isfinite(high)
-            take = trained & (~taken | (score > best_score))
+            take = score > best_score
             # the rest gains a class that does not take the lead, or the
             # one it takes the lead from
-            np.maximum(others_high, high, out=others_high,
-                       where=trained & taken & ~take)
-            np.maximum(others_high, best_score + best_tol, out=others_high,
-                       where=take & taken)
+            np.maximum(others_high,
+                       np.where(take, best_score + best_tol, high),
+                       out=others_high)
         best[take] = c
         best_score[take] = score[take]
         best_tol[take] = tol[take]
-        taken |= trained
         del score, tol, high  # freed before the next class's are made
     with np.errstate(invalid="ignore"):
-        rows = np.flatnonzero(taken & (unsure | ~(best_score - best_tol
-                                                  > others_high)))
-    best_score, taken = np.zeros(len(rows)), np.zeros(len(rows), bool)
+        unsure |= ~(best_score - best_tol > others_high)
+    unsure[:1] = False  # row 0, where no class is trained, takes the first
+    rows = np.flatnonzero(unsure)
+    # every later row has a trained class: the least class before the row,
+    # its first trained one, leads whatever its score, and a later class
+    # takes the lead with a strictly greater score
+    lead = np.minimum.accumulate(ds.columns[ds.class_index])[rows - 1]
+    best_score = np.zeros(len(rows))
     for c in range(k if len(rows) else 0):
-        score, trained = _naive_bayes_scores(ds, c, rows)
+        score, trained = _naive_bayes_scores(ds, c, rows, runs)
         with np.errstate(invalid="ignore"):
-            take = trained & (~taken | (score > best_score))
+            take = (lead == c) | trained & (score > best_score)
         best[rows[take]] = c
         best_score[take] = score[take]
-        taken |= trained
     return best
 
 
-def _naive_bayes_scores(ds: StreamDataset, c: int, rows=None):
+def _naive_bayes_scores(ds: StreamDataset, c: int, rows=None, runs=None):
     """(scores, trained): class c's score at each of rows (an index array;
     by default every row) of a prequential naive Bayes pass over ds, and
-    whether class c has a row before it.
+    whether class c has a row before it. runs is as _class_scores takes it.
 
     Where trained, the score is bit for bit the one a row-by-row learner
     (OracleNaiveBayes in tests/oracles.py) gives class c when it predicts
@@ -315,7 +318,7 @@ def _naive_bayes_scores(ds: StreamDataset, c: int, rows=None):
     math.log and ** 2 are applied by Python, and the terms are added in
     schema order.
     """
-    score, trained, _ = _class_scores(ds, c, rows, _logs, _squares)
+    score, trained, _ = _class_scores(ds, c, rows, _logs, _squares, runs)
     return score, trained
 
 
@@ -481,9 +484,6 @@ def read_prediction_log(source) -> list:
     pairs are one shared tuple, so a k-class log holds at most k * k.
     A csv.reader error and input that is not UTF-8 are ParseErrors.
     """
-    if isinstance(source, str):
-        with open(source, "r", encoding="utf-8", newline="") as fh:
-            return read_prediction_log(fh)
     reader = csv.reader(source)
     log = []
     pairs = {}

@@ -75,17 +75,18 @@ _ZERO = ord("0")
 
 @dataclass(frozen=True)
 class AttributeSchema:
-    """One attribute: numeric (values is None) or nominal (value list)."""
+    """One attribute: numeric (values is None) or nominal (a value list:
+    not empty, no value empty, no value twice)."""
 
     name: str
     values: Optional[tuple] = None  # tuple of nominal values, or None
 
     def __post_init__(self):
         if self.values is not None:
-            if len(self.values) == 0:
-                raise ValueError(f"nominal attribute {self.name!r} has no values")
+            if not self.values or "" in self.values:
+                raise ValueError("empty nominal value")
             if len(set(self.values)) != len(self.values):
-                raise ValueError(f"duplicate values in attribute {self.name!r}")
+                raise ValueError("duplicate nominal values")
 
     @property
     def is_nominal(self) -> bool:
@@ -210,9 +211,14 @@ class StreamDataset:
 
 
 def _utf8(read):
-    """read, raising a ParseError for input that does not decode."""
+    """read of a text stream, or of a str source taken as a path and opened
+    as UTF-8 with newline="" (a line ends at '\n', '\r\n' or '\r', kept);
+    input that does not decode is a ParseError naming the source."""
     @functools.wraps(read)
     def wrapper(source, *args, **kwargs):
+        if isinstance(source, str):
+            with open(source, encoding="utf-8", newline="") as fh:
+                return wrapper(fh, *args, **kwargs)
         try:
             return read(source, *args, **kwargs)
         except UnicodeDecodeError as exc:
@@ -238,7 +244,8 @@ def _class_position(schema: tuple, class_index: int) -> int:
         raise ValueError(f"class index {class_index} out of range for "
                          f"{len(schema)} attributes")
     if not schema[class_index].is_nominal:
-        raise ValueError("class attribute must be nominal")
+        raise ValueError(
+            f"class attribute {schema[class_index].name!r} is not nominal")
     return class_index % len(schema)
 
 
@@ -323,11 +330,10 @@ def _parse_attribute_line(rest: str, line_no: int) -> AttributeSchema:
         if not type_part.endswith("}"):
             raise ParseError("unterminated nominal value list", line=line_no)
         values = [_unquote(tok.strip()) for tok in _split_row(type_part[1:-1])]
-        if any(v == "" for v in values) or not values:
-            raise ParseError("empty nominal value", line=line_no)
-        if len(set(values)) != len(values):
-            raise ParseError("duplicate nominal values", line=line_no)
-        return AttributeSchema(name, tuple(values))
+        try:
+            return AttributeSchema(name, tuple(values))
+        except ValueError as exc:
+            raise ParseError(str(exc), line=line_no) from None
     kind = type_part.split()[0].lower()
     if kind in NUMERIC_TYPES:
         return AttributeSchema(name, None)
@@ -381,10 +387,6 @@ def parse_arff(source: Union[str, TextIO], class_index: Optional[int] = None
     line (arity, sparse row) in the whole file, then a bad class
     attribute, then the first value that does not convert.
     """
-    if isinstance(source, str):
-        with open(source, "r", encoding="utf-8") as fh:
-            return parse_arff(fh, class_index=class_index)
-
     lines = iter(source)
     schema = []
     saw_relation = False
@@ -411,8 +413,6 @@ def parse_arff(source: Union[str, TextIO], class_index: Optional[int] = None
         raise ParseError("no @data section found")
 
     m = len(schema)
-    cls = class_index if class_index is not None else m - 1
-    convert = -m <= cls < m and schema[cls].is_nominal
     failure = None  # first conversion error, raised once the file is checked
     parts = [[] for _ in schema]  # per attribute, one array per block
     while True:
@@ -435,7 +435,7 @@ def parse_arff(source: Union[str, TextIO], class_index: Optional[int] = None
                     line=line_no)
             rows.append(line)
             line_nos.append(line_no)
-        if convert and failure is None and rows:
+        if failure is None and rows:
             try:
                 for column, part in zip(parts, _convert_block(
                         schema, rows, line_nos, quoted)):
@@ -443,15 +443,16 @@ def parse_arff(source: Union[str, TextIO], class_index: Optional[int] = None
             except (ParseError, UnsupportedFeature) as exc:
                 failure = exc
 
-    if not -m <= cls < m:
-        raise ParseError(f"class index {cls} out of range for {m} attributes")
-    if not schema[cls].is_nominal:
-        raise ParseError(f"class attribute {schema[cls].name!r} is not nominal")
-    if failure is not None:
-        raise failure
     columns = _concatenate(parts) if parts[0] \
         else [np.empty(0, _dtype(attr)) for attr in schema]
-    return StreamDataset._from_columns(schema, columns, cls)
+    try:  # the class attribute, checked once the structure is
+        ds = StreamDataset._from_columns(
+            schema, columns, m - 1 if class_index is None else class_index)
+    except ValueError as exc:
+        raise ParseError(str(exc)) from None
+    if failure is not None:
+        raise failure
+    return ds
 
 
 def _csv_blocks(source):
@@ -628,10 +629,6 @@ def _read_csv(source: Union[str, TextIO], class_only: bool) -> StreamDataset:
     attribute, for callers that need only the labels. Every other cell is
     checked only for blanks, and the errors are parse_csv's, in its order.
     """
-    if isinstance(source, str):
-        with open(source, "r", encoding="utf-8", newline="") as fh:
-            return _read_csv(fh, class_only)
-
     header = None
     failure = None  # the first ragged or empty-cell record
     for nos, records, split in _csv_blocks(source):

@@ -1,9 +1,11 @@
+import functools
 import hashlib
 import io
 import itertools
 import math
 import operator
 import random
+import time
 
 import numpy as np
 import pytest
@@ -107,6 +109,41 @@ def test_summary_sums_with_a_left_fold():
     assert mean == 0.9999999999999999 / 10
     assert repr(mean) == "0.09999999999999999"
     assert (rho, lo, hi) == (0.5, 0.1, 0.1)
+
+
+def test_summary_of_the_largest_grid_takes_one_pass():
+    # the CLI's cap of 10,001 rho x 10 reps, rows shuffled across rho: a
+    # rescan of every row per rho makes 10**9 comparisons, one pass 10**5
+    grid = tuple(i / 10000 for i in range(10001))
+    draw = random.Random(1)
+    rows = [(rho, rep, draw.random()) for rho in grid for rep in range(10)]
+    draw.shuffle(rows)
+    rows.append((2.0, 0, 0.5))  # a row off the grid is left out
+    result = SweepResult(tuple(rows), SweepConfig(grid, 10))
+    start = time.perf_counter()
+    summary = result.summary()
+    assert time.perf_counter() - start < 5.0
+    # the reference: each rho's accuracies in row order, folded left
+    by_rho = itertools.groupby(sorted(rows[:-1], key=operator.itemgetter(0)),
+                               key=operator.itemgetter(0))
+    expected = []
+    for rho, group in by_rho:
+        accs = [acc for _, _, acc in group]
+        mean = functools.reduce(operator.add, accs) / len(accs)
+        var = functools.reduce(operator.add,
+                               [(a - mean) ** 2 for a in accs]) / len(accs)
+        expected.append((rho, mean, min(accs), max(accs), math.sqrt(var)))
+    assert summary == expected
+
+
+def test_sweep_config_rejects_bad_grids_and_repetitions():
+    for grid in ((0.0, 1.5), (-0.1, 0.5)):
+        with pytest.raises(InvalidRho):
+            SweepConfig(grid)
+    with pytest.raises(ValueError, match="strictly increasing"):
+        SweepConfig((0.5, 0.5))
+    with pytest.raises(ValueError, match="repetitions must be >= 1"):
+        SweepConfig((0.5,), repetitions=0)
 
 
 def test_sweep_reproducible_and_order_independent():

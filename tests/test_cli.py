@@ -51,6 +51,8 @@ def test_usage_error_exit_1(capsys):
     ("0:1:0.00009999", "grid has more than 10001 values"),
     ("0:1:1e-320", "grid has more than 10001 values"),
     ("0:1e-10:1e-14", "grid values repeat when rounded to 12 decimals"),
+    # (HI - LO) / STEP is within 1e-9 of 1, so HI is LO + STEP, past 1
+    ("0:1:1.0000000005", "grid values must lie in [0, 1]"),
 ])
 def test_bad_sweep_grid_exit_1(synth_csv, capsys, grid, message):
     code, out, err = run(capsys, ["sweep", "--input", str(synth_csv),

@@ -43,6 +43,18 @@ def test_distribution_empty():
         label_distribution([])
 
 
+def test_distribution_of_a_generator_equals_that_of_its_list():
+    labels = list("DUUDAD")
+    dist = label_distribution(lab for lab in labels)
+    assert dist == label_distribution(labels)
+    assert dist.counts == {"D": 3, "U": 2, "A": 1}
+
+
+def test_run_lengths_empty():
+    with pytest.raises(EmptyStream):
+        run_lengths([])
+
+
 def test_independence_bar_electricity_prior():
     d = label_distribution(["DOWN"] * 575 + ["UP"] * 425)
     assert independence_bar(d) == pytest.approx(0.51125, abs=1e-12)
@@ -98,6 +110,8 @@ def test_acf_errors():
     assert autocorrelation(three, 2) == oracle_autocorrelation(three, 2)
     with pytest.raises(LagTooLarge):
         autocorrelation(list("UDUD"), 4)
+    with pytest.raises(ValueError, match="max_lag must be >= 1"):
+        autocorrelation(list("UDUD"), 0)
 
 
 def test_acf_encoding_invariance():

@@ -521,9 +521,9 @@ def traced_predictions(ds):
     """The trace's predictions, and how many rows it scored again."""
     rescored = []
 
-    def spy(ds, c, rows=None):
+    def spy(ds, c, rows=None, runs=None):
         rescored.append(len(rows))
-        return _naive_bayes_scores(ds, c, rows)
+        return _naive_bayes_scores(ds, c, rows, runs)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(evaluation, "_naive_bayes_scores", spy)
@@ -705,6 +705,12 @@ def test_audit_json_fields():
     assert set(doc) == {"n", "accuracy", "confusion", "bars", "margin",
                         "verdict"}
     assert set(doc["bars"]) == {"majority", "independence", "persistence"}
+
+
+@pytest.mark.parametrize("accuracy", [1.5, -0.1])
+def test_audit_rejects_an_accuracy_outside_0_1(accuracy):
+    with pytest.raises(ValueError, match=r"must be in \[0, 1\]"):
+        audit_accuracy(accuracy, list("DUUD"))
 
 
 def test_audit_empty_stream():

@@ -97,6 +97,34 @@ def test_class_index_out_of_range(k):
         parse_arff(io.StringIO(text + "1,A\n2\n"), class_index=k)
 
 
+@pytest.mark.parametrize("end", ["\r\n", "\r"], ids=["crlf", "cr"])
+def test_arff_paths_with_crlf_or_cr_line_ends_parse_as_lf(tmp_path, end):
+    # a path is opened with newline="", as every text source is; every
+    # line is stripped, so the line ends read nothing and count lines alike
+    values = ("A", "A", "'b c'")
+    text = MINIMAL_ARFF.replace("{A,B}", "{A,'b c'}") + "".join(
+        f"{i / 4!r},{values[i % 3]}\n" for i in range(9))
+    lf, other = tmp_path / "lf.arff", tmp_path / "other.arff"
+
+    def write(text):
+        lf.write_bytes(text.encode())
+        other.write_bytes(text.replace("\n", end).encode())
+
+    with mock.patch.object(stream_io, "BLOCK_LINES", 4):
+        write(text)
+        ds = parse_arff(str(lf))
+        assert parse_arff(str(other)) == ds == arff(text)
+        write(text + "x,A\n")
+        errors = []
+        for path in (lf, other):
+            with pytest.raises(ParseError) as err:
+                parse_arff(str(path))
+            errors.append(str(err.value))
+    assert ds.class_values == ("A", "b c") and ds.n_instances == 9
+    assert errors == ["line 15: non-numeric value 'x' for numeric "
+                      "attribute 'x'"] * 2
+
+
 def test_csv_basic():
     ds = parse_csv(io.StringIO("x,cls\n1,UP\n2,DOWN\n3,UP\n"))
     assert ds.n_instances == 3
@@ -1105,6 +1133,39 @@ def test_columns_reject_writes():
         with pytest.raises(AttributeError):
             ds.columns = ()
     assert built.instances is built.instances  # built once
+
+
+@pytest.mark.parametrize("values, message", [
+    ((), "empty nominal value"),
+    (("", "a"), "empty nominal value"),
+    (("a", "b", "a"), "duplicate nominal values"),
+], ids=["no-values", "empty-value", "duplicate-values"])
+def test_attribute_schema_holds_the_nominal_value_rule(values, message):
+    # the rule parse_arff applies to a header, so whatever to_arff writes
+    # reads back
+    with pytest.raises(ValueError) as err:
+        AttributeSchema("x", values)
+    assert str(err.value) == message
+    header = "@attribute x {" + ",".join(map(stream_io._quote, values)) + "}"
+    with pytest.raises(ParseError, match=f"^line 1: {message}$"):
+        arff(header + "\n@data\n")
+
+
+@pytest.mark.parametrize("class_index, message", [
+    (2, "class index 2 out of range for 2 attributes"),
+    (-3, "class index -3 out of range for 2 attributes"),
+    (0, "class attribute 'x' is not nominal"),
+])
+def test_a_bad_class_index_is_refused_as_parse_arff_refuses_it(class_index,
+                                                               message):
+    schema = (AttributeSchema("x", None), AttributeSchema("cls", ("A", "B")))
+    with pytest.raises(ValueError) as err:
+        StreamDataset(schema, [Instance((1.0,), 0)], class_index)
+    assert str(err.value) == message
+    with pytest.raises(ParseError) as err:
+        parse_arff(io.StringIO(to_arff(StreamDataset(
+            schema, [Instance((1.0,), 0)]))), class_index=class_index)
+    assert str(err.value) == message and err.value.line is None
 
 
 def test_instance_codes_must_index_the_value_list():

@@ -62,6 +62,13 @@ def test_infeasible_models_rejected():
         MarkovLabelModel(0.5, 0.5, 0)
 
 
+def test_iid_labels_reject_a_bad_prior_or_length():
+    with pytest.raises(InvalidModel, match="p must be in"):
+        gen_iid_labels(1.5, 10)
+    with pytest.raises(InvalidModel, match="n must be >= 1"):
+        gen_iid_labels(0.5, 0)
+
+
 def test_single_label():
     labels = gen_markov_labels(MarkovLabelModel(0.9, 0.5, 1, seed=1))
     assert labels in ([0], [1])
