@@ -79,6 +79,8 @@ class SweepResult:
             groups.get(rho, []).append(acc)
         out = []
         for rho, accs in groups.items():
+            if not accs:
+                raise ValueError(f"no rows for rho {rho!r} of the grid")
             # left folds: sum() of floats is compensated from Python 3.12
             mean = reduce(add, accs) / len(accs)
             var = reduce(add, [(a - mean) ** 2 for a in accs]) / len(accs)

@@ -14,7 +14,7 @@ import json
 import sys
 
 from . import baselines, diagnostics, evaluation, stream_io, synth
-from .errors import StreamAuditError
+from .errors import EmptyStream, StreamAuditError
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -246,19 +246,21 @@ def _cmd_synth(args):
 def _cmd_eval(args):
     rho = _learner_rho(args.learner)
     ds = _load_dataset(args.input, args.format, class_only=rho is not None)
+    name = args.learner
     if rho is None:
-        report = evaluation.prequential_eval(
-            evaluation.NaiveBayesLearner(ds), ds)
+        if ds.n_instances == 0:
+            raise EmptyStream("cannot evaluate on an empty stream")
+        trace = list(map(ds.class_values.__getitem__,
+                         evaluation._naive_bayes_trace(ds).tolist()))
     else:
         # the kernel and cold start of the bars, so restart:1 ==
         # persistence and restart:0 == majority hold across commands
         trace = baselines.random_restart_trace(
             ds, baselines.RestartPolicy(rho, args.seed))
-        name = args.learner
         if name.startswith("restart:"):
             name = f"restart:{rho:g}"
             print(f"# seed={args.seed}", file=sys.stderr)
-        report = evaluation._score(name, zip(ds.labels(), trace))
+    report = evaluation._score(name, zip(ds.labels(), trace))
     _write(args.out, report.to_json() + "\n")
     return EXIT_OK
 

@@ -212,12 +212,13 @@ class StreamDataset:
 
 def _utf8(read):
     """read of a text stream, or of a str source taken as a path and opened
-    as UTF-8 with newline="" (a line ends at '\n', '\r\n' or '\r', kept);
-    input that does not decode is a ParseError naming the source."""
+    as UTF-8 with newline="" (a line ends at '\n', '\r\n' or '\r', kept)
+    and without a leading byte-order mark; input that does not decode is a
+    ParseError naming the source."""
     @functools.wraps(read)
     def wrapper(source, *args, **kwargs):
         if isinstance(source, str):
-            with open(source, encoding="utf-8", newline="") as fh:
+            with open(source, encoding="utf-8-sig", newline="") as fh:
                 return wrapper(fh, *args, **kwargs)
         try:
             return read(source, *args, **kwargs)
@@ -681,10 +682,7 @@ def _numeric_field(x: np.ndarray) -> np.ndarray:
                 if _grid(a[:64], k) is not None and \
                         (digits := _grid(a, k)) is not None:
                     return _decimal_field(np.signbit(x), digits, k)
-    text = np.array(list(map(repr, x.tolist())), "S")
-    field = text.view(np.uint8).reshape(len(x), text.itemsize)
-    field[field == 0] = _PAD
-    return field
+    return _byte_rows(list(map(repr, x.tolist())))
 
 
 def _grid(a: np.ndarray, k: int) -> Optional[np.ndarray]:
@@ -709,65 +707,35 @@ def _decimal_field(negative: np.ndarray, digits: np.ndarray, k: int
     the nearest of at most one decimal of 15 or fewer significant digits
     (DBL_DIG), so no shorter string reads back to it, and this one is repr's.
     """
-    whole = digits // 10 ** k
-    fraction = digits - whole * 10 ** k
-    width = len(str(int(whole.max())))  # integer digits, at most
-    n_whole = (width + 3) // 4  # 4-digit groups
-    n_fraction = max(1, (k + 3) // 4)
-    groups = _groups(whole, n_whole) + \
-        _groups(fraction * 10 ** (4 * n_fraction - k), n_fraction)
-    # a whole group with only zeros before it drops its leading zeros, and
-    # a fraction group with only zeros after it its trailing ones
-    zeros = np.ones(len(digits), bool)
-    for j in range(n_whole):
-        groups[j] = groups[j] + 10000 * zeros
-        zeros &= groups[j] == 10000
-    zeros[:] = True
-    for j in range(len(groups) - 1, n_whole - 1, -1):
-        groups[j] = groups[j] + 20000 * zeros
-        zeros &= groups[j] == 20000
-    text = _digit_groups().take(np.stack(groups, axis=1), axis=0).reshape(
-        len(digits), -1)
-    units = 4 * n_whole  # text[:, :units] is the integer part
+    width = len(str(int(digits.max()) // 10 ** k))  # integer digits, at most
     signed = bool(negative.any())
     dot = signed + width
-    field = np.empty((len(digits), dot + 1 + max(k, 1)), np.uint8)
+    # one row per place, so that each place is written as one contiguous run
+    text = np.empty((dot + 1 + max(k, 1), len(digits)), np.uint8)
     if signed:
-        field[:, 0] = np.where(negative, ord("-"), _PAD)
-    field[:, signed:dot] = text[:, units - width:units]
-    field[:, dot] = ord(".")
-    field[:, dot + 1:] = text[:, units:units + max(k, 1)]
-    # the units digit and the first fraction digit stay when they are 0
-    field[whole == 0, dot - 1] = _ZERO
-    field[fraction == 0, dot + 1] = _ZERO
-    return field
-
-
-@functools.cache
-def _digit_groups() -> np.ndarray:
-    """Row i holds the four ASCII digits of i, "0000" to "9999"; row
-    10000 + i the same with its leading zeros, and row 20000 + i with its
-    trailing zeros, replaced by _PAD ("0000" gives four _PADs in both).
-    Made on first use, so that importing the package does not pay for it.
-    """
-    digits = np.indices((10,) * 4, np.uint8).reshape(4, -1)  # i's digits
-    lead = np.logical_and.accumulate(digits == 0)
-    trail = np.logical_and.accumulate(digits[::-1] == 0)[::-1]
-    text = (digits + _ZERO).astype(np.uint8)
-    table = np.concatenate([text, np.where(lead, _PAD, text),
-                            np.where(trail, _PAD, text)], axis=1).T.copy()
-    table.flags.writeable = False
-    return table
-
-
-def _groups(values: np.ndarray, n: int) -> list:
-    """The n 4-digit groups of the int64 values, most significant first."""
-    groups = []
-    for _ in range(n):
-        rest = values // 10000
-        groups.append(values - rest * 10000)
-        values = rest
-    return groups[::-1]
+        text[0] = np.where(negative, ord("-"), _PAD)
+    text[dot] = ord(".")
+    text[dot + 1] = _ZERO  # the fraction of k = 0
+    # from the last digit place up: a fraction digit after the first is a
+    # pad while it and every later one are 0, and an integer digit before
+    # the units while it and every earlier one are
+    trailing = np.ones(len(digits), bool)
+    for place in range(dot + k, dot, -1):
+        rest = digits // 10
+        text[place] = digits - rest * 10
+        trailing &= text[place] == 0
+        text[place] += _ZERO
+        if place > dot + 1:
+            np.copyto(text[place], _PAD, where=trailing)
+        digits = rest
+    for place in range(dot - 1, signed - 1, -1):
+        rest = digits // 10
+        text[place] = digits - rest * 10
+        text[place] += _ZERO
+        if place < dot - 1:
+            np.copyto(text[place], _PAD, where=digits == 0)
+        digits = rest
+    return text.T
 
 
 def to_arff(ds: StreamDataset, relation: str = "stream") -> str:

@@ -136,6 +136,16 @@ def test_summary_of_the_largest_grid_takes_one_pass():
     assert summary == expected
 
 
+def test_summary_names_the_first_grid_rho_without_rows():
+    # rows off the grid are still dropped; a grid rho with none is an error
+    rows = ((0.5, 0, 0.7), (2.0, 0, 0.5))
+    result = SweepResult(rows, SweepConfig((0.5, 0.6, 0.7)))
+    with pytest.raises(ValueError, match=r"^no rows for rho 0\.6 of the grid$"):
+        result.summary()
+    assert SweepResult(rows, SweepConfig((0.5,))).summary() == \
+        [(0.5, 0.7, 0.7, 0.7, 0.0)]
+
+
 def test_sweep_config_rejects_bad_grids_and_repetitions():
     for grid in ((0.0, 1.5), (-0.1, 0.5)):
         with pytest.raises(InvalidRho):

@@ -7,8 +7,9 @@ from oracles import OracleNaiveBayes, oracle_autocorrelation
 from test_baselines import sticky_stream
 from test_stream_io import multiclass_csv
 
-from streamaudit import (EmptyStream, RestartPolicy, SweepConfig, diagnose,
-                         majority_baseline, parse_arff, parse_csv,
+from streamaudit import (EmptyStream, NaiveBayesLearner, RestartPolicy,
+                         SweepConfig, diagnose, majority_baseline,
+                         parse_arff, parse_csv,
                          persistence_accuracy, prequential_eval,
                          random_restart_run,
                          random_restart_trace, rho_sweep,
@@ -301,6 +302,40 @@ def test_eval_naive_bayes_on_nan_and_huge_values(tmp_path, capsys):
     oracle = prequential_eval(OracleNaiveBayes(ds), ds)
     assert (json.loads(out)["n"], json.loads(out)["correct"]) == \
         (100, oracle.correct)
+
+
+def _synth_arff(path):
+    assert main(["synth", "markov", "--n", "3000", "--prior", "0.42",
+                 "--acf1", "0.8", "--seed", "7", "--out", str(path)]) == 0
+
+
+@pytest.mark.parametrize("name, make", [
+    ("markov.arff", _synth_arff),
+    ("multi.csv", lambda path: path.write_text(multiclass_csv(n=3000,
+                                                              seed=11))),
+    ("edge.csv", lambda path: path.write_text(
+        "x,y,cls\n1e308,0.5,A\n-1e308,nan,A\n0.0,1.5,B\n1.0,nan,A\n"
+        + "".join(f"{i},{i / 7:.2f},{'AB'[i % 2]}\n" for i in range(96)))),
+], ids=["synth-arff", "three-class-csv", "nan-and-huge-csv"])
+def test_eval_naive_bayes_reports_as_the_library_learner(tmp_path, capsys,
+                                                         name, make):
+    path = tmp_path / name
+    make(path)
+    capsys.readouterr()
+    code, out, _ = run(capsys, ["eval", "--input", str(path),
+                                "--learner", "naive-bayes"])
+    ds = (parse_arff if name.endswith(".arff") else parse_csv)(str(path))
+    assert code == 0
+    assert out == prequential_eval(NaiveBayesLearner(ds), ds).to_json() + "\n"
+
+
+def test_eval_naive_bayes_on_an_empty_stream_exit_2(tmp_path, capsys):
+    path = tmp_path / "empty.arff"
+    path.write_text("@relation e\n@attribute x numeric\n"
+                    "@attribute cls {A,B}\n@data\n")
+    assert run(capsys, ["eval", "--input", str(path), "--learner",
+                        "naive-bayes"]) == \
+        (2, "", "error: cannot evaluate on an empty stream\n")
 
 
 def test_eval_restart_equals_persistence_at_rho_1(synth_csv, capsys):

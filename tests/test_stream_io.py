@@ -16,7 +16,8 @@ from hypothesis import strategies as st
 from streamaudit import (AttributeSchema, Classifier, NaiveBayesLearner,
                          ParseError, StreamDataset, UnsupportedFeature,
                          audit_accuracy, dataset_summary, diagnose,
-                         parse_arff, parse_csv, prequential_eval, to_arff)
+                         parse_arff, parse_csv, prequential_eval,
+                         read_prediction_log, to_arff)
 from streamaudit import stream_io
 from streamaudit.rng import uniforms
 from streamaudit.stream_io import Instance, _parse_attribute_line
@@ -757,6 +758,29 @@ def test_to_arff_numbers_at_the_decimal_path_edges(values, lines):
     assert repr(arff(text)) == repr(ds)  # exact for nan and -0.0
 
 
+@pytest.mark.parametrize("k", range(16))
+def test_to_arff_digit_loop_at_every_width_and_place_count(k):
+    # for each integer width w with w + k <= 15, 10**(w-1) + 10**-k has
+    # interior zeros and 10**w - 10**-k is all nines; beside them a value
+    # below 1, -0.0 and negatives. The block lies on the k-place grid and
+    # no coarser one, so the digit loop writes all of it
+    below = float(Decimal(10 ** k - 1).scaleb(-k))
+    for w in range(k == 0, 16 - k):
+        interior, nines = (float(Decimal(d).scaleb(-k)) for d in
+                           (10 ** (w + k - 1) + 1, 10 ** (w + k) - 1))
+        values = [interior, -nines, below, -0.0, nines, -interior]
+        ds = StreamDataset((AttributeSchema("x"),
+                            AttributeSchema("cls", ("A",))),
+                           [Instance((value,), 0) for value in values])
+        with mock.patch.object(stream_io, "_decimal_field",
+                               wraps=stream_io._decimal_field) as spy:
+            text = to_arff(ds)
+        assert spy.call_args.args[2] == k
+        assert text.split("@data\n")[1] == "".join(f"{value!r},A\n"
+                                                    for value in values)
+        assert repr(arff(text)) == repr(ds)  # exact for -0.0
+
+
 def test_to_arff_nominal_values_with_nul_accent_quote_and_surrogate():
     # a NUL byte would vanish with padding of NULs, and a lone surrogate
     # has no strict UTF-8 form
@@ -948,6 +972,19 @@ def test_latin1_input_is_a_parse_error(tmp_path, read, text):
     with pytest.raises(ParseError) as err:
         read(str(path))
     assert str(err.value) == f"{path} is not UTF-8 text"
+
+
+@pytest.mark.parametrize("read, text", [
+    (parse_csv, "x,cls\n1,A\n2,B\n"),
+    (parse_arff, SMALL_ARFF),
+    (read_prediction_log, "true,predicted\nA,A\nB,A\n"),
+], ids=["csv", "arff", "log"])
+def test_a_path_read_skips_a_utf8_byte_order_mark(tmp_path, read, text):
+    plain, marked = tmp_path / "plain", tmp_path / "marked"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_text(text, encoding="utf-8-sig")
+    assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+    assert read(str(marked)) == read(str(plain))
 
 
 def test_csv_number_spellings_stay_apart_when_a_column_turns_nominal():
