@@ -13,7 +13,8 @@ from .diagnostics import (AcfSeries, DiagnosticsReport, LabelDistribution,
                           persistence_accuracy, run_lengths)
 from .errors import (EmptyLog, EmptyStream, InvalidModel, InvalidRho,
                      LabelMismatch, LagTooLarge, ParseError, SchemaMismatch,
-                     StreamAuditError, UnsupportedFeature, ZeroVariance)
+                     ScoreOverflow, StreamAuditError, UnsupportedFeature,
+                     ZeroVariance)
 from .evaluation import (AuditVerdict, Classifier, EvalReport,
                          NaiveBayesLearner, Verdict, audit_accuracy,
                          audit_prediction_log, prequential_eval,

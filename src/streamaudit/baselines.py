@@ -28,7 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from .diagnostics import _encode
-from .errors import EmptyStream, InvalidRho
+from .errors import InvalidRho
 from .rng import bernoullis, derive_seed
 from .stream_io import write_csv
 
@@ -111,8 +111,6 @@ class _CodedStream:
 
     def __init__(self, labels: Sequence):
         self.codes, self.classes = _encode(labels)
-        if len(self.codes) == 0:
-            raise EmptyStream("an empty stream has no first instance")
         n, k = len(self.codes), len(self.classes)
         self.low = (1 << n.bit_length()) - 1
         seen = self.codes[:-1] == np.arange(k, dtype=np.int32)[:, None]

@@ -14,7 +14,7 @@ import json
 import sys
 
 from . import baselines, diagnostics, evaluation, stream_io, synth
-from .errors import EmptyStream, StreamAuditError
+from .errors import StreamAuditError
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -80,11 +80,8 @@ def _load_dataset(path, fmt=None, class_only=False):
     """The dataset at path ('-' for stdin). With class_only a CSV's class
     column is the only one read; an ARFF is read whole, since its feature
     values are checked against their declared types."""
-    if fmt is None:
-        if path == "-":
-            fmt = "arff"
-        else:
-            fmt = "csv" if path.lower().endswith(".csv") else "arff"
+    if fmt is None:  # stdin, "-", is an ARFF
+        fmt = "csv" if path.lower().endswith(".csv") else "arff"
     source = sys.stdin if path == "-" else path
     if fmt == "arff":
         return stream_io.parse_arff(source)
@@ -248,8 +245,6 @@ def _cmd_eval(args):
     ds = _load_dataset(args.input, args.format, class_only=rho is not None)
     name = args.learner
     if rho is None:
-        if ds.n_instances == 0:
-            raise EmptyStream("cannot evaluate on an empty stream")
         trace = list(map(ds.class_values.__getitem__,
                          evaluation._naive_bayes_trace(ds).tolist()))
     else:
@@ -276,21 +271,13 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
+        args = build_parser().parse_args(argv)
         return _COMMANDS[args.command](args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except StreamAuditError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except OSError as exc:
+    except (StreamAuditError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

@@ -103,33 +103,33 @@ class _Codes(NamedTuple):
 
 
 def _encode(labels) -> _Codes:
-    """The codes of a label sequence, of a StreamDataset or (returned as
-    it is) of a _Codes. A dataset's class column is renumbered by first
-    occurrence, so declared values that never occur get no code."""
-    if isinstance(labels, _Codes):
-        return labels
+    """The codes of a label sequence, a StreamDataset or (as it is) a
+    _Codes; EmptyStream if there are none. A dataset's class column is
+    renumbered by first occurrence, so unused declared values get no code."""
     if isinstance(labels, StreamDataset):
         column = labels.columns[labels.class_index]
         present, first = np.unique(column, return_index=True)
         order = present[np.argsort(first)]
         renumber = np.zeros(len(labels.class_values), np.int32)
         renumber[order] = np.arange(len(order), dtype=np.int32)
-        return _Codes(renumber.take(column),
-                      [labels.class_values[c] for c in order.tolist()])
-    if isinstance(labels, np.ndarray):  # Python scalars, not numpy ones
-        labels = labels.tolist()
-    elif not isinstance(labels, (list, tuple)):
-        labels = list(labels)
-    classes = list(dict.fromkeys(labels))
-    index = dict(zip(classes, range(len(classes))))
-    return _Codes(np.fromiter(map(index.__getitem__, labels), np.int32,
-                              len(labels)), classes)
+        labels = _Codes(renumber.take(column),
+                        [labels.class_values[c] for c in order.tolist()])
+    elif not isinstance(labels, _Codes):
+        if isinstance(labels, np.ndarray):  # Python scalars, not numpy ones
+            labels = labels.tolist()
+        elif not isinstance(labels, (list, tuple)):
+            labels = list(labels)
+        classes = list(dict.fromkeys(labels))
+        index = dict(zip(classes, range(len(classes))))
+        labels = _Codes(np.fromiter(map(index.__getitem__, labels), np.int32,
+                                    len(labels)), classes)
+    if len(labels.codes) == 0:
+        raise EmptyStream("an empty stream has no first instance")
+    return labels
 
 
 def label_distribution(labels: Sequence) -> LabelDistribution:
     codes, classes = _encode(labels)
-    if len(codes) == 0:
-        raise EmptyStream("cannot compute a distribution of zero labels")
     counts = np.bincount(codes, minlength=len(classes)).tolist()
     return LabelDistribution(dict(zip(classes, counts)), len(codes))
 
@@ -143,8 +143,6 @@ def persistence_accuracy(labels: Sequence) -> float:
     """Accuracy of predicting each label as a copy of the previous one,
     the first instance predicted as itself."""
     codes = _encode(labels).codes
-    if len(codes) == 0:
-        raise EmptyStream("an empty stream has no first instance")
     hits = int(np.count_nonzero(codes[1:] == codes[:-1]))
     return (1 + hits) / len(codes)
 
@@ -171,8 +169,6 @@ def autocorrelation(labels: Sequence, max_lag: int) -> AcfSeries:
     """
     codes, classes = _encode(labels)
     n = len(codes)
-    if n == 0:
-        raise EmptyStream("cannot compute the ACF of zero labels")
     if len(classes) < 2:
         raise ZeroVariance("only one class occurs; ACF undefined")
     if max_lag < 1:
@@ -195,8 +191,6 @@ def run_lengths(labels: Sequence) -> RunLengthStats:
     """Lengths of maximal constant-label runs; their sum is n."""
     codes = _encode(labels).codes
     n = len(codes)
-    if n == 0:
-        raise EmptyStream("run lengths of an empty stream")
     starts = np.flatnonzero(codes[1:] != codes[:-1]) + 1
     lengths = np.diff(starts, prepend=0, append=n)
     return RunLengthStats(len(lengths), n / len(lengths), int(lengths.max()))

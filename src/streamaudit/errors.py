@@ -57,12 +57,20 @@ class SchemaMismatch(StreamAuditError):
 class LabelMismatch(StreamAuditError):
     """A prediction log's true-label column disagrees with the dataset."""
 
-    def __init__(self, index, expected, got):
+    def __init__(self, index, message):
         self.index = index
-        super().__init__(
-            f"true label at index {index} is {got!r}, dataset has {expected!r}"
-        )
+        super().__init__(message)
 
 
 class EmptyLog(StreamAuditError):
     """A prediction log contained no rows."""
+
+
+class ScoreOverflow(StreamAuditError, OverflowError):
+    """Naive Bayes cannot score row: a value is too far from a class
+    mean to square, and the row-by-row learner raises OverflowError."""
+
+    def __init__(self, row):
+        self.row = row
+        super().__init__(f"row {row}: a value is too far from a class mean "
+                         "for naive Bayes to square")

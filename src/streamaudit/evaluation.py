@@ -28,7 +28,6 @@ import csv
 import enum
 import json
 import math
-import time
 from collections import Counter
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -37,7 +36,7 @@ import numpy as np
 
 from . import baselines, diagnostics
 from .errors import (EmptyLog, EmptyStream, LabelMismatch, ParseError,
-                     SchemaMismatch)
+                     SchemaMismatch, ScoreOverflow)
 from .stream_io import BLOCK_LINES, StreamDataset, _utf8, write_csv
 
 _VARIANCE_FLOOR = 1e-9  # naive Bayes' least Gaussian variance
@@ -71,15 +70,12 @@ class EvalReport:
     n: int
     correct: int
     confusion: dict  # (true, predicted) -> count
-    wall_time: float
 
     @property
     def accuracy(self) -> float:
         return self.correct / self.n
 
     def to_json(self) -> str:
-        # wall_time deliberately omitted: identical runs must serialize
-        # byte-identically.
         return json.dumps({
             "classifier": self.classifier,
             "n": self.n,
@@ -89,12 +85,13 @@ class EvalReport:
         }, indent=2)
 
 
-def _score(name: str, pairs, wall_time: float = 0.0) -> EvalReport:
-    """The report on (true, predicted) pairs."""
+def _score(name: str, pairs) -> EvalReport:
+    """The report on (true, predicted) pairs; EmptyStream if none."""
     confusion = dict(Counter(pairs))
+    if not confusion:
+        raise EmptyStream("cannot evaluate on an empty stream")
     correct = sum(count for (t, p), count in confusion.items() if t == p)
-    return EvalReport(name, sum(confusion.values()), correct, confusion,
-                      wall_time)
+    return EvalReport(name, sum(confusion.values()), correct, confusion)
 
 
 def _nested(confusion: dict) -> dict:
@@ -148,21 +145,17 @@ class AuditVerdict:
 
 
 def prequential_eval(classifier: Classifier, ds: StreamDataset) -> EvalReport:
-    """Single-pass test-then-train over the whole stream."""
-    if ds.n_instances == 0:
-        raise EmptyStream("cannot evaluate on an empty stream")
+    """Test-then-train over the whole stream, its schema checked first."""
     bound = getattr(classifier, "schema", None)
     if bound is not None and bound != ds.schema:
         raise SchemaMismatch(
             f"classifier {classifier.name!r} is bound to a different schema")
     labels = ds.labels()
     predictions = []
-    start = time.perf_counter()
     for (features, _), true in zip(ds._rows(), labels):
         predictions.append(classifier.predict(features))
         classifier.update(features, true)
-    elapsed = time.perf_counter() - start
-    return _score(classifier.name, zip(labels, predictions), elapsed)
+    return _score(classifier.name, zip(labels, predictions))
 
 
 class NaiveBayesLearner(Classifier):
@@ -251,6 +244,7 @@ def _naive_bayes_trace(ds: StreamDataset):
     bounds, tol = scale * size: then the exact scores order the classes
     the same way. Step 2 scores the other rows after row 0, and those with
     a score that is not finite, by the learner's own operations and rule.
+    Where the learner's ** 2 raises, ScoreOverflow names the first row.
     """
     n, k = ds.n_instances, len(ds.class_values)
     # The bound. A score is m = len(ds.schema) terms, the prior and one per
@@ -269,9 +263,11 @@ def _naive_bayes_trace(ds: StreamDataset):
     others_high = np.full(n, -np.inf)  # max of score + tol over the rest
     unsure = np.zeros(n, bool)
     runs = _nominal_runs(ds)
+    overflow = n  # the first row where the learner's ** 2 raises, if any
     for c in range(k):
-        score, trained, tol = _class_scores(ds, c, None, np.log, np.square,
-                                            runs)
+        score, trained, tol, first = _class_scores(ds, c, None, np.log,
+                                                   np.square, runs)
+        overflow = min(overflow, first)
         tol *= scale  # from size to the bound, in place
         score[~trained], tol[~trained] = -np.inf, 0.0
         with np.errstate(invalid="ignore"):  # a NaN score is never greater
@@ -287,6 +283,8 @@ def _naive_bayes_trace(ds: StreamDataset):
         best_score[take] = score[take]
         best_tol[take] = tol[take]
         del score, tol, high  # freed before the next class's are made
+    if overflow < n:
+        raise ScoreOverflow(overflow)
     with np.errstate(invalid="ignore"):
         unsure |= ~(best_score - best_tol > others_high)
     unsure[:1] = False  # row 0, where no class is trained, takes the first
@@ -318,12 +316,11 @@ def _naive_bayes_scores(ds: StreamDataset, c: int, rows=None, runs=None):
     math.log and ** 2 are applied by Python, and the terms are added in
     schema order.
     """
-    score, trained, _ = _class_scores(ds, c, rows, _logs, _squares, runs)
-    return score, trained
+    return _class_scores(ds, c, rows, _logs, _squares, runs)[:2]
 
 
 def _class_scores(ds, c, rows, log, square, runs=None):
-    """(scores, trained, size) as _naive_bayes_scores gives them, with log
+    """(scores, trained, size, first): _naive_bayes_scores' two with log
     and square as the kernels; size is the sum of each score's terms'
     magnitudes, a Gaussian's 0.5 * (|log(2 pi var)| + (x - mean)**2 / var).
     Terms are made BLOCK_LINES rows at a time, so no more Python floats
@@ -331,10 +328,10 @@ def _class_scores(ds, c, rows, log, square, runs=None):
     made here if not given: a caller that scores several classes sorts
     each nominal column once.
 
-    Whatever the kernels, this raises OverflowError where the row-by-row
-    learner's ** 2 would: at a row where class c is trained and the row's
-    value is too far from c's mean to square. Where c is not yet trained
-    the difference is taken as 0, since no prediction reads it.
+    first is the first of rows where the row-by-row learner's ** 2 raises
+    OverflowError whatever the kernels (a ** 2 kernel raises itself), or n:
+    where class c is trained and the row's value is too far from c's mean
+    to square. Where c is untrained the difference is 0: nothing reads it.
     """
     n, k = ds.n_instances, len(ds.class_values)
     rows = np.arange(n) if rows is None else rows
@@ -346,6 +343,7 @@ def _class_scores(ds, c, rows, log, square, runs=None):
     before = np.cumsum(is_c, dtype=np.int32) - is_c  # c's rows in [0, t)
     last = np.maximum(before - 1, 0)  # the last of them
     score, size = np.empty(len(rows)), np.empty(len(rows))
+    first = n
     for out, t in blocks:
         score[out] = log((before[t] + 1) / (t + k))
         size[out] = np.abs(score[out])
@@ -372,13 +370,17 @@ def _class_scores(ds, c, rows, log, square, runs=None):
                 at = last[t]
                 diff = col[t] - mean[at]
                 diff[before[t] == 0] = 0.0  # c untrained: nothing reads it
-                # ** 2 raises OverflowError here if the learner's would
-                _squares(diff[np.abs(diff) >= 2.0 ** 511])
+                for i in np.flatnonzero(np.abs(diff) >= 2.0 ** 511).tolist():
+                    try:
+                        float(diff[i]) ** 2  # raises if the learner's does
+                    except OverflowError:
+                        first = min(first, int(t[i]))
+                        break
                 log_norm = log(spread[at])
                 quad = square(diff) / var[at]
                 score[out] -= 0.5 * (log_norm + quad)
                 size[out] += 0.5 * (np.abs(log_norm) + quad)
-    return score, before[rows] > 0, size
+    return score, before[rows] > 0, size, first
 
 
 def _nominal_runs(ds: StreamDataset) -> dict:
@@ -438,8 +440,6 @@ def audit_accuracy(subject_accuracy: float, ds_or_labels) -> AuditVerdict:
     if not 0.0 <= subject_accuracy <= 1.0:
         raise ValueError("subject accuracy must be in [0, 1]")
     labels = diagnostics._encode(ds_or_labels)  # once, for every bar
-    if len(labels.codes) == 0:
-        raise EmptyStream("cannot audit against an empty stream")
     dist = diagnostics.label_distribution(labels)
     return AuditVerdict(
         subject_accuracy=subject_accuracy,
@@ -466,10 +466,12 @@ def audit_prediction_log(log: Sequence, ds_labels: Optional[Sequence] = None):
         if ds_labels != true_col:  # then find where
             if len(ds_labels) != len(true_col):
                 raise LabelMismatch(min(len(ds_labels), len(true_col)),
-                                    "<length mismatch>", "<length mismatch>")
+                                    f"prediction log has {len(true_col)} "
+                                    f"rows, dataset has {len(ds_labels)}")
             for i, (a, b) in enumerate(zip(ds_labels, true_col)):
                 if a != b:
-                    raise LabelMismatch(i, a, b)
+                    raise LabelMismatch(i, f"true label at index {i} is "
+                                           f"{b!r}, dataset has {a!r}")
     true = diagnostics._encode(true_col)  # once, for every bar
     report = _score("prediction-log", log)
     return audit_accuracy(report.accuracy, true), report

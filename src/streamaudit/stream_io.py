@@ -212,16 +212,25 @@ class StreamDataset:
 
 def _utf8(read):
     """read of a text stream, or of a str source taken as a path and opened
-    as UTF-8 with newline="" (a line ends at '\n', '\r\n' or '\r', kept)
-    and without a leading byte-order mark; input that does not decode is a
-    ParseError naming the source."""
+    as UTF-8 with newline="" (a line ends at '\n', '\r\n' or '\r', kept),
+    either way without a leading byte-order mark; input that does not
+    decode is a ParseError naming the source."""
     @functools.wraps(read)
     def wrapper(source, *args, **kwargs):
         if isinstance(source, str):
-            with open(source, encoding="utf-8-sig", newline="") as fh:
+            with open(source, encoding="utf-8", newline="") as fh:
                 return wrapper(fh, *args, **kwargs)
         try:
-            return read(source, *args, **kwargs)
+            lines = iter(source)
+            try:
+                start = source.tell()
+            except (AttributeError, OSError):  # a pipe: line 1 loses the mark
+                lines = itertools.chain([line.removeprefix("\ufeff") for line
+                                         in itertools.islice(lines, 1)], lines)
+            else:  # a seekable stream is moved past it
+                if source.read(1) != "\ufeff":
+                    source.seek(start)
+            return read(lines, *args, **kwargs)
         except UnicodeDecodeError as exc:
             name = getattr(source, "name", "input")
             raise ParseError(f"{name} is not {exc.encoding.upper()} text"

@@ -1,5 +1,6 @@
 import csv
 import hashlib
+import io
 import json
 
 import pytest
@@ -8,12 +9,12 @@ from test_baselines import sticky_stream
 from test_stream_io import multiclass_csv
 
 from streamaudit import (EmptyStream, NaiveBayesLearner, RestartPolicy,
-                         SweepConfig, diagnose, majority_baseline,
-                         parse_arff, parse_csv,
+                         SchemaMismatch, SweepConfig, audit_accuracy,
+                         autocorrelation, diagnose, label_distribution,
+                         majority_baseline, parse_arff, parse_csv,
                          persistence_accuracy, prequential_eval,
-                         random_restart_run,
-                         random_restart_trace, rho_sweep,
-                         write_prediction_log)
+                         random_restart_run, random_restart_trace,
+                         rho_sweep, run_lengths, write_prediction_log)
 from streamaudit.cli import MAX_GRID_VALUES, _parse_grid, main
 from streamaudit.stream_io import write_csv
 
@@ -136,7 +137,7 @@ def test_acf_empty_dataset_exit_2(tmp_path, capsys):
                     "@attribute cls {A,B}\n@data\n")
     code, _, err = run(capsys, ["acf", "--input", str(path), "--max-lag", "10"])
     assert code == 2
-    assert err == "error: cannot compute the ACF of zero labels\n"
+    assert err == "error: an empty stream has no first instance\n"
 
 
 @pytest.mark.parametrize("entry", [
@@ -148,9 +149,18 @@ def test_acf_empty_dataset_exit_2(tmp_path, capsys):
     ["eval", "--learner", "majority"],
     ["eval", "--learner", "restart:0.3"],
     ["sweep", "--grid", "0:1:0.5"],
+    lambda: label_distribution([]),
+    lambda: run_lengths([]),
+    lambda: autocorrelation([], 1),
+    lambda: diagnose([]),
+    lambda: audit_accuracy(0.5, []),
+    ["acf", "--max-lag", "10"],
+    ["audit", "--accuracy", "0.5"],
 ], ids=["persistence_accuracy", "majority_baseline", "random_restart_run",
         "random_restart_trace", "rho_sweep", "eval-majority",
-        "eval-restart", "sweep"])
+        "eval-restart", "sweep", "label_distribution", "run_lengths",
+        "autocorrelation", "diagnose", "audit_accuracy", "acf",
+        "audit-accuracy"])
 def test_empty_stream_has_no_first_instance(tmp_path, capsys, entry):
     message = "an empty stream has no first instance"
     if callable(entry):
@@ -163,6 +173,18 @@ def test_empty_stream_has_no_first_instance(tmp_path, capsys, entry):
     code, out, err = run(capsys, entry + ["--input", str(path)])
     assert code == 2 and out == ""
     assert err.splitlines()[-1] == f"error: {message}"
+
+
+def test_prequential_refuses_another_schema_before_an_empty_stream():
+    empty = parse_arff(io.StringIO("@relation e\n@attribute x numeric\n"
+                                   "@attribute cls {A,B}\n@data\n"))
+    other = parse_arff(io.StringIO("@relation o\n@attribute x numeric\n"
+                                   "@attribute cls {A,C}\n@data\n1,A\n"))
+    with pytest.raises(SchemaMismatch, match="bound to a different schema"):
+        prequential_eval(NaiveBayesLearner(other), empty)
+    with pytest.raises(EmptyStream,
+                       match="^cannot evaluate on an empty stream$"):
+        prequential_eval(NaiveBayesLearner(empty), empty)
 
 
 def test_audit_accuracy_json(synth_csv, capsys):
@@ -336,6 +358,32 @@ def test_eval_naive_bayes_on_an_empty_stream_exit_2(tmp_path, capsys):
     assert run(capsys, ["eval", "--input", str(path), "--learner",
                         "naive-bayes"]) == \
         (2, "", "error: cannot evaluate on an empty stream\n")
+
+
+@pytest.mark.parametrize("name, text", [
+    ("overflow.csv", "x,cls\n1e200,A\n-1e200,B\n0.0,A\n"),
+    # class A first overflows at row 3, class B at row 1
+    ("overflow.arff", "@relation r\n@attribute x numeric\n"
+                      "@attribute cls {A,B}\n@data\n"
+                      "0.0,B\n1e200,A\n1e200,A\n0.0,B\n"),
+], ids=["csv", "arff"])
+def test_eval_naive_bayes_names_the_row_it_cannot_square(tmp_path, capsys,
+                                                         name, text):
+    path = tmp_path / name
+    path.write_text(text)
+    assert run(capsys, ["eval", "--input", str(path), "--learner",
+                        "naive-bayes"]) == \
+        (2, "", "error: row 1: a value is too far from a class mean for "
+                "naive Bayes to square\n")
+
+
+def test_audit_a_log_of_the_wrong_length_exit_2(tmp_path, capsys):
+    data, log = tmp_path / "labels.csv", tmp_path / "log.csv"
+    data.write_text("label\nA\nB\nB\nA\n")
+    log.write_text("true,predicted\nA,A\nB,A\nB,B\n")
+    assert run(capsys, ["audit", "--input", str(data), "--predictions",
+                        str(log)]) == \
+        (2, "", "error: prediction log has 3 rows, dataset has 4\n")
 
 
 def test_eval_restart_equals_persistence_at_rho_1(synth_csv, capsys):

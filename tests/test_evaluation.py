@@ -17,7 +17,8 @@ from oracles import (MajorityLearner, OracleNaiveBayes, PersistenceLearner,
 from streamaudit import (AttributeSchema, AuditVerdict, Classifier, EmptyLog,
                          EmptyStream, Instance, LabelMismatch,
                          NaiveBayesLearner, ParseError, RestartPolicy,
-                         SchemaMismatch, StreamDataset, Verdict,
+                         SchemaMismatch, ScoreOverflow, StreamAuditError,
+                         StreamDataset, Verdict,
                          audit_accuracy, audit_prediction_log,
                          gen_iid_labels, gen_markov_labels,
                          majority_baseline, parse_arff, parse_csv,
@@ -430,6 +431,48 @@ def test_a_square_too_large_raises_where_the_oracle_does():
         _naive_bayes_trace(ds)
 
 
+def oracle_overflow_row(ds):
+    """The row at which a prequential pass of OracleNaiveBayes raises
+    OverflowError, or None."""
+    oracle = OracleNaiveBayes(ds)
+    for t, inst in enumerate(ds.instances):
+        try:
+            oracle.predict(inst.features)
+        except OverflowError:
+            return t
+        oracle.update(inst.features, ds.class_values[inst.label])
+    return None
+
+
+@pytest.mark.parametrize("ds, class_0_row", [
+    (numeric_dataset([(1e200, "A"), (-1e200, "B"), (0.0, "A")]), 1),
+    # class A first overflows at row 3, class B at row 1
+    (numeric_dataset([(0.0, "B"), (1e200, "A"), (1e200, "A"), (0.0, "B")]),
+     3),
+    # class A's feature x first overflows at row 3, its feature y at row 1
+    (parse_csv(io.StringIO("x,y,cls\n0,0,A\n0,1e200,A\n0,0,B\n"
+                           "1e200,0,A\n")), 1),
+], ids=["first-class", "second-class", "second-feature"])
+def test_a_square_too_large_is_a_typed_error_at_the_oracles_row(
+        ds, class_0_row):
+    row = oracle_overflow_row(ds)
+    assert row == 1
+    # one class alone may overflow later: the trace takes the least row
+    assert evaluation._class_scores(ds, 0, None, np.log, np.square)[3] == \
+        class_0_row
+    with pytest.raises(OverflowError):
+        _naive_bayes_scores(ds, 0)
+    for call in (lambda: _naive_bayes_trace(ds),
+                 lambda: prequential_eval(NaiveBayesLearner(ds), ds)):
+        with pytest.raises(ScoreOverflow) as err:
+            call()
+        assert isinstance(err.value, StreamAuditError)
+        assert isinstance(err.value, OverflowError)
+        assert err.value.row == row
+        assert str(err.value) == (f"row {row}: a value is too far from a "
+                                  "class mean for naive Bayes to square")
+
+
 SQUARE_LIMIT = 1.3407807929942596e154  # the largest float ** 2 keeps finite
 
 
@@ -830,8 +873,8 @@ def test_audit_prediction_log_mismatch_report():
     for wrong, index, text in [
             (labels[:3] + ["X"] + labels[4:], 3,
              "true label at index 3 is 'U', dataset has 'X'"),
-            (labels[:-1], 7, "true label at index 7 is '<length mismatch>', "
-                             "dataset has '<length mismatch>'")]:
+            (labels[:-1], 7, "prediction log has 8 rows, dataset has 7"),
+            (labels + ["D"], 8, "prediction log has 8 rows, dataset has 9")]:
         with pytest.raises(LabelMismatch) as err:
             audit_prediction_log(log, wrong)
         assert (err.value.index, str(err.value)) == (index, text)

@@ -984,7 +984,16 @@ def test_a_path_read_skips_a_utf8_byte_order_mark(tmp_path, read, text):
     plain.write_text(text, encoding="utf-8")
     marked.write_text(text, encoding="utf-8-sig")
     assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
-    assert read(str(marked)) == read(str(plain))
+    expected = read(str(plain))
+    assert read(str(marked)) == expected
+    # and so does a stream read: seekable (a StringIO, a file opened as
+    # stdin is), or not (a pipe, any iterable of lines)
+    assert read(io.StringIO("\ufeff" + text)) == expected
+    with open(marked, encoding="utf-8", newline="") as fh:
+        assert read(fh) == expected
+    lines = ("\ufeff" + text).splitlines(keepends=True)
+    assert read(iter(lines)) == expected
+    assert read(lines) == expected
 
 
 def test_csv_number_spellings_stay_apart_when_a_column_turns_nominal():
