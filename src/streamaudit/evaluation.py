@@ -15,16 +15,23 @@ with persistence prove nothing and grade as BelowPersistence.
 
 NaiveBayesLearner is the subject of an audit, made from one stream: its
 calls must walk that stream in order, and any other call raises
-SchemaMismatch. Each predict reads the prediction _naive_bayes_trace
-computed for its row. The trace scores every row with numpy's log and
-square, and keeps a row's class where an error bound shows that a
-row-by-row learner's float operations (math.log and ** 2, in its order;
-OracleNaiveBayes in tests/oracles.py) rank the classes the same way; it
-scores the other rows with those operations. So its predictions are that
-learner's exactly, and its scores are only on the rows it scores again.
+SchemaMismatch. Each row is compared once: update skips the comparison
+for the tuple predict has just matched. Each predict reads the
+prediction _naive_bayes_trace computed for its row. The trace scores
+every row with numpy's log and square and with running means from
+np.cumsum, and keeps a row's class where an error bound (the kernels'
+last bits and a proven radius for the means) shows that a row-by-row
+learner's float operations (Welford means, math.log and ** 2, in its
+order; OracleNaiveBayes in tests/oracles.py) rank the classes the same
+way; it scores the other rows with those operations. So its predictions
+are that learner's exactly, and its scores are only on the rows it
+scores again.
+
+A prediction log is read as parse_csv reads a CSV, a block of records at
+a time, except that a '#' starts a label, not a comment.
 """
 
-import csv
+import array
 import enum
 import json
 import math
@@ -37,7 +44,8 @@ import numpy as np
 from . import baselines, diagnostics
 from .errors import (EmptyLog, EmptyStream, LabelMismatch, ParseError,
                      SchemaMismatch, ScoreOverflow)
-from .stream_io import BLOCK_LINES, StreamDataset, _utf8, write_csv
+from .stream_io import (BLOCK_LINES, StreamDataset, _csv_blocks, _utf8,
+                        write_csv)
 
 _VARIANCE_FLOOR = 1e-9  # naive Bayes' least Gaussian variance
 _CURSOR_ROWS = 256  # the stream's rows NaiveBayesLearner holds as Python values
@@ -169,9 +177,12 @@ class NaiveBayesLearner(Classifier):
     values, NaN matching NaN) and its label, and moves the cursor on.
     predict takes that row and returns its entry of the stream's trace,
     the predictions of _naive_bayes_trace, computed on the first predict
-    and kept across reset. Any other call (another row's values, a list
-    or an array, another label, or any call after the last row) raises
-    SchemaMismatch naming the row at the cursor, and moves nothing.
+    and kept across reset as an array of class codes. Any other call
+    (another row's values, a list or an array, another label, or any call
+    after the last row) raises SchemaMismatch naming the row at the
+    cursor, and moves nothing. A row is compared once: a call passed the
+    very tuple that an earlier call at the cursor matched skips the
+    comparison, as update does after predict in a prequential pass.
     """
 
     name = "naive-bayes"
@@ -187,10 +198,30 @@ class NaiveBayesLearner(Classifier):
         # the stream's rows from _block_start on, _CURSOR_ROWS at most
         self._cursor = 0
         self._block_start, self._block = 0, []
+        self._matched = None  # the tuple last found to be the cursor's row
 
-    def _next_row(self, features):
-        """The class code of the stream's row at the cursor; SchemaMismatch
-        if features are not that row's values."""
+    def predict(self, features):
+        if features is not self._matched:
+            self._match(features)
+        if self._trace is None:  # indexed without making numpy scalars
+            codes = _naive_bayes_trace(self._stream)
+            self._trace = array.array(codes.dtype.char, codes.tobytes())
+        return self._classes[self._trace[self._cursor]]
+
+    def update(self, features, label):
+        if features is not self._matched:
+            self._match(features)
+        expected = self._classes[
+            self._block[self._cursor - self._block_start][1]]
+        if label != expected:
+            raise SchemaMismatch(f"row {self._cursor}: label {label!r} is "
+                                 f"not the stream's {expected!r}")
+        self._cursor += 1
+        self._matched = None
+
+    def _match(self, features):
+        """Take features as the row at the cursor; SchemaMismatch if they
+        are not that row's values."""
         at = self._cursor - self._block_start
         if at == len(self._block):  # the next block; empty past the end
             self._block_start, at = self._cursor, 0
@@ -199,26 +230,13 @@ class NaiveBayesLearner(Classifier):
             if not self._block:
                 raise SchemaMismatch(f"row {self._cursor}: past the end of "
                                      "the stream the learner is bound to")
-        row, code = self._block[at]
+        row = self._block[at][0]
         # == on a numpy array would compare elementwise
-        if isinstance(features, tuple) and (features == row
-                                            or _nan_equal(features, row)):
-            return code
-        raise SchemaMismatch(f"row {self._cursor}: not the values of the "
-                             "stream the learner is bound to")
-
-    def update(self, features, label):
-        expected = self._classes[self._next_row(features)]
-        if label != expected:
-            raise SchemaMismatch(f"row {self._cursor}: label {label!r} is "
-                                 f"not the stream's {expected!r}")
-        self._cursor += 1
-
-    def predict(self, features):
-        self._next_row(features)
-        if self._trace is None:
-            self._trace = _naive_bayes_trace(self._stream)
-        return self._classes[self._trace[self._cursor]]
+        if not (isinstance(features, tuple)
+                and (features == row or _nan_equal(features, row))):
+            raise SchemaMismatch(f"row {self._cursor}: not the values of "
+                                 "the stream the learner is bound to")
+        self._matched = features
 
 
 def _nan_equal(features, row) -> bool:
@@ -237,27 +255,20 @@ def _naive_bayes_trace(ds: StreamDataset):
     The predictions are exact; the scores behind them are the learner's
     only on the rows step 2 scores again. Step 1 scores every row with
     np.log and np.square, which differ from math.log and ** 2 in the last
-    bits on some values (and np.log with numpy's SIMD dispatch), and keeps
-    each score's size, the sum of its terms' magnitudes; an untrained
-    class scores -inf with a bound of 0. A row is settled when its best
-    class beats every other class by more than the two classes' error
-    bounds, tol = scale * size: then the exact scores order the classes
+    bits on some values (and np.log with numpy's SIMD dispatch), and with
+    each class's running means taken as np.cumsum(x) / count, which differ
+    from the learner's Welford means in the last bits. With each score it
+    keeps tol, a bound on how far the learner's score can lie from it
+    (see _class_scores); an untrained class scores -inf with a bound of 0.
+    A row is settled when its best class beats every other class by more
+    than the two classes' bounds: then the exact scores order the classes
     the same way. Step 2 scores the other rows after row 0, and those with
-    a score that is not finite, by the learner's own operations and rule.
-    Where the learner's ** 2 raises, ScoreOverflow names the first row.
+    a score or a bound that is not finite, by the learner's own operations
+    and rule; only it runs the Welford recurrence, over the class rows
+    before the last row it scores. Where the learner's ** 2 raises,
+    ScoreOverflow names the first row.
     """
     n, k = ds.n_instances, len(ds.class_values)
-    # The bound. A score is m = len(ds.schema) terms, the prior and one per
-    # feature, added left to right. Both steps make each term from the same
-    # float arguments; only the kernels differ. np.log and math.log, and
-    # np.square and ** 2, each lie within 4 ulps of the true value, so the
-    # two kernels' results differ by less than 2**-49 of themselves. size
-    # bounds every term and every partial sum, so with the three roundings
-    # that make a term and add it (each under 2**-53 of a value no larger
-    # than size, on each side) one term moves the two scores apart by less
-    # than 2**-48 * size, and m terms by less than m * 2**-48 * size.
-    # 2**-44 per term is a margin of 16: kernels 2**7 ulps off are safe.
-    scale = len(ds.schema) * 2.0 ** -44
     best = np.zeros(n, np.min_scalar_type(k - 1))
     best_score, best_tol = np.full(n, -np.inf), np.zeros(n)
     others_high = np.full(n, -np.inf)  # max of score + tol over the rest
@@ -265,10 +276,9 @@ def _naive_bayes_trace(ds: StreamDataset):
     runs = _nominal_runs(ds)
     overflow = n  # the first row where the learner's ** 2 raises, if any
     for c in range(k):
-        score, trained, tol, first = _class_scores(ds, c, None, np.log,
-                                                   np.square, runs)
+        score, trained, tol, first = _class_scores(
+            ds, c, None, np.log, np.square, runs, running_sums=True)
         overflow = min(overflow, first)
-        tol *= scale  # from size to the bound, in place
         score[~trained], tol[~trained] = -np.inf, 0.0
         with np.errstate(invalid="ignore"):  # a NaN score is never greater
             high = score + tol
@@ -319,14 +329,32 @@ def _naive_bayes_scores(ds: StreamDataset, c: int, rows=None, runs=None):
     return _class_scores(ds, c, rows, _logs, _squares, runs)[:2]
 
 
-def _class_scores(ds, c, rows, log, square, runs=None):
-    """(scores, trained, size, first): _naive_bayes_scores' two with log
-    and square as the kernels; size is the sum of each score's terms'
-    magnitudes, a Gaussian's 0.5 * (|log(2 pi var)| + (x - mean)**2 / var).
-    Terms are made BLOCK_LINES rows at a time, so no more Python floats
-    or temporary values than that are alive. runs is _nominal_runs(ds),
-    made here if not given: a caller that scores several classes sorts
-    each nominal column once.
+def _class_scores(ds, c, rows, log, square, runs=None, running_sums=False):
+    """(scores, trained, tol, first): _naive_bayes_scores' two with log
+    and square as the kernels, and tol, a bound on how far each score may
+    lie from the learner's where trained. Terms are made BLOCK_LINES rows
+    at a time, so no more Python floats or temporary values than that are
+    alive. runs is _nominal_runs(ds), made here if not given: a caller
+    that scores several classes sorts each nominal column once.
+
+    The means and variances are the learner's, from the Welford recurrence
+    over class c's rows before the last of rows. With running_sums, a
+    numeric feature whose values are all finite and under 2**494 in
+    magnitude takes its means as np.cumsum(x) / count instead, and tol
+    covers the difference (see _running_moments).
+
+    The bound. A score is m = len(ds.schema) terms, the prior and one per
+    feature, added left to right. np.log and math.log, and np.square and
+    ** 2, each lie within 4 ulps of the true value, so the two kernels'
+    results differ by less than 2**-49 of themselves. size, the sum of the
+    terms' magnitudes (a Gaussian's 0.5 * (|log(2 pi var)| + quad)), bounds
+    every term and every partial sum, so with the three roundings that make
+    a term and add it (each under 2**-53 of a value no larger than size, on
+    each side) one term made from the same float arguments moves the two
+    scores apart by less than 2**-48 * size, and m terms by less than
+    m * 2**-48 * size. 2**-44 per term is a margin of 16: kernels 2**7
+    ulps off are safe. tol is m * 2**-44 * size, plus each Gaussian term's
+    radius where its arguments come from running sums.
 
     first is the first of rows where the row-by-row learner's ** 2 raises
     OverflowError whatever the kernels (a ** 2 kernel raises itself), or n:
@@ -334,53 +362,67 @@ def _class_scores(ds, c, rows, log, square, runs=None):
     to square. Where c is untrained the difference is 0: nothing reads it.
     """
     n, k = ds.n_instances, len(ds.class_values)
-    rows = np.arange(n) if rows is None else rows
+    whole = rows is None
+    rows = np.arange(n) if whole else rows
     runs = _nominal_runs(ds) if runs is None else runs
-    blocks = [(slice(start, start + BLOCK_LINES),
-               rows[start:start + BLOCK_LINES])
-              for start in range(0, len(rows), BLOCK_LINES)]
+    scale = len(ds.schema) * 2.0 ** -44
+    # each block's place in the output, its rows, and the rows as an index
+    # into the columns (of every row, a slice)
+    blocks = [(out, rows[out], out if whole else rows[out])
+              for out in (slice(start, start + BLOCK_LINES)
+                          for start in range(0, len(rows), BLOCK_LINES))]
     is_c = ds.columns[ds.class_index] == c
     before = np.cumsum(is_c, dtype=np.int32) - is_c  # c's rows in [0, t)
-    last = np.maximum(before - 1, 0)  # the last of them
+    last = np.maximum(before - 1, 0).astype(np.intp)  # the last of them
+    stop = int(rows.max()) if len(rows) else 0  # no score reads a later row
     score, size = np.empty(len(rows)), np.empty(len(rows))
     first = n
-    for out, t in blocks:
-        score[out] = log((before[t] + 1) / (t + k))
+    for out, t, idx in blocks:
+        score[out] = log((before[idx] + 1) / (t + k))
         size[out] = np.abs(score[out])
     for j, (attr, col) in enumerate(zip(ds.schema, ds.columns)):
         if j == ds.class_index:
             continue
         if attr.is_nominal:
             same = _earlier_equal(is_c, *runs[j])
-            for out, t in blocks:
-                term = log((same[t] + 1) / (before[t] + len(attr.values)))
+            for out, _, idx in blocks:
+                term = log((same[idx] + 1) / (before[idx] + len(attr.values)))
                 score[out] += term
                 size[out] += np.abs(term)
             continue
-        x = col[is_c]
+        x = col[:stop][is_c[:stop]]
         if not len(x):
             continue  # never trained
         with np.errstate(all="ignore"):  # inf and NaN values, as in Python
-            mean = _welford_means(x)
-            delta = x - np.concatenate(([0.0], mean[:-1]))
-            var = np.cumsum(delta * (x - mean)) / np.arange(1, len(x) + 1)
-            var[var < _VARIANCE_FLOOR] = _VARIANCE_FLOOR
+            if running_sums and _small(col, x):
+                mean, var, a1, a2, a3 = _running_moments(x, scale)
+            else:
+                mean, var = _welford_moments(x)
+                a1 = None
             spread = 2.0 * math.pi * var  # positive or NaN
-            for out, t in blocks:
-                at = last[t]
-                diff = col[t] - mean[at]
-                diff[before[t] == 0] = 0.0  # c untrained: nothing reads it
-                for i in np.flatnonzero(np.abs(diff) >= 2.0 ** 511).tolist():
-                    try:
-                        float(diff[i]) ** 2  # raises if the learner's does
-                    except OverflowError:
-                        first = min(first, int(t[i]))
-                        break
-                log_norm = log(spread[at])
-                quad = square(diff) / var[at]
+            for out, t, idx in blocks:
+                at = last[idx]
+                diff = col[idx] - mean.take(at)
+                diff[before[idx] == 0] = 0.0  # c untrained: nothing reads it
+                far = np.abs(diff)
+                if a1 is None:  # with running sums none raises (see _small)
+                    for i in np.flatnonzero(far >= 2.0 ** 511).tolist():
+                        try:
+                            float(diff[i]) ** 2  # raises if the learner's does
+                        except OverflowError:
+                            first = min(first, int(t[i]))
+                            break
+                log_norm = log(spread.take(at))
+                quad = square(diff) / var.take(at)
                 score[out] -= 0.5 * (log_norm + quad)
                 size[out] += 0.5 * (np.abs(log_norm) + quad)
-    return score, before[rows] > 0, size, first
+                if a1 is not None:  # the term's radius, in units of scale
+                    quad *= a2.take(at)
+                    far *= a3.take(at)
+                    far += quad
+                    far += a1.take(at)
+                    size[out] += far
+    return score, before[rows] > 0, scale * size, first
 
 
 def _nominal_runs(ds: StreamDataset) -> dict:
@@ -408,6 +450,103 @@ def _earlier_equal(is_c, order, starts, lengths):
     same = np.empty_like(count)
     same[order] = count
     return same
+
+
+def _small(col, x) -> bool:
+    """Whether the class values x are finite and every finite value of the
+    column col is under 2**494 in magnitude: then no difference from a
+    mean reaches 2**495, so no square raises (** 2 raises past 2**511.5)
+    and no sum of fewer than 2**31 squares overflows. (A bound that does
+    overflow only sends its row to step 2.)"""
+    if max(col.max(), -col.min()) < 2.0 ** 494:  # NaN fails
+        return True
+    magnitude = np.abs(col)
+    return bool(np.isfinite(x).all()) and \
+        magnitude[magnitude < np.inf].max(initial=0.0) < 2.0 ** 494
+
+
+def _welford_moments(x):
+    """(means, variances) of the running values x as the learner makes
+    them: Welford means, M2 as their left fold by np.cumsum, and the
+    variances M2 / count floored at _VARIANCE_FLOOR."""
+    mean = _welford_means(x)
+    delta = x - np.concatenate(([0.0], mean[:-1]))
+    var = np.cumsum(delta * (x - mean)) / np.arange(1, len(x) + 1)
+    var[var < _VARIANCE_FLOOR] = _VARIANCE_FLOOR
+    return mean, var
+
+
+def _running_moments(x, scale: float):
+    """(means, variances, a1, a2, a3) of the running values x (finite, see
+    _small) for step 1 of the trace: the means np.cumsum(x) / count, and
+    M2 and the floored variances made from them as _welford_moments makes
+    them from the learner's. At a row whose difference from class row i's
+    mean is d, with quad = d**2 / var, the Gaussian term of the learner's
+    score lies within scale * (a1[i] + quad * a2[i] + |d| * a3[i]) of this
+    one, where both are made from the same kernels.
+
+    The bound (u = 2**-53, M_i = max |x_j| over j <= i; first order in u,
+    as Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
+    section 4.2, bounds recursive summation):
+    - Means. np.cumsum adds left to right, within u * (i - 1) * i * M_i of
+      the exact sum, and the division adds u * M_i: within u * i * M_i of
+      the exact mean. The learner's mean m_i = m_(i-1) + (x_i - m_(i-1)) / i
+      rounds three times, under u * M_i * (1 + 4 / i) in all, and step j's
+      error reaches step i scaled by j / i: within u * M_i * ((i + 1) / 2
+      + 4). r_i = 2**-50 * M_i * (i + 3) is over 5 times their sum; the
+      2**-1020 added to M_i covers results that underflow.
+    - M2. Both sum q_j = a_j * b_j, a_j = x_j - m_(j-1) and b_j = x_j - m_j,
+      by np.cumsum. Both take m_0 = 0 and m_1 = x_1 exactly, so q_1 = 0 on
+      both sides, and the sums below start at j = 2. Each difference moves
+      by the means' radius and a rounding of itself, so q_j moves by at
+      most r_(j-1) |b_j| + r_j |a_j| + r_j r_(j-1) + 6u |q_j|, and the two
+      left folds by 2u (i - 1) * sum |q_j| more. r is nondecreasing, and
+      |q_j| <= |a_j| (2 M_i + r_i), where 2u (i + 5) * 2 M_i is under
+      0.76 r_i. So with A_i = sum_(j<=i) (|a_j| + |b_j|), the two M2 lie
+      within r_i * (2 A_i + i * r_i), less 6u * sum |q_j|.
+    - Variances. M2 / i rounds on each side, under 2u |var| (|var| is at
+      most sum |q_j| / i), and the floor moves no two values further
+      apart: ev_i = r_i * (2 A_i + i * r_i) / i + 2u * floor, whose last
+      term holds the 2u * lo below and any underflow. Then
+      lo = max(var - ev, floor) is at most either floored variance.
+    - The term. The learner's difference lies within rd = r + 4u |d| of d
+      (each side rounds the subtraction), so |log var - log learner's var|
+      <= ev / lo, |d**2 / var - its learner's| <= (rd (2 |d| + rd)
+      + quad * ev) / lo, and rd (2 |d| + rd) <= (r**2 + 2 r |d|
+      + 8u * quad * var) (1 + 4u), with r**2 <= ev. 2 pi var rounds on
+      each side, 2u more on the log: ev * lo / lo covers it. The term is
+      half the two, so its radius is at most 0.5 * (2 ev + quad * (ev
+      + 8u var) + 2 r |d|) / lo; a1, a2 and a3 take twice that, a margin
+      of 2 for the first-order steps, the bound's own roundings and the
+      partial sums of a score whose size grows by the radius.
+    """
+    count = np.arange(1.0, len(x) + 1)
+    mean = np.cumsum(x) / count
+    r = np.maximum.accumulate(np.abs(x))
+    r += 2.0 ** -1020
+    r *= (count + 3.0) * 2.0 ** -50
+    a = x - np.concatenate(([0.0], mean[:-1]))
+    a[:1] = 0.0  # q_1 = x_1 * 0 on both sides: it adds nothing to e2
+    b = x - mean
+    var = np.cumsum(a * b) / count
+    var[var < _VARIANCE_FLOOR] = _VARIANCE_FLOOR
+    ev = np.cumsum(np.abs(a, out=a) + np.abs(b, out=b))  # A
+    del a, b
+    ev *= 2.0
+    ev += count * r
+    ev *= r
+    ev /= count
+    ev += 2.0 ** -52 * _VARIANCE_FLOOR
+    inv = np.maximum(var - ev, _VARIANCE_FLOOR)
+    np.divide(1.0 / scale, inv, out=inv)
+    a2 = 2.0 ** -50 * var
+    a2 += ev
+    a2 *= inv
+    ev *= inv
+    ev *= 2.0
+    r *= inv
+    r *= 2.0
+    return mean, var, ev, a2, r
 
 
 def _welford_means(values):
@@ -477,32 +616,46 @@ def audit_prediction_log(log: Sequence, ds_labels: Optional[Sequence] = None):
     return audit_accuracy(report.accuracy, true), report
 
 
+_NO_HEADER = "expected a CSV with header 'true,predicted'"
+
+
 @_utf8
 def read_prediction_log(source) -> list:
     """Read a 'true,predicted' CSV (header required) into (true, pred) pairs.
 
     Header cells may be padded with whitespace; data cells are read
-    verbatim, so labels keep their leading and trailing spaces. Equal
+    verbatim, so labels keep their leading and trailing spaces, and a
+    label that starts with '#' is data. Blank records are skipped. Equal
     pairs are one shared tuple, so a k-class log holds at most k * k.
-    A csv.reader error and input that is not UTF-8 are ParseErrors.
+    The log is read BLOCK_LINES records at a time, as parse_csv reads a
+    CSV: split at commas until a block holds what csv.reader reads
+    otherwise, by csv.reader from there on. A row without two cells and
+    a csv.reader error are ParseErrors naming the record, the first of
+    them in the file; so is input that is not UTF-8.
     """
-    reader = csv.reader(source)
     log = []
     pairs = {}
-    try:
-        header = next(filter(None, reader), None)  # the first non-blank row
-        if header is None or \
-                [c.strip() for c in header] != ["true", "predicted"]:
-            raise EmptyLog("expected a CSV with header 'true,predicted'")
-        for row in reader:
-            if len(row) == 2:
-                pair = tuple(row)
-                log.append(pairs.setdefault(pair, pair))
-            elif row:
-                raise ParseError(f"row has {len(row)} cells, expected 2",
-                                 line=reader.line_num)
-    except csv.Error as exc:
-        raise ParseError(str(exc), line=reader.line_num) from None
+    header = None
+    for nos, records, split in _csv_blocks(source):
+        if header is None and records:
+            header = records[0].split(",") if split else records[0]
+            if [c.strip() for c in header] != ["true", "predicted"]:
+                raise EmptyLog(_NO_HEADER)
+            nos, records = nos[1:], records[1:]
+        if split:  # a line is split once, however often it comes
+            cells = {line: tuple(line.split(","))
+                     for line in dict.fromkeys(records)}
+            rows = list(map(cells.__getitem__, records))
+        else:
+            rows = list(map(tuple, records))
+        if set(map(len, rows)) - {2}:  # name the first row without two cells
+            no, row = next((no, row) for no, row in zip(nos, rows)
+                           if len(row) != 2)
+            raise ParseError(f"row has {len(row)} cells, expected 2",
+                             line=no)
+        log.extend(map(pairs.setdefault, rows, rows))
+    if header is None:
+        raise EmptyLog(_NO_HEADER)
     return log
 
 

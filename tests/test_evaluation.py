@@ -608,6 +608,150 @@ def test_kernels_a_few_hundred_ulps_off_keep_the_trace(ds):
     assert predictions == prediction_trace(OracleNaiveBayes(ds), ds)
 
 
+# Step 1 takes each class's running means as np.cumsum(x) / count, not
+# the learner's Welford means, and its tol holds a proven radius for the
+# difference. Long streams where the two means part the most: values on a
+# large offset, values near the smallest normal floats, values near the
+# largest that step 1 takes by running sums (2**494) and past them, and
+# values that are not finite.
+
+def long_stream(values, labels):
+    return StreamDataset((AttributeSchema("x", None),
+                          AttributeSchema("cls", ("A", "B"))),
+                         [Instance((x,), y) for x, y in zip(values, labels)],
+                         1)
+
+
+def bound_streams():
+    rnd = random.Random(2502)
+    streams = {}
+    for name, n, value in [
+            ("offset", 20_000, lambda y: 1e8 + rnd.random() + 0.3 * y),
+            ("tiny", 5_000, lambda y: 1e-300 * rnd.random() * (1 + y)),
+            ("under-2**494", 5_000,
+             lambda y: 2.0 ** 493 * (rnd.random() - 0.5 + 0.2 * y)),
+            ("near-the-square-limit", 5_000,
+             lambda y: 6e153 * (rnd.random() - 0.5 + 0.1 * y)),
+            ("non-finite", 5_000,
+             lambda y: rnd.choice([math.nan, math.inf, -math.inf])
+             if rnd.random() < 0.01 else rnd.gauss(y, 1.0))]:
+        labels = [rnd.randrange(2) for _ in range(n)]
+        streams[name] = long_stream([value(y) for y in labels], labels)
+    return streams
+
+
+BOUND_STREAMS = bound_streams()
+
+
+@pytest.mark.parametrize("ds", BOUND_STREAMS.values(), ids=BOUND_STREAMS)
+def test_step_1_scores_lie_within_their_bound_of_the_learners(ds):
+    for c in range(len(ds.class_values)):
+        score, trained, tol, first = evaluation._class_scores(
+            ds, c, None, np.log, np.square, running_sums=True)
+        exact, exact_trained = _naive_bayes_scores(ds, c)
+        assert np.array_equal(trained, exact_trained)
+        assert first == ds.n_instances
+        with np.errstate(invalid="ignore"):
+            settled = trained & np.isfinite(score + tol)
+            assert np.isfinite(exact[settled]).all()
+            assert (np.abs(score - exact)[settled] <= tol[settled]).all()
+
+
+def test_on_an_offset_the_running_means_part_beyond_the_kernel_bound():
+    # the radius, not the kernels' bound, covers these scores
+    ds = BOUND_STREAMS["offset"]
+    score, trained, tol, _ = evaluation._class_scores(
+        ds, 0, None, np.log, np.square, running_sums=True)
+    welford, _, kernel_tol, _ = evaluation._class_scores(
+        ds, 0, None, np.log, np.square)
+    exact, _ = _naive_bayes_scores(ds, 0)
+    assert (np.abs(score - exact) > kernel_tol)[trained].any()
+    assert (np.abs(welford - exact) <= kernel_tol)[trained].all()
+
+
+@pytest.mark.parametrize("ds", BOUND_STREAMS.values(), ids=BOUND_STREAMS)
+def test_long_streams_predict_as_the_oracle(ds):
+    assert [ds.class_values[c] for c in _naive_bayes_trace(ds)] == \
+        prediction_trace(OracleNaiveBayes(ds), ds)
+
+
+def test_a_late_square_too_large_is_the_oracles_row_on_a_long_stream():
+    values = list(BOUND_STREAMS["near-the-square-limit"].columns[0])
+    labels = BOUND_STREAMS["near-the-square-limit"].labels()
+    values[4_000] = 2e154 if values[4_000] < 0 else -2e154
+    ds = long_stream(values, [("A", "B").index(y) for y in labels])
+    row = oracle_overflow_row(ds)
+    assert row is not None
+    with pytest.raises(ScoreOverflow) as err:
+        _naive_bayes_trace(ds)
+    assert err.value.row == row
+
+
+def welford_lengths(ds):
+    """The trace's predictions, the rows step 2 scores, and the length of
+    each run of _welford_means."""
+    lengths, rescored = [], []
+
+    def means(values):
+        lengths.append(len(values))
+        return welford_means(values)
+
+    def scores(ds, c, rows=None, runs=None):
+        rescored.append(rows)
+        return _naive_bayes_scores(ds, c, rows, runs)
+
+    welford_means = evaluation._welford_means
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(evaluation, "_welford_means", means)
+        mp.setattr(evaluation, "_naive_bayes_scores", scores)
+        codes = _naive_bayes_trace(ds)
+    return [ds.class_values[c] for c in codes], rescored, lengths
+
+
+@pytest.mark.parametrize("ds", [BOUND_STREAMS["offset"], NB_TIE_CASES[0],
+                                NB_TIE_CASES[1]])
+def test_the_welford_recurrence_runs_in_step_2_alone(ds):
+    # over each class's rows before the last row step 2 scores
+    predictions, rescored, lengths = welford_lengths(ds)
+    assert predictions == prediction_trace(OracleNaiveBayes(ds), ds)
+    assert len(rescored) == len(ds.class_values)  # each class, one feature
+    before = ds.labels()[:rescored[0].max()]
+    assert lengths == [n for n in map(before.count, ds.class_values) if n]
+
+
+def test_a_long_plain_stream_scores_no_row_again():
+    rnd = random.Random(7)
+    labels = [rnd.randrange(2) for _ in range(20_000)]
+    ds = long_stream([rnd.gauss(y, 1.0) for y in labels], labels)
+    _, rescored, lengths = welford_lengths(ds)
+    assert rescored == [] and lengths == []
+
+
+def test_a_prequential_pass_compares_each_row_once():
+    nb = NaiveBayesLearner(STREAM)
+    matched = []
+
+    def match(features):
+        matched.append(features)
+        NaiveBayesLearner._match(nb, features)
+
+    nb._match = match
+    assert prequential_eval(nb, STREAM).confusion == \
+        prequential_eval(OracleNaiveBayes(STREAM), STREAM).confusion
+    assert len(matched) == N
+    # the tuple predict matched is not compared again but its label is
+    # checked, and an equal tuple that is not it is compared
+    nb.reset()
+    features = STREAM.instances[0].features
+    nb.predict(features)
+    wrong = "C" if STREAM.labels()[0] != "C" else "A"
+    with pytest.raises(SchemaMismatch, match="^row 0: label "):
+        nb.update(features, wrong)
+    assert len(matched) == N + 1
+    nb.update(tuple(list(features)), STREAM.labels()[0])
+    assert nb._cursor == 1 and len(matched) == N + 2
+
+
 def test_prequential_empty_stream():
     ds = numeric_dataset([])
     with pytest.raises(EmptyStream):

@@ -13,14 +13,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from streamaudit import (AttributeSchema, Classifier, NaiveBayesLearner,
-                         ParseError, StreamDataset, UnsupportedFeature,
-                         audit_accuracy, dataset_summary, diagnose,
-                         parse_arff, parse_csv, prequential_eval,
-                         read_prediction_log, to_arff)
+from streamaudit import (AttributeSchema, Classifier, EmptyLog,
+                         NaiveBayesLearner, ParseError, StreamDataset,
+                         UnsupportedFeature, audit_accuracy, dataset_summary,
+                         diagnose, parse_arff, parse_csv, prequential_eval,
+                         read_prediction_log, to_arff, write_prediction_log)
 from streamaudit import stream_io
 from streamaudit.rng import uniforms
-from streamaudit.stream_io import Instance, _parse_attribute_line
+from streamaudit.stream_io import Instance, _parse_attribute_line, write_csv
 from streamaudit.synth import (MarkovLabelModel, gen_markov_labels,
                                labels_to_csv, labels_to_dataset)
 
@@ -1245,3 +1245,173 @@ def test_library_paths_construct_no_instances(monkeypatch):
     prequential_eval(NaiveBayesLearner(ds), ds)
     assert made == []
     assert len(ds.instances) == len(made) == 43  # the view is counted
+
+
+# Block-level arity: a data block whose every line holds one comma fewer
+# than the schema has attributes, and no quote, '%' or '{', is converted
+# from its raw lines; a block with any other line is read line by line.
+# Either way the dataset, or the error and its line, is the per-line
+# oracle's.
+
+ODD_DATA_LINES = {
+    "comment": "% a comment",
+    "blank": "",
+    "spaces": " \t",
+    "sparse": "{0 1.5,1 A}",
+    "quoted": "4.5,'c d'",
+    "ragged": "4.5,A,B",
+    "short": "4.5",
+    "cr-only": "4.5,A\r5.5,B",
+    "padded": "  4.5 ,\tB \x0c",
+    "empty-cell": "4.5,",
+    "missing": "?,A",
+    "not-a-number": "x4.5,A",
+}
+BLOCK_ARFF = MINIMAL_ARFF.replace("{A,B}", "{A,B,'c d'}")
+
+
+def block_arff(odd, at, newline):
+    lines = [f"{i / 4!r},{'AB'[i % 3 // 2]}" for i in range(30)]
+    lines.insert(at, odd)
+    return BLOCK_ARFF.replace("\n", newline) + newline.join(lines) + newline
+
+
+def stream_outcome(parse, text, newline):
+    try:
+        return repr(parse(io.StringIO(text, newline=newline)))
+    except (ParseError, UnsupportedFeature) as exc:
+        return type(exc), exc.line, str(exc)
+
+
+@pytest.mark.parametrize("odd", ODD_DATA_LINES.values(), ids=ODD_DATA_LINES)
+@pytest.mark.parametrize("at", [0, 13, 30])
+@pytest.mark.parametrize("end, newline", [("\n", "\n"), ("\r\n", "\n"),
+                                          ("\r", ""), ("\r\n", "")],
+                         ids=["lf", "crlf", "cr-path", "crlf-path"])
+def test_arff_blocks_read_as_the_per_line_oracle(odd, at, end, newline):
+    text = block_arff(odd, at, end)
+    with mock.patch.object(stream_io, "BLOCK_LINES", 4):
+        fast = stream_outcome(parse_arff, text, newline)
+    assert fast == stream_outcome(oracle_parse_arff, text, newline)
+
+
+def test_clean_arff_blocks_skip_the_per_line_loop():
+    # the raw lines, line ends and all, go to the conversion at once
+    text = block_arff("% odd", 13, "\n")
+    converted = []
+
+    def spy(schema, rows, line_nos, quoted):
+        converted.append((type(line_nos), rows[0].endswith("\n")))
+        return convert(schema, rows, line_nos, quoted)
+
+    convert = stream_io._convert_block
+    with mock.patch.object(stream_io, "BLOCK_LINES", 4), \
+            mock.patch.object(stream_io, "_convert_block", spy):
+        assert repr(arff(text)) == repr(oracle_parse_arff(io.StringIO(text)))
+    # the odd line's block (lines 18-21 of the file) goes line by line
+    assert converted == [(range, True)] * 3 + [(list, False)] \
+        + [(range, True)] * 4
+
+
+# The prediction log is read through the CSV block reader and written by
+# joining plain rows; both must match csv.reader and csv.writer, with a
+# ragged row named by its record as parse_csv names it.
+
+LOG_CELLS = ["UP", "DOWN", " pad ", "#x", "# c", "a,b", 'say "x"', "p\nq",
+             "r\r\ns", "", "c'd", "\t"]
+
+
+@st.composite
+def prediction_log_texts(draw):
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    out.write(draw(st.sampled_from(["", "\n"])))
+    out.write(draw(st.sampled_from(["true,predicted\n",
+                                    " true , predicted \n", "t,p\n"])))
+    for _ in range(draw(st.integers(0, 12))):
+        kind = draw(st.sampled_from(["row"] * 6 + ["blank", "raw",
+                                                   "ragged"]))
+        if kind == "blank":
+            out.write("\n")
+        elif kind == "raw":
+            out.write(draw(st.sampled_from(["# seed=1\n", " A , B \n",
+                                            "A,B\r", "A,B\rC,D\n",
+                                            '"A,B\n', "a\x00,b\n"])))
+        else:
+            width = 2 if kind == "row" else draw(st.sampled_from([1, 3]))
+            writer.writerow(draw(st.lists(st.sampled_from(LOG_CELLS),
+                                          min_size=width, max_size=width)))
+    text = out.getvalue()
+    return text.replace("\n", "\r\n") if draw(st.booleans()) else text
+
+
+def oracle_read_log(source):
+    """read_prediction_log by csv.reader, one record at a time."""
+    header, log, no = None, [], 0
+    try:
+        for no, row in enumerate(csv.reader(source), start=1):
+            if not row:
+                continue
+            if header is None:
+                header = row
+                if [c.strip() for c in row] != ["true", "predicted"]:
+                    raise EmptyLog("expected a CSV with header "
+                                   "'true,predicted'")
+            elif len(row) != 2:
+                raise ParseError(f"row has {len(row)} cells, expected 2",
+                                 line=no)
+            else:
+                log.append(tuple(row))
+    except csv.Error as exc:  # named by the record csv.reader stopped in
+        raise ParseError(str(exc), line=no + 1) from None
+    if header is None:
+        raise EmptyLog("expected a CSV with header 'true,predicted'")
+    return log
+
+
+def log_outcome(read, text, newline):
+    try:
+        return read(io.StringIO(text, newline=newline))
+    except (ParseError, EmptyLog) as exc:
+        return type(exc), getattr(exc, "line", None), str(exc)
+
+
+@given(prediction_log_texts(), st.integers(1, 5),
+       st.sampled_from(["", "\n"]))
+@settings(max_examples=500, deadline=None)
+def test_prediction_log_blocks_read_as_csv_reader(text, block, newline):
+    with mock.patch.object(stream_io, "BLOCK_LINES", block):
+        fast = log_outcome(read_prediction_log, text, newline)
+    assert fast == log_outcome(oracle_read_log, text, newline)
+
+
+def test_a_hash_starts_a_label_not_a_comment():
+    text = "true,predicted\n#a,b\n # c,#d\n"
+    assert read_prediction_log(io.StringIO(text)) == [("#a", "b"),
+                                                      (" # c", "#d")]
+    with pytest.raises(ParseError, match="no data rows"):
+        parse_csv(io.StringIO(text))  # to parse_csv both are comments
+
+
+@given(st.lists(st.lists(st.one_of(st.sampled_from(LOG_CELLS),
+                                   st.text(max_size=3),
+                                   st.sampled_from([1.5, -0.0, 7, None])),
+                         max_size=3), max_size=12), st.booleans())
+@settings(max_examples=500, deadline=None)
+def test_write_csv_writes_as_csv_writer(rows, comment):
+    out = io.StringIO()
+    if comment:
+        out.write("# seed=1\n")
+    header = ("true", "predicted")
+    try:
+        csv.writer(out, lineterminator="\n").writerows([header, *rows])
+    except csv.Error as exc:  # a NUL, on Python 3.10
+        with pytest.raises(csv.Error, match=re.escape(str(exc))):
+            write_csv(header, rows, "seed=1" if comment else None)
+        return
+    assert write_csv(header, rows, "seed=1" if comment else None) == \
+        out.getvalue()
+    pairs = [tuple(row) for row in rows if len(row) == 2
+             and all(isinstance(cell, str) for cell in row)]
+    assert read_prediction_log(io.StringIO(write_prediction_log(pairs))) \
+        == pairs
