@@ -26,12 +26,10 @@ order; OracleNaiveBayes in tests/oracles.py) rank the classes the same
 way; it scores the other rows with those operations. So its predictions
 are that learner's exactly, and its scores are only on the rows it
 scores again.
-
-A prediction log is read as parse_csv reads a CSV, a block of records at
-a time, except that a '#' starts a label, not a comment.
 """
 
 import array
+import csv
 import enum
 import json
 import math
@@ -44,11 +42,11 @@ import numpy as np
 from . import baselines, diagnostics
 from .errors import (EmptyLog, EmptyStream, LabelMismatch, ParseError,
                      SchemaMismatch, ScoreOverflow)
-from .stream_io import (BLOCK_LINES, StreamDataset, _csv_blocks, _utf8,
-                        write_csv)
+from .stream_io import BLOCK_LINES, StreamDataset, _utf8, write_csv
 
 _VARIANCE_FLOOR = 1e-9  # naive Bayes' least Gaussian variance
 _CURSOR_ROWS = 256  # the stream's rows NaiveBayesLearner holds as Python values
+_UNMATCHED = object()  # NaiveBayesLearner's last match when none holds
 
 
 class Classifier:
@@ -198,7 +196,9 @@ class NaiveBayesLearner(Classifier):
         # the stream's rows from _block_start on, _CURSOR_ROWS at most
         self._cursor = 0
         self._block_start, self._block = 0, []
-        self._matched = None  # the tuple last found to be the cursor's row
+        # the tuple last found to be the row at the cursor; no caller has
+        # _UNMATCHED to pass
+        self._matched = _UNMATCHED
 
     def predict(self, features):
         if features is not self._matched:
@@ -217,7 +217,7 @@ class NaiveBayesLearner(Classifier):
             raise SchemaMismatch(f"row {self._cursor}: label {label!r} is "
                                  f"not the stream's {expected!r}")
         self._cursor += 1
-        self._matched = None
+        self._matched = _UNMATCHED
 
     def _match(self, features):
         """Take features as the row at the cursor; SchemaMismatch if they
@@ -458,8 +458,6 @@ def _small(col, x) -> bool:
     mean reaches 2**495, so no square raises (** 2 raises past 2**511.5)
     and no sum of fewer than 2**31 squares overflows. (A bound that does
     overflow only sends its row to step 2.)"""
-    if max(col.max(), -col.min()) < 2.0 ** 494:  # NaN fails
-        return True
     magnitude = np.abs(col)
     return bool(np.isfinite(x).all()) and \
         magnitude[magnitude < np.inf].max(initial=0.0) < 2.0 ** 494
@@ -616,46 +614,32 @@ def audit_prediction_log(log: Sequence, ds_labels: Optional[Sequence] = None):
     return audit_accuracy(report.accuracy, true), report
 
 
-_NO_HEADER = "expected a CSV with header 'true,predicted'"
-
-
 @_utf8
 def read_prediction_log(source) -> list:
     """Read a 'true,predicted' CSV (header required) into (true, pred) pairs.
 
     Header cells may be padded with whitespace; data cells are read
-    verbatim, so labels keep their leading and trailing spaces, and a
-    label that starts with '#' is data. Blank records are skipped. Equal
+    verbatim, so labels keep their leading and trailing spaces. Equal
     pairs are one shared tuple, so a k-class log holds at most k * k.
-    The log is read BLOCK_LINES records at a time, as parse_csv reads a
-    CSV: split at commas until a block holds what csv.reader reads
-    otherwise, by csv.reader from there on. A row without two cells and
-    a csv.reader error are ParseErrors naming the record, the first of
-    them in the file; so is input that is not UTF-8.
+    A csv.reader error and input that is not UTF-8 are ParseErrors.
     """
+    reader = csv.reader(source)
     log = []
     pairs = {}
-    header = None
-    for nos, records, split in _csv_blocks(source):
-        if header is None and records:
-            header = records[0].split(",") if split else records[0]
-            if [c.strip() for c in header] != ["true", "predicted"]:
-                raise EmptyLog(_NO_HEADER)
-            nos, records = nos[1:], records[1:]
-        if split:  # a line is split once, however often it comes
-            cells = {line: tuple(line.split(","))
-                     for line in dict.fromkeys(records)}
-            rows = list(map(cells.__getitem__, records))
-        else:
-            rows = list(map(tuple, records))
-        if set(map(len, rows)) - {2}:  # name the first row without two cells
-            no, row = next((no, row) for no, row in zip(nos, rows)
-                           if len(row) != 2)
-            raise ParseError(f"row has {len(row)} cells, expected 2",
-                             line=no)
-        log.extend(map(pairs.setdefault, rows, rows))
-    if header is None:
-        raise EmptyLog(_NO_HEADER)
+    try:
+        header = next(filter(None, reader), None)  # the first non-blank row
+        if header is None or \
+                [c.strip() for c in header] != ["true", "predicted"]:
+            raise EmptyLog("expected a CSV with header 'true,predicted'")
+        for row in reader:
+            if len(row) == 2:
+                pair = tuple(row)
+                log.append(pairs.setdefault(pair, pair))
+            elif row:
+                raise ParseError(f"row has {len(row)} cells, expected 2",
+                                 line=reader.line_num)
+    except csv.Error as exc:
+        raise ParseError(str(exc), line=reader.line_num) from None
     return log
 
 

@@ -32,15 +32,11 @@ Only the text of earlier blocks is kept, while a column that has parsed
 as numbers so far may still turn nominal. The first record is the header
 and the class is its last column. Errors come in the order of a
 whole-file read: csv.reader's own, the first ragged or empty-cell record,
-a header without data rows. The block reader drops blank records; the
-CSV parser then drops '#' comments, which a prediction log, read by the
-same block reader, keeps as data. The read that the CLI's label-only
-commands use runs the same block loop but converts only the class column:
-every other cell is only checked for blanks, and no block text is kept.
+a header without data rows. The read that the CLI's label-only commands
+use runs the same block loop but converts only the class column: every
+other cell is only checked for blanks, and no block text is kept.
 
 A csv.reader error and input that is not UTF-8 are raised as ParseError.
-write_csv joins the cells of plain rows (str cells that csv.writer
-writes unquoted) itself, and leaves any other rows to csv.writer.
 """
 
 import csv
@@ -485,18 +481,16 @@ def parse_arff(source: Union[str, TextIO], class_index: Optional[int] = None
 
 def _csv_blocks(source):
     """(record numbers, records, split) for each BLOCK_LINES records of
-    the source, without blank records; numbers count every record from 1,
-    as csv.reader does. While no block has held what csv.reader reads
-    otherwise than a split at commas (see the module docstring), a record
-    is a line without its line end (split is True); from the first block
-    that does, csv.reader reads the rest and a record is its list of
-    cells. A csv.reader error is raised as ParseError naming its record
-    once the records before it are yielded."""
-    def numbered(records, split):
-        if all(records):
-            return range(start, start + len(records)), records, split
-        nos = [no for no, rec in enumerate(records, start) if rec]
-        return nos, [records[no - start] for no in nos], split
+    the source, without blank records and '#' comments; numbers count
+    every record from 1, as csv.reader does. While no block has held what
+    csv.reader reads otherwise than a split at commas (see the module
+    docstring), a record is a line without its line end (split is True);
+    from the first block that does, csv.reader reads the rest and a record
+    is its list of cells."""
+    def kept(records, first_cell):
+        nos = [no for no, rec in enumerate(records, start)
+               if rec and not first_cell(rec).lstrip().startswith("#")]
+        return nos, [records[no - start] for no in nos]
 
     lines = iter(source)
     start = 1
@@ -510,42 +504,29 @@ def _csv_blocks(source):
                 or text.count("\n") != len(records) - 1 \
                 or max(map(len, records)) > csv.field_size_limit():
             break
-        yield numbered(records, True)
+        if "" in records or "#" in text:
+            yield (*kept(records, lambda line: line), True)
+        else:
+            yield range(start, start + len(records)), records, True
         start += len(records)
-    errors = []
-    reader = _csv_records(itertools.chain(block, lines), start, errors)
+    reader = _csv_records(itertools.chain(block, lines), start)
     while True:
         records = list(itertools.islice(reader, BLOCK_LINES))
-        if records:
-            yield numbered(records, False)
-            start += len(records)
-        if len(records) < BLOCK_LINES:
-            break
-    if errors:
-        raise errors[0]
+        if not records:
+            return
+        yield (*kept(records, operator.itemgetter(0)), False)
+        start += len(records)
 
 
-def _csv_records(lines, first: int, errors: list):
-    """csv.reader's records of the lines, numbered from first; its error,
-    if any, ends them and goes to errors as a ParseError naming the
-    record."""
+def _csv_records(lines, first: int):
+    """csv.reader's records of the lines, numbered from first; its errors
+    are raised as ParseError naming the record."""
     no = first - 1
     try:
         for no, record in enumerate(csv.reader(lines), first):
             yield record
     except csv.Error as exc:
-        errors.append(ParseError(str(exc), line=no + 1))
-
-
-def _uncommented(nos, records, split: bool):
-    """nos and records without the records whose first cell starts with
-    '#' after its leading whitespace: parse_csv's comments."""
-    if split and "#" not in "".join(records):
-        return nos, records
-    first = records if split else map(operator.itemgetter(0), records)
-    kept = [i for i, cell in enumerate(first)
-            if not cell.lstrip().startswith("#")]
-    return [nos[i] for i in kept], [records[i] for i in kept]
+        raise ParseError(str(exc), line=no + 1) from None
 
 
 def _cells(block) -> list:
@@ -675,7 +656,6 @@ def _read_csv(source: Union[str, TextIO], class_only: bool) -> StreamDataset:
     header = None
     failure = None  # the first ragged or empty-cell record
     for nos, records, split in _csv_blocks(source):
-        nos, records = _uncommented(nos, records, split)
         if header is None and records:
             first = records[0].split(",") if split else records[0]
             header = [cell.strip() for cell in first]
@@ -822,36 +802,16 @@ def to_arff(ds: StreamDataset, relation: str = "stream") -> str:
 
 def write_csv(header: Sequence, rows, comment: Optional[str] = None) -> str:
     """CSV text with '\\n' line ends: an optional '# comment' line (which
-    parse_csv skips), the header, then the rows, as csv.writer writes
-    them: cells holding a comma, a double quote or a line break are
-    quoted, and floats are written by repr. Rows of str cells that
-    csv.writer writes unquoted are joined at commas directly.
+    parse_csv skips), the header, then the rows. Cells holding a comma, a
+    double quote or a line break are quoted; floats are written by repr.
     """
-    rows = [header, *rows]
-    text = _plain_rows(rows)
-    if text is None:
-        out = io.StringIO()
-        csv.writer(out, lineterminator="\n").writerows(rows)
-        text = out.getvalue()
-    return text if comment is None else f"# {comment}\n{text}"
-
-
-def _plain_rows(rows: list) -> Optional[str]:
-    """The rows joined at commas and ended by '\\n', if every cell is a
-    str that csv.writer writes as it is: none holds a comma, a '"', a CR,
-    an LF or a NUL (which Python 3.10's writer refuses), and no row is one
-    empty cell (written '""'); else None."""
-    try:
-        cells = sum(map(len, rows))
-        lines = list(map(",".join, rows))
-    except TypeError:  # a cell that is not a str, or a row without len
-        return None
-    text = "\n".join(lines)
-    if "" in lines or text.count(",") != cells - len(rows) \
-            or text.count("\n") != len(rows) - 1 \
-            or '"' in text or "\r" in text or "\0" in text:
-        return None
-    return text + "\n"
+    out = io.StringIO()
+    if comment is not None:
+        out.write(f"# {comment}\n")
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return out.getvalue()
 
 
 def dataset_summary(ds: StreamDataset) -> dict:

@@ -305,6 +305,12 @@ LEAVING_CALLS = {
     "after-the-last-row": (N, walk(STREAM, range(N))
                            + walk(STREAM, range(N))),
     "another-dataset": (0, walk(OTHER, range(N))),
+    "none-predict-first": (0, [("predict", None)] + walk(STREAM, range(N))),
+    "none-update-first": (0, [("update", None, STREAM.labels()[0])]
+                          + walk(STREAM, range(N))),
+    "none-update": (HALF, walk(STREAM, range(HALF))
+                    + [("update", None, STREAM.labels()[HALF])]
+                    + walk(STREAM, range(HALF, N))),
 }
 
 
@@ -327,9 +333,14 @@ def test_a_call_off_the_stream_moves_nothing():
     nb = NaiveBayesLearner(STREAM)
     first = run_calls(nb, walk(STREAM, range(HALF)))
     for bad in [("predict", (0.25, 1, 0.5)),
-                ("update", STREAM.instances[HALF + 1].features, "A")]:
+                ("update", STREAM.instances[HALF + 1].features, "A"),
+                ("predict", None), ("update", None, STREAM.labels()[HALF])]:
         with pytest.raises(SchemaMismatch, match=f"^row {HALF}: "):
             run_calls(nb, [bad])
+    # None is not the tuple predict matched either
+    nb.predict(STREAM.instances[HALF].features)
+    with pytest.raises(SchemaMismatch, match=f"^row {HALF}: not the values"):
+        nb.update(None, STREAM.labels()[HALF])
     assert first + run_calls(nb, walk(STREAM, range(HALF, N))) == \
         run_calls(OracleNaiveBayes(STREAM), walk(STREAM, range(N)))
     with pytest.raises(SchemaMismatch, match=f"^row {N}: past the end"):

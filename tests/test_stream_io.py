@@ -17,10 +17,10 @@ from streamaudit import (AttributeSchema, Classifier, EmptyLog,
                          NaiveBayesLearner, ParseError, StreamDataset,
                          UnsupportedFeature, audit_accuracy, dataset_summary,
                          diagnose, parse_arff, parse_csv, prequential_eval,
-                         read_prediction_log, to_arff, write_prediction_log)
+                         read_prediction_log, to_arff)
 from streamaudit import stream_io
 from streamaudit.rng import uniforms
-from streamaudit.stream_io import Instance, _parse_attribute_line, write_csv
+from streamaudit.stream_io import Instance, _parse_attribute_line
 from streamaudit.synth import (MarkovLabelModel, gen_markov_labels,
                                labels_to_csv, labels_to_dataset)
 
@@ -1313,9 +1313,9 @@ def test_clean_arff_blocks_skip_the_per_line_loop():
         + [(range, True)] * 4
 
 
-# The prediction log is read through the CSV block reader and written by
-# joining plain rows; both must match csv.reader and csv.writer, with a
-# ragged row named by its record as parse_csv names it.
+# The prediction log reads as csv.reader reads it, a ragged row or a
+# csv.reader error named by the physical line csv.reader stopped at
+# (parse_csv names the record), and a '#' starting a label, not a comment.
 
 LOG_CELLS = ["UP", "DOWN", " pad ", "#x", "# c", "a,b", 'say "x"', "p\nq",
              "r\r\ns", "", "c'd", "\t"]
@@ -1347,9 +1347,10 @@ def prediction_log_texts(draw):
 
 def oracle_read_log(source):
     """read_prediction_log by csv.reader, one record at a time."""
-    header, log, no = None, [], 0
+    header, log = None, []
+    reader = csv.reader(source)
     try:
-        for no, row in enumerate(csv.reader(source), start=1):
+        for row in reader:
             if not row:
                 continue
             if header is None:
@@ -1359,11 +1360,11 @@ def oracle_read_log(source):
                                    "'true,predicted'")
             elif len(row) != 2:
                 raise ParseError(f"row has {len(row)} cells, expected 2",
-                                 line=no)
+                                 line=reader.line_num)
             else:
                 log.append(tuple(row))
-    except csv.Error as exc:  # named by the record csv.reader stopped in
-        raise ParseError(str(exc), line=no + 1) from None
+    except csv.Error as exc:
+        raise ParseError(str(exc), line=reader.line_num) from None
     if header is None:
         raise EmptyLog("expected a CSV with header 'true,predicted'")
     return log
@@ -1376,13 +1377,11 @@ def log_outcome(read, text, newline):
         return type(exc), getattr(exc, "line", None), str(exc)
 
 
-@given(prediction_log_texts(), st.integers(1, 5),
-       st.sampled_from(["", "\n"]))
+@given(prediction_log_texts(), st.sampled_from(["", "\n"]))
 @settings(max_examples=500, deadline=None)
-def test_prediction_log_blocks_read_as_csv_reader(text, block, newline):
-    with mock.patch.object(stream_io, "BLOCK_LINES", block):
-        fast = log_outcome(read_prediction_log, text, newline)
-    assert fast == log_outcome(oracle_read_log, text, newline)
+def test_prediction_log_reads_as_csv_reader(text, newline):
+    assert log_outcome(read_prediction_log, text, newline) == \
+        log_outcome(oracle_read_log, text, newline)
 
 
 def test_a_hash_starts_a_label_not_a_comment():
@@ -1391,27 +1390,3 @@ def test_a_hash_starts_a_label_not_a_comment():
                                                       (" # c", "#d")]
     with pytest.raises(ParseError, match="no data rows"):
         parse_csv(io.StringIO(text))  # to parse_csv both are comments
-
-
-@given(st.lists(st.lists(st.one_of(st.sampled_from(LOG_CELLS),
-                                   st.text(max_size=3),
-                                   st.sampled_from([1.5, -0.0, 7, None])),
-                         max_size=3), max_size=12), st.booleans())
-@settings(max_examples=500, deadline=None)
-def test_write_csv_writes_as_csv_writer(rows, comment):
-    out = io.StringIO()
-    if comment:
-        out.write("# seed=1\n")
-    header = ("true", "predicted")
-    try:
-        csv.writer(out, lineterminator="\n").writerows([header, *rows])
-    except csv.Error as exc:  # a NUL, on Python 3.10
-        with pytest.raises(csv.Error, match=re.escape(str(exc))):
-            write_csv(header, rows, "seed=1" if comment else None)
-        return
-    assert write_csv(header, rows, "seed=1" if comment else None) == \
-        out.getvalue()
-    pairs = [tuple(row) for row in rows if len(row) == 2
-             and all(isinstance(cell, str) for cell in row)]
-    assert read_prediction_log(io.StringIO(write_prediction_log(pairs))) \
-        == pairs
