@@ -803,15 +803,32 @@ def to_arff(ds: StreamDataset, relation: str = "stream") -> str:
 def write_csv(header: Sequence, rows, comment: Optional[str] = None) -> str:
     """CSV text with '\\n' line ends: an optional '# comment' line (which
     parse_csv skips), the header, then the rows. Cells holding a comma, a
-    double quote or a line break are quoted; floats are written by repr.
+    double quote or a line break ('\\n' or '\\r') are quoted; floats are
+    written by repr.
     """
     out = io.StringIO()
     if comment is not None:
         out.write(f"# {comment}\n")
+    start = out.tell()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(header)
     writer.writerows(rows)
-    return out.getvalue()
+    text = out.getvalue()
+    if "\r" in text:  # rare: only rows holding a '\r' change
+        text = text[:start] + _CR_CELL.sub(_quote_cell, text[start:])
+    return text
+
+
+# csv.writer quotes a cell that holds its line terminator, '\n', but can
+# leave one holding a bare '\r' unquoted, which every reader takes for a
+# line end. Each quoted cell matches whole, so a match that does not start
+# with '"' is such a cell; it holds no '"' to double.
+_CR_CELL = re.compile(r'"[^"]*(?:""[^"]*)*"|[^,"\n]*\r[^,"\n]*')
+
+
+def _quote_cell(match) -> str:
+    cell = match[0]
+    return cell if cell.startswith('"') else f'"{cell}"'
 
 
 def dataset_summary(ds: StreamDataset) -> dict:

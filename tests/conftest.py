@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 
 from streamaudit import parse_arff, parse_csv
+from streamaudit.cli import main
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -44,3 +45,10 @@ def electricity():
 @pytest.fixture(scope="session")
 def electricity_labels(electricity):
     return electricity.labels()
+
+
+def run(capsys, argv):
+    """cli.main in process: its exit code, stdout and stderr."""
+    code = main(argv)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err

@@ -4,6 +4,7 @@ import io
 import json
 
 import pytest
+from conftest import run
 from oracles import OracleNaiveBayes, oracle_autocorrelation
 from test_baselines import sticky_stream
 from test_stream_io import multiclass_csv
@@ -26,12 +27,6 @@ def synth_csv(tmp_path):
                  "--acf1", "0.8", "--seed", "7", "--out", str(path)])
     assert code == 0
     return path
-
-
-def run(capsys, argv):
-    code = main(argv)
-    captured = capsys.readouterr()
-    return code, captured.out, captured.err
 
 
 def test_usage_error_exit_1(capsys):

@@ -811,6 +811,18 @@ def test_prequential_is_single_pass_test_then_train():
     assert spy.events == expected
 
 
+def test_a_prediction_outside_the_class_values_is_scored_wrong():
+    ds = numeric_dataset([(1.0, "A"), (2.0, "B"), (3.0, "A"), (4.0, "A")])
+    spy = _Spy()
+    spy.predict = lambda features: "Z" if features[0] % 2 else "A"
+    report = prequential_eval(spy, ds)
+    assert report.confusion == {("A", "Z"): 2, ("B", "A"): 1,
+                                ("A", "A"): 1}
+    assert (report.n, report.correct) == (4, 1)
+    assert json.loads(report.to_json())["confusion"] == \
+        {"A": {"A": 1, "Z": 2}, "B": {"A": 1}}
+
+
 @given(st.lists(st.sampled_from("DU"), min_size=1, max_size=40),
        st.integers(0, 2**32))
 @settings(max_examples=40, deadline=None)

@@ -17,7 +17,7 @@ from streamaudit import (AttributeSchema, Classifier, EmptyLog,
                          NaiveBayesLearner, ParseError, StreamDataset,
                          UnsupportedFeature, audit_accuracy, dataset_summary,
                          diagnose, parse_arff, parse_csv, prequential_eval,
-                         read_prediction_log, to_arff)
+                         read_prediction_log, to_arff, write_prediction_log)
 from streamaudit import stream_io
 from streamaudit.rng import uniforms
 from streamaudit.stream_io import Instance, _parse_attribute_line
@@ -758,6 +758,14 @@ def test_to_arff_numbers_at_the_decimal_path_edges(values, lines):
     assert repr(arff(text)) == repr(ds)  # exact for nan and -0.0
 
 
+def test_csv_numbers_survive_to_arff_bit_for_bit():
+    # decimals, full-precision floats, -0.0, 1e-05 and inf over two blocks
+    ds = parse_csv(io.StringIO("x,y,z,cls\n" + "".join(
+        "%.3f,%r,%s,%s\n" % (i / 7, i / 7, ("-0.0", "1e-05", "inf")[i % 3],
+                             "AB"[i % 2]) for i in range(5000))))
+    assert repr(arff(to_arff(ds))) == repr(ds)  # exact for -0.0
+
+
 @pytest.mark.parametrize("k", range(16))
 def test_to_arff_digit_loop_at_every_width_and_place_count(k):
     # for each integer width w with w + k <= 15, 10**(w-1) + 10**-k has
@@ -1390,3 +1398,34 @@ def test_a_hash_starts_a_label_not_a_comment():
                                                       (" # c", "#d")]
     with pytest.raises(ParseError, match="no data rows"):
         parse_csv(io.StringIO(text))  # to parse_csv both are comments
+
+
+def test_a_cell_holding_a_bare_cr_is_quoted():
+    # pinned bytes, so that every Python version CI runs writes these
+    log = [("UP", "\r"), ("\r", "UP"), ("a\rb", 'c\r"d'), ("r\r\ns", "UP"),
+           ("a,b", 'say "x"'), ("UP", "DOWN"), ("", "")]
+    assert write_prediction_log(log) == (
+        'true,predicted\nUP,"\r"\n"\r",UP\n"a\rb","c\r""d"\n"r\r\ns",UP\n'
+        '"a,b","say ""x"""\nUP,DOWN\n,\n')
+    assert stream_io.write_csv(("x",), [("\r",)], comment='c ",') == \
+        '# c ",\nx\n"\r"\n'
+
+
+# any UTF-8 text but NUL, which Python 3.10's csv.reader refuses, with the
+# characters that CSV, ARFF and the readers treat apart drawn often
+LOG_LABELS = st.one_of(
+    st.text(st.characters(blacklist_categories=("Cs",),
+                          blacklist_characters="\x00"), max_size=4),
+    st.lists(st.sampled_from(["\r", "\n", "\r\n", "\ufeff", "#", "%", "?",
+                              '"', "'", ",", " ", "UP"]),
+             max_size=4).map("".join))
+
+
+@given(st.lists(st.tuples(LOG_LABELS, LOG_LABELS), max_size=6))
+@settings(max_examples=200, deadline=None)
+def test_a_written_log_reads_back(tmp_path_factory, log):
+    text = write_prediction_log(log)
+    path = tmp_path_factory.getbasetemp() / "round-trip-log.csv"
+    path.write_bytes(text.encode("utf-8"))
+    assert read_prediction_log(str(path)) == log
+    assert read_prediction_log(io.StringIO(text)) == log
