@@ -77,17 +77,20 @@ def _parse_grid(text):
 
 
 def _load_dataset(path, fmt=None, class_only=False):
-    """The dataset at path ('-' for stdin). With class_only a CSV's class
-    column is the only one read; an ARFF is read whole, since its feature
-    values are checked against their declared types."""
+    """The dataset at path ('-' for stdin) and its feature count. With
+    class_only a CSV's class column is the only one read, and the count is
+    the header's; an ARFF is read whole, since its feature values are
+    checked against their declared types."""
     if fmt is None:  # stdin, "-", is an ARFF
         fmt = "csv" if path.lower().endswith(".csv") else "arff"
     source = sys.stdin if path == "-" else path
     if fmt == "arff":
-        return stream_io.parse_arff(source)
-    if class_only:
+        ds = stream_io.parse_arff(source)
+    elif class_only:
         return stream_io._read_csv(source, class_only=True)
-    return stream_io.parse_csv(source)
+    else:
+        ds = stream_io.parse_csv(source)
+    return ds, ds.n_features
 
 
 def _write(path, text):
@@ -182,15 +185,17 @@ def _learner_rho(spec):
 
 
 def _cmd_summary(args):
-    ds = _load_dataset(args.input, args.format)
-    print(json.dumps(stream_io.dataset_summary(ds), indent=2))
+    ds, n_features = _load_dataset(args.input, args.format, class_only=True)
+    summary = stream_io.dataset_summary(ds)
+    summary["n_features"] = n_features
+    print(json.dumps(summary, indent=2))
     return EXIT_OK
 
 
 def _cmd_audit(args):
     if (args.accuracy is None) == (args.predictions is None):
         raise _UsageError("give exactly one of --accuracy or --predictions")
-    ds = _load_dataset(args.input, args.format, class_only=True)
+    ds, _ = _load_dataset(args.input, args.format, class_only=True)
     if args.predictions is not None:
         log = evaluation.read_prediction_log(args.predictions)
         verdict, report = evaluation.audit_prediction_log(log, ds.labels())
@@ -207,14 +212,14 @@ def _cmd_audit(args):
 
 
 def _cmd_acf(args):
-    ds = _load_dataset(args.input, args.format, class_only=True)
+    ds, _ = _load_dataset(args.input, args.format, class_only=True)
     series = diagnostics.autocorrelation(ds, args.max_lag)
     _write(args.out, series.to_csv())
     return EXIT_OK
 
 
 def _cmd_sweep(args):
-    ds = _load_dataset(args.input, args.format, class_only=True)
+    ds, _ = _load_dataset(args.input, args.format, class_only=True)
     config = baselines.SweepConfig(args.grid, args.reps, args.seed)
     print(f"# seed={args.seed}", file=sys.stderr)
     result = baselines.rho_sweep(ds, config)
@@ -242,7 +247,8 @@ def _cmd_synth(args):
 
 def _cmd_eval(args):
     rho = _learner_rho(args.learner)
-    ds = _load_dataset(args.input, args.format, class_only=rho is not None)
+    ds, _ = _load_dataset(args.input, args.format,
+                          class_only=rho is not None)
     name = args.learner
     if rho is None:
         trace = list(map(ds.class_values.__getitem__,

@@ -33,8 +33,8 @@ as numbers so far may still turn nominal. The first record is the header
 and the class is its last column. Errors come in the order of a
 whole-file read: csv.reader's own, the first ragged or empty-cell record,
 a header without data rows. The read that the CLI's label-only commands
-use runs the same block loop but converts only the class column: every
-other cell is only checked for blanks, and no block text is kept.
+use runs the same block loop but takes only each record's last cell: the
+others are only checked for blanks, and no block text is kept.
 
 A csv.reader error and input that is not UTF-8 are raised as ParseError.
 """
@@ -564,24 +564,19 @@ class _CsvColumns:
     (the last) from the start, it is int32 codes of its values by first
     occurrence. The blocks are kept while a column may still turn nominal,
     because it then recodes its earlier cells from their text: '3' and
-    '3.0' are two nominal values. With class_only, the class column is the
-    only one converted: the other cells are only checked for blanks."""
+    '3.0' are two nominal values."""
 
-    def __init__(self, n_cols: int, class_only: bool):
+    def __init__(self, n_cols: int):
         # per column None (numeric so far) or its value -> code dict
         self.values = [None] * (n_cols - 1) + [{}]
         self.parts = [[] for _ in range(n_cols)]
         self.blocks = []
-        self.converted = range(n_cols - 1 if class_only else 0, n_cols)
 
     def add(self, block) -> bool:
         """Convert one block (see _cells); False if it holds a blank cell."""
         m = len(self.values)
-        if len(self.converted) < m and _has_blank(block):
-            return False
         cells = _cells(block)
-        for j in self.converted:
-            values = self.values[j]
+        for j, values in enumerate(self.values):
             tokens = cells[j::m]
             if values is None:
                 part = _floats(tokens)
@@ -594,7 +589,7 @@ class _CsvColumns:
                 if part is None:
                     return False
             self.parts[j].append(part)
-        if any(self.values[j] is None for j in self.converted):
+        if None in self.values:
             self.blocks.append(block)
         else:
             self.blocks.clear()
@@ -602,11 +597,11 @@ class _CsvColumns:
 
     def dataset(self, header: list) -> StreamDataset:
         self.blocks.clear()
-        schema = [AttributeSchema(header[j], None if self.values[j] is None
-                                  else tuple(self.values[j]))
-                  for j in self.converted]
-        columns = _concatenate([self.parts[j] for j in self.converted])
-        return StreamDataset._from_columns(schema, columns, -1)
+        schema = [AttributeSchema(name, None if values is None
+                                  else tuple(values))
+                  for name, values in zip(header, self.values)]
+        return StreamDataset._from_columns(schema, _concatenate(self.parts),
+                                           -1)
 
 
 def _has_blank(block) -> bool:
@@ -644,15 +639,15 @@ def parse_csv(source: Union[str, TextIO]) -> StreamDataset:
     records, as csv.reader does. Input that is not UTF-8 is a ParseError
     too.
     """
-    return _read_csv(source, class_only=False)
+    return _read_csv(source, class_only=False)[0]
 
 
 @_utf8
-def _read_csv(source: Union[str, TextIO], class_only: bool) -> StreamDataset:
-    """parse_csv; with class_only, its dataset reduced to the class
-    attribute, for callers that need only the labels. Every other cell is
-    checked only for blanks, and the errors are parse_csv's, in its order.
-    """
+def _read_csv(source: Union[str, TextIO], class_only: bool) -> tuple:
+    """parse_csv's dataset and the header's feature count. With class_only
+    the dataset holds the class attribute alone: only each record's last
+    cell is taken, the others are only checked for blanks, and the errors
+    are parse_csv's, in its order."""
     header = None
     failure = None  # the first ragged or empty-cell record
     for nos, records, split in _csv_blocks(source):
@@ -661,17 +656,21 @@ def _read_csv(source: Union[str, TextIO], class_only: bool) -> StreamDataset:
             header = [cell.strip() for cell in first]
             n_cols = len(header)
             nos, records = nos[1:], records[1:]
-            columns = _CsvColumns(n_cols, class_only)
+            columns = _CsvColumns(1 if class_only else n_cols)
         if failure is not None or not records:
             continue
         if split:
-            ragged = set(map(str.count, records,
-                             itertools.repeat(","))) != {n_cols - 1}
+            bad = set(map(str.count, records,
+                          itertools.repeat(","))) != {n_cols - 1}
             block = ",".join(records)
         else:
-            ragged = set(map(len, records)) != {n_cols}
+            bad = set(map(len, records)) != {n_cols}
             block = [cell for cells in records for cell in cells]
-        if ragged or not columns.add(block):
+        if class_only and not bad:
+            bad = _has_blank(block)
+            block = [line.rpartition(",")[2] for line in records] if split \
+                else [cells[-1] for cells in records]
+        if bad or not columns.add(block):
             failure = _first_bad_record(nos, records, split, n_cols)
 
     if failure is not None:
@@ -680,7 +679,7 @@ def _read_csv(source: Union[str, TextIO], class_only: bool) -> StreamDataset:
         raise ParseError("empty CSV input")
     if not columns.parts[-1]:
         raise ParseError("CSV with a header but no data rows")
-    return columns.dataset(header)
+    return columns.dataset(header[-1:] if class_only else header), n_cols - 1
 
 
 def _byte_rows(texts: list) -> np.ndarray:

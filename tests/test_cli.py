@@ -597,9 +597,11 @@ def test_label_commands_on_a_nine_column_csv_golden_sha256(
 
 
 # the label-only commands read a CSV's class column alone, yet fail on a
-# faulty CSV exactly as `summary`, which reads every column, does
+# faulty CSV exactly as `eval --learner naive-bayes`, which reads every
+# column, does; so does `summary`, a label-only command too
 
-LABEL_COMMANDS = [["audit", "--accuracy", "0.9"], ["acf", "--max-lag", "1"],
+LABEL_COMMANDS = [["summary"], ["audit", "--accuracy", "0.9"],
+                  ["acf", "--max-lag", "1"],
                   ["sweep", "--grid", "0:1:0.5", "--reps", "1"],
                   ["eval", "--learner", "majority"],
                   ["eval", "--learner", "restart:0.3"]]
@@ -621,17 +623,17 @@ def test_label_commands_fail_on_a_csv_as_summary_does(tmp_path, capsys,
                                                       text, argv):
     path = tmp_path / "bad.csv"
     path.write_text(text, encoding="utf-8")
-    summary = run(capsys, ["summary", "--input", str(path)])
-    assert summary[0] == 2 and summary[2].startswith("error: ")
-    assert run(capsys, [argv[0], "--input", str(path)] + argv[1:]) == summary
+    full = run(capsys, ["eval", "--input", str(path), "--learner",
+                        "naive-bayes"])
+    assert full[:2] == (2, "") and full[2].startswith("error: ")
+    assert run(capsys, [argv[0], "--input", str(path)] + argv[1:]) == full
 
 
 def test_undecodable_or_oversized_input_exits_2_without_a_traceback(
         tmp_path, capsys):
     latin1 = tmp_path / "latin1.csv"
     latin1.write_bytes("x,cls\n1,caf\xe9\n".encode("latin-1"))
-    for argv in [["summary"], ["eval", "--learner", "naive-bayes"]] \
-            + LABEL_COMMANDS:
+    for argv in [["eval", "--learner", "naive-bayes"]] + LABEL_COMMANDS:
         code, out, err = run(capsys, [argv[0], "--input", str(latin1)]
                              + argv[1:])
         assert (code, out, err) == \

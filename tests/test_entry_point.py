@@ -125,6 +125,18 @@ def test_stdin_with_a_byte_order_mark_reads_as_the_file(files, capsys, fmt,
     assert got == run(capsys, argv + [f"x.{fmt}"])
 
 
+@pytest.mark.parametrize("name, code", [("multi.csv", 0), ("blank.csv", 2)])
+def test_summary_of_a_csv_on_stdin_prints_what_the_path_read_does(
+        capsys, monkeypatch, name, code):
+    # the class-only read takes the feature count from the header
+    expected = run(capsys, ["summary", "--input", name])
+    assert expected[0] == code
+    with open(name, encoding="utf-8", newline="") as fh:
+        monkeypatch.setattr(sys, "stdin", fh)
+        assert run(capsys, ["summary", "--input", "-", "--format", "csv"]) \
+            == expected
+
+
 @pytest.mark.parametrize("argv, status", [
     ("summary --input blank.csv", 2),
     ("sweep --grid 0:inf:1 --input x.csv", 1),

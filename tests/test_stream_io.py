@@ -1,7 +1,9 @@
+import contextlib
 import copy
 import csv
 import hashlib
 import io
+import json
 import pickle
 import re
 import tracemalloc
@@ -18,7 +20,7 @@ from streamaudit import (AttributeSchema, Classifier, EmptyLog,
                          UnsupportedFeature, audit_accuracy, dataset_summary,
                          diagnose, parse_arff, parse_csv, prequential_eval,
                          read_prediction_log, to_arff, write_prediction_log)
-from streamaudit import stream_io
+from streamaudit import cli, stream_io
 from streamaudit.rng import uniforms
 from streamaudit.stream_io import Instance, _parse_attribute_line
 from streamaudit.synth import (MarkovLabelModel, gen_markov_labels,
@@ -884,13 +886,17 @@ def test_parse_csv_blocks_match_row_oracle(text, block, data):
     assert fast == csv_outcome(oracle_parse_csv, text, newline)
 
 
-def labels_outcome(parse, text, newline, **kwargs):
+def labels_outcome(parse, text, newline):
     """The class attribute and labels that parse reads, or its error."""
     try:
-        ds = parse(io.StringIO(text, newline=newline), **kwargs)
+        ds = parse(io.StringIO(text, newline=newline))
     except (ParseError, UnsupportedFeature) as exc:
         return type(exc), exc.line, str(exc)
     return ds.class_attribute, ds.labels()
+
+
+def read_class_only(source):
+    return stream_io._read_csv(source, class_only=True)[0]
 
 
 @given(csv_block_texts(), st.integers(1, 5), st.data())
@@ -902,16 +908,67 @@ def test_class_only_read_matches_parse_csv(text, block, data):
     newline = data.draw(st.sampled_from(["", "\n"]))
     with mock.patch.object(stream_io, "BLOCK_LINES", block):
         full = labels_outcome(parse_csv, text, newline)
-        labels = labels_outcome(stream_io._read_csv, text, newline,
-                                class_only=True)
+        labels = labels_outcome(read_class_only, text, newline)
     assert labels == full
 
 
 def test_class_only_read_holds_the_class_column_alone(multiclass_text):
     full = parse_csv(io.StringIO(multiclass_text))
-    ds = stream_io._read_csv(io.StringIO(multiclass_text), class_only=True)
+    ds, n_features = stream_io._read_csv(io.StringIO(multiclass_text),
+                                         class_only=True)
     assert ds.schema == (full.class_attribute,) and ds.class_index == 0
+    assert n_features == full.n_features
     assert np.array_equal(ds.columns[0], full.columns[full.class_index])
+
+
+@given(csv_block_texts(), st.integers(1, 5), st.data())
+@settings(max_examples=300, deadline=None)
+def test_cli_summary_of_a_csv_prints_parse_csvs_summary(tmp_path_factory,
+                                                        text, block, data):
+    """`summary` reads a CSV's class column alone and counts the features
+    from the header, yet prints parse_csv's summary or fails with its error,
+    also with a quoted, BOM-prefixed header after comment or blank lines."""
+    head = re.match(r"c0(?:,c\d)*", text).group()
+    if data.draw(st.booleans()):  # each header cell quoted, with a comma
+        text = text.replace(head, ",".join(
+            f'"{cell[0]},{cell[1:]}"' for cell in head.split(",")), 1)
+    text = data.draw(st.sampled_from(["", "\n", "# a, b\n", "\r\n#x,y,z\r"])
+                     ) + text
+    path = tmp_path_factory.getbasetemp() / "summary.csv"
+    path.write_bytes(text.encode(data.draw(st.sampled_from(["utf-8",
+                                                            "utf-8-sig"]))))
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.object(stream_io, "BLOCK_LINES", block):
+        try:
+            full = json.dumps(dataset_summary(parse_csv(str(path))), indent=2)
+            expected = (0, full + "\n", "")
+        except (ParseError, UnsupportedFeature) as exc:
+            expected = (2, "", f"error: {exc}\n")
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(["summary", "--input", str(path)])
+    assert (code, out.getvalue(), err.getvalue()) == expected
+
+
+def test_class_only_read_peaks_well_under_parse_csv(tmp_path):
+    """The class-only read splits no feature cell out of its line, so on a
+    wide CSV, read from a path, its traced peak is well under the full
+    read's (a StringIO source would hold 4 bytes per character)."""
+    values = np.random.default_rng(0).random((5000, 40))
+    path = tmp_path / "wide.csv"
+    path.write_text(",".join([f"f{j}" for j in range(40)] + ["cls"]) + "\n"
+                    + "".join(",".join(map("{:.6f}".format, row))
+                              + f",{'ABC'[i % 3]}\n"
+                              for i, row in enumerate(values.tolist())))
+
+    def peak(read):
+        tracemalloc.start()
+        try:
+            read(str(path))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(read_class_only) <= 0.6 * peak(parse_csv)
 
 
 @given(st.data(), st.integers(stream_io.BLOCK_LINES + 1,
