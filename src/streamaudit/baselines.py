@@ -157,10 +157,9 @@ class _CodedStream:
         hits = np.count_nonzero(self.predict(start) == self.codes[1:])
         return (1 + int(hits)) / len(self.codes)
 
-    def trace(self, start=None) -> list:
-        codes = self.predict(start).tolist()
-        # classes[0] is the first label: instance 0 predicts itself
-        return [self.classes[0], *map(self.classes.__getitem__, codes)]
+    def trace(self, start=None) -> np.ndarray:
+        # instance 0 predicts itself
+        return np.concatenate((self.codes[:1], self.predict(start)))
 
 
 def majority_baseline(labels: Sequence) -> float:
@@ -179,7 +178,8 @@ def random_restart_run(labels: Sequence, policy: RestartPolicy) -> float:
 def random_restart_trace(labels: Sequence, policy: RestartPolicy) -> list:
     """Full prediction trace of one seeded run (audit mode)."""
     stream = _CodedStream(labels)
-    return stream.trace(stream.starts(policy))
+    return list(map(stream.classes.__getitem__,
+                    stream.trace(stream.starts(policy)).tolist()))
 
 
 def rho_sweep(labels: Sequence, config: SweepConfig) -> SweepResult:

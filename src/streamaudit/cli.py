@@ -251,17 +251,19 @@ def _cmd_eval(args):
                           class_only=rho is not None)
     name = args.learner
     if rho is None:
-        trace = list(map(ds.class_values.__getitem__,
-                         evaluation._naive_bayes_trace(ds).tolist()))
+        true, classes = ds.columns[ds.class_index], ds.class_values
+        trace = evaluation._naive_bayes_trace(ds)
     else:
         # the kernel and cold start of the bars, so restart:1 ==
         # persistence and restart:0 == majority hold across commands
-        trace = baselines.random_restart_trace(
-            ds, baselines.RestartPolicy(rho, args.seed))
+        stream = baselines._CodedStream(ds)
+        true, classes = stream.codes, stream.classes
+        trace = stream.trace(stream.starts(
+            baselines.RestartPolicy(rho, args.seed)))
         if name.startswith("restart:"):
             name = f"restart:{rho:g}"
             print(f"# seed={args.seed}", file=sys.stderr)
-    report = evaluation._score(name, zip(ds.labels(), trace))
+    report = evaluation._score(name, true, trace, classes)
     _write(args.out, report.to_json() + "\n")
     return EXIT_OK
 

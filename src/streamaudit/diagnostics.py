@@ -24,7 +24,9 @@ bars exactly.
 
 import json
 import math
+from collections import defaultdict
 from dataclasses import dataclass
+from itertools import count
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -119,13 +121,20 @@ def _encode(labels) -> _Codes:
             labels = labels.tolist()
         elif not isinstance(labels, (list, tuple)):
             labels = list(labels)
-        classes = list(dict.fromkeys(labels))
-        index = dict(zip(classes, range(len(classes))))
-        labels = _Codes(np.fromiter(map(index.__getitem__, labels), np.int32,
-                                    len(labels)), classes)
+        classes = []
+        labels = _Codes(_codes(labels, classes), classes)
     if len(labels.codes) == 0:
         raise EmptyStream("an empty stream has no first instance")
     return labels
+
+
+def _codes(labels, classes: list) -> np.ndarray:
+    """labels as int32 codes into classes, a list new labels join in order."""
+    next_code = count()  # a new label takes the next code
+    index = defaultdict(next_code.__next__, zip(classes, next_code))
+    codes = np.fromiter(map(index.__getitem__, labels), np.int32, len(labels))
+    classes.extend(list(index)[len(classes):])
+    return codes
 
 
 def label_distribution(labels: Sequence) -> LabelDistribution:

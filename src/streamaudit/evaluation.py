@@ -4,7 +4,8 @@ protocol that grades accuracy figures against the naive bars.
 A classifier is anything with predict/update/reset. Each instance is
 predicted first and trained on second, in stream order, with no lookahead;
 accuracy accumulates from the first instance (no warm-up exclusion, no
-fading factor).
+fading factor). Reports count pairs of class codes, each column encoded
+once; a prediction outside the class values extends the class list.
 
 The audit verdict compares a subject accuracy against three label-only
 bars computed from the same stream: the incremental-majority bar, the
@@ -16,16 +17,11 @@ with persistence prove nothing and grade as BelowPersistence.
 NaiveBayesLearner is the subject of an audit, made from one stream: its
 calls must walk that stream in order, and any other call raises
 SchemaMismatch. Each row is compared once: update skips the comparison
-for the tuple predict has just matched. Each predict reads the
-prediction _naive_bayes_trace computed for its row. The trace scores
-every row with numpy's log and square and with running means from
-np.cumsum, and keeps a row's class where an error bound (the kernels'
-last bits and a proven radius for the means) shows that a row-by-row
-learner's float operations (Welford means, math.log and ** 2, in its
-order; OracleNaiveBayes in tests/oracles.py) rank the classes the same
-way; it scores the other rows with those operations. So its predictions
-are that learner's exactly, and its scores are only on the rows it
-scores again.
+for the tuple predict has just matched. Each predict reads the code
+_naive_bayes_trace computed for its row: exactly the prediction of a
+row-by-row learner (OracleNaiveBayes in tests/oracles.py), from numpy
+kernels where an error bound shows they rank the classes as its float
+operations do, and from those operations elsewhere.
 """
 
 import array
@@ -33,7 +29,6 @@ import csv
 import enum
 import json
 import math
-from collections import Counter
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -91,13 +86,16 @@ class EvalReport:
         }, indent=2)
 
 
-def _score(name: str, pairs) -> EvalReport:
-    """The report on (true, predicted) pairs; EmptyStream if none."""
-    confusion = dict(Counter(pairs))
-    if not confusion:
+def _score(name: str, true, predicted, classes) -> EvalReport:
+    """The report on the code pairs that occur, with no k * k table."""
+    pairs, counts = np.unique(true.astype(np.int64) * len(classes)
+                              + predicted, return_counts=True)
+    if not len(pairs):
         raise EmptyStream("cannot evaluate on an empty stream")
-    correct = sum(count for (t, p), count in confusion.items() if t == p)
-    return EvalReport(name, sum(confusion.values()), correct, confusion)
+    t, p = np.divmod(pairs, len(classes))
+    confusion = {(classes[a], classes[b]): count for a, b, count
+                 in zip(t.tolist(), p.tolist(), counts.tolist())}
+    return EvalReport(name, len(true), int(counts[t == p].sum()), confusion)
 
 
 def _nested(confusion: dict) -> dict:
@@ -151,17 +149,18 @@ class AuditVerdict:
 
 
 def prequential_eval(classifier: Classifier, ds: StreamDataset) -> EvalReport:
-    """Test-then-train over the whole stream, its schema checked first."""
+    """Test-then-train over the stream, its schema checked first, on codes."""
     bound = getattr(classifier, "schema", None)
     if bound is not None and bound != ds.schema:
         raise SchemaMismatch(
             f"classifier {classifier.name!r} is bound to a different schema")
-    labels = ds.labels()
+    classes = list(ds.class_values)
     predictions = []
-    for (features, _), true in zip(ds._rows(), labels):
+    for features, code in ds._rows():
         predictions.append(classifier.predict(features))
-        classifier.update(features, true)
-    return _score(classifier.name, zip(labels, predictions))
+        classifier.update(features, classes[code])
+    return _score(classifier.name, ds.columns[ds.class_index],
+                  diagnostics._codes(predictions, classes), classes)
 
 
 class NaiveBayesLearner(Classifier):
@@ -590,27 +589,27 @@ def audit_prediction_log(log: Sequence, ds_labels: Optional[Sequence] = None):
     """Audit an externally produced (true, predicted) log.
 
     When ds_labels is supplied the log's true-label column must match it
-    exactly; the bars are computed from that column either way. Returns
+    exactly; the bars come from that column's codes either way. Returns
     (AuditVerdict, EvalReport).
     """
     log = list(log)
     if not log:
         raise EmptyLog("prediction log has no rows")
-    true_col = [t for t, _ in log]
+    true = diagnostics._encode([t for t, _ in log])  # once, for every bar
+    classes = list(true.classes)  # a copy: no predicted label joins the bars
     if ds_labels is not None:
-        if not isinstance(ds_labels, list):  # a list compares at once
-            ds_labels = list(ds_labels)
-        if ds_labels != true_col:  # then find where
-            if len(ds_labels) != len(true_col):
-                raise LabelMismatch(min(len(ds_labels), len(true_col)),
-                                    f"prediction log has {len(true_col)} "
-                                    f"rows, dataset has {len(ds_labels)}")
-            for i, (a, b) in enumerate(zip(ds_labels, true_col)):
-                if a != b:
-                    raise LabelMismatch(i, f"true label at index {i} is "
-                                           f"{b!r}, dataset has {a!r}")
-    true = diagnostics._encode(true_col)  # once, for every bar
-    report = _score("prediction-log", log)
+        ds_labels = list(ds_labels)
+        if len(ds_labels) != len(log):
+            raise LabelMismatch(min(len(ds_labels), len(log)),
+                                f"prediction log has {len(log)} rows, "
+                                f"dataset has {len(ds_labels)}")
+        wrong = diagnostics._codes(ds_labels, classes) != true.codes
+        if wrong.any():
+            i = int(np.flatnonzero(wrong)[0])
+            raise LabelMismatch(i, f"true label at index {i} is {log[i][0]!r}"
+                                   f", dataset has {ds_labels[i]!r}")
+    report = _score("prediction-log", true.codes,
+                    diagnostics._codes([p for _, p in log], classes), classes)
     return audit_accuracy(report.accuracy, true), report
 
 

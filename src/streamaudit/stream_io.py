@@ -504,10 +504,10 @@ def _csv_blocks(source):
                 or text.count("\n") != len(records) - 1 \
                 or max(map(len, records)) > csv.field_size_limit():
             break
-        if "" in records or "#" in text:
-            yield (*kept(records, lambda line: line), True)
-        else:
-            yield range(start, start + len(records)), records, True
+        filtered = "" in records or "#" in text
+        del block, text  # the records are the block's one copy as it yields
+        yield (*kept(records, lambda line: line), True) if filtered \
+            else (range(start, start + len(records)), records, True)
         start += len(records)
     reader = _csv_records(itertools.chain(block, lines), start)
     while True:

@@ -379,6 +379,23 @@ def test_audit_a_log_of_the_wrong_length_exit_2(tmp_path, capsys):
     assert run(capsys, ["audit", "--input", str(data), "--predictions",
                         str(log)]) == \
         (2, "", "error: prediction log has 3 rows, dataset has 4\n")
+    empty = tmp_path / "empty.arff"
+    empty.write_text("@relation r\n@attribute cls {A,B}\n@data\n")
+    log.write_text("true,predicted\nA,A\nB,A\n")
+    assert run(capsys, ["audit", "--input", str(empty), "--predictions",
+                        str(log)]) == \
+        (2, "", "error: prediction log has 2 rows, dataset has 0\n")
+
+
+def test_audit_counts_a_prediction_outside_the_class_values(tmp_path, capsys):
+    data, log = tmp_path / "labels.csv", tmp_path / "log.csv"
+    data.write_text("label\nA\nB\nB\nA\n")
+    log.write_text("true,predicted\nA,A\nB,Z\nB,B\nA,Z\n")
+    code, out, _ = run(capsys, ["audit", "--input", str(data),
+                                "--predictions", str(log)])
+    doc = json.loads(out)
+    assert (code, doc["n"], doc["accuracy"]) == (0, 4, 0.5)
+    assert doc["confusion"] == {"A": {"A": 1, "Z": 1}, "B": {"B": 1, "Z": 1}}
 
 
 def test_eval_restart_equals_persistence_at_rho_1(synth_csv, capsys):

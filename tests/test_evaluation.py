@@ -6,6 +6,7 @@ import math
 import pickle
 import random
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -1037,14 +1038,48 @@ def test_audit_prediction_log_mismatch_report():
     labels = list("DDUUDDUU")
     log = [(lab, "D") for lab in labels]
     audit_prediction_log(log, tuple(labels))  # any sequence of equal labels
-    for wrong, index, text in [
-            (labels[:3] + ["X"] + labels[4:], 3,
+    # a true label at index 5 that no dataset row holds
+    odd = [(lab, "D") for lab in labels[:5] + ["Q"] + labels[6:]]
+    for true, wrong, index, text in [
+            (log, labels[:3] + ["X"] + labels[4:], 3,
              "true label at index 3 is 'U', dataset has 'X'"),
-            (labels[:-1], 7, "prediction log has 8 rows, dataset has 7"),
-            (labels + ["D"], 8, "prediction log has 8 rows, dataset has 9")]:
+            (odd, labels, 5, "true label at index 5 is 'Q', dataset has 'D'"),
+            (log, labels[:-1], 7, "prediction log has 8 rows, dataset has 7"),
+            (log, labels + ["D"], 8,
+             "prediction log has 8 rows, dataset has 9"),
+            (log, [], 0, "prediction log has 8 rows, dataset has 0")]:
         with pytest.raises(LabelMismatch) as err:
-            audit_prediction_log(log, wrong)
+            audit_prediction_log(true, wrong)
         assert (err.value.index, str(err.value)) == (index, text)
+
+
+@pytest.mark.parametrize("with_dataset", [False, True],
+                         ids=["log-only", "with-dataset"])
+def test_a_logged_prediction_outside_the_true_labels_is_in_the_confusion(
+        with_dataset):
+    log = [("A", "A"), ("B", "Z"), ("A", "Z"), ("B", "B"), ("A", "Y")]
+    verdict, report = audit_prediction_log(
+        log, [t for t, _ in log] if with_dataset else None)
+    assert report.confusion == {("A", "A"): 1, ("A", "Y"): 1, ("A", "Z"): 1,
+                                ("B", "B"): 1, ("B", "Z"): 1}
+    assert (report.n, report.correct, verdict.subject_accuracy) == (5, 2, 0.4)
+    assert json.loads(verdict.to_json(report.n, report.confusion))[
+        "confusion"] == {"A": {"A": 1, "Y": 1, "Z": 1}, "B": {"B": 1, "Z": 1}}
+
+
+def test_auditing_a_log_of_distinct_predictions_holds_no_k_by_k_table():
+    """The scorer counts the code pairs that occur: a k * k table over this
+    log's 45,314 labels would take 16 GB."""
+    n = 45_312
+    log = [("DU"[i % 2], f"p{i}") for i in range(n)]
+    tracemalloc.start()
+    try:
+        _, report = audit_prediction_log(log)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (report.n, report.correct, len(report.confusion)) == (n, 0, n)
+    assert peak < 40 * 2**20
 
 
 def test_prediction_log_csv_and_decoding_errors_are_parse_errors(tmp_path):

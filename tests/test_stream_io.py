@@ -1138,6 +1138,18 @@ def test_parse_csv_peak_memory_stays_near_the_file_size(multiclass_text,
     assert peak < 5 * path.stat().st_size
 
 
+@pytest.mark.parametrize("text", ["x,cls\n1,A\n2,B\n",
+                                  "x,cls\n# note\n1,A\n\n2,B\n"],
+                         ids=["plain", "comment-and-blank"])
+def test_split_csv_blocks_hold_one_copy_of_their_text(text):
+    """While a split block is out, the reader keeps its records and not
+    the raw lines or their joined text beside them."""
+    blocks = stream_io._csv_blocks(io.StringIO(text))
+    nos, records, split = next(blocks)
+    assert split and records[0] == "x,cls"
+    assert {"block", "text"}.isdisjoint(blocks.gi_frame.f_locals)
+
+
 # ---------------------------------------------------------------------------
 # columns: the dataset's one store; instances is a view built on demand
 
