@@ -149,7 +149,7 @@ def build_parser():
     synth_sub = p.add_subparsers(dest="model", required=True)
     for model in ("markov", "iid"):
         q = synth_sub.add_parser(model)
-        q.add_argument("--n", type=int, required=True)
+        q.add_argument("--n", type=_positive_int, required=True)
         q.add_argument("--prior", type=_probability, required=True,
                        help="stationary probability of class 1")
         if model == "markov":

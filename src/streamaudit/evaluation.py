@@ -379,9 +379,7 @@ def _class_scores(ds, c, rows, log, square, runs=None, running_sums=False):
     for out, t, idx in blocks:
         score[out] = log((before[idx] + 1) / (t + k))
         size[out] = np.abs(score[out])
-    for j, (attr, col) in enumerate(zip(ds.schema, ds.columns)):
-        if j == ds.class_index:
-            continue
+    for j, (attr, col) in enumerate(zip(ds.schema[:-1], ds.columns)):
         if attr.is_nominal:
             same = _earlier_equal(is_c, *runs[j])
             for out, _, idx in blocks:
@@ -429,8 +427,8 @@ def _nominal_runs(ds: StreamDataset) -> dict:
     by value, and where each value's run starts in that order and how long
     it is. They depend on the column alone, not on the class."""
     runs = {}
-    for j, (attr, col) in enumerate(zip(ds.schema, ds.columns)):
-        if attr.is_nominal and j != ds.class_index:
+    for j, (attr, col) in enumerate(zip(ds.schema[:-1], ds.columns)):
+        if attr.is_nominal:
             order = np.argsort(col, kind="stable")
             starts = np.flatnonzero(np.diff(col[order], prepend=-1))
             runs[j] = order, starts, np.diff(starts, append=len(col))

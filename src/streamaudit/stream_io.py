@@ -2,8 +2,8 @@
 
 A dataset is an attribute schema plus one column of values per attribute.
 Row order is the time axis and is preserved exactly as in the source
-file. The class attribute is the last attribute, the usual layout for
-stream-mining benchmarks; only parse_arff can be told another.
+file. The class attribute is the last attribute, in ARFF as in CSV: the
+usual layout for stream-mining benchmarks, and the only one read.
 
 Supported ARFF subset: @relation, @attribute with numeric/real/integer or
 nominal {a,b,...} types, '%' comments, dense comma-separated @data rows.
@@ -113,45 +113,51 @@ class StreamDataset:
     """A stream with its schema; row position is the time index.
 
     The data are held as columns, one per schema attribute and in schema
-    order, the class included: columns[j] is a read-only numpy array,
-    float64 for a numeric attribute and int32 indices into the value list
-    for a nominal one. StreamDataset(schema, instances, class_index)
-    converts a sequence of Instance to columns once; instances is a view
-    of the columns, built on first access.
+    order: columns[j] is a read-only numpy array, float64 for a numeric
+    attribute and int32 indices into the value list for a nominal one. The
+    class is the last attribute, at class_index = len(schema) - 1, and is
+    nominal. StreamDataset(schema, instances) converts a sequence of
+    Instance to columns once; instances is a view of the columns, built on
+    first access.
     """
 
     def __init__(self, schema: Sequence, instances, class_index: int = -1):
         schema = tuple(schema)
-        cls = _class_position(schema, class_index)
+        if not schema or class_index not in (-1, len(schema) - 1):
+            raise ValueError(f"class index {class_index} is not the last of "
+                             f"{len(schema)} attributes")
         rows = list(instances)
         width = len(schema) - 1
         if any(len(inst.features) != width for inst in rows):
             raise ValueError(f"every instance needs {width} feature values")
         columns = list(zip(*(inst.features for inst in rows))) or [()] * width
-        columns.insert(cls, [inst.label for inst in rows])
-        self._set(schema, list(map(_array, schema, columns)), cls)
+        columns.append([inst.label for inst in rows])
+        self._set(schema, map(_array, schema, columns))
 
     @classmethod
-    def _from_columns(cls, schema: Sequence, columns: list, class_index: int):
+    def _from_columns(cls, schema: Sequence, columns: list):
         """A dataset holding the given arrays, which nothing else may write."""
         ds = cls.__new__(cls)
-        schema = tuple(schema)
-        ds._set(schema, columns, _class_position(schema, class_index))
+        ds._set(tuple(schema), columns)
         return ds
 
-    def _set(self, schema: tuple, columns: list, class_index: int):
+    def _set(self, schema: tuple, columns):
+        """Hold the columns, an iterable read once the class is checked."""
+        if not schema[-1].is_nominal:
+            raise ValueError(
+                f"class attribute {schema[-1].name!r} is not nominal")
+        columns = tuple(columns)
         for attr, col in zip(schema, columns):
             if attr.is_nominal and len(col) and \
                     not 0 <= col.min() <= col.max() < len(attr.values):
                 raise ValueError(
                     f"value index out of range for attribute {attr.name!r}")
             col.flags.writeable = False
-        vars(self).update(schema=schema, columns=tuple(columns),
-                          class_index=class_index)
+        vars(self).update(schema=schema, columns=columns,
+                          class_index=len(schema) - 1)
 
     def __reduce__(self):  # copies and pickles get read-only columns too
-        return StreamDataset._from_columns, (self.schema, list(self.columns),
-                                             self.class_index)
+        return StreamDataset._from_columns, (self.schema, list(self.columns))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to StreamDataset.{name}")
@@ -160,11 +166,10 @@ class StreamDataset:
         if not isinstance(other, StreamDataset):
             return NotImplemented
         return (self.schema == other.schema
-                and self.class_index == other.class_index
                 and all(map(np.array_equal, self.columns, other.columns)))
 
     def __hash__(self):
-        return hash((self.schema, self.class_index, self.n_instances))
+        return hash((self.schema, self.n_instances))
 
     def __repr__(self):
         columns = tuple(col.tolist() for col in self.columns)
@@ -183,7 +188,7 @@ class StreamDataset:
         for start in range(first, stop, BLOCK_LINES):
             end = min(start + BLOCK_LINES, stop)
             columns = [col[start:end].tolist() for col in self.columns]
-            codes = columns.pop(self.class_index)
+            codes = columns.pop()
             yield from zip(zip(*columns) if columns else itertools.repeat(()),
                            codes)
 
@@ -207,10 +212,6 @@ class StreamDataset:
         """Class values in stream order, as the original nominal strings."""
         return np.array(self.class_values, dtype=object).take(
             self.columns[self.class_index]).tolist()
-
-    def feature_schema(self) -> list:
-        """Schema entries excluding the class attribute, in order."""
-        return [a for i, a in enumerate(self.schema) if i != self.class_index]
 
 
 def _utf8(read):
@@ -249,17 +250,6 @@ def _concatenate(parts: list) -> list:
         columns.append(np.concatenate(column))
         column.clear()
     return columns
-
-
-def _class_position(schema: tuple, class_index: int) -> int:
-    """class_index counted from the front; the class must be nominal."""
-    if not -len(schema) <= class_index < len(schema):
-        raise ValueError(f"class index {class_index} out of range for "
-                         f"{len(schema)} attributes")
-    if not schema[class_index].is_nominal:
-        raise ValueError(
-            f"class attribute {schema[class_index].name!r} is not nominal")
-    return class_index % len(schema)
 
 
 def _dtype(attr: AttributeSchema):
@@ -388,16 +378,15 @@ def _convert_block(schema: list, rows: list, line_nos: list,
 
 
 @_utf8
-def parse_arff(source: Union[str, TextIO], class_index: Optional[int] = None
-               ) -> StreamDataset:
+def parse_arff(source: Union[str, TextIO]) -> StreamDataset:
     """Parse a dense-format ARFF text stream into a StreamDataset.
 
-    source may be a file path or an open text stream. The class attribute
-    is the last attribute unless class_index says otherwise. Nominal value
-    matching is case-sensitive, whitespace-trimmed.
+    source may be a file path or an open text stream. The class is the
+    last attribute and must be nominal. Nominal value matching is
+    case-sensitive, whitespace-trimmed.
 
     Errors are raised in this order: the first malformed header or data
-    line (arity, sparse row) in the whole file, then a bad class
+    line (arity, sparse row) in the whole file, then a numeric last
     attribute, then the first value that does not convert.
     """
     lines = iter(source)
@@ -470,8 +459,7 @@ def parse_arff(source: Union[str, TextIO], class_index: Optional[int] = None
     columns = _concatenate(parts) if parts[0] \
         else [np.empty(0, _dtype(attr)) for attr in schema]
     try:  # the class attribute, checked once the structure is
-        ds = StreamDataset._from_columns(
-            schema, columns, m - 1 if class_index is None else class_index)
+        ds = StreamDataset._from_columns(schema, columns)
     except ValueError as exc:
         raise ParseError(str(exc)) from None
     if failure is not None:
@@ -600,8 +588,7 @@ class _CsvColumns:
         schema = [AttributeSchema(name, None if values is None
                                   else tuple(values))
                   for name, values in zip(header, self.values)]
-        return StreamDataset._from_columns(schema, _concatenate(self.parts),
-                                           -1)
+        return StreamDataset._from_columns(schema, _concatenate(self.parts))
 
 
 def _has_blank(block) -> bool:

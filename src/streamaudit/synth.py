@@ -94,7 +94,7 @@ def labels_to_dataset(labels: Sequence[int]) -> stream_io.StreamDataset:
     )
     codes = np.array(labels, dtype=np.int32)
     return stream_io.StreamDataset._from_columns(
-        schema, [np.ones(len(codes)), codes], 1)
+        schema, [np.ones(len(codes)), codes])
 
 
 def labels_to_arff(labels: Sequence[int]) -> str:

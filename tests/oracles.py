@@ -121,7 +121,7 @@ class OracleNaiveBayes(Classifier):
     VARIANCE_FLOOR = 1e-9
 
     def __init__(self, ds):
-        self._features = ds.feature_schema()
+        self._features = ds.schema[:-1]
         self._classes = ds.class_values
         self.reset()
 

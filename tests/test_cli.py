@@ -2,6 +2,7 @@ import csv
 import hashlib
 import io
 import json
+import re
 
 import pytest
 from conftest import run
@@ -80,6 +81,19 @@ def test_counts_below_1_usage_error_before_input(synth_csv, capsys, argv,
     code, out, err = run(capsys, argv + ["--input", path])
     assert code == 1 and out == ""
     assert err.startswith("usage error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("n", ["0", "-3"])
+@pytest.mark.parametrize("model", [["markov", "--acf1", "0.5"], ["iid"]],
+                         ids=["markov", "iid"])
+def test_synth_n_below_1_usage_error_writes_nothing(tmp_path, capsys, model,
+                                                    n):
+    out = tmp_path / "x.csv"
+    code, stdout, err = run(capsys, ["synth", model[0], "--n", n,
+                                     "--prior", "0.5", *model[1:],
+                                     "--out", str(out)])
+    assert (code, stdout) == (1, "") and not out.exists()
+    assert re.fullmatch(r"usage error: [^\n]*\n", err)
 
 
 def test_unknown_learner_exit_1(synth_csv, capsys):

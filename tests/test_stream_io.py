@@ -82,24 +82,6 @@ def test_string_attribute_rejected():
         arff(bad)
 
 
-def test_class_attribute_override():
-    text = "@relation r\n@attribute cls {A,B}\n@attribute x numeric\n@data\nA,1\nB,2\n"
-    ds = parse_arff(io.StringIO(text), class_index=0)
-    assert ds.labels() == ["A", "B"]
-    assert [i.features for i in ds.instances] == [(1.0,), (2.0,)]
-
-
-@pytest.mark.parametrize("k", [2, 3, -3, -4])
-def test_class_index_out_of_range(k):
-    # ParseError naming k and the attribute count, raised after the
-    # structure scan like the non-nominal-class error
-    text = "@relation r\n@attribute x numeric\n@attribute cls {A,B}\n@data\n"
-    with pytest.raises(ParseError, match=rf"class index {k} .* 2 attributes"):
-        parse_arff(io.StringIO(text + "1,A\n"), class_index=k)
-    with pytest.raises(ParseError, match="line 6: row has 1 values"):
-        parse_arff(io.StringIO(text + "1,A\n2\n"), class_index=k)
-
-
 @pytest.mark.parametrize("end", ["\r\n", "\r"], ids=["crlf", "cr"])
 def test_arff_paths_with_crlf_or_cr_line_ends_parse_as_lf(tmp_path, end):
     # a path is opened with newline="", as every text source is; every
@@ -321,7 +303,7 @@ def oracle_attr_value(attr, token, line_no):
         ) from None
 
 
-def oracle_parse_arff(source, class_index=None):
+def oracle_parse_arff(source):
     schema = []
     instances = []
     in_data = False
@@ -358,17 +340,16 @@ def oracle_parse_arff(source, class_index=None):
     if not in_data:
         raise ParseError("no @data section found")
 
-    cls = class_index if class_index is not None else len(schema) - 1
-    if not schema[cls].is_nominal:
-        raise ParseError(f"class attribute {schema[cls].name!r} is not nominal")
+    if not schema[-1].is_nominal:
+        raise ParseError(f"class attribute {schema[-1].name!r} is not nominal")
 
     parsed = []
     for line_no, tokens in instances:
         values = [oracle_attr_value(a, t, line_no)
                   for a, t in zip(schema, tokens)]
-        label = values.pop(cls)
+        label = values.pop()
         parsed.append(Instance(tuple(values), label))
-    return StreamDataset(tuple(schema), tuple(parsed), cls)
+    return StreamDataset(tuple(schema), tuple(parsed))
 
 
 def oracle_infer_column(values):
@@ -458,17 +439,17 @@ def oracle_to_arff(ds, relation="stream"):
     out.write("@data\n")
     for inst in ds.instances:
         row = list(inst.features)
-        row.insert(ds.class_index, inst.label)
+        row.append(inst.label)
         out.write(",".join(oracle_format_value(a, v)
                            for a, v in zip(ds.schema, row)) + "\n")
     return out.getvalue()
 
 
-def outcome(parse, text, **kwargs):
+def outcome(parse, text):
     """The parsed dataset's repr (exact for nan and -0.0, unlike ==), or
     the error's class, line and message."""
     try:
-        return repr(parse(io.StringIO(text), **kwargs))
+        return repr(parse(io.StringIO(text)))
     except (ParseError, UnsupportedFeature) as exc:
         return type(exc), exc.line, str(exc)
 
@@ -481,13 +462,11 @@ NOMINALS = ("A", "B", "c d", "e")
 
 @st.composite
 def arff_schemas(draw):
-    kinds = draw(st.lists(st.booleans(), min_size=1, max_size=4))
-    cls = draw(st.integers(0, len(kinds)))
-    kinds.insert(cls, True)
-    schema = [AttributeSchema(f"a{i}", NOMINALS[:draw(st.integers(1, 4))]
-                              if nominal else None)
-              for i, nominal in enumerate(kinds)]
-    return schema, cls
+    """A schema of one to four features and a nominal class, last."""
+    kinds = draw(st.lists(st.booleans(), min_size=1, max_size=4)) + [True]
+    return [AttributeSchema(f"a{i}", NOMINALS[:draw(st.integers(1, 4))]
+                            if nominal else None)
+            for i, nominal in enumerate(kinds)]
 
 
 def _good_token(draw, attr):
@@ -537,17 +516,16 @@ def arff_text(schema, lines, newline="\n"):
 @given(st.data(), st.integers(1, 5), st.sampled_from(["\n", "\r\n"]))
 @settings(max_examples=300, deadline=None)
 def test_parse_arff_matches_row_oracle(data, block, newline):
-    schema, cls = data.draw(arff_schemas())
+    schema = data.draw(arff_schemas())
+    if data.draw(st.integers(0, 3)) == 0:
+        # without its class the schema ends in any feature; a numeric one
+        # is an error
+        schema = schema[:-1]
     lines = data.draw(st.lists(arff_lines(schema), max_size=12))
     text = arff_text(schema, lines, newline)
-    # the nominal class, the default (last) attribute or any attribute,
-    # counted from either end; a numeric class is an error
-    class_index = data.draw(st.one_of(
-        st.just(cls), st.none(), st.integers(-len(schema), len(schema) - 1)))
-    kwargs = {} if class_index is None else {"class_index": class_index}
     with mock.patch.object(stream_io, "BLOCK_LINES", block):
-        fast = outcome(parse_arff, text, **kwargs)
-    assert fast == outcome(oracle_parse_arff, text, **kwargs)
+        fast = outcome(parse_arff, text)
+    assert fast == outcome(oracle_parse_arff, text)
 
 
 @given(st.data(), st.integers(stream_io.BLOCK_LINES + 1,
@@ -557,7 +535,7 @@ def test_parse_arff_matches_row_oracle(data, block, newline):
 def test_parse_arff_error_in_a_later_block(data, at, clean_before):
     """Faults placed after row 4,096 land in a later block; a conversion
     fault before them must not hide a structural fault after them."""
-    schema, cls = data.draw(arff_schemas())
+    schema = data.draw(arff_schemas())
     pattern = data.draw(st.lists(arff_lines(schema, faults=False),
                                  min_size=1, max_size=8))
     lines = (pattern * (at // len(pattern) + 2))[:at + 50]
@@ -566,8 +544,7 @@ def test_parse_arff_error_in_a_later_block(data, at, clean_before):
             data.draw(arff_lines(schema))
     lines[at] = data.draw(arff_lines(schema))
     text = arff_text(schema, lines)
-    fast = outcome(parse_arff, text, class_index=cls)
-    assert fast == outcome(oracle_parse_arff, text, class_index=cls)
+    assert outcome(parse_arff, text) == outcome(oracle_parse_arff, text)
 
 
 # every header fault parse_arff names: the text, the line it names (None
@@ -667,17 +644,16 @@ def mixed_datasets(draw):
     schema = [AttributeSchema(f"f{i}", tuple(draw(st.lists(
         words, min_size=1, max_size=4, unique=True))) if nominal else None)
         for i, nominal in enumerate(kinds)]
-    cls = draw(st.integers(0, len(schema)))
-    schema.insert(cls, AttributeSchema("class", tuple(draw(st.lists(
+    schema.append(AttributeSchema("class", tuple(draw(st.lists(
         words, min_size=1, max_size=3, unique=True)))))
     numbers = st.one_of(st.floats(allow_nan=False), st.integers(-9, 9))
     instances = []
     for _ in range(draw(st.integers(0, 12))):
         row = [draw(st.integers(0, len(a.values) - 1)) if a.is_nominal
                else draw(numbers) for a in schema]
-        label = row.pop(cls)
+        label = row.pop()
         instances.append(Instance(tuple(row), label))
-    return StreamDataset(tuple(schema), tuple(instances), cls)
+    return StreamDataset(tuple(schema), tuple(instances))
 
 
 @given(mixed_datasets(), st.integers(1, 5))
@@ -1155,23 +1131,22 @@ def test_split_csv_blocks_hold_one_copy_of_their_text(text):
 
 @st.composite
 def instance_rows(draw):
-    """(schema, instances, class index): numeric features drawn as floats
-    or ints, nominal features and the class as value indices."""
+    """(schema, instances): numeric features drawn as floats or ints,
+    nominal features and the class (last) as value indices."""
     kinds = draw(st.lists(st.booleans(), max_size=3))
     words = st.text(alphabet="abXY01 ,'", min_size=1, max_size=3)
     schema = [AttributeSchema(f"f{i}", tuple(draw(st.lists(
         words, min_size=1, max_size=3, unique=True))) if nominal else None)
         for i, nominal in enumerate(kinds)]
-    cls = draw(st.integers(0, len(schema)))
-    schema.insert(cls, AttributeSchema("class", ("A", "B", "c d")))
+    schema.append(AttributeSchema("class", ("A", "B", "c d")))
     numbers = st.one_of(st.floats(allow_nan=False), st.integers(-9, 9))
     instances = []
     for _ in range(draw(st.integers(0, 12))):
         row = [draw(st.integers(0, len(a.values) - 1)) if a.is_nominal
                else draw(numbers) for a in schema]
-        label = row.pop(cls)
+        label = row.pop()
         instances.append(Instance(tuple(row), label))
-    return tuple(schema), instances, cls
+    return tuple(schema), instances
 
 
 class Recorder(Classifier):
@@ -1190,12 +1165,12 @@ class Recorder(Classifier):
 @given(instance_rows(), st.integers(1, 5))
 @settings(max_examples=200, deadline=None)
 def test_dataset_from_instances_equals_its_parsed_arff(rows, block):
-    schema, instances, cls = rows
+    schema, instances = rows
     with mock.patch.object(stream_io, "BLOCK_LINES", block):
-        ds = StreamDataset(schema, instances, cls)
-        again = parse_arff(io.StringIO(to_arff(ds)), class_index=cls)
+        ds = StreamDataset(schema, instances)
+        again = parse_arff(io.StringIO(to_arff(ds)))
         assert again == ds and repr(again) == repr(ds)
-        types = [int if a.is_nominal else float for a in ds.feature_schema()]
+        types = [int if a.is_nominal else float for a in ds.schema[:-1]]
         for view in (ds.instances, again.instances):
             assert view == tuple(instances)
             for inst in view:
@@ -1275,20 +1250,35 @@ def test_attribute_schema_holds_the_nominal_value_rule(values, message):
 
 
 @pytest.mark.parametrize("class_index, message", [
-    (2, "class index 2 out of range for 2 attributes"),
-    (-3, "class index -3 out of range for 2 attributes"),
     (0, "class attribute 'x' is not nominal"),
 ])
 def test_a_bad_class_index_is_refused_as_parse_arff_refuses_it(class_index,
                                                                message):
-    schema = (AttributeSchema("x", None), AttributeSchema("cls", ("A", "B")))
+    # a class put before the last attribute leaves a numeric one last
+    schema = [AttributeSchema("x", None)]
+    schema.insert(class_index, AttributeSchema("cls", ("A", "B")))
     with pytest.raises(ValueError) as err:
-        StreamDataset(schema, [Instance((1.0,), 0)], class_index)
+        StreamDataset(schema, [Instance((0,), 1.0)])
     assert str(err.value) == message
+    header = "@relation r\n@attribute cls {A,B}\n@attribute x numeric\n@data\n"
     with pytest.raises(ParseError) as err:
-        parse_arff(io.StringIO(to_arff(StreamDataset(
-            schema, [Instance((1.0,), 0)]))), class_index=class_index)
+        arff(header + "A,1\n")
     assert str(err.value) == message and err.value.line is None
+    # raised only once the whole structure is checked
+    with pytest.raises(ParseError, match="^line 6: row has 1 values"):
+        arff(header + "A,1\nB\n")
+
+
+@pytest.mark.parametrize("class_index", [0, -2, 2, 3])
+def test_a_class_index_other_than_the_last_attribute_is_refused(class_index):
+    schema = (AttributeSchema("x", None), AttributeSchema("cls", ("A", "B")))
+    rows = [Instance((1.0,), 0)]
+    with pytest.raises(ValueError) as err:
+        StreamDataset(schema, rows, class_index)
+    assert str(err.value) == \
+        f"class index {class_index} is not the last of 2 attributes"
+    assert StreamDataset(schema, rows, -1) == StreamDataset(schema, rows, 1)
+    assert StreamDataset(schema, rows).class_index == 1
 
 
 def test_instance_codes_must_index_the_value_list():
@@ -1498,3 +1488,40 @@ def test_a_written_log_reads_back(tmp_path_factory, log):
     path.write_bytes(text.encode("utf-8"))
     assert read_prediction_log(str(path)) == log
     assert read_prediction_log(io.StringIO(text)) == log
+
+
+# any text but lone surrogates, with the characters that ARFF quoting and
+# the line readers treat apart drawn often; '\x1c' and '\x85' are
+# whitespace to str.strip() but no line end to a file's lines
+ARFF_TEXT = st.one_of(
+    st.text(st.characters(blacklist_categories=("Cs",)), max_size=4),
+    st.lists(st.sampled_from(["\r", "\n", "\0", "\ufeff", "#", "%", "?", "{",
+                              "'", '"', "\\", ",", " ", "\x1c", "\x85", "A"]),
+             max_size=4).map("".join))
+
+
+@st.composite
+def text_datasets(draw):
+    """A dataset whose attribute names and nominal values are ARFF_TEXT:
+    up to three numeric or nominal features, then the nominal class."""
+    values = st.lists(ARFF_TEXT.filter(bool), min_size=1, max_size=3,
+                      unique=True).map(tuple)
+    schema = [AttributeSchema(draw(ARFF_TEXT), draw(values) if nominal
+                              else None)
+              for nominal in draw(st.lists(st.booleans(), max_size=3))
+              + [True]]
+    rows = [[draw(st.integers(0, len(a.values) - 1)) if a.is_nominal
+             else draw(st.floats(allow_nan=False)) for a in schema]
+            for _ in range(draw(st.integers(0, 5)))]
+    return StreamDataset(schema, [Instance(tuple(row[:-1]), row[-1])
+                                  for row in rows])
+
+
+@given(text_datasets(), ARFF_TEXT)
+@settings(max_examples=200, deadline=None)
+def test_a_written_arff_reads_back(tmp_path_factory, ds, relation):
+    text = to_arff(ds, relation)
+    path = tmp_path_factory.getbasetemp() / "round-trip.arff"
+    path.write_bytes(text.encode("utf-8"))
+    for again in (parse_arff(str(path)), parse_arff(io.StringIO(text))):
+        assert again == ds and repr(again) == repr(ds)
