@@ -99,14 +99,16 @@ class SweepResult:
 
 class _CodedStream:
     """A label stream as int32 codes in first-occurrence order (the
-    diagnostics' encoding) plus the key tables the restart kernel reads,
-    built once per stream and shared by every sweep cell.
+    diagnostics' encoding) plus the one key table the restart kernel
+    reads, built once per stream and shared by every sweep cell.
 
     A key is count << s | last-seen index, s = n.bit_length(), so its
     maximum is the lexicographic one; it fits in 63 bits, as n < 2**31.
-    hi[c, t] is class c's count in labels[0:t] << s, base[c, t - 1] is
-    hi[c, t] + the last index before t that holds c, or 0: a class with
-    no label in the window has count 0 and never wins.
+    keys[c, t] is class c's count in labels[0:t] << s | the last index
+    before t that holds c, or 0: a class with no label in the window has
+    count 0 and never wins. As every index is below 2**s, keys[c, t] &
+    ~low is the count alone, so one (k, n) table, 8·k·n bytes, serves
+    both ends of a window.
     """
 
     def __init__(self, labels: Sequence):
@@ -114,12 +116,11 @@ class _CodedStream:
         n, k = len(self.codes), len(self.classes)
         self.low = (1 << n.bit_length()) - 1
         seen = self.codes[:-1] == np.arange(k, dtype=np.int32)[:, None]
-        self.hi = np.zeros((k, n), np.int64)
-        np.cumsum(seen, axis=1, dtype=np.int64, out=self.hi[:, 1:])
-        self.hi <<= n.bit_length()
+        self.keys = np.zeros((k, n), np.int64)
+        np.cumsum(seen, axis=1, dtype=np.int64, out=self.keys[:, 1:])
+        self.keys <<= n.bit_length()
         last = np.where(seen, np.arange(n - 1, dtype=np.int64), 0)
-        self.base = np.maximum.accumulate(last, axis=1, out=last)
-        self.base += self.hi[:, 1:]
+        self.keys[:, 1:] += np.maximum.accumulate(last, axis=1, out=last)
 
     def starts(self, policy: RestartPolicy):
         """The window starts of one seeded run (None: no restarts). The
@@ -145,11 +146,13 @@ class _CodedStream:
         """
         best = np.zeros(len(self.codes) - 1, np.int64)
         key = np.empty_like(best)
-        for hi, base in zip(self.hi, self.base):
+        for keys in self.keys:
+            top = keys[1:]
             if start is not None:
-                base = np.subtract(base, hi.take(start, out=key, mode="clip"),
-                                   out=key)
-            np.maximum(best, base, out=best)
+                before = keys.take(start, out=key, mode="clip")
+                before &= ~self.low  # the count before the window
+                top = np.subtract(top, before, out=key)
+            np.maximum(best, top, out=best)
         best &= self.low
         return self.codes.take(best)
 

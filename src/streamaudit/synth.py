@@ -22,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from . import stream_io
-from .errors import InvalidModel
+from .errors import EmptyStream, InvalidModel
 from .rng import bernoullis, uniforms
 
 LABEL_VALUES = ("0", "1")  # nominal class names used in exported files
@@ -78,9 +78,14 @@ def gen_iid_labels(p: float, n: int, seed: int = 42) -> list:
 
 
 def labels_to_csv(labels: Sequence[int], seed=None) -> str:
-    """Single-column CSV with a 'label' header, re-ingestible by parse_csv."""
+    """Single-column CSV with a 'label' header, re-ingestible by parse_csv.
+    It refuses what labels_to_arff refuses, and zero labels, since
+    parse_csv refuses a CSV with no data row."""
+    labels = labels_to_dataset(labels).labels()
+    if not labels:
+        raise EmptyStream("a labels CSV needs at least one label")
     return stream_io.write_csv(
-        ("label",), zip(map(LABEL_VALUES.__getitem__, labels)),
+        ("label",), zip(labels),
         comment=None if seed is None else f"seed={seed}")
 
 
@@ -93,6 +98,8 @@ def labels_to_dataset(labels: Sequence[int]) -> stream_io.StreamDataset:
         stream_io.AttributeSchema("label", LABEL_VALUES),
     )
     codes = np.array(labels, dtype=np.int32)
+    if not np.array_equal(codes, labels):  # 0.7, "1" or 2**32 cast to a code
+        raise ValueError("labels must be the integers 0 and 1")
     return stream_io.StreamDataset._from_columns(
         schema, [np.ones(len(codes)), codes])
 

@@ -6,6 +6,7 @@ import math
 import operator
 import random
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -311,6 +312,65 @@ def test_kernel_with_explicit_starts_matches_oracle(data):
     assert trace(np.array(start, dtype=np.int32)) == expected
     if not any(restarts):
         assert trace(None) == expected
+
+
+def linear_majority_trace(labels):
+    """Incremental majority in one pass: running counts and last-seen
+    indices, the top (count, last seen) pair predicting the next label."""
+    counts, last, preds = {}, {}, [labels[0]]
+    for t, label in enumerate(labels[:-1]):
+        counts[label] = counts.get(label, 0) + 1
+        last[label] = t
+        preds.append(max(counts, key=lambda c: (counts[c], last[c])))
+    return preds
+
+
+def width_streams(j, seed):
+    # s = n.bit_length() steps up at n = 2**j, so the key's index field
+    # widens there; constant, alternating and random labels put a count
+    # at each bit the mask must keep
+    rng = random.Random(seed)
+    for n in (2**j - 1, 2**j, 2**j + 1):
+        yield ["A"] * n
+        yield ["AB"[t % 2] for t in range(n)]
+        yield [rng.choice("ABC") for _ in range(n)]
+
+
+@pytest.mark.parametrize("j", range(1, 7))
+def test_kernel_matches_oracle_where_the_key_widens(j):
+    for labels in width_streams(j, j):
+        assert random_restart_trace(labels, RestartPolicy(0.0)) == \
+            oracle_majority_trace(labels, labels[0])
+        for rho in (0.5, 1.0):
+            assert random_restart_trace(labels, RestartPolicy(rho, j)) == \
+                oracle_restart_trace(labels, rho, j, labels[0])
+
+
+def test_kernel_at_two_to_the_16_matches_the_oracles():
+    for n in (2**16 - 1, 2**16, 2**16 + 1):
+        labels = sticky_stream(n, "ABC", 0.8, n)
+        assert random_restart_trace(labels, RestartPolicy(0.5, n)) == \
+            oracle_restart_trace(labels, 0.5, n, labels[0])
+        assert random_restart_trace(labels, RestartPolicy(1.0, n)) == \
+            labels[:1] + labels[:-1]
+        assert random_restart_run(labels, RestartPolicy(1.0, n)) == \
+            persistence_accuracy(labels)
+        assert random_restart_trace(labels, RestartPolicy(0.0)) == \
+            linear_majority_trace(labels)
+
+
+def test_kernel_retains_one_key_table():
+    # 8 bytes per class and label for the keys, 4 per label for the codes
+    labels = sticky_stream(45312, "ABC", 0.97, 7)
+    tracemalloc.start()
+    try:
+        stream = _CodedStream(labels)
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    k, n = len(stream.classes), len(labels)
+    assert k == 3
+    assert retained <= 8 * k * n + 4 * n + 64 * 1024
 
 
 # ---------------------------------------------------------------------------

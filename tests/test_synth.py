@@ -3,11 +3,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from oracles import SplitMix64
 
-from streamaudit import (InvalidModel, MarkovLabelModel, autocorrelation,
-                         gen_iid_labels, gen_markov_labels, labels_to_arff,
-                         labels_to_csv, parse_arff, parse_csv,
+from streamaudit import (EmptyStream, InvalidModel, MarkovLabelModel,
+                         autocorrelation, gen_iid_labels, gen_markov_labels,
+                         labels_to_arff, labels_to_csv, parse_arff, parse_csv,
                          persistence_accuracy)
 from streamaudit.rng import bernoullis, derive_seed, uniforms
 
@@ -138,3 +140,54 @@ def test_arff_round_trip():
     ds = parse_arff(io.StringIO(labels_to_arff(labels)))
     assert [int(v) for v in ds.labels()] == labels
     assert ds.n_features == 1
+
+
+OUT_OF_RANGE = "value index out of range for attribute 'label'"
+
+
+def test_labels_to_csv_refuses_what_labels_to_arff_refuses():
+    for labels in ([-1], [0, 2], [1, 0, -1]):
+        for write in (labels_to_arff, labels_to_csv):
+            with pytest.raises(ValueError, match=f"^{OUT_OF_RANGE}$"):
+                write(labels)
+    for labels in ([0.7], [1, 0.5], ["1"], np.array([2**32, 1])):
+        for write in (labels_to_arff, labels_to_csv):
+            with pytest.raises(ValueError,
+                               match="^labels must be the integers 0 and 1$"):
+                write(labels)
+    assert labels_to_csv([1.0, False]) == "label\n1\n0\n"
+    # parse_csv refuses the header-only CSV this would write
+    with pytest.raises(EmptyStream,
+                       match="^a labels CSV needs at least one label$"):
+        labels_to_csv([])
+
+
+written_labels = st.lists(st.integers(-2, 3), max_size=30)
+maybe_seeds = st.none() | st.integers(-2**70, 2**70)
+
+
+@given(written_labels, maybe_seeds)
+@settings(max_examples=200, deadline=None)
+def test_a_written_labels_csv_reads_back(labels, seed):
+    try:
+        text = labels_to_csv(labels, seed=seed)
+    except EmptyStream:
+        assert labels == []
+        return
+    except ValueError as exc:
+        assert str(exc) == OUT_OF_RANGE and not set(labels) <= {0, 1}
+        return
+    assert parse_csv(io.StringIO(text)).labels() == list(map(str, labels))
+
+
+@given(written_labels, maybe_seeds)
+@settings(max_examples=200, deadline=None)
+def test_a_written_labels_arff_reads_back(labels, seed):
+    try:
+        text = labels_to_arff(labels)
+    except ValueError as exc:
+        assert str(exc) == OUT_OF_RANGE and not set(labels) <= {0, 1}
+        return
+    if seed is not None:  # the comment synth --out x.arff puts first
+        text = f"% seed={seed}\n" + text
+    assert parse_arff(io.StringIO(text)).labels() == list(map(str, labels))
