@@ -119,8 +119,10 @@ class _CodedStream:
         self.keys = np.zeros((k, n), np.int64)
         np.cumsum(seen, axis=1, dtype=np.int64, out=self.keys[:, 1:])
         self.keys <<= n.bit_length()
-        last = np.where(seen, np.arange(n - 1, dtype=np.int64), 0)
-        self.keys[:, 1:] += np.maximum.accumulate(last, axis=1, out=last)
+        index = np.arange(n - 1, dtype=np.int32)
+        for keys, hit in zip(self.keys[:, 1:], seen):  # one row at a time
+            last = np.where(hit, index, 0)
+            keys += np.maximum.accumulate(last, out=last)
 
     def starts(self, policy: RestartPolicy):
         """The window starts of one seeded run (None: no restarts). The
@@ -129,7 +131,7 @@ class _CodedStream:
         label is re-inserted), or at 0."""
         if policy.rho == 0.0:
             return None
-        start = np.arange(len(self.codes) - 1, dtype=np.int32)
+        start = np.arange(len(self.codes) - 1, dtype=np.intp)  # take's type
         if policy.rho < 1.0:
             start *= bernoullis(policy.seed, len(start), policy.rho)
             np.maximum.accumulate(start, out=start)
@@ -144,15 +146,17 @@ class _CodedStream:
         never empty, so a class tied at the top count was last seen at or
         after its start, and no two classes share a last-seen index.
         """
-        best = np.zeros(len(self.codes) - 1, np.int64)
-        key = np.empty_like(best)
+        best = key = None
         for keys in self.keys:
             top = keys[1:]
             if start is not None:
-                before = keys.take(start, out=key, mode="clip")
-                before &= ~self.low  # the count before the window
-                top = np.subtract(top, before, out=key)
-            np.maximum(best, top, out=best)
+                key = keys.take(start, out=key, mode="clip")
+                key &= ~self.low  # the count before the window
+                top = np.subtract(top, key, out=key)
+            if best is None:  # the first class's keys, in a buffer of its own
+                best, key = (top.copy() if start is None else top), None
+            else:
+                np.maximum(best, top, out=best)
         best &= self.low
         return self.codes.take(best)
 
@@ -190,13 +194,15 @@ def rho_sweep(labels: Sequence, config: SweepConfig) -> SweepResult:
 
     Each cell gets an independent seed derived from (master_seed, rho
     index, repetition index), so the sweep is reproducible and cells are
-    order-independent.
+    order-independent. rho = 0 and rho = 1 draw nothing, so their first
+    run's accuracy serves every repetition.
     """
     stream = _CodedStream(labels)
     rows = []
     for i, rho in enumerate(config.rho_grid):
         for rep in range(config.repetitions):
-            policy = RestartPolicy(rho, derive_seed(config.master_seed, i, rep))
-            start = stream.starts(policy)
-            rows.append((rho, rep, stream.accuracy(start)))
+            if rep == 0 or 0.0 < rho < 1.0:
+                seed = derive_seed(config.master_seed, i, rep)
+                acc = stream.accuracy(stream.starts(RestartPolicy(rho, seed)))
+            rows.append((rho, rep, acc))
     return SweepResult(tuple(rows), config)

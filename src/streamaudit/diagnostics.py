@@ -144,7 +144,15 @@ def label_distribution(labels: Sequence) -> LabelDistribution:
 
 
 def independence_bar(dist: LabelDistribution) -> float:
-    """Sum of squared priors: persistence accuracy expected on iid labels."""
+    """Sum of squared priors: persistence accuracy expected on iid labels.
+
+    It is also, exactly, the persistence accuracy expected over uniform
+    shuffles of the stream, the first label predicting itself: each of the
+    n - 1 neighbour pairs is equal with probability
+    sum_c S_c (S_c - 1) / (n (n - 1)), so the expected accuracy is
+    (1 + sum_c S_c (S_c - 1) / n) / n = sum_c (S_c / n)^2 for class
+    counts S_c.
+    """
     return math.fsum(f * f for f in dist.frequencies.values())
 
 

@@ -475,9 +475,8 @@ def _csv_blocks(source):
     docstring), a record is a line without its line end (split is True);
     from the first block that does, csv.reader reads the rest and a record
     is its list of cells."""
-    def kept(records, first_cell):
-        nos = [no for no, rec in enumerate(records, start)
-               if rec and not first_cell(rec).lstrip().startswith("#")]
+    def kept(records, keep):
+        nos = [no for no, rec in enumerate(records, start) if keep(rec)]
         return nos, [records[no - start] for no in nos]
 
     lines = iter(source)
@@ -494,7 +493,7 @@ def _csv_blocks(source):
             break
         filtered = "" in records or "#" in text
         del block, text  # the records are the block's one copy as it yields
-        yield (*kept(records, lambda line: line), True) if filtered \
+        yield (*kept(records, _data_line), True) if filtered \
             else (range(start, start + len(records)), records, True)
         start += len(records)
     reader = _csv_records(itertools.chain(block, lines), start)
@@ -502,17 +501,32 @@ def _csv_blocks(source):
         records = list(itertools.islice(reader, BLOCK_LINES))
         if not records:
             return
-        yield (*kept(records, operator.itemgetter(0)), False)
+        yield (*kept(records, bool), False)
         start += len(records)
 
 
+def _data_line(line: str) -> bool:
+    """Whether a CSV record's first line holds data: it is not blank and
+    its first non-blank character is not an unquoted '#' (a comment)."""
+    return bool(line) and not line.lstrip().startswith("#")
+
+
 def _csv_records(lines, first: int):
-    """csv.reader's records of the lines, numbered from first; its errors
+    """csv.reader's records of the lines, numbered from first, a comment
+    (decided on the record's first raw line) as a blank record; its errors
     are raised as ParseError naming the record."""
+    read = []  # the raw lines of the record being read
+
+    def source():
+        for line in lines:
+            read.append(line)
+            yield line
+
     no = first - 1
     try:
-        for no, record in enumerate(csv.reader(lines), first):
-            yield record
+        for no, record in enumerate(csv.reader(source()), first):
+            yield record if _data_line(read[0]) else []
+            read.clear()
     except csv.Error as exc:
         raise ParseError(str(exc), line=no + 1) from None
 
@@ -615,8 +629,9 @@ def parse_csv(source: Union[str, TextIO]) -> StreamDataset:
     The first record is the header. The class is the last column and is
     always nominal, value order by first occurrence. Other columns are
     numeric when every value parses as a number, else nominal. Cells are
-    whitespace-trimmed; blank records and records whose first cell starts
-    with '#' are skipped.
+    whitespace-trimmed; blank records and comments, records whose first
+    line starts with an unquoted '#' after any blanks, are skipped, so a
+    quoted '"#1"' is data.
 
     The source is read and converted BLOCK_LINES records at a time, split
     at commas until a block holds a '"' and read by csv.reader from there
@@ -789,8 +804,9 @@ def to_arff(ds: StreamDataset, relation: str = "stream") -> str:
 def write_csv(header: Sequence, rows, comment: Optional[str] = None) -> str:
     """CSV text with '\\n' line ends: an optional '# comment' line (which
     parse_csv skips), the header, then the rows. Cells holding a comma, a
-    double quote or a line break ('\\n' or '\\r') are quoted; floats are
-    written by repr.
+    double quote or a line break ('\\n' or '\\r') are quoted, and so is a
+    record's first cell whose first non-blank character is '#', which
+    parse_csv would take for a comment; floats are written by repr.
     """
     out = io.StringIO()
     if comment is not None:
@@ -800,16 +816,19 @@ def write_csv(header: Sequence, rows, comment: Optional[str] = None) -> str:
     writer.writerow(header)
     writer.writerows(rows)
     text = out.getvalue()
-    if "\r" in text:  # rare: only rows holding a '\r' change
-        text = text[:start] + _CR_CELL.sub(_quote_cell, text[start:])
+    if text.find("\r", start) >= 0 or text.find("#", start) >= 0:  # rare
+        text = text[:start] + _UNSAFE_CELL.sub(_quote_cell, text[start:])
     return text
 
 
 # csv.writer quotes a cell that holds its line terminator, '\n', but can
-# leave one holding a bare '\r' unquoted, which every reader takes for a
-# line end. Each quoted cell matches whole, so a match that does not start
-# with '"' is such a cell; it holds no '"' to double.
-_CR_CELL = re.compile(r'"[^"]*(?:""[^"]*)*"|[^,"\n]*\r[^,"\n]*')
+# leave unquoted one holding a bare '\r', which every reader takes for a
+# line end, and a record's first cell starting with '#' after blanks,
+# which parse_csv takes for a comment. Each quoted cell matches whole, so a
+# match that does not start with '"' is such a cell; it holds no '"' to
+# double.
+_UNSAFE_CELL = re.compile(r'"[^"]*(?:""[^"]*)*"|[^,"\n]*\r[^,"\n]*'
+                          r'|^[^\S\n]*#[^,"\n]*', re.MULTILINE)
 
 
 def _quote_cell(match) -> str:

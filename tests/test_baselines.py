@@ -373,6 +373,50 @@ def test_kernel_retains_one_key_table():
     assert retained <= 8 * k * n + 4 * n + 64 * 1024
 
 
+def traced_peak(run):
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_kernel_runs_make_no_zero_fill_or_index_copy():
+    # a binary stream: its build holds the codes, the (2, n) bool class
+    # masks, the table, its cumsum's int64 copy of the masks and, one class
+    # at a time, an int32 index and last-seen row; a rho = 0 run holds one
+    # int64 running best and the predicted codes; a run with window starts
+    # one more int64 buffer, as the starts are already take's index type
+    labels = markov_08()
+    n = len(labels)
+    slack = 64 * 1024
+    assert traced_peak(lambda: _CodedStream(labels)) <= 38 * n + slack
+    stream = _CodedStream(labels)
+    assert len(stream.classes) == 2
+    assert traced_peak(stream.accuracy) <= 12 * n + slack
+    start = stream.starts(RestartPolicy(0.5, 7))
+    assert start.dtype == np.intp
+    assert traced_peak(lambda: stream.accuracy(start)) <= 20 * n + slack
+
+
+def test_sweep_runs_each_draw_free_rho_once(monkeypatch):
+    # rho = 0 and rho = 1 draw nothing, so 9 x 10 + 2 kernel runs
+    calls = []
+    predict = _CodedStream.predict
+
+    def counted(self, start=None):
+        calls.append(start)
+        return predict(self, start)
+
+    monkeypatch.setattr(_CodedStream, "predict", counted)
+    labels = sticky_stream(2000, "ABC", 0.8, 7)
+    result = rho_sweep(labels, SweepConfig(GRID, 10, master_seed=42))
+    assert len(calls) == 92 and len(result.rows) == 110
+    assert result.accuracies(0.0) == [majority_baseline(labels)] * 10
+    assert result.accuracies(1.0) == [persistence_accuracy(labels)] * 10
+
+
 # ---------------------------------------------------------------------------
 # exact expected accuracy of the restart classifier on iid labels (used again
 # by acceptance criterion 6)
@@ -464,6 +508,86 @@ def test_iid_expectation_at_rho1_is_persistence(n):
         bar = p**2 + (1 - p)**2
         assert iid_expected_accuracy(p, n, 1.0) == \
             pytest.approx((1 + (n - 1) * bar) / n, rel=0, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# exact expected accuracy of the restart classifier on the stream at hand,
+# from one window-length hit profile
+
+def window_hits(stream, max_window):
+    """H[L] for L = 1 .. max_window: the kernel's hits when the window for
+    t holds the last L labels, labels[max(0, t - L):t]. H[0] is unused."""
+    n = len(stream.codes)
+    t = np.arange(1, n, dtype=np.intp)
+    hits = [0]
+    for length in range(1, max_window + 1):
+        start = np.maximum(t - length, 0)
+        hits.append(int(np.count_nonzero(stream.predict(start)
+                                         == stream.codes[1:])))
+    return hits
+
+
+def exact_accuracy(hits, n, rho):
+    """The restart classifier's expected accuracy from window_hits: the
+    window for t has length L < t with probability rho (1 - rho)^(L - 1)
+    and is the whole history with probability (1 - rho)^(t - 1), so
+
+        n E(rho) = 1 + rho sum_{L < Lmax} (1 - rho)^(L - 1) H_L
+                     + (1 - rho)^(Lmax - 1) H_Lmax,
+
+    exact once Lmax >= n - 1 and within (1 - rho)^(Lmax - 1) of it
+    otherwise. Horner's rule in Python floats, longest window first."""
+    total = float(hits[-1])
+    for h in reversed(hits[1:-1]):
+        total = rho * h + (1.0 - rho) * total
+    return (1.0 + total) / n
+
+
+def test_exact_accuracy_matches_enumeration_of_every_restart_pattern():
+    rng = random.Random(20261020)
+    for _ in range(60):
+        classes = "ABC"[:rng.randint(1, 3)]
+        n = rng.randint(1, 8)
+        labels = [rng.choice(classes) for _ in range(n)]
+        stream = _CodedStream(labels)
+        hits = window_hits(stream, max(2, n - 1))
+        persistence_hits = round(persistence_accuracy(labels) * n) - 1
+        # a two-label window's tie goes to the more recent label
+        assert hits[1] == hits[2] == persistence_hits
+        for rho in (0.13, 0.5, 0.91, 1.0):
+            expected = 0.0
+            # the draw after the last instance changes nothing
+            for restarts in itertools.product((False, True), repeat=n - 1):
+                fired = sum(restarts)
+                weight = rho**fired * (1 - rho)**(n - 1 - fired)
+                preds = oracle_window_trace(labels, iter(restarts + (False,)),
+                                            labels[0])
+                expected += weight * sum(map(operator.eq, preds, labels)) / n
+            assert exact_accuracy(hits, n, rho) == \
+                pytest.approx(expected, rel=0, abs=1e-12)
+
+
+def markov_08():
+    return gen_markov_labels(MarkovLabelModel(0.42, 0.8, 45312, seed=42))
+
+
+@pytest.mark.parametrize("make_labels", [
+    markov_08, lambda: sticky_stream(45312, "ABC", 0.97, 7),
+], ids=["markov-0.8", "sticky-3class"])
+def test_sweep_means_lie_within_4_standard_errors_of_the_exact_curve(
+        make_labels):
+    # no other test checks the sweep's interior on autocorrelated labels
+    labels = make_labels()
+    n = len(labels)
+    stream = _CodedStream(labels)
+    max_window = math.ceil(math.log(1e-12) / math.log(1 - 0.1))  # 263
+    hits = window_hits(stream, max_window)
+    assert hits[1] == hits[2] == round(persistence_accuracy(labels) * n) - 1
+    grid, reps = (0.1, 0.2, 0.3, 0.5), 50
+    result = rho_sweep(labels, SweepConfig(grid, reps, master_seed=42))
+    for rho, mean, _, _, sd in result.summary():
+        z = (mean - exact_accuracy(hits, n, rho)) / (sd / math.sqrt(reps - 1))
+        assert abs(z) <= 4, (rho, z)
 
 
 # ---------------------------------------------------------------------------

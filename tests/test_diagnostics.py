@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import math
 import random
@@ -21,7 +22,7 @@ from streamaudit import (AttributeSchema, EmptyStream, Instance,
                          gen_iid_labels, gen_markov_labels, independence_bar,
                          label_distribution, parse_arff, parse_csv,
                          persistence_accuracy, run_lengths)
-from streamaudit.diagnostics import _Codes, _encode
+from streamaudit.diagnostics import LabelDistribution, _Codes, _encode
 from streamaudit.stream_io import write_csv
 from streamaudit.synth import MarkovLabelModel, labels_to_dataset
 
@@ -74,6 +75,45 @@ def test_independence_bar_minimized_by_uniform(labels):
     assert bar >= 1 / k - 1e-12
     if len(set(d.counts.values())) == 1:
         assert bar == pytest.approx(1 / k)
+
+
+def shuffled_persistence(counts):
+    """Expected persistence accuracy over uniform shuffles of a stream with
+    these class counts, the first label predicting itself: each of the
+    n - 1 neighbour pairs is equal with probability
+    sum_c S_c (S_c - 1) / (n (n - 1))."""
+    n = sum(counts)
+    return (1 + sum(Fraction(s * (s - 1), n) for s in counts)) / n
+
+
+def test_independence_bar_is_shuffled_persistence_on_count_vectors():
+    rng = random.Random(20261020)
+    for _ in range(300):
+        counts = [rng.randint(1, rng.choice([3, 50, 10**6]))
+                  for _ in range(rng.randint(1, 6))]
+        n = sum(counts)
+        exact = sum(Fraction(s, n) ** 2 for s in counts)
+        assert shuffled_persistence(counts) == exact
+        bar = independence_bar(LabelDistribution(dict(enumerate(counts)), n))
+        assert bar == pytest.approx(float(exact), rel=1e-15, abs=0)
+
+
+def test_independence_bar_is_persistence_over_every_permutation():
+    # every arrangement of every stream of 1-3 classes and n <= 7 labels;
+    # distinct arrangements are equally likely under a uniform shuffle
+    for n in range(1, 8):
+        for k in range(1, 4):
+            for cuts in itertools.combinations(range(1, n), k - 1):
+                counts = [b - a for a, b in zip((0,) + cuts, cuts + (n,))]
+                stream = [c for c, s in zip("ABC", counts) for _ in range(s)]
+                orders = set(itertools.permutations(stream))
+                hits = sum(round(persistence_accuracy(list(order)) * n)
+                           for order in orders)
+                exact = sum(Fraction(s, n) ** 2 for s in counts)
+                assert Fraction(hits, n * len(orders)) == exact
+                assert shuffled_persistence(counts) == exact
+                assert independence_bar(label_distribution(stream)) == \
+                    pytest.approx(float(exact), rel=1e-15, abs=0)
 
 
 def test_persistence_hand_trace():

@@ -370,12 +370,17 @@ def oracle_infer_column(values):
 
 
 def oracle_parse_csv(source):
-    reader = csv.reader(source)
+    lines = list(source)
+    reader = csv.reader(lines)
     rows = []
     row_no = 0
+    first = 0  # the index of the line the next record starts on
     try:
         for row_no, row in enumerate(reader, start=1):
-            if not row or row[0].lstrip().startswith("#"):
+            # a comment's first line starts with an unquoted '#' after blanks
+            comment = lines[first].lstrip().startswith("#")
+            first = reader.line_num
+            if not row or comment:
                 continue
             rows.append((row_no, [c.strip() for c in row]))
     except csv.Error as exc:  # named by the record csv.reader stopped in
@@ -1488,6 +1493,48 @@ def test_a_written_log_reads_back(tmp_path_factory, log):
     path.write_bytes(text.encode("utf-8"))
     assert read_prediction_log(str(path)) == log
     assert read_prediction_log(io.StringIO(text)) == log
+
+
+# CSV cells that parse_csv reads back trimmed: not blank, with the
+# characters that quoting and comments turn on drawn often
+CSV_CELLS = st.lists(st.sampled_from(["#", " ", "\t", "\x1c", ",", '"', "\r",
+                                      "\n", "\r\n", "a", "1"]),
+                     min_size=1, max_size=4).map("".join).filter(str.strip)
+
+
+@given(st.integers(1, 3).flatmap(lambda width: st.tuples(
+           st.lists(CSV_CELLS, min_size=width, max_size=width),
+           st.lists(st.lists(CSV_CELLS, min_size=width, max_size=width),
+                    min_size=1, max_size=5))),
+       st.sampled_from([None, "seed=1"]))
+@settings(max_examples=300, deadline=None)
+def test_a_written_csv_reads_back(tmp_path_factory, table, comment):
+    """What write_csv writes, parse_csv reads back cell for cell, trimmed:
+    a first cell starting with '#' after blanks, in the header or in a
+    row, is data, and the writer's own comment line is skipped."""
+    header, rows = table
+    text = stream_io.write_csv(header, rows, comment=comment)
+    path = tmp_path_factory.getbasetemp() / "round-trip.csv"
+    path.write_bytes(text.encode("utf-8"))
+    for ds in (parse_csv(str(path)), parse_csv(io.StringIO(text))):
+        assert [a.name for a in ds.schema] == [c.strip() for c in header]
+        for attr, column, cells in zip(ds.schema, ds.columns, zip(*rows)):
+            cells = [c.strip() for c in cells]
+            if attr.is_nominal:
+                assert [attr.values[v] for v in column.tolist()] == cells
+            else:
+                assert column.tolist() == list(map(float, cells))
+
+
+def test_a_hash_cell_is_quoted_and_reads_back():
+    text = stream_io.write_csv(("f", "label"), [("#1", "a"), ("2", "b"),
+                                                ("3", "a")])
+    assert text == 'f,label\n"#1",a\n2,b\n3,a\n'
+    assert parse_csv(io.StringIO(text)).labels() == ["a", "b", "a"]
+    assert parse_csv(io.StringIO('f,label\n"#1",a\n2,b\n')).labels() == \
+        ["a", "b"]
+    assert stream_io.write_csv((" #f",), [("\t#",), ("x#",)], comment="c") \
+        == '# c\n" #f"\n"\t#"\nx#\n'
 
 
 # any text but lone surrogates, with the characters that ARFF quoting and
