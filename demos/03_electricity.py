@@ -22,7 +22,6 @@ if path is None:
     sys.exit("Electricity dataset not found; see the module docstring.")
 
 ds = sa.parse_csv(path) if path.endswith(".csv") else sa.parse_arff(path)
-labels = ds.labels()
 report = sa.diagnose(ds, max_lag=96)
 
 print(f"n = {ds.n_instances}, features = {ds.n_features}, "
@@ -38,5 +37,5 @@ print(f"  accuracy {nb.accuracy:.4f}  (~0.742)")
 
 print("\ngrading published figures against the bars:")
 for acc in (0.886, 0.849, 0.827, 0.742, 0.575):
-    v = sa.audit_accuracy(acc, labels)
+    v = sa.audit_accuracy(acc, ds)
     print(f"  {acc:.3f} -> {v.verdict.value:17s} margin {v.margin:+.4f}")

@@ -11,10 +11,9 @@ from .diagnostics import (AcfSeries, DiagnosticsReport, LabelDistribution,
                           RunLengthStats, autocorrelation, diagnose,
                           independence_bar, label_distribution,
                           persistence_accuracy, run_lengths)
-from .errors import (EmptyLog, EmptyStream, InvalidModel, InvalidRho,
-                     LabelMismatch, LagTooLarge, ParseError, SchemaMismatch,
-                     ScoreOverflow, StreamAuditError, UnsupportedFeature,
-                     ZeroVariance)
+from .errors import (EmptyStream, InvalidModel, InvalidRho, LabelMismatch,
+                     LagTooLarge, ParseError, SchemaMismatch, ScoreOverflow,
+                     StreamAuditError, UnsupportedFeature, ZeroVariance)
 from .evaluation import (AuditVerdict, Classifier, EvalReport,
                          NaiveBayesLearner, Verdict, audit_accuracy,
                          audit_prediction_log, prequential_eval,

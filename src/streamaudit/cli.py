@@ -198,7 +198,7 @@ def _cmd_audit(args):
     ds, _ = _load_dataset(args.input, args.format, class_only=True)
     if args.predictions is not None:
         log = evaluation.read_prediction_log(args.predictions)
-        verdict, report = evaluation.audit_prediction_log(log, ds.labels())
+        verdict, report = evaluation.audit_prediction_log(log, ds)
         print(verdict.to_json(n=report.n, confusion=report.confusion))
     else:
         verdict = evaluation.audit_accuracy(args.accuracy, ds)
@@ -221,8 +221,8 @@ def _cmd_acf(args):
 def _cmd_sweep(args):
     ds, _ = _load_dataset(args.input, args.format, class_only=True)
     config = baselines.SweepConfig(args.grid, args.reps, args.seed)
-    print(f"# seed={args.seed}", file=sys.stderr)
     result = baselines.rho_sweep(ds, config)
+    print(f"# seed={args.seed}", file=sys.stderr)
     _write(args.out, result.to_csv())
     if args.summary_out is not None:
         _write(args.summary_out, result.summary_to_csv())

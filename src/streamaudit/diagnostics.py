@@ -124,7 +124,7 @@ def _encode(labels) -> _Codes:
         classes = []
         labels = _Codes(_codes(labels, classes), classes)
     if len(labels.codes) == 0:
-        raise EmptyStream("an empty stream has no first instance")
+        raise EmptyStream()
     return labels
 
 

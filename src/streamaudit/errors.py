@@ -32,6 +32,9 @@ class UnsupportedFeature(_InputError):
 class EmptyStream(StreamAuditError):
     """An operation that needs at least one instance got zero."""
 
+    def __init__(self, message="an empty stream has no first instance"):
+        super().__init__(message)
+
 
 class ZeroVariance(StreamAuditError):
     """Autocorrelation is undefined: only one class occurs."""
@@ -60,10 +63,6 @@ class LabelMismatch(StreamAuditError):
     def __init__(self, index, message):
         self.index = index
         super().__init__(message)
-
-
-class EmptyLog(StreamAuditError):
-    """A prediction log contained no rows."""
 
 
 class ScoreOverflow(StreamAuditError, OverflowError):

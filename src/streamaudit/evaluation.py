@@ -35,8 +35,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import baselines, diagnostics
-from .errors import (EmptyLog, EmptyStream, LabelMismatch, ParseError,
-                     SchemaMismatch, ScoreOverflow)
+from .errors import (EmptyStream, LabelMismatch, ParseError, SchemaMismatch,
+                     ScoreOverflow)
 from .stream_io import BLOCK_LINES, StreamDataset, _utf8, write_csv
 
 _VARIANCE_FLOOR = 1e-9  # naive Bayes' least Gaussian variance
@@ -91,7 +91,7 @@ def _score(name: str, true, predicted, classes) -> EvalReport:
     pairs, counts = np.unique(true.astype(np.int64) * len(classes)
                               + predicted, return_counts=True)
     if not len(pairs):
-        raise EmptyStream("cannot evaluate on an empty stream")
+        raise EmptyStream()
     t, p = np.divmod(pairs, len(classes))
     confusion = {(classes[a], classes[b]): count for a, b, count
                  in zip(t.tolist(), p.tolist(), counts.tolist())}
@@ -583,29 +583,29 @@ def audit_accuracy(subject_accuracy: float, ds_or_labels) -> AuditVerdict:
     )
 
 
-def audit_prediction_log(log: Sequence, ds_labels: Optional[Sequence] = None):
+def audit_prediction_log(log: Sequence, ds_labels=None):
     """Audit an externally produced (true, predicted) log.
 
-    When ds_labels is supplied the log's true-label column must match it
-    exactly; the bars come from that column's codes either way. Returns
-    (AuditVerdict, EvalReport).
+    When ds_labels, a label sequence or a StreamDataset, is supplied the
+    log's true-label column must match it exactly; the bars come from that
+    column's codes either way. Returns (AuditVerdict, EvalReport).
     """
     log = list(log)
-    if not log:
-        raise EmptyLog("prediction log has no rows")
     true = diagnostics._encode([t for t, _ in log])  # once, for every bar
     classes = list(true.classes)  # a copy: no predicted label joins the bars
     if ds_labels is not None:
-        ds_labels = list(ds_labels)
-        if len(ds_labels) != len(log):
-            raise LabelMismatch(min(len(ds_labels), len(log)),
+        ref = diagnostics._encode(ds_labels)
+        if len(ref.codes) != len(log):
+            raise LabelMismatch(min(len(ref.codes), len(log)),
                                 f"prediction log has {len(log)} rows, "
-                                f"dataset has {len(ds_labels)}")
-        wrong = diagnostics._codes(ds_labels, classes) != true.codes
-        if wrong.any():
-            i = int(np.flatnonzero(wrong)[0])
+                                f"dataset has {len(ref.codes)}")
+        # the reference's k classes in the log's codes, then its rows
+        codes = diagnostics._codes(ref.classes, classes).take(ref.codes)
+        wrong = np.flatnonzero(codes != true.codes)
+        if len(wrong):
+            i = int(wrong[0])
             raise LabelMismatch(i, f"true label at index {i} is {log[i][0]!r}"
-                                   f", dataset has {ds_labels[i]!r}")
+                                   f", dataset has {classes[codes[i]]!r}")
     report = _score("prediction-log", true.codes,
                     diagnostics._codes([p for _, p in log], classes), classes)
     return audit_accuracy(report.accuracy, true), report
@@ -624,10 +624,10 @@ def read_prediction_log(source) -> list:
     log = []
     pairs = {}
     try:
-        header = next(filter(None, reader), None)  # the first non-blank row
-        if header is None or \
-                [c.strip() for c in header] != ["true", "predicted"]:
-            raise EmptyLog("expected a CSV with header 'true,predicted'")
+        header = next(filter(None, reader), [])  # the first non-blank row
+        if [c.strip() for c in header] != ["true", "predicted"]:
+            raise ParseError("expected a CSV with header 'true,predicted'",
+                             line=reader.line_num if header else None)
         for row in reader:
             if len(row) == 2:
                 pair = tuple(row)

@@ -32,7 +32,7 @@ Only the text of earlier blocks is kept, while a column that has parsed
 as numbers so far may still turn nominal. The first record is the header
 and the class is its last column. Errors come in the order of a
 whole-file read: csv.reader's own, the first ragged or empty-cell record,
-a header without data rows. The read that the CLI's label-only commands
+no data row (EmptyStream). The read that the CLI's label-only commands
 use runs the same block loop but takes only each record's last cell: the
 others are only checked for blanks, and no block text is kept.
 
@@ -50,7 +50,7 @@ from typing import Optional, Sequence, TextIO, Union
 
 import numpy as np
 
-from .errors import ParseError, UnsupportedFeature
+from .errors import EmptyStream, ParseError, UnsupportedFeature
 
 NUMERIC_TYPES = {"numeric", "real", "integer"}
 REJECTED_TYPES = {"string", "date", "relational"}
@@ -637,7 +637,7 @@ def parse_csv(source: Union[str, TextIO]) -> StreamDataset:
     at commas until a block holds a '"' and read by csv.reader from there
     on (see the module docstring). Errors come in this order: csv.reader's
     own (a ParseError naming the record), the first ragged or empty-cell
-    record in the file, a header without data rows. Line numbers count
+    record in the file, EmptyStream for no data row. Line numbers count
     records, as csv.reader does. Input that is not UTF-8 is a ParseError
     too.
     """
@@ -680,7 +680,7 @@ def _read_csv(source: Union[str, TextIO], class_only: bool) -> tuple:
     if header is None:
         raise ParseError("empty CSV input")
     if not columns.parts[-1]:
-        raise ParseError("CSV with a header but no data rows")
+        raise EmptyStream()
     return columns.dataset(header[-1:] if class_only else header), n_cols - 1
 
 
@@ -837,7 +837,9 @@ def _quote_cell(match) -> str:
 
 
 def dataset_summary(ds: StreamDataset) -> dict:
-    """Exact instance/feature/class counts for a dataset."""
+    """Exact instance/feature/class counts; EmptyStream if it has no rows."""
+    if not ds.n_instances:
+        raise EmptyStream()
     counts = np.bincount(ds.columns[ds.class_index],
                          minlength=len(ds.class_values))
     return {

@@ -83,7 +83,7 @@ def labels_to_csv(labels: Sequence[int], seed=None) -> str:
     parse_csv refuses a CSV with no data row."""
     labels = labels_to_dataset(labels).labels()
     if not labels:
-        raise EmptyStream("a labels CSV needs at least one label")
+        raise EmptyStream()
     return stream_io.write_csv(
         ("label",), zip(labels),
         comment=None if seed is None else f"seed={seed}")

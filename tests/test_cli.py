@@ -12,9 +12,10 @@ from test_stream_io import multiclass_csv
 
 from streamaudit import (EmptyStream, NaiveBayesLearner, RestartPolicy,
                          SchemaMismatch, SweepConfig, audit_accuracy,
-                         autocorrelation, diagnose, label_distribution,
-                         majority_baseline, parse_arff, parse_csv,
-                         persistence_accuracy, prequential_eval,
+                         audit_prediction_log, autocorrelation,
+                         dataset_summary, diagnose, label_distribution,
+                         labels_to_csv, majority_baseline, parse_arff,
+                         parse_csv, persistence_accuracy, prequential_eval,
                          random_restart_run, random_restart_trace,
                          rho_sweep, run_lengths, write_prediction_log)
 from streamaudit.cli import MAX_GRID_VALUES, _parse_grid, main
@@ -149,6 +150,15 @@ def test_acf_empty_dataset_exit_2(tmp_path, capsys):
     assert err == "error: an empty stream has no first instance\n"
 
 
+EMPTY_ARFF = ("@relation e\n@attribute x numeric\n@attribute cls {A,B}\n"
+              "@data\n")
+
+
+def prequential_eval_on_empty():
+    empty = parse_arff(io.StringIO(EMPTY_ARFF))
+    return prequential_eval(NaiveBayesLearner(empty), empty)
+
+
 @pytest.mark.parametrize("entry", [
     lambda: persistence_accuracy([]),
     lambda: majority_baseline([]),
@@ -165,23 +175,38 @@ def test_acf_empty_dataset_exit_2(tmp_path, capsys):
     lambda: audit_accuracy(0.5, []),
     ["acf", "--max-lag", "10"],
     ["audit", "--accuracy", "0.5"],
+    ["summary"],
+    ["eval", "--learner", "naive-bayes"],
+    ["audit", "--predictions", "log.csv"],
+    lambda: parse_csv(io.StringIO("x,cls\n")),
+    lambda: dataset_summary(parse_arff(io.StringIO(EMPTY_ARFF))),
+    lambda: audit_prediction_log([]),
+    lambda: labels_to_csv([]),
+    prequential_eval_on_empty,
 ], ids=["persistence_accuracy", "majority_baseline", "random_restart_run",
         "random_restart_trace", "rho_sweep", "eval-majority",
         "eval-restart", "sweep", "label_distribution", "run_lengths",
         "autocorrelation", "diagnose", "audit_accuracy", "acf",
-        "audit-accuracy"])
+        "audit-accuracy", "summary", "eval-naive-bayes", "audit-predictions",
+        "parse_csv", "dataset_summary", "audit_prediction_log",
+        "labels_to_csv", "prequential_eval"])
 def test_empty_stream_has_no_first_instance(tmp_path, capsys, entry):
+    """One refusal for a stream without rows, from every entry point, and
+    on the CLI whatever the input's format."""
     message = "an empty stream has no first instance"
     if callable(entry):
         with pytest.raises(EmptyStream, match=f"^{message}$"):
             entry()
         return
-    path = tmp_path / "empty.arff"
-    path.write_text("@relation e\n@attribute x numeric\n"
-                    "@attribute cls {A,B}\n@data\n")
-    code, out, err = run(capsys, entry + ["--input", str(path)])
-    assert code == 2 and out == ""
-    assert err.splitlines()[-1] == f"error: {message}"
+    log = tmp_path / "log.csv"
+    log.write_text("true,predicted\n")  # a log without rows
+    argv = [str(log) if arg == "log.csv" else arg for arg in entry]
+    for name, text in [("empty.arff", EMPTY_ARFF), ("empty.csv", "x,cls\n"),
+                       ("comment.csv", "x,cls\n# a comment, no row\n")]:
+        path = tmp_path / name
+        path.write_text(text)
+        assert run(capsys, argv + ["--input", str(path)]) == \
+            (2, "", f"error: {message}\n"), name
 
 
 def test_prequential_refuses_another_schema_before_an_empty_stream():
@@ -192,7 +217,7 @@ def test_prequential_refuses_another_schema_before_an_empty_stream():
     with pytest.raises(SchemaMismatch, match="bound to a different schema"):
         prequential_eval(NaiveBayesLearner(other), empty)
     with pytest.raises(EmptyStream,
-                       match="^cannot evaluate on an empty stream$"):
+                       match="^an empty stream has no first instance$"):
         prequential_eval(NaiveBayesLearner(empty), empty)
 
 
@@ -366,7 +391,7 @@ def test_eval_naive_bayes_on_an_empty_stream_exit_2(tmp_path, capsys):
                     "@attribute cls {A,B}\n@data\n")
     assert run(capsys, ["eval", "--input", str(path), "--learner",
                         "naive-bayes"]) == \
-        (2, "", "error: cannot evaluate on an empty stream\n")
+        (2, "", "error: an empty stream has no first instance\n")
 
 
 @pytest.mark.parametrize("name, text", [
@@ -398,7 +423,7 @@ def test_audit_a_log_of_the_wrong_length_exit_2(tmp_path, capsys):
     log.write_text("true,predicted\nA,A\nB,A\n")
     assert run(capsys, ["audit", "--input", str(empty), "--predictions",
                         str(log)]) == \
-        (2, "", "error: prediction log has 2 rows, dataset has 0\n")
+        (2, "", "error: an empty stream has no first instance\n")
 
 
 def test_audit_counts_a_prediction_outside_the_class_values(tmp_path, capsys):

@@ -1,7 +1,12 @@
 """Each demo runs to exit 0 in its own process, from the repository root
 as tier-1 runs. Demo 03 reads a generated Electricity-shaped ARFF named by
-ELECTRICITY_DATA, since the real file is not in the repository."""
+ELECTRICITY_DATA, since the real file is not in the repository. The
+README's Python example runs the same way, in a directory whose
+data/elec.arff is that generated ARFF, so the README cannot drift from
+the code."""
 import os
+import re
+import shutil
 import subprocess
 import sys
 
@@ -19,12 +24,28 @@ def elec_arff(tmp_path_factory):
     return path
 
 
+def readme_example():
+    """The README's one python code block."""
+    text = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```$", text, re.M | re.S)
+    assert len(blocks) == 1
+    return blocks[0]
+
+
 @pytest.mark.parametrize("demo", ["01_autocorrelated_stream.py",
                                   "02_iid_null_experiment.py",
-                                  "03_electricity.py"])
-def test_demo_exits_0(elec_arff, demo):
+                                  "03_electricity.py", "README.md"])
+def test_demo_exits_0(elec_arff, tmp_path, demo):
     env = {**os.environ, "ELECTRICITY_DATA": str(elec_arff)}
-    proc = subprocess.run([sys.executable, f"demos/{demo}"],
-                          capture_output=True, cwd=REPO_ROOT, env=env)
+    if demo == "README.md":  # its example reads data/elec.arff
+        (tmp_path / "data").mkdir()
+        shutil.copy(elec_arff, tmp_path / "data" / "elec.arff")
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(REPO_ROOT / "src"), env.get("PYTHONPATH")]))
+        argv, cwd = ["-c", readme_example()], tmp_path
+    else:
+        argv, cwd = [f"demos/{demo}"], REPO_ROOT
+    proc = subprocess.run([sys.executable, *argv], capture_output=True,
+                          cwd=cwd, env=env)
     assert proc.returncode == 0, proc.stderr.decode()
     assert proc.stdout

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from oracles import (MajorityLearner, OracleNaiveBayes, PersistenceLearner,
                      RandomRestartLearner)
 
-from streamaudit import (AttributeSchema, AuditVerdict, Classifier, EmptyLog,
+from streamaudit import (AttributeSchema, AuditVerdict, Classifier,
                          EmptyStream, Instance, LabelMismatch,
                          NaiveBayesLearner, ParseError, RestartPolicy,
                          SchemaMismatch, ScoreOverflow, StreamAuditError,
@@ -959,7 +959,8 @@ def test_audit_prediction_log_mismatch_index():
 
 
 def test_audit_prediction_log_empty():
-    with pytest.raises(EmptyLog):
+    with pytest.raises(EmptyStream,
+                       match="^an empty stream has no first instance$"):
         audit_prediction_log([])
 
 
@@ -971,8 +972,11 @@ def test_prediction_log_csv_round_trip():
 
 
 def test_prediction_log_requires_header():
-    with pytest.raises(EmptyLog):
-        read_prediction_log(io.StringIO("UP,DOWN\n"))
+    message = "expected a CSV with header 'true,predicted'"
+    for text, line in [("UP,DOWN\n", 1), ("\nUP,DOWN\n", 2), ("\n", None)]:
+        with pytest.raises(ParseError, match=f"{message}$") as err:
+            read_prediction_log(io.StringIO(text))
+        assert err.value.line == line  # None: no record to name
 
 
 def test_prediction_log_quotes_labels_round_trip():
@@ -1046,11 +1050,15 @@ def test_audit_prediction_log_mismatch_report():
             (odd, labels, 5, "true label at index 5 is 'Q', dataset has 'D'"),
             (log, labels[:-1], 7, "prediction log has 8 rows, dataset has 7"),
             (log, labels + ["D"], 8,
-             "prediction log has 8 rows, dataset has 9"),
-            (log, [], 0, "prediction log has 8 rows, dataset has 0")]:
-        with pytest.raises(LabelMismatch) as err:
-            audit_prediction_log(true, wrong)
-        assert (err.value.index, str(err.value)) == (index, text)
+             "prediction log has 8 rows, dataset has 9")]:
+        # the same refusal from the labels and from a dataset holding them
+        for ref in wrong, parse_csv(io.StringIO("\n".join(["y"] + wrong))):
+            with pytest.raises(LabelMismatch) as err:
+                audit_prediction_log(true, ref)
+            assert (err.value.index, str(err.value)) == (index, text)
+    with pytest.raises(EmptyStream,
+                       match="^an empty stream has no first instance$"):
+        audit_prediction_log(log, [])  # the one refusal, not a length
 
 
 @pytest.mark.parametrize("with_dataset", [False, True],

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from streamaudit import (AttributeSchema, Classifier, EmptyLog,
+from streamaudit import (AttributeSchema, Classifier, EmptyStream,
                          NaiveBayesLearner, ParseError, StreamDataset,
                          UnsupportedFeature, audit_accuracy, dataset_summary,
                          diagnose, parse_arff, parse_csv, prequential_eval,
@@ -163,9 +163,9 @@ def test_summary_counts():
 
 
 def test_summary_empty():
-    s = dataset_summary(arff(MINIMAL_ARFF))
-    assert s["n_instances"] == 0
-    assert all(v == 0 for v in s["class_counts"].values())
+    with pytest.raises(EmptyStream,
+                       match="^an empty stream has no first instance$"):
+        dataset_summary(arff(MINIMAL_ARFF))
 
 
 @st.composite
@@ -408,7 +408,7 @@ def oracle_parse_csv(source):
                 if v not in seen:
                     seen[v] = len(seen)
             if not seen:
-                raise ParseError("CSV with a header but no data rows")
+                raise EmptyStream("an empty stream has no first instance")
             schema.append(AttributeSchema(header[i], tuple(seen.keys())))
             parsed_cols.append([seen[v] for v in col])
         else:
@@ -455,8 +455,8 @@ def outcome(parse, text):
     the error's class, line and message."""
     try:
         return repr(parse(io.StringIO(text)))
-    except (ParseError, UnsupportedFeature) as exc:
-        return type(exc), exc.line, str(exc)
+    except (ParseError, UnsupportedFeature, EmptyStream) as exc:
+        return type(exc), getattr(exc, "line", None), str(exc)
 
 
 # ARFF inputs: a random schema, rows drawn from valid values with faults
@@ -810,8 +810,8 @@ def csv_outcome(parse, text, newline="\n"):
     """outcome() for CSV, read as a stream with the given newline mode."""
     try:
         return repr(parse(io.StringIO(text, newline=newline)))
-    except (ParseError, UnsupportedFeature) as exc:
-        return type(exc), exc.line, str(exc)
+    except (ParseError, UnsupportedFeature, EmptyStream) as exc:
+        return type(exc), getattr(exc, "line", None), str(exc)
 
 
 NUMBER_CELLS = ["3", "3.0", "-0", "1e0", "nan", "1_0", "0.25"]
@@ -871,8 +871,8 @@ def labels_outcome(parse, text, newline):
     """The class attribute and labels that parse reads, or its error."""
     try:
         ds = parse(io.StringIO(text, newline=newline))
-    except (ParseError, UnsupportedFeature) as exc:
-        return type(exc), exc.line, str(exc)
+    except (ParseError, UnsupportedFeature, EmptyStream) as exc:
+        return type(exc), getattr(exc, "line", None), str(exc)
     return ds.class_attribute, ds.labels()
 
 
@@ -923,7 +923,7 @@ def test_cli_summary_of_a_csv_prints_parse_csvs_summary(tmp_path_factory,
         try:
             full = json.dumps(dataset_summary(parse_csv(str(path))), indent=2)
             expected = (0, full + "\n", "")
-        except (ParseError, UnsupportedFeature) as exc:
+        except (ParseError, UnsupportedFeature, EmptyStream) as exc:
             expected = (2, "", f"error: {exc}\n")
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = cli.main(["summary", "--input", str(path)])
@@ -1428,8 +1428,8 @@ def oracle_read_log(source):
             if header is None:
                 header = row
                 if [c.strip() for c in row] != ["true", "predicted"]:
-                    raise EmptyLog("expected a CSV with header "
-                                   "'true,predicted'")
+                    raise ParseError("expected a CSV with header "
+                                     "'true,predicted'", line=reader.line_num)
             elif len(row) != 2:
                 raise ParseError(f"row has {len(row)} cells, expected 2",
                                  line=reader.line_num)
@@ -1438,14 +1438,14 @@ def oracle_read_log(source):
     except csv.Error as exc:
         raise ParseError(str(exc), line=reader.line_num) from None
     if header is None:
-        raise EmptyLog("expected a CSV with header 'true,predicted'")
+        raise ParseError("expected a CSV with header 'true,predicted'")
     return log
 
 
 def log_outcome(read, text, newline):
     try:
         return read(io.StringIO(text, newline=newline))
-    except (ParseError, EmptyLog) as exc:
+    except ParseError as exc:
         return type(exc), getattr(exc, "line", None), str(exc)
 
 
@@ -1460,7 +1460,8 @@ def test_a_hash_starts_a_label_not_a_comment():
     text = "true,predicted\n#a,b\n # c,#d\n"
     assert read_prediction_log(io.StringIO(text)) == [("#a", "b"),
                                                       (" # c", "#d")]
-    with pytest.raises(ParseError, match="no data rows"):
+    with pytest.raises(EmptyStream,
+                       match="^an empty stream has no first instance$"):
         parse_csv(io.StringIO(text))  # to parse_csv both are comments
 
 

@@ -156,9 +156,9 @@ def test_labels_to_csv_refuses_what_labels_to_arff_refuses():
                                match="^labels must be the integers 0 and 1$"):
                 write(labels)
     assert labels_to_csv([1.0, False]) == "label\n1\n0\n"
-    # parse_csv refuses the header-only CSV this would write
+    # parse_csv refuses the header-only CSV this would write, as this does
     with pytest.raises(EmptyStream,
-                       match="^a labels CSV needs at least one label$"):
+                       match="^an empty stream has no first instance$"):
         labels_to_csv([])
 
 
