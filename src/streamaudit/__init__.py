@@ -5,8 +5,8 @@ harness with an accuracy audit protocol.
 """
 
 from .baselines import (RestartPolicy, SweepConfig, SweepResult,
-                        majority_baseline, random_restart_run,
-                        random_restart_trace, rho_sweep)
+                        exact_rho_curve, majority_baseline,
+                        random_restart_run, random_restart_trace, rho_sweep)
 from .diagnostics import (AcfSeries, DiagnosticsReport, LabelDistribution,
                           RunLengthStats, autocorrelation, diagnose,
                           independence_bar, label_distribution,

@@ -1,5 +1,6 @@
 """Naive label-only classifiers: incremental majority, persistence, and
-the rho-parameterized random-restart majority, plus the rho sweep.
+the rho-parameterized random-restart majority, plus the rho sweep and
+its exact expectation.
 
 The random-restart classifier keeps label counts over a window since its
 last restart, predicts the windowed majority, and after observing each
@@ -31,6 +32,10 @@ from .diagnostics import _encode
 from .errors import InvalidRho
 from .rng import bernoullis, derive_seed
 from .stream_io import write_csv
+
+# exact_rho_curve's longest window is the least Lmax with
+# (1 - rho_min)^Lmax <= this
+EXACT_CURVE_EPSILON = 1e-12
 
 
 @dataclass(frozen=True)
@@ -125,21 +130,24 @@ class _CodedStream:
             keys += np.maximum.accumulate(last, out=last)
 
     def starts(self, policy: RestartPolicy):
-        """The window starts of one seeded run (None: no restarts). The
-        draw after instance j fires a restart with probability rho; the
-        window for t starts at the latest j < t that fired (the just-seen
-        label is re-inserted), or at 0."""
+        """The window starts of one seeded run (None: no restarts; 1: the
+        last label alone). The draw after instance j fires a restart with
+        probability rho; the window for t starts at the latest j < t that
+        fired (the just-seen label is re-inserted), or at 0."""
         if policy.rho == 0.0:
             return None
+        if policy.rho == 1.0:
+            return 1
         start = np.arange(len(self.codes) - 1, dtype=np.intp)  # take's type
-        if policy.rho < 1.0:
-            start *= bernoullis(policy.seed, len(start), policy.rho)
-            np.maximum.accumulate(start, out=start)
+        start *= bernoullis(policy.seed, len(start), policy.rho)
+        np.maximum.accumulate(start, out=start)
         return start
 
     def predict(self, start=None) -> np.ndarray:
         """The restart kernel: predicted codes for t = 1..n-1, where the
-        window for t is labels[start[t - 1]:t] (labels[0:t] for None).
+        window for t is labels[start[t - 1]:t], labels[max(0, t - start):t]
+        for an int start in [1, n] (the last start labels) or labels[0:t]
+        for None. A pass holds at most two int64 scratch rows besides start.
 
         The windowed majority, ties to the tied class seen most recently,
         is the class at the largest key's last-seen index: the window is
@@ -150,19 +158,34 @@ class _CodedStream:
         for keys in self.keys:
             top = keys[1:]
             if start is not None:
-                key = keys.take(start, out=key, mode="clip")
-                key &= ~self.low  # the count before the window
+                if key is None:
+                    key = np.empty_like(top)
+                if isinstance(start, int):  # shifted slices of the table
+                    key[:start - 1] = 0
+                    np.bitwise_and(keys[:len(keys) - start], ~self.low,
+                                   out=key[start - 1:])
+                else:
+                    keys.take(start, out=key, mode="clip")
+                    key &= ~self.low  # the count before the window
                 top = np.subtract(top, key, out=key)
             if best is None:  # the first class's keys, in a buffer of its own
                 best, key = (top.copy() if start is None else top), None
             else:
                 np.maximum(best, top, out=best)
+        del key, top  # free the scratch row before the gather
         best &= self.low
         return self.codes.take(best)
 
+    def hits(self, start=None) -> int:
+        return int(np.count_nonzero(self.predict(start) == self.codes[1:]))
+
     def accuracy(self, start=None) -> float:
-        hits = np.count_nonzero(self.predict(start) == self.codes[1:])
-        return (1 + int(hits)) / len(self.codes)
+        return (1 + self.hits(start)) / len(self.codes)
+
+    def window_hits(self, l_max: int) -> list:
+        """H_L for L = 1..l_max: the hits when the window for t holds the
+        last L labels."""
+        return [self.hits(length) for length in range(1, l_max + 1)]
 
     def trace(self, start=None) -> np.ndarray:
         # instance 0 predicts itself
@@ -206,3 +229,45 @@ def rho_sweep(labels: Sequence, config: SweepConfig) -> SweepResult:
                 acc = stream.accuracy(stream.starts(RestartPolicy(rho, seed)))
             rows.append((rho, rep, acc))
     return SweepResult(tuple(rows), config)
+
+
+def exact_rho_curve(labels: Sequence, rho_grid: Sequence) -> list:
+    """The restart classifier's expected accuracy E(rho) for each grid
+    value, as (rho, E, omitted mass) rows in grid order, from one profile
+    of the hits H_L of windows of the last L labels, L = 1..Lmax.
+
+    For t >= 1 the window has length L < t with probability
+    rho (1 - rho)^(L - 1) and is the whole history with probability
+    (1 - rho)^(t - 1), so
+
+        n E(rho) = 1 + rho sum_{L < Lmax} (1 - rho)^(L - 1) H_L
+                     + (1 - rho)^(Lmax - 1) H_Lmax,
+
+    by Horner's rule in floats, longest window first. Lmax =
+    ceil(ln eps / ln(1 - rho_min)) over the smallest nonzero rho, at most
+    n - 1, where the sum is exact; below that, E is within the omitted
+    mass (1 - rho)^(Lmax - 1) of the truth. rho = 0 and rho = 1 are the
+    majority and persistence bars.
+    """
+    if any(not 0.0 <= rho <= 1.0 for rho in rho_grid):
+        raise InvalidRho("grid values must lie in [0, 1]")
+    stream = _CodedStream(labels)
+    n = len(stream.codes)
+    inner = [rho for rho in rho_grid if 0.0 < rho < 1.0]
+    l_max = 1
+    if inner:
+        l_max = max(1, min(n - 1, math.ceil(
+            math.log(EXACT_CURVE_EPSILON) / math.log(1.0 - min(inner)))))
+    hits = stream.window_hits(l_max)
+    rows = []
+    for rho in rho_grid:
+        if rho == 0.0:
+            rows.append((rho, stream.accuracy(), 0.0))
+            continue
+        total = float(hits[-1])
+        for h in reversed(hits[:-1]):
+            total = rho * h + (1.0 - rho) * total
+        exact = l_max >= n - 1 or rho == 1.0
+        rows.append((rho, (1.0 + total) / n,
+                     0.0 if exact else (1.0 - rho) ** (l_max - 1)))
+    return rows

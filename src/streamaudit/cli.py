@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 usage error, 2 parse/data error, 3 failed
 
 import argparse
 import json
+import os
 import sys
 
 from . import baselines, diagnostics, evaluation, stream_io, synth
@@ -219,6 +220,10 @@ def _cmd_acf(args):
 
 
 def _cmd_sweep(args):
+    out, summary = args.out, args.summary_out
+    if out not in (None, "-") and summary not in (None, "-") and \
+            os.path.realpath(out) == os.path.realpath(summary):
+        raise _UsageError("--out and --summary name the same file")
     ds, _ = _load_dataset(args.input, args.format, class_only=True)
     config = baselines.SweepConfig(args.grid, args.reps, args.seed)
     result = baselines.rho_sweep(ds, config)

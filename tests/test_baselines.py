@@ -17,11 +17,11 @@ from oracles import SplitMix64
 from streamaudit import (AttributeSchema, EmptyStream, Instance, InvalidRho,
                          NaiveBayesLearner, RestartPolicy, StreamDataset,
                          SweepConfig, audit_prediction_log, autocorrelation,
-                         diagnose, gen_markov_labels, labels_to_csv,
-                         majority_baseline, parse_arff, persistence_accuracy,
-                         prequential_eval, random_restart_run,
-                         random_restart_trace, rho_sweep, to_arff,
-                         write_prediction_log)
+                         diagnose, exact_rho_curve, gen_markov_labels,
+                         labels_to_csv, majority_baseline, parse_arff,
+                         persistence_accuracy, prequential_eval,
+                         random_restart_run, random_restart_trace, rho_sweep,
+                         to_arff, write_prediction_log)
 from streamaudit.baselines import SweepResult, _CodedStream
 from streamaudit.rng import uniforms
 from streamaudit.synth import MarkovLabelModel
@@ -387,7 +387,9 @@ def test_kernel_runs_make_no_zero_fill_or_index_copy():
     # masks, the table, its cumsum's int64 copy of the masks and, one class
     # at a time, an int32 index and last-seen row; a rho = 0 run holds one
     # int64 running best and the predicted codes; a run with window starts
-    # one more int64 buffer, as the starts are already take's index type
+    # or a fixed window one more int64 row, freed before the gather, as the
+    # starts are already take's index type; drawing the starts holds them
+    # and two uint64 rows; a sweep holds the table and codes and one cell
     labels = markov_08()
     n = len(labels)
     slack = 64 * 1024
@@ -397,7 +399,13 @@ def test_kernel_runs_make_no_zero_fill_or_index_copy():
     assert traced_peak(stream.accuracy) <= 12 * n + slack
     start = stream.starts(RestartPolicy(0.5, 7))
     assert start.dtype == np.intp
-    assert traced_peak(lambda: stream.accuracy(start)) <= 20 * n + slack
+    assert traced_peak(lambda: stream.accuracy(start)) <= 16 * n + slack
+    assert traced_peak(lambda: stream.accuracy(
+        stream.starts(RestartPolicy(0.5, 7)))) <= 24 * n + slack
+    assert traced_peak(lambda: stream.accuracy(
+        stream.starts(RestartPolicy(1.0)))) <= 16 * n + slack
+    assert traced_peak(lambda: rho_sweep(labels, SweepConfig(GRID, 10))) \
+        <= 44 * n + slack
 
 
 def test_sweep_runs_each_draw_free_rho_once(monkeypatch):
@@ -545,16 +553,20 @@ def exact_accuracy(hits, n, rho):
 
 def test_exact_accuracy_matches_enumeration_of_every_restart_pattern():
     rng = random.Random(20261020)
+    grid = (0.0, 0.13, 0.5, 0.91, 1.0)
     for _ in range(60):
         classes = "ABC"[:rng.randint(1, 3)]
         n = rng.randint(1, 8)
         labels = [rng.choice(classes) for _ in range(n)]
         stream = _CodedStream(labels)
         hits = window_hits(stream, max(2, n - 1))
+        assert stream.window_hits(max(2, n - 1)) == hits[1:]
         persistence_hits = round(persistence_accuracy(labels) * n) - 1
         # a two-label window's tie goes to the more recent label
         assert hits[1] == hits[2] == persistence_hits
-        for rho in (0.13, 0.5, 0.91, 1.0):
+        curve = exact_rho_curve(labels, grid)
+        assert [rho for rho, _, _ in curve] == list(grid)
+        for rho, exact, omitted in curve:
             expected = 0.0
             # the draw after the last instance changes nothing
             for restarts in itertools.product((False, True), repeat=n - 1):
@@ -565,10 +577,49 @@ def test_exact_accuracy_matches_enumeration_of_every_restart_pattern():
                 expected += weight * sum(map(operator.eq, preds, labels)) / n
             assert exact_accuracy(hits, n, rho) == \
                 pytest.approx(expected, rel=0, abs=1e-12)
+            assert exact == pytest.approx(expected, rel=0, abs=1e-12)
+            assert omitted == 0.0  # Lmax = n - 1 here
 
 
 def markov_08():
     return gen_markov_labels(MarkovLabelModel(0.42, 0.8, 45312, seed=42))
+
+
+def test_exact_curve_on_markov_labels():
+    labels = markov_08()
+    n = len(labels)
+    stream = _CodedStream(labels)
+    max_window = math.ceil(math.log(1e-12) / math.log(1 - 0.1))  # 263
+    hits = window_hits(stream, max_window)
+    assert stream.window_hits(max_window) == hits[1:]
+    assert hits[1] == hits[2] == round(persistence_accuracy(labels) * n) - 1
+    curve = exact_rho_curve(labels, (0.1, 0.2, 0.3, 0.5))
+    for (rho, exact, omitted), value in zip(
+            curve, (0.7677, 0.8236, 0.8531, 0.8834)):
+        assert exact == exact_accuracy(hits, n, rho)
+        assert round(exact, 4) == value
+        assert omitted == (1.0 - rho) ** (max_window - 1)
+    assert curve[0][2] <= 1e-12 / (1.0 - 0.1)
+
+
+@pytest.mark.parametrize("make_labels", [
+    markov_08, lambda: sticky_stream(45312, "ABC", 0.97, 7),
+    lambda: ["A", "B", "B"], lambda: ["A"],
+], ids=["markov-0.8", "sticky-3class", "three-labels", "one-label"])
+@pytest.mark.parametrize("grid", [(0.0, 1.0), (0.0, 0.1, 0.5, 1.0)])
+def test_exact_curve_endpoints_are_the_bars(make_labels, grid):
+    labels = make_labels()
+    curve = exact_rho_curve(labels, grid)
+    assert curve[0] == (0.0, majority_baseline(labels), 0.0)
+    assert curve[-1] == (1.0, persistence_accuracy(labels), 0.0)
+
+
+def test_exact_curve_rejects_rho_off_the_unit_interval():
+    for grid in ((0.5, 1.5), (-0.1,), (float("nan"),)):
+        with pytest.raises(InvalidRho):
+            exact_rho_curve(["A", "B"], grid)
+    with pytest.raises(EmptyStream):
+        exact_rho_curve([], (0.5,))
 
 
 @pytest.mark.parametrize("make_labels", [

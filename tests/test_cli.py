@@ -283,6 +283,31 @@ def test_sweep_outputs(synth_csv, tmp_path, capsys):
     assert summary_csv.read_text().splitlines()[1] == "rho,mean,min,max,stddev"
 
 
+@pytest.mark.parametrize("summary", ["same.csv", "./same.csv"])
+@pytest.mark.parametrize("exists", [True, False],
+                         ids=["input-exists", "input-missing"])
+def test_sweep_out_and_summary_to_one_file_usage_error_before_input(
+        synth_csv, tmp_path, capsys, monkeypatch, summary, exists):
+    # the summary would overwrite the per-run rows
+    monkeypatch.chdir(tmp_path)
+    path = str(synth_csv) if exists else "/nonexistent.csv"
+    code, out, err = run(capsys, ["sweep", "--input", path, "--grid",
+                                  "0:1:0.5", "--out", "same.csv",
+                                  "--summary", summary])
+    assert (code, out) == (1, "") and not (tmp_path / "same.csv").exists()
+    assert err == "usage error: --out and --summary name the same file\n"
+
+
+def test_sweep_out_and_summary_both_to_stdout(synth_csv, capsys):
+    code, out, _ = run(capsys, ["sweep", "--input", str(synth_csv),
+                                "--grid", "0:1:0.5", "--reps", "2",
+                                "--out", "-", "--summary", "-"])
+    ds = parse_csv(str(synth_csv))
+    result = rho_sweep(ds, SweepConfig((0.0, 0.5, 1.0), 2, 42))
+    assert code == 0
+    assert out == result.to_csv() + result.summary_to_csv()
+
+
 def test_sweep_grid_endpoint_inclusive(synth_csv, tmp_path, capsys):
     out_csv = tmp_path / "s.csv"
     code, _, _ = run(capsys, ["sweep", "--input", str(synth_csv),
