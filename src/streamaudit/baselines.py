@@ -86,10 +86,12 @@ class SweepResult:
         for rho, accs in groups.items():
             if not accs:
                 raise ValueError(f"no rows for rho {rho!r} of the grid")
-            # left folds: sum() of floats is compensated from Python 3.12
-            mean = reduce(add, accs) / len(accs)
+            # left folds: sum() of floats is compensated from Python 3.12;
+            # the clamp gives equal accuracies' mean back as their value
+            lo, hi = min(accs), max(accs)
+            mean = min(max(reduce(add, accs) / len(accs), lo), hi)
             var = reduce(add, [(a - mean) ** 2 for a in accs]) / len(accs)
-            out.append((rho, mean, min(accs), max(accs), math.sqrt(var)))
+            out.append((rho, mean, lo, hi, math.sqrt(var)))
         return out
 
     def to_csv(self) -> str:
@@ -246,18 +248,19 @@ def exact_rho_curve(labels: Sequence, rho_grid: Sequence) -> list:
     by Horner's rule in floats, longest window first. Lmax =
     ceil(ln eps / ln(1 - rho_min)) over the smallest nonzero rho, at most
     n - 1, where the sum is exact; below that, E is within the omitted
-    mass (1 - rho)^(Lmax - 1) of the truth. rho = 0 and rho = 1 are the
-    majority and persistence bars.
+    mass (1 - rho)^(Lmax - 1) of the truth; Lmax = n - 1 where 1 - rho_min
+    rounds to 1. rho = 0 and rho = 1 are the majority and persistence bars.
+    The grid is refused as SweepConfig refuses it.
     """
-    if any(not 0.0 <= rho <= 1.0 for rho in rho_grid):
-        raise InvalidRho("grid values must lie in [0, 1]")
+    rho_grid = SweepConfig(rho_grid).rho_grid
     stream = _CodedStream(labels)
     n = len(stream.codes)
     inner = [rho for rho in rho_grid if 0.0 < rho < 1.0]
     l_max = 1
     if inner:
+        log_stay = math.log(1.0 - min(inner))
         l_max = max(1, min(n - 1, math.ceil(
-            math.log(EXACT_CURVE_EPSILON) / math.log(1.0 - min(inner)))))
+            math.log(EXACT_CURVE_EPSILON) / log_stay) if log_stay else n - 1))
     hits = stream.window_hits(l_max)
     rows = []
     for rho in rho_grid:

@@ -15,7 +15,7 @@ import os
 import sys
 
 from . import baselines, diagnostics, evaluation, stream_io, synth
-from .errors import StreamAuditError
+from .errors import InvalidModel, InvalidRho, StreamAuditError
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -36,6 +36,9 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+# The types that own a rule check it. argparse checks --accuracy and --max-lag,
+# whose owners need the stream, as a usage error comes before the input is
+# read; and --reps, as SweepConfig would take three more lines of try/except
 def _probability(text):
     value = float(text)
     if not 0.0 <= value <= 1.0:
@@ -51,30 +54,28 @@ def _positive_int(text):
 
 
 def _parse_grid(text):
-    """LO:HI:STEP, inclusive of HI when (HI-LO) is a multiple of STEP."""
+    """LO:HI:STEP, inclusive of HI when (HI-LO) is a multiple of STEP,
+    each value rounded to 12 decimals; SweepConfig checks the values."""
     parts = text.split(":")
     if len(parts) != 3:
         raise argparse.ArgumentTypeError("grid must be LO:HI:STEP")
     lo, hi, step = (float(p) for p in parts)
     if not step > 0 or hi < lo:
         raise argparse.ArgumentTypeError("need STEP > 0 and HI >= LO")
-    # before counting: a HI far out with a small STEP is a huge count
-    if not 0.0 <= lo <= hi <= 1.0:
-        raise argparse.ArgumentTypeError("grid values must lie in [0, 1]")
-    # counted before it is built; m may be inf (a tiny STEP), so it is
-    # capped, at a value whose count is over the cap too
-    m = min((hi - lo) / step, MAX_GRID_VALUES)
-    count = round(m) if abs(m - round(m)) < 1e-9 else int(m)
-    if count + 1 > MAX_GRID_VALUES:
-        raise argparse.ArgumentTypeError(
-            f"grid has more than {MAX_GRID_VALUES} values")
-    grid = [round(lo + i * step, 12) for i in range(count + 1)]
-    if any(not 0.0 <= g <= 1.0 for g in grid):
-        raise argparse.ArgumentTypeError("grid values must lie in [0, 1]")
-    if any(a >= b for a, b in zip(grid, grid[1:])):
-        raise argparse.ArgumentTypeError(
-            "grid values repeat when rounded to 12 decimals")
-    return tuple(grid)
+    try:
+        # before counting: a HI far out with a small STEP is a huge count
+        baselines.SweepConfig((lo,) if lo == hi else (lo, hi))
+        # counted before it is built; m may be inf (a tiny STEP), so it is
+        # capped, at a value whose count is over the cap too
+        m = min((hi - lo) / step, MAX_GRID_VALUES)
+        count = round(m) if abs(m - round(m)) < 1e-9 else int(m)
+        if count + 1 > MAX_GRID_VALUES:
+            raise argparse.ArgumentTypeError(
+                f"grid has more than {MAX_GRID_VALUES} values")
+        return baselines.SweepConfig(
+            round(lo + i * step, 12) for i in range(count + 1)).rho_grid
+    except (InvalidRho, ValueError) as exc:  # SweepConfig's refusals
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _load_dataset(path, fmt=None, class_only=False):
@@ -121,10 +122,11 @@ def build_parser():
                        help="grade an accuracy or a prediction log against "
                             "the naive bars")
     add_input(p)
-    p.add_argument("--accuracy", type=_probability, default=None,
-                   help="externally reported accuracy to grade")
-    p.add_argument("--predictions", default=None,
-                   help="CSV prediction log with header 'true,predicted'")
+    graded = p.add_mutually_exclusive_group(required=True)
+    graded.add_argument("--accuracy", type=_probability,
+                        help="externally reported accuracy to grade")
+    graded.add_argument("--predictions",
+                        help="CSV prediction log with header 'true,predicted'")
     p.add_argument("--assert-above-bar", action="store_true",
                    help="exit 3 unless the verdict is AbovePersistence")
 
@@ -150,8 +152,8 @@ def build_parser():
     synth_sub = p.add_subparsers(dest="model", required=True)
     for model in ("markov", "iid"):
         q = synth_sub.add_parser(model)
-        q.add_argument("--n", type=_positive_int, required=True)
-        q.add_argument("--prior", type=_probability, required=True,
+        q.add_argument("--n", type=int, required=True)
+        q.add_argument("--prior", type=float, required=True,
                        help="stationary probability of class 1")
         if model == "markov":
             q.add_argument("--acf1", type=float, required=True,
@@ -169,20 +171,19 @@ def build_parser():
     return parser
 
 
-def _learner_rho(spec):
-    """Check a --learner spec; returns None for naive-bayes, else the
-    restart rho of the label-only learner (majority is 0, persistence 1)."""
+def _learner_policy(spec, seed):
+    """Parse a --learner spec: None for naive-bayes, else the restart
+    policy of the label-only learner (majority is rho 0, persistence 1)."""
     if spec == "naive-bayes":
         return None
     if spec in ("majority", "persistence"):
-        return float(spec == "persistence")
-    if spec.startswith("restart:"):
-        try:
-            return _probability(spec.split(":", 1)[1])
-        except (argparse.ArgumentTypeError, ValueError):
-            raise _UsageError(
-                f"learner {spec!r}: RHO must be a number in [0, 1]") from None
-    raise _UsageError(f"unknown learner {spec!r}")
+        return baselines.RestartPolicy(float(spec == "persistence"), seed)
+    if not spec.startswith("restart:"):
+        raise _UsageError(f"unknown learner {spec!r}")
+    try:
+        return baselines.RestartPolicy(float(spec.split(":", 1)[1]), seed)
+    except (InvalidRho, ValueError) as exc:
+        raise _UsageError(f"learner {spec!r}: {exc}") from None
 
 
 def _cmd_summary(args):
@@ -194,8 +195,6 @@ def _cmd_summary(args):
 
 
 def _cmd_audit(args):
-    if (args.accuracy is None) == (args.predictions is None):
-        raise _UsageError("give exactly one of --accuracy or --predictions")
     ds, _ = _load_dataset(args.input, args.format, class_only=True)
     if args.predictions is not None:
         log = evaluation.read_prediction_log(args.predictions)
@@ -251,11 +250,11 @@ def _cmd_synth(args):
 
 
 def _cmd_eval(args):
-    rho = _learner_rho(args.learner)
+    policy = _learner_policy(args.learner, args.seed)
     ds, _ = _load_dataset(args.input, args.format,
-                          class_only=rho is not None)
+                          class_only=policy is not None)
     name = args.learner
-    if rho is None:
+    if policy is None:
         true, classes = ds.columns[ds.class_index], ds.class_values
         trace = evaluation._naive_bayes_trace(ds)
     else:
@@ -263,10 +262,9 @@ def _cmd_eval(args):
         # persistence and restart:0 == majority hold across commands
         stream = baselines._CodedStream(ds)
         true, classes = stream.codes, stream.classes
-        trace = stream.trace(stream.starts(
-            baselines.RestartPolicy(rho, args.seed)))
+        trace = stream.trace(stream.starts(policy))
         if name.startswith("restart:"):
-            name = f"restart:{rho:g}"
+            name = f"restart:{policy.rho:g}"
             print(f"# seed={args.seed}", file=sys.stderr)
     report = evaluation._score(name, true, trace, classes)
     _write(args.out, report.to_json() + "\n")
@@ -287,7 +285,7 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return _COMMANDS[args.command](args)
-    except _UsageError as exc:
+    except (_UsageError, InvalidModel) as exc:  # a refused synth model
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (StreamAuditError, OSError) as exc:

@@ -102,14 +102,25 @@ def test_sweep_rows_and_summary():
 
 
 def test_summary_sums_with_a_left_fold():
-    # 0.1 added ten times left to right is 0.9999999999999999; a
-    # compensated sum (Python 3.12's sum()) would give 1.0 and a mean of 0.1
+    # nine 0.1s and a 0.2 added left to right have a mean of
+    # 0.10999999999999999; a compensated sum (math.fsum, or Python 3.12's
+    # sum()) gives 0.11000000000000001
+    accs = [0.1] * 9 + [0.2]
+    config = SweepConfig((0.5,), repetitions=10)
+    result = SweepResult(tuple((0.5, rep, a) for rep, a in enumerate(accs)),
+                         config)
+    [(rho, mean, lo, hi, sd)] = result.summary()
+    assert mean == functools.reduce(operator.add, accs) / 10
+    assert repr(mean) == "0.10999999999999999"
+    assert repr(math.fsum(accs) / 10) == "0.11000000000000001"
+    assert (rho, lo, hi) == (0.5, 0.1, 0.2)
+
+
+def test_summary_of_equal_accuracies_is_their_value():
+    # ten 0.1s folded left sum to 0.9999999999999999, a mean below them all
     config = SweepConfig((0.5,), repetitions=10)
     result = SweepResult(tuple((0.5, rep, 0.1) for rep in range(10)), config)
-    [(rho, mean, lo, hi, sd)] = result.summary()
-    assert mean == 0.9999999999999999 / 10
-    assert repr(mean) == "0.09999999999999999"
-    assert (rho, lo, hi) == (0.5, 0.1, 0.1)
+    assert result.summary() == [(0.5, 0.1, 0.1, 0.1, 0.0)]
 
 
 def test_summary_of_the_largest_grid_takes_one_pass():
@@ -614,6 +625,27 @@ def test_exact_curve_endpoints_are_the_bars(make_labels, grid):
     assert curve[-1] == (1.0, persistence_accuracy(labels), 0.0)
 
 
+def test_exact_curve_takes_the_sweep_grid_rule():
+    labels = markov_08()[:300]
+    grid = (0.0, 0.1, 0.5, 1.0)
+    assert exact_rho_curve(labels, (rho for rho in grid)) == \
+        exact_rho_curve(labels, grid) == exact_rho_curve(labels, list(grid))
+    for grid in ((0.5, 0.1), (0.5, 0.5)):
+        with pytest.raises(ValueError,
+                           match="^rho grid must be strictly increasing$"):
+            SweepConfig(grid)
+        with pytest.raises(ValueError,
+                           match="^rho grid must be strictly increasing$"):
+            exact_rho_curve(labels, grid)
+
+
+def test_exact_curve_at_a_rho_whose_complement_rounds_to_1():
+    # 1 - 1e-17 == 1.0, so ln(1 - rho_min) is 0 and Lmax is n - 1
+    labels = markov_08()[:300]
+    (rho, expected, omitted), _ = exact_rho_curve(labels, (1e-17, 0.5))
+    assert (rho, expected, omitted) == (1e-17, majority_baseline(labels), 0.0)
+
+
 def test_exact_curve_rejects_rho_off_the_unit_interval():
     for grid in ((0.5, 1.5), (-0.1,), (float("nan"),)):
         with pytest.raises(InvalidRho):
@@ -662,21 +694,42 @@ def sticky_stream(n, classes, stay, seed):
     return out
 
 
-@pytest.mark.parametrize("make_labels, rows_sha, summary_sha", [
-    (lambda: gen_markov_labels(MarkovLabelModel(0.42, 0.7, 45312, seed=42)),
+GOLDEN_STREAMS = {
+    "markov-45312":
+        lambda: gen_markov_labels(MarkovLabelModel(0.42, 0.7, 45312, seed=42)),
+    "sticky-3class-2000": lambda: sticky_stream(2000, "ABC", 0.8, 7),
+    "sticky-6class-3000": lambda: sticky_stream(3000, "ABCDEF", 0.7, 11),
+}
+
+
+@pytest.mark.parametrize("stream, rows_sha, summary_sha", [
+    ("markov-45312",
      "3fa34645e2cf8a6e949afa958172cce45df8efe0dd10acb6af5f377a21a38a69",
-     "4bc27be0018e2f1eb685e59ec0455d14afdf88f85685dda14f9e3262625e85f1"),
-    (lambda: sticky_stream(2000, "ABC", 0.8, 7),
+     "b8f4f3aee50d0c072fe3daacc938797ba017bb4cbb2a3471b930fd2c936ee085"),
+    ("sticky-3class-2000",
      "fef25046810e1ff8e7a772f36857c0abb0a99c6123b761a6fbf5ea79966fd160",
-     "6ba094c19cda1cdef3dd08a545996f7c8a1ec2a555bf137a203be591563bf2b0"),
-    (lambda: sticky_stream(3000, "ABCDEF", 0.7, 11),
+     "768a25fb2bf189aa3e20e5e169de673a939307e1cb633e7684207b7479d8441b"),
+    ("sticky-6class-3000",
      "87637aa79966de9e2c27390831041e69f4bd2ad4f2c2fe37748ab4f9b7a50e49",
-     "3cd8432eda78fb28d3f40c796fb26736ae5cbfbd29785ac7777996ab9c6efcdc"),
-], ids=["markov-45312", "sticky-3class-2000", "sticky-6class-3000"])
-def test_sweep_csv_golden_sha256(make_labels, rows_sha, summary_sha):
-    result = rho_sweep(make_labels(), SweepConfig(GRID, 10, master_seed=42))
+     "413ee1728e76ba924019c16bf7e724b04d235a697a98b75fd557c6916461e041"),
+], ids=list(GOLDEN_STREAMS))
+def test_sweep_csv_golden_sha256(stream, rows_sha, summary_sha):
+    result = rho_sweep(GOLDEN_STREAMS[stream](),
+                       SweepConfig(GRID, 10, master_seed=42))
     assert _sha256(result.to_csv()) == rows_sha
     assert _sha256(result.summary_to_csv()) == summary_sha
+
+
+@pytest.mark.parametrize("stream", list(GOLDEN_STREAMS))
+def test_sweep_summary_endpoints_are_the_bars(stream):
+    # ten equal accuracies folded left and divided by 10 need not give
+    # the value back; the summary's rho = 0 and rho = 1 rows do
+    labels = GOLDEN_STREAMS[stream]()
+    summary = rho_sweep(labels, SweepConfig(GRID, 10, 42)).summary()
+    majority, persistence = (majority_baseline(labels),
+                             persistence_accuracy(labels))
+    assert summary[0] == (0.0, majority, majority, majority, 0.0)
+    assert summary[-1] == (1.0, persistence, persistence, persistence, 0.0)
 
 
 # byte-identity gate for the column-wise writer and the memoised naive

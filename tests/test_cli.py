@@ -5,7 +5,7 @@ import json
 import re
 
 import pytest
-from conftest import run
+from conftest import REPO_ROOT, run
 from oracles import OracleNaiveBayes, oracle_autocorrelation
 from test_baselines import sticky_stream
 from test_stream_io import multiclass_csv
@@ -49,7 +49,8 @@ def test_usage_error_exit_1(capsys):
     ("0:1:1e-6", "grid has more than 10001 values"),
     ("0:1:0.00009999", "grid has more than 10001 values"),
     ("0:1:1e-320", "grid has more than 10001 values"),
-    ("0:1e-10:1e-14", "grid values repeat when rounded to 12 decimals"),
+    # the values repeat when rounded to 12 decimals
+    ("0:1e-10:1e-14", "rho grid must be strictly increasing"),
     # (HI - LO) / STEP is within 1e-9 of 1, so HI is LO + STEP, past 1
     ("0:1:1.0000000005", "grid values must lie in [0, 1]"),
 ])
@@ -58,6 +59,10 @@ def test_bad_sweep_grid_exit_1(synth_csv, capsys, grid, message):
                                   f"--grid={grid}"])
     assert code == 1 and out == ""
     assert err == f"usage error: argument --grid: {message}\n"
+
+
+def test_grid_of_one_value():
+    assert _parse_grid("0.5:0.5:0.1") == (0.5,)
 
 
 def test_grid_of_the_most_values_allowed():
@@ -97,6 +102,46 @@ def test_synth_n_below_1_usage_error_writes_nothing(tmp_path, capsys, model,
     assert re.fullmatch(r"usage error: [^\n]*\n", err)
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["markov", "--prior", "1.0", "--acf1", "0.5"],
+     "prior must be in (0, 1), got 1.0"),
+    (["markov", "--prior", "0", "--acf1", "0.5"],
+     "prior must be in (0, 1), got 0.0"),
+    (["markov", "--prior", "0.1", "--acf1", "-0.9"],
+     "infeasible (prior=0.1, acf1=-0.9): P(1->1) = -0.7100 outside [0, 1]"),
+    (["iid", "--prior", "1.5"], "p must be in [0, 1], got 1.5"),
+], ids=["markov-prior-1", "markov-prior-0", "markov-infeasible-acf1",
+        "iid-prior-1.5"])
+def test_synth_refused_model_usage_error_writes_nothing(tmp_path, capsys,
+                                                        argv, message):
+    out = tmp_path / "x.csv"
+    code, stdout, err = run(capsys, ["synth", argv[0], "--n", "10", *argv[1:],
+                                     "--out", str(out)])
+    assert (code, stdout) == (1, "") and not out.exists()
+    assert err == f"usage error: {message}\n"
+
+
+def test_each_parameter_rule_is_stated_once_in_src():
+    src = "".join(path.read_text(encoding="utf-8") for path in
+                  sorted((REPO_ROOT / "src" / "streamaudit").glob("*.py")))
+    for message in ("grid values must lie in [0, 1]",
+                    "rho grid must be strictly increasing",
+                    "rho must be in [0, 1]", "prior must be in (0, 1)"):
+        assert src.count(message) == 1, message
+
+
+@pytest.mark.parametrize("graded, message", [
+    ([], "one of the arguments --accuracy --predictions is required"),
+    (["--accuracy", "0.9", "--predictions", "/nonexistent-log.csv"],
+     "argument --predictions: not allowed with argument --accuracy"),
+], ids=["neither", "both"])
+def test_audit_takes_one_of_accuracy_or_predictions_before_input(
+        capsys, graded, message):
+    code, out, err = run(capsys, ["audit", "--input", "/nonexistent.csv",
+                                  *graded])
+    assert (code, out, err) == (1, "", f"usage error: {message}\n")
+
+
 def test_unknown_learner_exit_1(synth_csv, capsys):
     code, _, err = run(capsys, ["eval", "--input", str(synth_csv),
                                 "--learner", "wizard"])
@@ -116,6 +161,14 @@ def test_learner_checked_before_input(capsys):
                                   "--learner", "restart:2"])
     assert code == 1 and out == ""
     assert err.startswith("usage error: ") and "'restart:2'" in err
+
+
+def test_restart_policy_refusal_names_the_learner_before_input(capsys):
+    code, out, err = run(capsys, ["eval", "--input", "/nonexistent.arff",
+                                  "--learner", "restart:1.5"])
+    assert (code, out) == (1, "")
+    assert err == ("usage error: learner 'restart:1.5': "
+                   "rho must be in [0, 1], got 1.5\n")
 
 
 def test_missing_file_exit_2(capsys):

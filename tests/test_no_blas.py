@@ -12,8 +12,8 @@ BLAS = {"dot", "matmul", "inner", "vdot", "tensordot", "einsum", "cov",
 
 
 def blas_calls(tree):
-    """(line, what) of each BLAS call: np.<one of BLAS>, np.linalg.* and
-    the @ operator."""
+    """(line, what) of each BLAS call: np.<one of BLAS>, np.linalg.*, any
+    method named dot (ndarray.dot is np.dot) and the @ operator."""
     for node in ast.walk(tree):
         if isinstance(node, (ast.BinOp, ast.AugAssign)) and \
                 isinstance(node.op, ast.MatMult):
@@ -23,7 +23,8 @@ def blas_calls(tree):
             parts = name.split(".")
             if parts[0] in ("np", "numpy") and len(parts) > 1 and (
                     parts[1] == "linalg" or
-                    len(parts) == 2 and parts[1] in BLAS):
+                    len(parts) == 2 and parts[1] in BLAS) or \
+                    len(parts) > 1 and parts[-1] == "dot":
                 yield node.lineno, name
 
 
@@ -38,4 +39,5 @@ def test_every_blas_call_is_found():
     tree = ast.parse("a @ b\na @= b\nnp.dot(a, b)\nnumpy.einsum('i,i', a, b)\n"
                      "np.linalg.norm(a)\nnp.linalg.eig.__call__(a)\n"
                      "np.add(a, b)\na.dot(b)\n")
-    assert sorted(line for line, _ in blas_calls(tree)) == [1, 2, 3, 4, 5, 6]
+    assert sorted(line for line, _ in blas_calls(tree)) == \
+        [1, 2, 3, 4, 5, 6, 8]
