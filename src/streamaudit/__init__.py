@@ -14,10 +14,10 @@ from .diagnostics import (AcfSeries, DiagnosticsReport, LabelDistribution,
 from .errors import (EmptyStream, InvalidModel, InvalidRho, LabelMismatch,
                      LagTooLarge, ParseError, SchemaMismatch, ScoreOverflow,
                      StreamAuditError, UnsupportedFeature, ZeroVariance)
-from .evaluation import (AuditVerdict, Classifier, EvalReport,
-                         NaiveBayesLearner, Verdict, audit_accuracy,
-                         audit_prediction_log, prequential_eval,
-                         read_prediction_log, write_prediction_log)
+from .evaluation import (AuditVerdict, EvalReport, NaiveBayesLearner,
+                         Verdict, audit_accuracy, audit_prediction_log,
+                         prequential_eval, read_prediction_log,
+                         write_prediction_log)
 from .stream_io import (AttributeSchema, Instance, StreamDataset,
                         dataset_summary, parse_arff, parse_csv, to_arff)
 from .synth import (MarkovLabelModel, gen_iid_labels, gen_markov_labels,

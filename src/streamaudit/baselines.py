@@ -23,6 +23,7 @@ accuracy label autocorrelation alone can buy.
 import math
 from dataclasses import dataclass
 from functools import reduce
+from numbers import Integral
 from operator import add
 from typing import Sequence
 
@@ -48,6 +49,7 @@ class RestartPolicy:
     def __post_init__(self):
         if not 0.0 <= self.rho <= 1.0:
             raise InvalidRho(f"rho must be in [0, 1], got {self.rho}")
+        object.__setattr__(self, "rho", float(self.rho) + 0.0)  # -0.0 is 0.0
 
 
 @dataclass(frozen=True)
@@ -58,11 +60,14 @@ class SweepConfig:
 
     def __post_init__(self):
         grid = tuple(self.rho_grid)
-        object.__setattr__(self, "rho_grid", grid)
         if any(not 0.0 <= r <= 1.0 for r in grid):
             raise InvalidRho("grid values must lie in [0, 1]")
+        grid = tuple(RestartPolicy(r).rho for r in grid)  # floats, no -0.0
+        object.__setattr__(self, "rho_grid", grid)
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise ValueError("rho grid must be strictly increasing")
+        if not isinstance(self.repetitions, Integral):
+            raise ValueError("repetitions must be an integer")
         if self.repetitions < 1:
             raise ValueError("repetitions must be >= 1")
 

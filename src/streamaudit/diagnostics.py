@@ -54,6 +54,8 @@ class AcfSeries:
     values: tuple
 
     def __getitem__(self, lag: int) -> float:
+        if lag not in self.lags:
+            raise KeyError(f"lag {lag!r} is not in 1..{len(self.lags)}")
         return self.values[self.lags.index(lag)]
 
     def to_csv(self) -> str:

@@ -1,11 +1,11 @@
 """Prequential (interleaved test-then-train) evaluation and the audit
 protocol that grades accuracy figures against the naive bars.
 
-A classifier is anything with predict/update/reset. Each instance is
-predicted first and trained on second, in stream order, with no lookahead;
-accuracy accumulates from the first instance (no warm-up exclusion, no
-fading factor). Reports count pairs of class codes, each column encoded
-once; a prediction outside the class values extends the class list.
+Each instance is predicted first and trained on second, in stream order,
+with no lookahead; accuracy accumulates from the first instance (no
+warm-up exclusion, no fading factor). Reports count pairs of class codes,
+each column encoded once; a prediction outside the class values extends
+the class list.
 
 The audit verdict compares a subject accuracy against three label-only
 bars computed from the same stream: the incremental-majority bar, the
@@ -42,27 +42,6 @@ from .stream_io import BLOCK_LINES, StreamDataset, _utf8, write_csv
 _VARIANCE_FLOOR = 1e-9  # naive Bayes' least Gaussian variance
 _CURSOR_ROWS = 256  # the stream's rows NaiveBayesLearner holds as Python values
 _UNMATCHED = object()  # NaiveBayesLearner's last match when none holds
-
-
-class Classifier:
-    """Behavioral contract: predict is read-only; update/reset mutate.
-
-    After reset() the classifier behaves like a freshly constructed one.
-    Subclasses bound to a dataset schema set self.schema so that
-    prequential_eval can reject evaluation on a different dataset.
-    """
-
-    name = "classifier"
-    schema = None
-
-    def predict(self, features):
-        raise NotImplementedError
-
-    def update(self, features, label):
-        raise NotImplementedError
-
-    def reset(self):
-        raise NotImplementedError
 
 
 @dataclass(frozen=True)
@@ -148,8 +127,11 @@ class AuditVerdict:
         }, indent=2)
 
 
-def prequential_eval(classifier: Classifier, ds: StreamDataset) -> EvalReport:
-    """Test-then-train over the stream, its schema checked first, on codes."""
+def prequential_eval(classifier, ds: StreamDataset) -> EvalReport:
+    """Test-then-train over the stream, on codes. The classifier needs a
+    name, predict(features) returning a class value and update(features,
+    label); a classifier with a schema other than None must hold ds's, or
+    SchemaMismatch is raised before any call."""
     bound = getattr(classifier, "schema", None)
     if bound is not None and bound != ds.schema:
         raise SchemaMismatch(
@@ -163,7 +145,7 @@ def prequential_eval(classifier: Classifier, ds: StreamDataset) -> EvalReport:
                   diagnostics._codes(predictions, classes), classes)
 
 
-class NaiveBayesLearner(Classifier):
+class NaiveBayesLearner:
     """Streaming naive Bayes over the dataset it is made from: per-class
     Gaussians for numeric features (variance floored at 1e-9), add-one
     frequency tables for nominal ones, add-one class priors; ties break

@@ -117,8 +117,7 @@ class StreamDataset:
     attribute and int32 indices into the value list for a nominal one. The
     class is the last attribute, at class_index = len(schema) - 1, and is
     nominal. StreamDataset(schema, instances) converts a sequence of
-    Instance to columns once; instances is a view of the columns, built on
-    first access.
+    Instance to columns once.
     """
 
     def __init__(self, schema: Sequence, instances, class_index: int = -1):
@@ -176,11 +175,6 @@ class StreamDataset:
         return (f"StreamDataset(schema={self.schema!r}, columns={columns!r}, "
                 f"class_index={self.class_index!r})")
 
-    @functools.cached_property
-    def instances(self) -> tuple:
-        """The rows as a tuple of Instance holding Python floats and ints."""
-        return tuple(itertools.starmap(Instance, self._rows()))
-
     def _rows(self, first: int = 0, stop: Optional[int] = None):
         """(features, class code) pairs of Python values of rows [first,
         stop), in stream order, made BLOCK_LINES rows at a time."""
@@ -225,15 +219,9 @@ def _utf8(read):
             with open(source, encoding="utf-8", newline="") as fh:
                 return wrapper(fh, *args, **kwargs)
         try:
-            lines = iter(source)
-            try:
-                start = source.tell()
-            except (AttributeError, OSError):  # a pipe: line 1 loses the mark
-                lines = itertools.chain([line.removeprefix("\ufeff") for line
-                                         in itertools.islice(lines, 1)], lines)
-            else:  # a seekable stream is moved past it
-                if source.read(1) != "\ufeff":
-                    source.seek(start)
+            lines = iter(source)  # every source: line 1 loses the mark
+            lines = itertools.chain([line.removeprefix("\ufeff") for line
+                                     in itertools.islice(lines, 1)], lines)
             return read(lines, *args, **kwargs)
         except UnicodeDecodeError as exc:
             name = getattr(source, "name", "input")

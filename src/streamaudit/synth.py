@@ -17,6 +17,7 @@ given (model, seed) reproduces the identical sequence everywhere.
 """
 
 from dataclasses import dataclass
+from numbers import Integral
 from typing import Sequence
 
 import numpy as np
@@ -40,6 +41,8 @@ class MarkovLabelModel:
     def __post_init__(self):
         if not 0.0 < self.prior < 1.0:
             raise InvalidModel(f"prior must be in (0, 1), got {self.prior}")
+        if not isinstance(self.n, Integral):
+            raise InvalidModel("n must be an integer")
         if self.n < 1:
             raise InvalidModel("n must be >= 1")
         stay1, stay0 = self.stay_probabilities()
@@ -72,6 +75,8 @@ def gen_iid_labels(p: float, n: int, seed: int = 42) -> list:
     """n independent Bernoulli(p) draws as ints 0/1, deterministic per seed."""
     if not 0.0 <= p <= 1.0:
         raise InvalidModel(f"p must be in [0, 1], got {p}")
+    if not isinstance(n, Integral):
+        raise InvalidModel("n must be an integer")
     if n < 1:
         raise InvalidModel("n must be >= 1")
     return bernoullis(seed, n, p).astype(int).tolist()

@@ -7,6 +7,10 @@ from streamaudit import parse_arff, parse_csv
 from streamaudit.cli import main
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
+# pyproject's pythonpath puts src/ on this process's path only; the CLI and
+# demo runs are child processes and import the same src/
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    filter(None, [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH")]))
 
 # The Electricity (NSW) benchmark is not redistributed with this package.
 # Point ELECTRICITY_DATA at a local copy (ARFF or CSV, 45312 rows, class

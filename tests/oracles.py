@@ -1,10 +1,9 @@
 """Slow reference implementations the library's fast paths are checked
 against.
 
-* The label-only learners behind the Classifier contract, one instance at
-  a time, and the sequential SplitMix64 stream that drives the restart
-  learner: the per-instance form of baselines' restart kernel and of
-  rng.uniforms.
+* The label-only learners prequential_eval runs, one instance at a time,
+  and the sequential SplitMix64 stream that drives the restart learner:
+  the per-instance form of baselines' restart kernel and of rng.uniforms.
 * Naive Bayes one instance at a time, the reference for the predictions
   and scores of evaluation's whole-stream trace, which NaiveBayesLearner
   serves.
@@ -21,7 +20,7 @@ from itertools import groupby
 from streamaudit.baselines import RestartPolicy
 from streamaudit.diagnostics import AcfSeries, LabelDistribution
 from streamaudit.errors import EmptyStream, LagTooLarge, ZeroVariance
-from streamaudit.evaluation import AuditVerdict, Classifier
+from streamaudit.evaluation import AuditVerdict
 from streamaudit.rng import mix64
 
 _MASK = 0xFFFFFFFFFFFFFFFF
@@ -54,7 +53,7 @@ class SplitMix64:
 
 # -------------------------------------------------------------------- learners
 
-class PersistenceLearner(Classifier):
+class PersistenceLearner:
     """Predicts the most recently observed label; cold_start before any."""
 
     name = "persistence"
@@ -73,10 +72,10 @@ class PersistenceLearner(Classifier):
         self._last = label
 
 
-class RandomRestartLearner(Classifier):
-    """The rho-parameterized restart classifier behind the Classifier
-    contract, one instance at a time; equals baselines.random_restart_run
-    on the same stream, seed and cold start."""
+class RandomRestartLearner:
+    """The rho-parameterized restart classifier as a learner prequential_eval
+    runs, one instance at a time; equals baselines.random_restart_run on the
+    same stream, seed and cold start."""
 
     def __init__(self, rho: float, seed: int, cold_start):
         self._policy = RestartPolicy(rho, seed)
@@ -109,7 +108,7 @@ class MajorityLearner(RandomRestartLearner):
         self.name = "majority"
 
 
-class OracleNaiveBayes(Classifier):
+class OracleNaiveBayes:
     """Naive Bayes one instance at a time, on any rows: per-class Welford
     Gaussians for numeric features (variance floored at 1e-9), add-one
     frequency tables for nominal ones, add-one class priors. scores

@@ -168,6 +168,31 @@ def test_sweep_config_rejects_bad_grids_and_repetitions():
         SweepConfig((0.5,), repetitions=0)
 
 
+def test_sweep_config_refuses_a_repetition_count_that_is_not_an_integer():
+    for reps in (2.5, 2.0, "2"):
+        with pytest.raises(ValueError,
+                           match="^repetitions must be an integer$"):
+            SweepConfig((0.5,), reps)
+    assert SweepConfig((0.5,), np.int64(2)).repetitions == 2
+
+
+def test_each_rho_has_one_spelling():
+    # an int or -0.0 grid value is held, and written, as the float rho
+    labels = list("DUUDDUDUDDDUUD") * 5
+    floats = rho_sweep(labels, SweepConfig((0.0, 0.5, 1.0), 2))
+    for grid in ((0, 0.5, 1), (-0.0, 0.5, True)):
+        config = SweepConfig(grid, 2)
+        assert [repr(r) for r in config.rho_grid] == ["0.0", "0.5", "1.0"]
+        result = rho_sweep(labels, config)
+        assert result.to_csv() == floats.to_csv()
+        assert result.summary_to_csv() == floats.summary_to_csv()
+    assert repr(RestartPolicy(-0.0).rho) == repr(RestartPolicy(0).rho) == "0.0"
+    with pytest.raises(TypeError):
+        RestartPolicy("0.5")
+    with pytest.raises(TypeError):
+        SweepConfig(("0.5",))
+
+
 def test_sweep_reproducible_and_order_independent():
     labels = list("DUUDDUDUDDDUUD") * 5
     config = SweepConfig((0.2, 0.8), repetitions=3, master_seed=99)
@@ -772,9 +797,9 @@ def test_electricity_shaped_golden_sha256():
         "aab30c621b18091b833fe4f11646107f5804bdb90038882b2a3954b3c81db9d2"
     nb = NaiveBayesLearner(ds)
     trace = []
-    for inst in ds.instances:
-        trace.append(nb.predict(inst.features))
-        nb.update(inst.features, ds.class_values[inst.label])
+    for features, code in ds._rows():
+        trace.append(nb.predict(features))
+        nb.update(features, ds.class_values[code])
     assert _sha256("\n".join(trace)) == \
         "febaea1b0a6741508d861f872dad7751d07586f62e49e22fbb1b8d425cf726a9"
 
@@ -799,9 +824,9 @@ def test_electricity_shaped_writers_golden_sha256():
         "92c2d6d02a72877e8255f65a6ac087c4570fa65e9cfa514db0b23e77b2501cc9"
     nb = NaiveBayesLearner(ds)
     log = []
-    for inst, true in zip(ds.instances, labels):
-        log.append((true, nb.predict(inst.features)))
-        nb.update(inst.features, true)
+    for (features, _), true in zip(ds._rows(), labels):
+        log.append((true, nb.predict(features)))
+        nb.update(features, true)
     assert _sha256(write_prediction_log(log)) == \
         "07dd92da5e79d6c4028b086654eceadb0f446cb0da9fba3b68c0422a9988101a"
     verdict, report = audit_prediction_log(log, labels)

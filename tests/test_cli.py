@@ -515,6 +515,13 @@ def test_audit_counts_a_prediction_outside_the_class_values(tmp_path, capsys):
     assert doc["confusion"] == {"A": {"A": 1, "Z": 1}, "B": {"B": 1, "Z": 1}}
 
 
+def test_eval_restart_at_minus_0_is_named_restart_0(synth_csv, capsys):
+    reports = [run(capsys, ["eval", "--input", str(synth_csv), "--learner",
+                            spec]) for spec in ("restart:-0", "restart:0")]
+    assert reports[0] == reports[1]
+    assert json.loads(reports[0][1])["classifier"] == "restart:0"
+
+
 def test_eval_restart_equals_persistence_at_rho_1(synth_csv, capsys):
     code, out, _ = run(capsys, ["eval", "--input", str(synth_csv),
                                 "--learner", "restart:1"])

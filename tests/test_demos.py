@@ -40,8 +40,6 @@ def test_demo_exits_0(elec_arff, tmp_path, demo):
     if demo == "README.md":  # its example reads data/elec.arff
         (tmp_path / "data").mkdir()
         shutil.copy(elec_arff, tmp_path / "data" / "elec.arff")
-        env["PYTHONPATH"] = os.pathsep.join(
-            filter(None, [str(REPO_ROOT / "src"), env.get("PYTHONPATH")]))
         argv, cwd = ["-c", readme_example()], tmp_path
     else:
         argv, cwd = [f"demos/{demo}"], REPO_ROOT

@@ -154,6 +154,15 @@ def test_acf_errors():
         autocorrelation(list("UDUD"), 0)
 
 
+def test_a_lag_the_series_does_not_hold_is_a_key_error_naming_it():
+    series = diagnose(list("UDUUDDUDUUDU") * 4, max_lag=10).acf
+    for lag in (0, 11, 48, -1):
+        with pytest.raises(KeyError,
+                           match=rf"^'lag {lag} is not in 1\.\.10'$"):
+            series[lag]
+    assert series[10] == series.values[-1]
+
+
 def test_acf_encoding_invariance():
     # r(k) is exact, so it is the same whichever class is x = 1: on the
     # complemented labels, and on codes handed in with the other class as 1

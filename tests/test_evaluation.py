@@ -15,8 +15,8 @@ from hypothesis import strategies as st
 from oracles import (MajorityLearner, OracleNaiveBayes, PersistenceLearner,
                      RandomRestartLearner)
 
-from streamaudit import (AttributeSchema, AuditVerdict, Classifier,
-                         EmptyStream, Instance, LabelMismatch,
+from streamaudit import (AttributeSchema, AuditVerdict, EmptyStream,
+                         Instance, LabelMismatch,
                          NaiveBayesLearner, ParseError, RestartPolicy,
                          SchemaMismatch, ScoreOverflow, StreamAuditError,
                          StreamDataset, Verdict,
@@ -41,9 +41,9 @@ def numeric_dataset(points, class_values=("A", "B")):
 
 def prediction_trace(learner, ds):
     trace = []
-    for inst in ds.instances:
-        trace.append(learner.predict(inst.features))
-        learner.update(inst.features, ds.class_values[inst.label])
+    for features, code in ds._rows():
+        trace.append(learner.predict(features))
+        learner.update(features, ds.class_values[code])
     return trace
 
 
@@ -61,11 +61,11 @@ def run_calls(learner, calls):
 
 def walk(ds, rows):
     """A prequential pass over the given rows of ds."""
-    calls = []
+    stream, calls = list(ds._rows()), []
     for t in rows:
-        inst = ds.instances[t]
-        calls += [("predict", inst.features),
-                  ("update", inst.features, ds.class_values[inst.label])]
+        features, code = stream[t]
+        calls += [("predict", features),
+                  ("update", features, ds.class_values[code])]
     return calls
 
 
@@ -226,13 +226,13 @@ def test_whole_stream_scores_are_the_learners_bit_for_bit(ds):
         (len(ds.class_values), ds.n_instances)
     assert not trained[:, 0].any()  # t = 0 takes the first class
     oracle = OracleNaiveBayes(ds)
-    for t, inst in enumerate(ds.instances):
+    for t, (features, code) in enumerate(ds._rows()):
         if t:
-            expected = oracle.scores(inst.features)
+            expected = oracle.scores(features)
             assert trained[:, t].tolist() == [s is not None for s in expected]
             assert all(same_float(scores[c, t], s)
                        for c, s in enumerate(expected) if s is not None)
-        oracle.update(inst.features, ds.class_values[inst.label])
+        oracle.update(features, ds.class_values[code])
 
 
 def test_rows_holding_nan_stay_on_the_stream():
@@ -283,6 +283,7 @@ STREAM = three_class_stream()
 OTHER = three_class_stream(seed=4)
 N = STREAM.n_instances
 HALF = N // 2
+FEATURES = [features for features, _ in STREAM._rows()]
 # each script walks the stream's first `row` rows, then leaves it
 LEAVING_CALLS = {
     "foreign-predict": (HALF, walk(STREAM, range(HALF))
@@ -290,18 +291,17 @@ LEAVING_CALLS = {
                         + walk(STREAM, range(HALF, N))),
     "predict-of-a-later-row": (HALF, walk(STREAM, range(HALF))
                                + [("predict",
-                                   STREAM.instances[HALF + 1].features)]
+                                   FEATURES[HALF + 1])]
                                + walk(STREAM, range(HALF, N))),
     "foreign-update": (HALF, walk(STREAM, range(HALF))
-                       + [("update", STREAM.instances[HALF].features, "C"
+                       + [("update", FEATURES[HALF], "C"
                            if STREAM.labels()[HALF] != "C" else "A")]
                        + walk(STREAM, range(HALF, N))),
     "list-not-tuple": (HALF, walk(STREAM, range(HALF))
-                       + [("predict", list(STREAM.instances[HALF].features))]
+                       + [("predict", list(FEATURES[HALF]))]
                        + walk(STREAM, range(HALF, N))),
     "numpy-array": (HALF, walk(STREAM, range(HALF))
-                    + [("predict", np.array(STREAM.instances[HALF].features,
-                                            dtype=object))]
+                    + [("predict", np.array(FEATURES[HALF], dtype=object))]
                     + walk(STREAM, range(HALF, N))),
     "after-the-last-row": (N, walk(STREAM, range(N))
                            + walk(STREAM, range(N))),
@@ -334,12 +334,12 @@ def test_a_call_off_the_stream_moves_nothing():
     nb = NaiveBayesLearner(STREAM)
     first = run_calls(nb, walk(STREAM, range(HALF)))
     for bad in [("predict", (0.25, 1, 0.5)),
-                ("update", STREAM.instances[HALF + 1].features, "A"),
+                ("update", FEATURES[HALF + 1], "A"),
                 ("predict", None), ("update", None, STREAM.labels()[HALF])]:
         with pytest.raises(SchemaMismatch, match=f"^row {HALF}: "):
             run_calls(nb, [bad])
     # None is not the tuple predict matched either
-    nb.predict(STREAM.instances[HALF].features)
+    nb.predict(FEATURES[HALF])
     with pytest.raises(SchemaMismatch, match=f"^row {HALF}: not the values"):
         nb.update(None, STREAM.labels()[HALF])
     assert first + run_calls(nb, walk(STREAM, range(HALF, N))) == \
@@ -375,21 +375,21 @@ def first_off_stream(ds, calls):
     """The index of the first of calls that does not walk ds in order
     (NaN matching NaN), and the row it came at; None and None if every
     call does."""
-    cursor = 0
+    stream, cursor = list(ds._rows()), 0
     for i, (name, *args) in enumerate(calls):
         if name == "reset":
             cursor = 0
             continue
         if cursor == ds.n_instances:
             return i, cursor
-        inst = ds.instances[cursor]
+        row, code = stream[cursor]
         features = args[0]
         if not (isinstance(features, tuple)
-                and len(features) == len(inst.features)
+                and len(features) == len(row)
                 and all(a == b or math.isnan(a) and math.isnan(b)
-                        for a, b in zip(features, inst.features))) \
+                        for a, b in zip(features, row))) \
                 or name == "update" \
-                and args[1] != ds.class_values[inst.label]:
+                and args[1] != ds.class_values[code]:
             return i, cursor
         cursor += name == "update"
     return None, None
@@ -401,7 +401,7 @@ def first_off_stream(ds, calls):
 @settings(max_examples=150, deadline=None)
 def test_any_calls_match_the_oracle(ds, script):
     # "next" is the stream's next row; past the end it wraps around
-    calls, t = [], 0
+    stream, calls, t = list(ds._rows()), [], 0
     for name, row, label in script:
         if name == "reset":
             calls.append(("reset",))
@@ -410,7 +410,7 @@ def test_any_calls_match_the_oracle(ds, script):
             calls += walk(ds, [t % ds.n_instances])
             t += 1
         else:
-            features = ds.instances[row % ds.n_instances].features
+            features = stream[row % ds.n_instances][0]
             calls.append(("predict", features) if name == "predict" else
                          ("update", features, ds.class_values[
                              label % len(ds.class_values)]))
@@ -447,12 +447,12 @@ def oracle_overflow_row(ds):
     """The row at which a prequential pass of OracleNaiveBayes raises
     OverflowError, or None."""
     oracle = OracleNaiveBayes(ds)
-    for t, inst in enumerate(ds.instances):
+    for t, (features, code) in enumerate(ds._rows()):
         try:
-            oracle.predict(inst.features)
+            oracle.predict(features)
         except OverflowError:
             return t
-        oracle.update(inst.features, ds.class_values[inst.label])
+        oracle.update(features, ds.class_values[code])
     return None
 
 
@@ -754,7 +754,7 @@ def test_a_prequential_pass_compares_each_row_once():
     # the tuple predict matched is not compared again but its label is
     # checked, and an equal tuple that is not it is compared
     nb.reset()
-    features = STREAM.instances[0].features
+    features = FEATURES[0]
     nb.predict(features)
     wrong = "C" if STREAM.labels()[0] != "C" else "A"
     with pytest.raises(SchemaMismatch, match="^row 0: label "):
@@ -784,7 +784,7 @@ def test_prequential_single_instance():
     assert report.n == 1 and report.accuracy in (0.0, 1.0)
 
 
-class _Spy(Classifier):
+class _Spy:
     name = "spy"
 
     def __init__(self):
@@ -806,9 +806,9 @@ def test_prequential_is_single_pass_test_then_train():
     spy = _Spy()
     prequential_eval(spy, ds)
     expected = []
-    for inst in ds.instances:
-        expected.append(("predict", inst.features))
-        expected.append(("update", inst.features, ds.class_values[inst.label]))
+    for features, code in ds._rows():
+        expected.append(("predict", features))
+        expected.append(("update", features, ds.class_values[code]))
     assert spy.events == expected
 
 

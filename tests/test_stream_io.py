@@ -15,10 +15,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from streamaudit import (AttributeSchema, Classifier, EmptyStream,
-                         NaiveBayesLearner, ParseError, StreamDataset,
-                         UnsupportedFeature, audit_accuracy, dataset_summary,
-                         diagnose, parse_arff, parse_csv, prequential_eval,
+from streamaudit import (AttributeSchema, EmptyStream, NaiveBayesLearner,
+                         ParseError, StreamDataset, UnsupportedFeature,
+                         audit_accuracy, dataset_summary, diagnose,
+                         parse_arff, parse_csv, prequential_eval,
                          read_prediction_log, to_arff, write_prediction_log)
 from streamaudit import cli, stream_io
 from streamaudit.rng import uniforms
@@ -52,7 +52,7 @@ def test_minimal_arff_zero_rows():
 def test_small_arff_order_and_values():
     ds = arff(SMALL_ARFF)
     assert ds.labels() == ["A", "B", "A"]
-    assert [inst.features[0] for inst in ds.instances] == [1.0, 2.5, 3.0]
+    assert [features[0] for features, _ in ds._rows()] == [1.0, 2.5, 3.0]
 
 
 def test_arity_mismatch_names_line():
@@ -442,9 +442,8 @@ def oracle_to_arff(ds, relation="stream"):
         else:
             out.write(f"@attribute {name} numeric\n")
     out.write("@data\n")
-    for inst in ds.instances:
-        row = list(inst.features)
-        row.append(inst.label)
+    for features, code in ds._rows():
+        row = [*features, code]
         out.write(",".join(oracle_format_value(a, v)
                            for a, v in zip(ds.schema, row)) + "\n")
     return out.getvalue()
@@ -1132,7 +1131,7 @@ def test_split_csv_blocks_hold_one_copy_of_their_text(text):
 
 
 # ---------------------------------------------------------------------------
-# columns: the dataset's one store; instances is a view built on demand
+# columns: the dataset's one store
 
 @st.composite
 def instance_rows(draw):
@@ -1154,8 +1153,10 @@ def instance_rows(draw):
     return tuple(schema), instances
 
 
-class Recorder(Classifier):
+class Recorder:
     """Keeps every (features, label) pair prequential_eval hands over."""
+
+    name = "recorder"
 
     def __init__(self):
         self.seen = []
@@ -1176,17 +1177,14 @@ def test_dataset_from_instances_equals_its_parsed_arff(rows, block):
         again = parse_arff(io.StringIO(to_arff(ds)))
         assert again == ds and repr(again) == repr(ds)
         types = [int if a.is_nominal else float for a in ds.schema[:-1]]
-        for view in (ds.instances, again.instances):
-            assert view == tuple(instances)
-            for inst in view:
-                assert type(inst.label) is int
-                assert [type(v) for v in inst.features] == types
-        if instances:
+        for source in (ds, again) if instances else ():
             recorder = Recorder()
-            prequential_eval(recorder, again)
+            prequential_eval(recorder, source)
             assert recorder.seen == [
                 (inst.features, ds.class_values[inst.label])
                 for inst in instances]
+            for features, _ in recorder.seen:
+                assert [type(v) for v in features] == types
 
 
 def test_columns_hold_one_typed_array_per_attribute():
@@ -1200,13 +1198,13 @@ def test_columns_hold_one_typed_array_per_attribute():
 
 def test_repr_is_complete_for_long_streams():
     n = 1500
+    rows = [Instance((i / 7,), i % 2) for i in range(n)]
     ds = StreamDataset((AttributeSchema("x", None),
-                        AttributeSchema("cls", ("A", "B"))),
-                       [Instance((i / 7,), i % 2) for i in range(n)], 1)
+                        AttributeSchema("cls", ("A", "B"))), rows, 1)
     text = repr(ds)
     assert "..." not in text
     assert repr((n - 1) / 7) in text
-    assert repr(ds) != repr(StreamDataset(ds.schema, ds.instances[:-1], 1))
+    assert repr(ds) != repr(StreamDataset(ds.schema, rows[:-1], 1))
 
 
 def test_equality_compares_every_value():
@@ -1218,7 +1216,7 @@ def test_equality_compares_every_value():
     for changed in (Instance((0.5,), 1), Instance((19 / 7,), 0)):
         assert ds != StreamDataset(schema, rows[:-1] + [changed], 1)
     assert ds != StreamDataset(schema, rows[:-1], 1)
-    assert ds != ds.instances
+    assert ds != rows
 
 
 def test_columns_reject_writes():
@@ -1235,7 +1233,6 @@ def test_columns_reject_writes():
                 col[0] = 1
         with pytest.raises(AttributeError):
             ds.columns = ()
-    assert built.instances is built.instances  # built once
 
 
 @pytest.mark.parametrize("values, message", [
@@ -1316,7 +1313,8 @@ def test_library_paths_construct_no_instances(monkeypatch):
     audit_accuracy(0.5, ds)
     prequential_eval(NaiveBayesLearner(ds), ds)
     assert made == []
-    assert len(ds.instances) == len(made) == 43  # the view is counted
+    rows = [Instance(*row) for row in ds._rows()]
+    assert len(rows) == len(made) == 43  # a construction is counted
 
 
 # Block-level arity: a data block whose every line holds one comma fewer

@@ -71,6 +71,16 @@ def test_iid_labels_reject_a_bad_prior_or_length():
         gen_iid_labels(0.5, 0)
 
 
+def test_a_length_that_is_not_an_integer_is_refused():
+    for n in (2.5, 3.0, "3"):
+        with pytest.raises(InvalidModel, match="^n must be an integer$"):
+            gen_iid_labels(0.5, n)
+        with pytest.raises(InvalidModel, match="^n must be an integer$"):
+            MarkovLabelModel(0.4, 0.5, n)
+    assert len(gen_iid_labels(0.5, np.int64(3))) == 3
+    assert len(gen_markov_labels(MarkovLabelModel(0.4, 0.5, np.int32(3)))) == 3
+
+
 def test_single_label():
     labels = gen_markov_labels(MarkovLabelModel(0.9, 0.5, 1, seed=1))
     assert labels in ([0], [1])
