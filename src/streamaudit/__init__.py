@@ -5,8 +5,7 @@ harness with an accuracy audit protocol.
 """
 
 from .baselines import (RestartPolicy, SweepConfig, SweepResult,
-                        exact_rho_curve, majority_baseline,
-                        random_restart_run, random_restart_trace, rho_sweep)
+                        exact_rho_curve, majority_baseline, rho_sweep)
 from .diagnostics import (AcfSeries, DiagnosticsReport, LabelDistribution,
                           RunLengthStats, autocorrelation, diagnose,
                           independence_bar, label_distribution,

@@ -50,6 +50,8 @@ class RestartPolicy:
         if not 0.0 <= self.rho <= 1.0:
             raise InvalidRho(f"rho must be in [0, 1], got {self.rho}")
         object.__setattr__(self, "rho", float(self.rho) + 0.0)  # -0.0 is 0.0
+        if not isinstance(self.seed, Integral):
+            raise ValueError("seed must be an integer")
 
 
 @dataclass(frozen=True)
@@ -70,6 +72,7 @@ class SweepConfig:
             raise ValueError("repetitions must be an integer")
         if self.repetitions < 1:
             raise ValueError("repetitions must be >= 1")
+        RestartPolicy(0.0, self.master_seed)  # the seed's rule
 
 
 @dataclass(frozen=True)
@@ -204,19 +207,6 @@ def majority_baseline(labels: Sequence) -> float:
     majority class of everything seen so far, ties toward the most
     recently observed label."""
     return _CodedStream(labels).accuracy()
-
-
-def random_restart_run(labels: Sequence, policy: RestartPolicy) -> float:
-    """Accuracy of one seeded run of the random-restart classifier."""
-    stream = _CodedStream(labels)
-    return stream.accuracy(stream.starts(policy))
-
-
-def random_restart_trace(labels: Sequence, policy: RestartPolicy) -> list:
-    """Full prediction trace of one seeded run (audit mode)."""
-    stream = _CodedStream(labels)
-    return list(map(stream.classes.__getitem__,
-                    stream.trace(stream.starts(policy)).tolist()))
 
 
 def rho_sweep(labels: Sequence, config: SweepConfig) -> SweepResult:

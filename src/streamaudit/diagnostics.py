@@ -27,6 +27,7 @@ import math
 from collections import defaultdict
 from dataclasses import dataclass
 from itertools import count
+from numbers import Integral
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -131,11 +132,15 @@ def _encode(labels) -> _Codes:
 
 
 def _codes(labels, classes: list) -> np.ndarray:
-    """labels as int32 codes into classes, a list new labels join in order."""
+    """labels as int32 codes into classes, a list new labels join in order;
+    a label that does not equal itself, such as NaN, is a ValueError."""
     next_code = count()  # a new label takes the next code
     index = defaultdict(next_code.__next__, zip(classes, next_code))
     codes = np.fromiter(map(index.__getitem__, labels), np.int32, len(labels))
-    classes.extend(list(index)[len(classes):])
+    for label in list(index)[len(classes):]:
+        if label != label:
+            raise ValueError(f"label {label!r} does not equal itself")
+        classes.append(label)
     return codes
 
 
@@ -186,12 +191,14 @@ def autocorrelation(labels: Sequence, max_lag: int) -> AcfSeries:
     bar, r(1) = (P - I - (1 + I)/n + (S[x_1] + S[x_n])/n^2) / (1 - I)
     exactly, so r(1) is (P - I) / (1 - I) to within 2 / (n (1 - I)).
     """
+    if not isinstance(max_lag, Integral):
+        raise ValueError("max_lag must be an integer")
+    if max_lag < 1:
+        raise ValueError("max_lag must be >= 1")
     codes, classes = _encode(labels)
     n = len(codes)
     if len(classes) < 2:
         raise ZeroVariance("only one class occurs; ACF undefined")
-    if max_lag < 1:
-        raise ValueError("max_lag must be >= 1")
     if max_lag >= n:
         raise LagTooLarge(f"max_lag {max_lag} >= stream length {n}")
 

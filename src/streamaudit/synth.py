@@ -29,6 +29,16 @@ from .rng import bernoullis, uniforms
 LABEL_VALUES = ("0", "1")  # nominal class names used in exported files
 
 
+def _check_draws(n, seed):
+    """Both generators' rule for n, the label count, and the seed."""
+    if not isinstance(n, Integral):
+        raise InvalidModel("n must be an integer")
+    if n < 1:
+        raise InvalidModel("n must be >= 1")
+    if not isinstance(seed, Integral):
+        raise InvalidModel("seed must be an integer")
+
+
 @dataclass(frozen=True)
 class MarkovLabelModel:
     """Two-state chain: stationary prior of class 1 and lag-1 autocorrelation."""
@@ -41,10 +51,7 @@ class MarkovLabelModel:
     def __post_init__(self):
         if not 0.0 < self.prior < 1.0:
             raise InvalidModel(f"prior must be in (0, 1), got {self.prior}")
-        if not isinstance(self.n, Integral):
-            raise InvalidModel("n must be an integer")
-        if self.n < 1:
-            raise InvalidModel("n must be >= 1")
+        _check_draws(self.n, self.seed)
         stay1, stay0 = self.stay_probabilities()
         for name, q in (("P(1->1)", stay1), ("P(0->0)", stay0)):
             if not 0.0 <= q <= 1.0:
@@ -75,10 +82,7 @@ def gen_iid_labels(p: float, n: int, seed: int = 42) -> list:
     """n independent Bernoulli(p) draws as ints 0/1, deterministic per seed."""
     if not 0.0 <= p <= 1.0:
         raise InvalidModel(f"p must be in [0, 1], got {p}")
-    if not isinstance(n, Integral):
-        raise InvalidModel("n must be an integer")
-    if n < 1:
-        raise InvalidModel("n must be >= 1")
+    _check_draws(n, seed)
     return bernoullis(seed, n, p).astype(int).tolist()
 
 

@@ -10,6 +10,9 @@ against.
 * The label statistics on plain label sequences, one Python step per
   label: distribution, persistence, run lengths and the k-class ACF, and
   the diagnose report and audit verdict built from them.
+
+kernel_trace is the restart kernel's side of those checks: one seeded
+run as labels.
 """
 
 import json
@@ -17,7 +20,7 @@ import math
 import operator
 from itertools import groupby
 
-from streamaudit.baselines import RestartPolicy
+from streamaudit.baselines import RestartPolicy, _CodedStream
 from streamaudit.diagnostics import AcfSeries, LabelDistribution
 from streamaudit.errors import EmptyStream, LagTooLarge, ZeroVariance
 from streamaudit.evaluation import AuditVerdict
@@ -74,8 +77,8 @@ class PersistenceLearner:
 
 class RandomRestartLearner:
     """The rho-parameterized restart classifier as a learner prequential_eval
-    runs, one instance at a time; equals baselines.random_restart_run on the
-    same stream, seed and cold start."""
+    runs, one instance at a time; its predictions equal kernel_trace on the
+    same stream and seed, with the first label as cold start."""
 
     def __init__(self, rho: float, seed: int, cold_start):
         self._policy = RestartPolicy(rho, seed)
@@ -98,6 +101,14 @@ class RandomRestartLearner:
         self._counts[label] = self._counts.pop(label, 0) + 1
         if self._policy.rho > 0.0 and self._rng.bernoulli(self._policy.rho):
             self._counts = {label: 1}
+
+
+def kernel_trace(labels, policy: RestartPolicy) -> list:
+    """The predictions of one seeded run of baselines' restart kernel, as
+    labels: _CodedStream(labels).trace(starts(policy)), decoded."""
+    stream = _CodedStream(labels)
+    return [stream.classes[c]
+            for c in stream.trace(stream.starts(policy)).tolist()]
 
 
 class MajorityLearner(RandomRestartLearner):

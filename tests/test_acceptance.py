@@ -14,10 +14,11 @@ import pytest
 from streamaudit import (RestartPolicy, SweepConfig, Verdict, audit_accuracy,
                          autocorrelation, gen_iid_labels, independence_bar,
                          label_distribution, majority_baseline,
-                         persistence_accuracy, prequential_eval,
-                         random_restart_run, random_restart_trace, rho_sweep)
+                         persistence_accuracy, prequential_eval, rho_sweep)
+from streamaudit.baselines import _CodedStream
 from streamaudit.evaluation import NaiveBayesLearner
 
+from oracles import kernel_trace
 from test_baselines import (iid_expected_accuracy, oracle_majority_trace,
                             oracle_restart_trace)
 
@@ -47,11 +48,12 @@ def test_c03_independence_bar_on_electricity(electricity_labels):
 def test_c04_sweep_endpoints_are_exact_identities(electricity_labels):
     persistence = persistence_accuracy(electricity_labels)
     majority = majority_baseline(electricity_labels)
+    stream = _CodedStream(electricity_labels)
     for seed in (0, 1, 42, 2**63):
-        assert random_restart_run(electricity_labels,
-                                  RestartPolicy(1.0, seed)) == persistence
-        assert random_restart_run(electricity_labels,
-                                  RestartPolicy(0.0, seed)) == majority
+        assert stream.accuracy(stream.starts(RestartPolicy(1.0, seed))) \
+            == persistence
+        assert stream.accuracy(stream.starts(RestartPolicy(0.0, seed))) \
+            == majority
 
 
 def test_c05_sweep_shape_on_electricity(electricity_labels):
@@ -118,9 +120,9 @@ def test_c09_oracle_equivalence_on_random_streams():
         pers_oracle = labels[:1] + labels[:-1]
         assert persistence_accuracy(labels) == \
             sum(p == y for p, y in zip(pers_oracle, labels)) / n
-        assert random_restart_trace(labels, RestartPolicy(0.0)) == \
+        assert kernel_trace(labels, RestartPolicy(0.0)) == \
             oracle_majority_trace(labels, labels[0])
-        assert random_restart_trace(labels, RestartPolicy(rho, seed)) == \
+        assert kernel_trace(labels, RestartPolicy(rho, seed)) == \
             oracle_restart_trace(labels, rho, seed, labels[0])
 
 

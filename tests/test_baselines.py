@@ -12,15 +12,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import SplitMix64
+from oracles import SplitMix64, kernel_trace
 
 from streamaudit import (AttributeSchema, EmptyStream, Instance, InvalidRho,
                          NaiveBayesLearner, RestartPolicy, StreamDataset,
                          SweepConfig, audit_prediction_log, autocorrelation,
                          diagnose, exact_rho_curve, gen_markov_labels,
                          labels_to_csv, majority_baseline, parse_arff,
-                         persistence_accuracy, prequential_eval,
-                         random_restart_run, random_restart_trace, rho_sweep,
+                         persistence_accuracy, prequential_eval, rho_sweep,
                          to_arff, write_prediction_log)
 from streamaudit.baselines import SweepResult, _CodedStream
 from streamaudit.rng import uniforms
@@ -31,7 +30,7 @@ seeds = st.integers(0, 2**64 - 1)
 
 
 def test_majority_hand_trace():
-    assert random_restart_trace(list("DUUDDD"), RestartPolicy(0.0)) == \
+    assert kernel_trace(list("DUUDDD"), RestartPolicy(0.0)) == \
         list("DDUUDD")
     assert majority_baseline(list("DUUDDD")) == pytest.approx(4 / 6)
 
@@ -44,7 +43,7 @@ def test_empty_stream_rejected():
     with pytest.raises(EmptyStream):
         majority_baseline([])
     with pytest.raises(EmptyStream):
-        random_restart_run([], RestartPolicy(0.5, 1))
+        rho_sweep([], SweepConfig((0.5,), 1, 1))
 
 
 def test_invalid_rho():
@@ -55,9 +54,10 @@ def test_invalid_rho():
 
 
 def test_restart_rho1_hand_trace():
-    trace = random_restart_trace(list("DUU"), RestartPolicy(1.0, 99))
-    assert trace == ["D", "D", "U"]
-    assert random_restart_run(list("DUU"), RestartPolicy(1.0, 99)) == \
+    assert kernel_trace(list("DUU"), RestartPolicy(1.0, 99)) == \
+        ["D", "D", "U"]
+    stream = _CodedStream(list("DUU"))
+    assert stream.accuracy(stream.starts(RestartPolicy(1.0, 99))) == \
         pytest.approx(2 / 3)
 
 
@@ -65,9 +65,10 @@ def test_restart_rho1_hand_trace():
 @settings(max_examples=80, deadline=None)
 def test_endpoint_identities(labels, seed):
     # exact identities for every stream and every seed
-    assert random_restart_run(labels, RestartPolicy(1.0, seed)) == \
+    stream = _CodedStream(labels)
+    assert stream.accuracy(stream.starts(RestartPolicy(1.0, seed))) == \
         persistence_accuracy(labels)
-    assert random_restart_run(labels, RestartPolicy(0.0, seed)) == \
+    assert stream.accuracy(stream.starts(RestartPolicy(0.0, seed))) == \
         majority_baseline(labels)
 
 
@@ -75,8 +76,9 @@ def test_endpoint_identities(labels, seed):
 @settings(max_examples=50, deadline=None)
 def test_restart_determinism(labels, seed, rho):
     policy = RestartPolicy(rho, seed)
-    assert random_restart_run(labels, policy) == \
-        random_restart_run(labels, policy)
+    first, second = _CodedStream(labels), _CodedStream(labels)
+    assert first.accuracy(first.starts(policy)) == \
+        second.accuracy(second.starts(policy))
 
 
 def test_sweep_deterministic_rows_at_rho0():
@@ -202,8 +204,9 @@ def test_sweep_reproducible_and_order_independent():
     # each cell depends only on its own derived seed, not on sweep order
     from streamaudit.rng import derive_seed
     rho, rep, acc = a.rows[4]  # rho index 1, rep 1
-    alone = random_restart_run(labels,
-                               RestartPolicy(rho, derive_seed(99, 1, 1)))
+    stream = _CodedStream(labels)
+    alone = stream.accuracy(stream.starts(
+        RestartPolicy(rho, derive_seed(99, 1, 1))))
     assert acc == alone
 
 
@@ -227,9 +230,10 @@ def test_strictly_increasing_grid_required():
 def test_trace_rescoring_audit_mode():
     labels = [random.Random(5).choice("DU") for _ in range(200)]
     policy = RestartPolicy(0.3, 77)
-    trace = random_restart_trace(labels, policy)
+    trace = kernel_trace(labels, policy)
     rescored = sum(p == y for p, y in zip(trace, labels)) / len(labels)
-    assert rescored == random_restart_run(labels, policy)
+    stream = _CodedStream(labels)
+    assert rescored == stream.accuracy(stream.starts(policy))
 
 
 # ---------------------------------------------------------------------------
@@ -296,9 +300,9 @@ def test_fast_paths_match_bruteforce_oracle():
         labels = [rng.choice("DUX") for _ in range(n)]
         rho = rng.choice([0.0, 0.1, 0.5, 0.9, 1.0])
         seed = rng.randrange(2**64)
-        assert random_restart_trace(labels, RestartPolicy(0.0)) == \
+        assert kernel_trace(labels, RestartPolicy(0.0)) == \
             oracle_majority_trace(labels, labels[0])
-        assert random_restart_trace(labels, RestartPolicy(rho, seed)) == \
+        assert kernel_trace(labels, RestartPolicy(rho, seed)) == \
             oracle_restart_trace(labels, rho, seed, labels[0])
 
 
@@ -319,9 +323,9 @@ def test_kernel_matches_oracle_on_1_to_6_classes():
     cases.append((["C"] * 30, 0.4))
     for labels, rho in cases:
         seed = rng.randrange(2**64)
-        assert random_restart_trace(labels, RestartPolicy(0.0)) == \
+        assert kernel_trace(labels, RestartPolicy(0.0)) == \
             oracle_majority_trace(labels, labels[0])
-        assert random_restart_trace(labels, RestartPolicy(rho, seed)) == \
+        assert kernel_trace(labels, RestartPolicy(rho, seed)) == \
             oracle_restart_trace(labels, rho, seed, labels[0])
 
 
@@ -375,23 +379,24 @@ def width_streams(j, seed):
 @pytest.mark.parametrize("j", range(1, 7))
 def test_kernel_matches_oracle_where_the_key_widens(j):
     for labels in width_streams(j, j):
-        assert random_restart_trace(labels, RestartPolicy(0.0)) == \
+        assert kernel_trace(labels, RestartPolicy(0.0)) == \
             oracle_majority_trace(labels, labels[0])
         for rho in (0.5, 1.0):
-            assert random_restart_trace(labels, RestartPolicy(rho, j)) == \
+            assert kernel_trace(labels, RestartPolicy(rho, j)) == \
                 oracle_restart_trace(labels, rho, j, labels[0])
 
 
 def test_kernel_at_two_to_the_16_matches_the_oracles():
     for n in (2**16 - 1, 2**16, 2**16 + 1):
         labels = sticky_stream(n, "ABC", 0.8, n)
-        assert random_restart_trace(labels, RestartPolicy(0.5, n)) == \
+        assert kernel_trace(labels, RestartPolicy(0.5, n)) == \
             oracle_restart_trace(labels, 0.5, n, labels[0])
-        assert random_restart_trace(labels, RestartPolicy(1.0, n)) == \
+        assert kernel_trace(labels, RestartPolicy(1.0, n)) == \
             labels[:1] + labels[:-1]
-        assert random_restart_run(labels, RestartPolicy(1.0, n)) == \
+        stream = _CodedStream(labels)
+        assert stream.accuracy(stream.starts(RestartPolicy(1.0, n))) == \
             persistence_accuracy(labels)
-        assert random_restart_trace(labels, RestartPolicy(0.0)) == \
+        assert kernel_trace(labels, RestartPolicy(0.0)) == \
             linear_majority_trace(labels)
 
 

@@ -3,21 +3,24 @@ import hashlib
 import io
 import json
 import re
+from functools import partial
 
+import numpy as np
 import pytest
 from conftest import REPO_ROOT, run
-from oracles import OracleNaiveBayes, oracle_autocorrelation
+from oracles import OracleNaiveBayes, PersistenceLearner, oracle_autocorrelation
 from test_baselines import sticky_stream
 from test_stream_io import multiclass_csv
 
-from streamaudit import (EmptyStream, NaiveBayesLearner, RestartPolicy,
-                         SchemaMismatch, SweepConfig, audit_accuracy,
-                         audit_prediction_log, autocorrelation,
-                         dataset_summary, diagnose, label_distribution,
-                         labels_to_csv, majority_baseline, parse_arff,
-                         parse_csv, persistence_accuracy, prequential_eval,
-                         random_restart_run, random_restart_trace,
-                         rho_sweep, run_lengths, write_prediction_log)
+from streamaudit import (EmptyStream, InvalidModel, MarkovLabelModel,
+                         NaiveBayesLearner, RestartPolicy, SchemaMismatch,
+                         SweepConfig, audit_accuracy, audit_prediction_log,
+                         autocorrelation, dataset_summary, diagnose,
+                         exact_rho_curve, gen_iid_labels, label_distribution,
+                         labels_to_csv, labels_to_dataset, majority_baseline,
+                         parse_arff, parse_csv, persistence_accuracy,
+                         prequential_eval, rho_sweep, run_lengths,
+                         write_prediction_log)
 from streamaudit.cli import MAX_GRID_VALUES, _parse_grid, main
 from streamaudit.stream_io import write_csv
 
@@ -126,8 +129,74 @@ def test_each_parameter_rule_is_stated_once_in_src():
                   sorted((REPO_ROOT / "src" / "streamaudit").glob("*.py")))
     for message in ("grid values must lie in [0, 1]",
                     "rho grid must be strictly increasing",
-                    "rho must be in [0, 1]", "prior must be in (0, 1)"):
+                    "rho must be in [0, 1]", "prior must be in (0, 1)",
+                    "n must be an integer", "n must be >= 1"):
         assert src.count(message) == 1, message
+
+
+SEED_OWNERS = {
+    "RestartPolicy": (lambda seed: RestartPolicy(0.5, seed), ValueError),
+    "SweepConfig": (lambda seed: SweepConfig((0.5,), 2, seed), ValueError),
+    "MarkovLabelModel": (lambda seed: MarkovLabelModel(0.4, 0.5, 5, seed),
+                         InvalidModel),
+    "gen_iid_labels": (lambda seed: gen_iid_labels(0.5, 5, seed),
+                       InvalidModel),
+}
+LAG_OWNERS = {
+    "autocorrelation": lambda lag: autocorrelation(list("UDDU"), lag),
+    "diagnose": lambda lag: diagnose(list("UDDU"), lag),
+}
+LABEL_TAKERS = {
+    "persistence_accuracy": persistence_accuracy,
+    "label_distribution": label_distribution,
+    "run_lengths": run_lengths,
+    "autocorrelation": lambda labels: autocorrelation(labels, 1),
+    "diagnose": diagnose,
+    "majority_baseline": majority_baseline,
+    "rho_sweep": lambda labels: rho_sweep(labels, SweepConfig((0.5,), 1)),
+    "exact_rho_curve": lambda labels: exact_rho_curve(labels, (0.5,)),
+    "audit_accuracy": lambda labels: audit_accuracy(0.5, labels),
+    "audit_prediction_log-true":
+        lambda labels: audit_prediction_log([(y, "A") for y in labels]),
+    "audit_prediction_log-predicted":
+        lambda labels: audit_prediction_log([("A", y) for y in labels]),
+    "prequential_eval": lambda labels: prequential_eval(  # predicts labels[0]
+        PersistenceLearner(labels[0]), labels_to_dataset([0, 1, 1])),
+}
+
+
+def refusals():
+    nan = float("nan")
+    for value in (2.5, "x", nan):
+        for name, (owner, error) in SEED_OWNERS.items():
+            yield pytest.param(partial(owner, value), error,
+                               r"^seed must be an integer$",
+                               id=f"{name}-seed-{value}")
+        for name, owner in LAG_OWNERS.items():
+            yield pytest.param(partial(owner, value), ValueError,
+                               r"^max_lag must be an integer$",
+                               id=f"{name}-lag-{value}")
+    streams = {"one-nan-object": [nan, nan, 1.0],
+               "two-nan-objects": [float("nan"), float("nan"), 1.0],
+               "nan-array": np.array([np.nan, np.nan, 1.0])}
+    for stream, labels in streams.items():
+        for name, taker in LABEL_TAKERS.items():
+            yield pytest.param(partial(taker, labels), ValueError,
+                               r"^label .*nan.* does not equal itself$",
+                               id=f"{name}-{stream}")
+
+
+@pytest.mark.parametrize("call, error, message", refusals())
+def test_each_owner_refuses_a_seed_lag_or_label_it_cannot_use(call, error,
+                                                              message):
+    """A seed or lag that is not an integer (a float, a str, NaN) is
+    refused by the type or function that owns its rule, and a label that
+    does not equal itself (NaN) by the one label encoder, with the owner's
+    error and before a draw or a count. A float or str label is a label
+    like any other. The CLI is unaffected: argparse types --seed, --n and
+    --max-lag as integers, and no parser yields a NaN label."""
+    with pytest.raises(error, match=message):
+        call()
 
 
 @pytest.mark.parametrize("graded, message", [
@@ -215,8 +284,6 @@ def prequential_eval_on_empty():
 @pytest.mark.parametrize("entry", [
     lambda: persistence_accuracy([]),
     lambda: majority_baseline([]),
-    lambda: random_restart_run([], RestartPolicy(0.5, 1)),
-    lambda: random_restart_trace([], RestartPolicy(0.5, 1)),
     lambda: rho_sweep([], SweepConfig((0.0, 0.5, 1.0), 2)),
     ["eval", "--learner", "majority"],
     ["eval", "--learner", "restart:0.3"],
@@ -236,8 +303,8 @@ def prequential_eval_on_empty():
     lambda: audit_prediction_log([]),
     lambda: labels_to_csv([]),
     prequential_eval_on_empty,
-], ids=["persistence_accuracy", "majority_baseline", "random_restart_run",
-        "random_restart_trace", "rho_sweep", "eval-majority",
+], ids=["persistence_accuracy", "majority_baseline", "rho_sweep",
+        "eval-majority",
         "eval-restart", "sweep", "label_distribution", "run_lengths",
         "autocorrelation", "diagnose", "audit_accuracy", "acf",
         "audit-accuracy", "summary", "eval-naive-bayes", "audit-predictions",

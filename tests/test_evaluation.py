@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import (MajorityLearner, OracleNaiveBayes, PersistenceLearner,
-                     RandomRestartLearner)
+                     RandomRestartLearner, kernel_trace)
 
 from streamaudit import (AttributeSchema, AuditVerdict, EmptyStream,
                          Instance, LabelMismatch,
@@ -24,8 +24,8 @@ from streamaudit import (AttributeSchema, AuditVerdict, EmptyStream,
                          gen_iid_labels, gen_markov_labels,
                          majority_baseline, parse_arff, parse_csv,
                          persistence_accuracy, prequential_eval,
-                         random_restart_run, random_restart_trace,
                          read_prediction_log, write_prediction_log)
+from streamaudit.baselines import _CodedStream
 from streamaudit import evaluation
 from streamaudit.evaluation import _naive_bayes_scores, _naive_bayes_trace
 from streamaudit.synth import MarkovLabelModel, labels_to_dataset
@@ -836,8 +836,9 @@ def test_wrapped_learners_match_label_only_functions(labels, seed):
     assert prequential_eval(MajorityLearner(cold), ds).accuracy == \
         majority_baseline(names)
     rho = (seed % 11) / 10
+    stream = _CodedStream(names)
     assert prequential_eval(RandomRestartLearner(rho, seed, cold), ds).accuracy \
-        == random_restart_run(names, RestartPolicy(rho, seed))
+        == stream.accuracy(stream.starts(RestartPolicy(rho, seed)))
 
 
 @given(st.lists(st.sampled_from("ABCD"), min_size=1, max_size=40),
@@ -849,9 +850,10 @@ def test_restart_learner_matches_kernel_on_k_class_streams(labels, seed, rho):
     ds = numeric_dataset([(0.0, lab) for lab in labels], "ABCD")
     report = prequential_eval(RandomRestartLearner(rho, seed, labels[0]), ds)
     policy = RestartPolicy(rho, seed)
-    trace = random_restart_trace(labels, policy)
+    trace = kernel_trace(labels, policy)
     assert report.correct == sum(p == y for p, y in zip(trace, labels))
-    assert report.accuracy == random_restart_run(labels, policy)
+    stream = _CodedStream(labels)
+    assert report.accuracy == stream.accuracy(stream.starts(policy))
 
 
 def test_confusion_reconstructs_accuracy():
