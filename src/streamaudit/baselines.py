@@ -114,21 +114,43 @@ class SweepResult:
 
 class _CodedStream:
     """A label stream as int32 codes in first-occurrence order (the
-    diagnostics' encoding) plus the one key table the restart kernel
-    reads, built once per stream and shared by every sweep cell.
+    diagnostics' encoding) plus what the restart kernel reads, built once
+    per stream and shared by every sweep cell; n < 2**31.
 
-    A key is count << s | last-seen index, s = n.bit_length(), so its
-    maximum is the lexicographic one; it fits in 63 bits, as n < 2**31.
-    keys[c, t] is class c's count in labels[0:t] << s | the last index
-    before t that holds c, or 0: a class with no label in the window has
-    count 0 and never wins. As every index is below 2**s, keys[c, t] &
-    ~low is the count alone, so one (k, n) table, 8·k·n bytes, serves
-    both ends of a window.
+    Two classes: with D[j] = 2 * (count of code 1 in labels[0:j]) - j, the
+    window labels[s:t] predicts code 1 exactly when D[t] + codes[t - 1] >
+    D[s], a tie going to the label at t - 1, the most recent. The stream
+    holds rise[t - 1] = D[t] + codes[t - 1] + off for t = 1..n-1 and one
+    row packed[j] = j << w | D[j] + off, w = n.bit_length() + 1 and off =
+    2**(w - 1) > |D[j]|, so packed is monotone in j, its low w bits are
+    D[j] + off and it is below n << w <= 2**63: 16 bytes per label.
+
+    Any other class count: one (k, n) table of keys, 8·k·n bytes. A key
+    is count << s | last-seen index, s = n.bit_length(), so its maximum is
+    the lexicographic one; it fits in 63 bits. keys[c, t] is class c's
+    count in labels[0:t] << s | the last index before t that holds c, or
+    0: a class with no label in the window has count 0 and never wins. As
+    every index is below 2**s, keys[c, t] & ~low is the count alone, so
+    the table serves both ends of a window.
     """
 
     def __init__(self, labels: Sequence):
         self.codes, self.classes = _encode(labels)
         n, k = len(self.codes), len(self.classes)
+        if k == 2:
+            width = n.bit_length() + 1
+            self.low = (1 << width) - 1
+            self.packed = np.empty(n, np.int64)
+            self.packed[0] = 0
+            np.cumsum(self.codes[:-1], dtype=np.int64, out=self.packed[1:])
+            self.packed <<= 1
+            index = np.arange(n, dtype=np.int64)
+            self.packed -= index  # D
+            self.packed += 1 << (width - 1)
+            self.rise = self.packed[1:] + self.codes[:-1]
+            index <<= width
+            self.packed |= index
+            return
         self.low = (1 << n.bit_length()) - 1
         seen = self.codes[:-1] == np.arange(k, dtype=np.int32)[:, None]
         self.keys = np.zeros((k, n), np.int64)
@@ -139,31 +161,55 @@ class _CodedStream:
             last = np.where(hit, index, 0)
             keys += np.maximum.accumulate(last, out=last)
 
-    def starts(self, policy: RestartPolicy):
-        """The window starts of one seeded run (None: no restarts; 1: the
-        last label alone). The draw after instance j fires a restart with
-        probability rho; the window for t starts at the latest j < t that
-        fired (the just-seen label is re-inserted), or at 0."""
+    def restarts(self, policy: RestartPolicy):
+        """The restarts of one seeded run: None for rho = 0 (none), 1 for
+        rho = 1 (the window is the last label), otherwise the bool draws
+        after instances 0..n-2, each True with probability rho."""
         if policy.rho == 0.0:
             return None
         if policy.rho == 1.0:
             return 1
-        start = np.arange(len(self.codes) - 1, dtype=np.intp)  # take's type
-        start *= bernoullis(policy.seed, len(start), policy.rho)
-        np.maximum.accumulate(start, out=start)
-        return start
+        return bernoullis(policy.seed, len(self.codes) - 1, policy.rho)
 
-    def predict(self, start=None) -> np.ndarray:
-        """The restart kernel: predicted codes for t = 1..n-1, where the
-        window for t is labels[start[t - 1]:t], labels[max(0, t - start):t]
-        for an int start in [1, n] (the last start labels) or labels[0:t]
-        for None. A pass holds at most two int64 scratch rows besides start.
+    def predict(self, restarts=None) -> np.ndarray:
+        """The restart kernel: predicted codes for t = 1..n-1 (on two
+        classes as bools, True for code 1). The window for t is
+        labels[0:t] for None, the last L labels for an int L in [1, n],
+        and for a bool mask labels[j:t], j the latest index below t with
+        restarts[j] (the just-seen label is re-inserted), or 0.
 
-        The windowed majority, ties to the tied class seen most recently,
-        is the class at the largest key's last-seen index: the window is
-        never empty, so a class tied at the top count was last seen at or
-        after its start, and no two classes share a last-seen index.
+        Two classes: D at each window's start, plus off, from one row. A
+        mask run multiplies packed by the mask and takes its running
+        maximum, packed's value at the latest restart, and decodes it in
+        place; a fixed window is a shifted slice of packed. Then one
+        compare with rise; a pass holds one int64 row.
+
+        Otherwise the windowed majority, ties to the tied class seen most
+        recently, is the class at the largest key's last-seen index: the
+        window is never empty, so a class tied at the top count was last
+        seen at or after its start, and no two classes share a last-seen
+        index. A mask run builds its window starts from the mask; a pass
+        holds at most two int64 scratch rows besides the starts.
         """
+        if len(self.classes) == 2:
+            if restarts is None:
+                return self.rise > self.packed[0]  # D[0] + off
+            if isinstance(restarts, int):
+                start = np.empty_like(self.rise)
+                start[:restarts - 1] = self.packed[0]
+                np.bitwise_and(self.packed[:len(self.packed) - restarts],
+                               self.low, out=start[restarts - 1:])
+            else:
+                start = np.multiply(self.packed[:-1], restarts)
+                start[:1] = self.packed[0]  # no restart yet: the start is 0
+                np.maximum.accumulate(start, out=start)
+                start &= self.low
+            return np.greater(self.rise, start)
+        start = restarts
+        if isinstance(restarts, np.ndarray):  # starts in take's index type
+            start = np.arange(len(self.codes) - 1, dtype=np.intp)
+            start *= restarts
+            np.maximum.accumulate(start, out=start)
         best = key = None
         for keys in self.keys:
             top = keys[1:]
@@ -186,20 +232,20 @@ class _CodedStream:
         best &= self.low
         return self.codes.take(best)
 
-    def hits(self, start=None) -> int:
-        return int(np.count_nonzero(self.predict(start) == self.codes[1:]))
+    def hits(self, restarts=None) -> int:
+        return int(np.count_nonzero(self.predict(restarts) == self.codes[1:]))
 
-    def accuracy(self, start=None) -> float:
-        return (1 + self.hits(start)) / len(self.codes)
+    def accuracy(self, restarts=None) -> float:
+        return (1 + self.hits(restarts)) / len(self.codes)
 
     def window_hits(self, l_max: int) -> list:
         """H_L for L = 1..l_max: the hits when the window for t holds the
         last L labels."""
         return [self.hits(length) for length in range(1, l_max + 1)]
 
-    def trace(self, start=None) -> np.ndarray:
+    def trace(self, restarts=None) -> np.ndarray:
         # instance 0 predicts itself
-        return np.concatenate((self.codes[:1], self.predict(start)))
+        return np.concatenate((self.codes[:1], self.predict(restarts)))
 
 
 def majority_baseline(labels: Sequence) -> float:
@@ -223,7 +269,8 @@ def rho_sweep(labels: Sequence, config: SweepConfig) -> SweepResult:
         for rep in range(config.repetitions):
             if rep == 0 or 0.0 < rho < 1.0:
                 seed = derive_seed(config.master_seed, i, rep)
-                acc = stream.accuracy(stream.starts(RestartPolicy(rho, seed)))
+                policy = RestartPolicy(rho, seed)
+                acc = stream.accuracy(stream.restarts(policy))
             rows.append((rho, rep, acc))
     return SweepResult(tuple(rows), config)
 

@@ -262,7 +262,7 @@ def _cmd_eval(args):
         # persistence and restart:0 == majority hold across commands
         stream = baselines._CodedStream(ds)
         true, classes = stream.codes, stream.classes
-        trace = stream.trace(stream.starts(policy))
+        trace = stream.trace(stream.restarts(policy))
         if name.startswith("restart:"):
             name = f"restart:{policy.rho:g}"
             print(f"# seed={args.seed}", file=sys.stderr)

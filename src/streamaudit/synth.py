@@ -106,8 +106,12 @@ def labels_to_dataset(labels: Sequence[int]) -> stream_io.StreamDataset:
         stream_io.AttributeSchema("bias", None),
         stream_io.AttributeSchema("label", LABEL_VALUES),
     )
-    codes = np.array(labels, dtype=np.int32)
-    if not np.array_equal(codes, labels):  # 0.7, "1" or 2**32 cast to a code
+    try:
+        codes = np.array(labels, dtype=np.int32)
+        exact = np.array_equal(codes, labels)  # 0.7, "1" or 2**32 as a code
+    except ValueError:  # NaN, or text that int() refuses
+        exact = False
+    if not exact:
         raise ValueError("labels must be the integers 0 and 1")
     return stream_io.StreamDataset._from_columns(
         schema, [np.ones(len(codes)), codes])

@@ -12,7 +12,8 @@ against.
   the diagnose report and audit verdict built from them.
 
 kernel_trace is the restart kernel's side of those checks: one seeded
-run as labels.
+run as labels. oracle_window_hits is the hits of one fixed window length,
+the profile the exact rho curve is made of, from per-window counts.
 """
 
 import json
@@ -105,10 +106,28 @@ class RandomRestartLearner:
 
 def kernel_trace(labels, policy: RestartPolicy) -> list:
     """The predictions of one seeded run of baselines' restart kernel, as
-    labels: _CodedStream(labels).trace(starts(policy)), decoded."""
+    labels: _CodedStream(labels).trace(restarts(policy)), decoded."""
     stream = _CodedStream(labels)
     return [stream.classes[c]
-            for c in stream.trace(stream.starts(policy)).tolist()]
+            for c in stream.trace(stream.restarts(policy)).tolist()]
+
+
+def oracle_window_hits(labels, length: int) -> int:
+    """H_L, L = length: how many t >= 1 the majority of the window
+    labels[max(0, t - L):t] predicts, ties to the tied label seen last.
+    The window's counts move by one label in and one out per step."""
+    counts, last, hits = {}, {}, 0
+    for t in range(1, len(labels)):
+        counts[labels[t - 1]] = counts.get(labels[t - 1], 0) + 1
+        last[labels[t - 1]] = t - 1
+        if t > length:
+            counts[labels[t - 1 - length]] -= 1
+        top = max(counts.values())
+        # a label tied at the top count is in the window, so its last
+        # index before t is too
+        tied = [label for label, count in counts.items() if count == top]
+        hits += max(tied, key=last.get) == labels[t]
+    return hits
 
 
 class MajorityLearner(RandomRestartLearner):

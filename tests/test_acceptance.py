@@ -50,9 +50,9 @@ def test_c04_sweep_endpoints_are_exact_identities(electricity_labels):
     majority = majority_baseline(electricity_labels)
     stream = _CodedStream(electricity_labels)
     for seed in (0, 1, 42, 2**63):
-        assert stream.accuracy(stream.starts(RestartPolicy(1.0, seed))) \
+        assert stream.accuracy(stream.restarts(RestartPolicy(1.0, seed))) \
             == persistence
-        assert stream.accuracy(stream.starts(RestartPolicy(0.0, seed))) \
+        assert stream.accuracy(stream.restarts(RestartPolicy(0.0, seed))) \
             == majority
 
 

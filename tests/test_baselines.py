@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import SplitMix64, kernel_trace
+from oracles import SplitMix64, kernel_trace, oracle_window_hits
 
 from streamaudit import (AttributeSchema, EmptyStream, Instance, InvalidRho,
                          NaiveBayesLearner, RestartPolicy, StreamDataset,
@@ -57,7 +57,7 @@ def test_restart_rho1_hand_trace():
     assert kernel_trace(list("DUU"), RestartPolicy(1.0, 99)) == \
         ["D", "D", "U"]
     stream = _CodedStream(list("DUU"))
-    assert stream.accuracy(stream.starts(RestartPolicy(1.0, 99))) == \
+    assert stream.accuracy(stream.restarts(RestartPolicy(1.0, 99))) == \
         pytest.approx(2 / 3)
 
 
@@ -66,9 +66,9 @@ def test_restart_rho1_hand_trace():
 def test_endpoint_identities(labels, seed):
     # exact identities for every stream and every seed
     stream = _CodedStream(labels)
-    assert stream.accuracy(stream.starts(RestartPolicy(1.0, seed))) == \
+    assert stream.accuracy(stream.restarts(RestartPolicy(1.0, seed))) == \
         persistence_accuracy(labels)
-    assert stream.accuracy(stream.starts(RestartPolicy(0.0, seed))) == \
+    assert stream.accuracy(stream.restarts(RestartPolicy(0.0, seed))) == \
         majority_baseline(labels)
 
 
@@ -77,8 +77,8 @@ def test_endpoint_identities(labels, seed):
 def test_restart_determinism(labels, seed, rho):
     policy = RestartPolicy(rho, seed)
     first, second = _CodedStream(labels), _CodedStream(labels)
-    assert first.accuracy(first.starts(policy)) == \
-        second.accuracy(second.starts(policy))
+    assert first.accuracy(first.restarts(policy)) == \
+        second.accuracy(second.restarts(policy))
 
 
 def test_sweep_deterministic_rows_at_rho0():
@@ -205,7 +205,7 @@ def test_sweep_reproducible_and_order_independent():
     from streamaudit.rng import derive_seed
     rho, rep, acc = a.rows[4]  # rho index 1, rep 1
     stream = _CodedStream(labels)
-    alone = stream.accuracy(stream.starts(
+    alone = stream.accuracy(stream.restarts(
         RestartPolicy(rho, derive_seed(99, 1, 1))))
     assert acc == alone
 
@@ -233,7 +233,7 @@ def test_trace_rescoring_audit_mode():
     trace = kernel_trace(labels, policy)
     rescored = sum(p == y for p, y in zip(trace, labels)) / len(labels)
     stream = _CodedStream(labels)
-    assert rescored == stream.accuracy(stream.starts(policy))
+    assert rescored == stream.accuracy(stream.restarts(policy))
 
 
 # ---------------------------------------------------------------------------
@@ -332,26 +332,34 @@ def test_kernel_matches_oracle_on_1_to_6_classes():
 @given(st.data())
 @settings(max_examples=200, deadline=None)
 def test_kernel_with_explicit_starts_matches_oracle(data):
-    classes = "ABCDEF"[:data.draw(st.integers(1, 6))]
-    labels = data.draw(st.lists(st.sampled_from(classes), min_size=1,
-                                max_size=60))
+    # the kernel takes a restart pattern, the draws after instances
+    # 0..n-2; half the streams hold two classes, either one first
+    if data.draw(st.booleans()):
+        pair = data.draw(st.sampled_from(("AB", "BA")))
+        labels = [pair[0]] + data.draw(st.lists(st.sampled_from(pair),
+                                                max_size=59))
+        if pair[1] not in labels:
+            labels.insert(data.draw(st.integers(1, len(labels))), pair[1])
+    else:
+        classes = "ABCDEF"[:data.draw(st.integers(1, 6))]
+        labels = data.draw(st.lists(st.sampled_from(classes), min_size=1,
+                                    max_size=60))
     n = len(labels)
     restarts = data.draw(st.one_of(
-        st.just([False] * n), st.just([True] * n),
-        st.lists(st.booleans(), min_size=n, max_size=n)))
-    start, s = [], 0
-    for j in range(n - 1):  # the window for j + 1 starts at the last restart
-        s = j if restarts[j] else s
-        start.append(s)
+        st.just([False] * (n - 1)), st.just([True] * (n - 1)),
+        st.lists(st.booleans(), min_size=n - 1, max_size=n - 1)))
     stream = _CodedStream(labels)
-    expected = oracle_window_trace(labels, iter(restarts), labels[0])
+    expected = oracle_window_trace(labels, iter(restarts + [False]),
+                                   labels[0])
 
-    def trace(start):  # the kernel's codes as labels
-        return [stream.classes[c] for c in stream.trace(start).tolist()]
+    def trace(restarts):  # the kernel's codes as labels
+        return [stream.classes[c] for c in stream.trace(restarts).tolist()]
 
-    assert trace(np.array(start, dtype=np.int32)) == expected
+    assert trace(np.array(restarts, dtype=bool)) == expected
     if not any(restarts):
         assert trace(None) == expected
+    if all(restarts):
+        assert trace(1) == expected
 
 
 def linear_majority_trace(labels):
@@ -394,24 +402,34 @@ def test_kernel_at_two_to_the_16_matches_the_oracles():
         assert kernel_trace(labels, RestartPolicy(1.0, n)) == \
             labels[:1] + labels[:-1]
         stream = _CodedStream(labels)
-        assert stream.accuracy(stream.starts(RestartPolicy(1.0, n))) == \
+        assert stream.accuracy(stream.restarts(RestartPolicy(1.0, n))) == \
             persistence_accuracy(labels)
         assert kernel_trace(labels, RestartPolicy(0.0)) == \
             linear_majority_trace(labels)
 
 
-def test_kernel_retains_one_key_table():
-    # 8 bytes per class and label for the keys, 4 per label for the codes
-    labels = sticky_stream(45312, "ABC", 0.97, 7)
+def retained_stream(labels):
     tracemalloc.start()
     try:
         stream = _CodedStream(labels)
-        retained, _ = tracemalloc.get_traced_memory()
+        return stream, tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
+
+
+def test_kernel_retains_one_key_table():
+    # 8 bytes per class and label for the keys, 4 per label for the codes
+    labels = sticky_stream(45312, "ABC", 0.97, 7)
+    stream, retained = retained_stream(labels)
     k, n = len(stream.classes), len(labels)
     assert k == 3
     assert retained <= 8 * k * n + 4 * n + 64 * 1024
+    # two classes: 8 bytes per label each for rise and the packed row
+    labels = markov_08()
+    stream, retained = retained_stream(labels)
+    n = len(labels)
+    assert len(stream.classes) == 2
+    assert retained <= 16 * n + 4 * n + 64 * 1024
 
 
 def traced_peak(run):
@@ -424,29 +442,26 @@ def traced_peak(run):
 
 
 def test_kernel_runs_make_no_zero_fill_or_index_copy():
-    # a binary stream: its build holds the codes, the (2, n) bool class
-    # masks, the table, its cumsum's int64 copy of the masks and, one class
-    # at a time, an int32 index and last-seen row; a rho = 0 run holds one
-    # int64 running best and the predicted codes; a run with window starts
-    # or a fixed window one more int64 row, freed before the gather, as the
-    # starts are already take's index type; drawing the starts holds them
-    # and two uint64 rows; a sweep holds the table and codes and one cell
+    # a binary stream: its build holds the codes, the packed row, rise and
+    # an int64 index; a rho = 0 run holds the bool predictions and their
+    # bool hits; a run with a restart mask or a fixed window one int64 row
+    # besides them, and with the mask; drawing the mask holds two uint64
+    # rows; a sweep holds the codes, rise and packed and one cell
     labels = markov_08()
     n = len(labels)
     slack = 64 * 1024
-    assert traced_peak(lambda: _CodedStream(labels)) <= 38 * n + slack
+    assert traced_peak(lambda: _CodedStream(labels)) <= 30 * n + slack
     stream = _CodedStream(labels)
     assert len(stream.classes) == 2
-    assert traced_peak(stream.accuracy) <= 12 * n + slack
-    start = stream.starts(RestartPolicy(0.5, 7))
-    assert start.dtype == np.intp
-    assert traced_peak(lambda: stream.accuracy(start)) <= 16 * n + slack
+    assert traced_peak(stream.accuracy) <= 2 * n + slack
+    restarts = stream.restarts(RestartPolicy(0.5, 7))
+    assert traced_peak(lambda: stream.accuracy(restarts)) <= 10 * n + slack
     assert traced_peak(lambda: stream.accuracy(
-        stream.starts(RestartPolicy(0.5, 7)))) <= 24 * n + slack
+        stream.restarts(RestartPolicy(0.5, 7)))) <= 16 * n + slack
     assert traced_peak(lambda: stream.accuracy(
-        stream.starts(RestartPolicy(1.0)))) <= 16 * n + slack
+        stream.restarts(RestartPolicy(1.0)))) <= 9 * n + slack
     assert traced_peak(lambda: rho_sweep(labels, SweepConfig(GRID, 10))) \
-        <= 44 * n + slack
+        <= 36 * n + slack
 
 
 def test_sweep_runs_each_draw_free_rho_once(monkeypatch):
@@ -454,9 +469,9 @@ def test_sweep_runs_each_draw_free_rho_once(monkeypatch):
     calls = []
     predict = _CodedStream.predict
 
-    def counted(self, start=None):
-        calls.append(start)
-        return predict(self, start)
+    def counted(self, restarts=None):
+        calls.append(restarts)
+        return predict(self, restarts)
 
     monkeypatch.setattr(_CodedStream, "predict", counted)
     labels = sticky_stream(2000, "ABC", 0.8, 7)
@@ -563,17 +578,11 @@ def test_iid_expectation_at_rho1_is_persistence(n):
 # exact expected accuracy of the restart classifier on the stream at hand,
 # from one window-length hit profile
 
-def window_hits(stream, max_window):
-    """H[L] for L = 1 .. max_window: the kernel's hits when the window for
-    t holds the last L labels, labels[max(0, t - L):t]. H[0] is unused."""
-    n = len(stream.codes)
-    t = np.arange(1, n, dtype=np.intp)
-    hits = [0]
-    for length in range(1, max_window + 1):
-        start = np.maximum(t - length, 0)
-        hits.append(int(np.count_nonzero(stream.predict(start)
-                                         == stream.codes[1:])))
-    return hits
+def window_hits(labels, max_window):
+    """H[L] for L = 1 .. max_window from oracle_window_hits, the hits when
+    the window for t holds the last L labels. H[0] is unused."""
+    return [0] + [oracle_window_hits(labels, length)
+                  for length in range(1, max_window + 1)]
 
 
 def exact_accuracy(hits, n, rho):
@@ -599,9 +608,8 @@ def test_exact_accuracy_matches_enumeration_of_every_restart_pattern():
         classes = "ABC"[:rng.randint(1, 3)]
         n = rng.randint(1, 8)
         labels = [rng.choice(classes) for _ in range(n)]
-        stream = _CodedStream(labels)
-        hits = window_hits(stream, max(2, n - 1))
-        assert stream.window_hits(max(2, n - 1)) == hits[1:]
+        hits = window_hits(labels, max(2, n - 1))
+        assert _CodedStream(labels).window_hits(max(2, n - 1)) == hits[1:]
         persistence_hits = round(persistence_accuracy(labels) * n) - 1
         # a two-label window's tie goes to the more recent label
         assert hits[1] == hits[2] == persistence_hits
@@ -626,13 +634,33 @@ def markov_08():
     return gen_markov_labels(MarkovLabelModel(0.42, 0.8, 45312, seed=42))
 
 
+def test_window_hits_match_the_oracle_at_every_length():
+    rng = random.Random(20261021)
+    for _ in range(150):
+        classes = "ABCD"[:rng.randint(1, 4)]
+        n = rng.choice([1, 2, 3, rng.randrange(4, 70)])
+        labels = [rng.choice(classes) for _ in range(n)]
+        # L = n - 1 and L = n are both the whole history
+        assert _CodedStream(labels).window_hits(n) == \
+            window_hits(labels, n)[1:]
+
+
+@pytest.mark.parametrize("make_labels", [
+    markov_08, lambda: sticky_stream(45312, "ABC", 0.97, 7),
+], ids=["markov-0.8", "sticky-3class"])
+def test_window_hits_match_the_oracle_on_long_streams(make_labels):
+    labels = make_labels()
+    hits = _CodedStream(labels).window_hits(263)
+    for length in (1, 2, 3, 50, 263):
+        assert hits[length - 1] == oracle_window_hits(labels, length)
+
+
 def test_exact_curve_on_markov_labels():
     labels = markov_08()
     n = len(labels)
     stream = _CodedStream(labels)
     max_window = math.ceil(math.log(1e-12) / math.log(1 - 0.1))  # 263
-    hits = window_hits(stream, max_window)
-    assert stream.window_hits(max_window) == hits[1:]
+    hits = [0] + stream.window_hits(max_window)
     assert hits[1] == hits[2] == round(persistence_accuracy(labels) * n) - 1
     curve = exact_rho_curve(labels, (0.1, 0.2, 0.3, 0.5))
     for (rho, exact, omitted), value in zip(
@@ -694,7 +722,7 @@ def test_sweep_means_lie_within_4_standard_errors_of_the_exact_curve(
     n = len(labels)
     stream = _CodedStream(labels)
     max_window = math.ceil(math.log(1e-12) / math.log(1 - 0.1))  # 263
-    hits = window_hits(stream, max_window)
+    hits = [0] + stream.window_hits(max_window)
     assert hits[1] == hits[2] == round(persistence_accuracy(labels) * n) - 1
     grid, reps = (0.1, 0.2, 0.3, 0.5), 50
     result = rho_sweep(labels, SweepConfig(grid, reps, master_seed=42))

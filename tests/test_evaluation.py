@@ -838,7 +838,7 @@ def test_wrapped_learners_match_label_only_functions(labels, seed):
     rho = (seed % 11) / 10
     stream = _CodedStream(names)
     assert prequential_eval(RandomRestartLearner(rho, seed, cold), ds).accuracy \
-        == stream.accuracy(stream.starts(RestartPolicy(rho, seed)))
+        == stream.accuracy(stream.restarts(RestartPolicy(rho, seed)))
 
 
 @given(st.lists(st.sampled_from("ABCD"), min_size=1, max_size=40),
@@ -853,7 +853,7 @@ def test_restart_learner_matches_kernel_on_k_class_streams(labels, seed, rho):
     trace = kernel_trace(labels, policy)
     assert report.correct == sum(p == y for p, y in zip(trace, labels))
     stream = _CodedStream(labels)
-    assert report.accuracy == stream.accuracy(stream.starts(policy))
+    assert report.accuracy == stream.accuracy(stream.restarts(policy))
 
 
 def test_confusion_reconstructs_accuracy():

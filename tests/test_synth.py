@@ -160,7 +160,8 @@ def test_labels_to_csv_refuses_what_labels_to_arff_refuses():
         for write in (labels_to_arff, labels_to_csv):
             with pytest.raises(ValueError, match=f"^{OUT_OF_RANGE}$"):
                 write(labels)
-    for labels in ([0.7], [1, 0.5], ["1"], np.array([2**32, 1])):
+    for labels in ([0.7], [1, 0.5], ["1"], np.array([2**32, 1]),
+                   [float("nan"), 1], ["x"]):
         for write in (labels_to_arff, labels_to_csv):
             with pytest.raises(ValueError,
                                match="^labels must be the integers 0 and 1$"):
