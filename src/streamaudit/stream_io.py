@@ -12,21 +12,24 @@ Weka writes them. Sparse rows, string/date/relational attributes and
 missing values ('?') are rejected with UnsupportedFeature.
 
 The parsers work a column at a time: the ARFF data section is read in
-blocks of BLOCK_LINES lines, each block split at once and converted column
-by column; a block that fails to convert is re-read row by row, so the
-error names the same line as a row-at-a-time parser would. A block with
-no quote, '%' or '{' whose every line holds one comma fewer than the
-schema has attributes is converted from its raw lines with no per-line
-check; any other block is checked line by line first. The writer,
-to_arff, makes the text of each BLOCK_LINES rows from one byte matrix,
-with no Python work per value unless a numeric block needs repr.
+blocks of BLOCK_LINES lines, and np.loadtxt reads a block as one table, a
+float64 field per numeric attribute and an object field, the exact token,
+per nominal one. A block holding no quote, '%', '{' or NUL, and not only
+blank lines, goes to the table as its raw lines, with no per-line check.
+Any other block, or one the table refuses or reads fewer records of than
+it has lines, is checked line by line, and its stripped rows go to the
+table unless they hold a quote or NUL; rows that still fail to convert
+are read row by row, so the error names the same line as a
+row-at-a-time parser would. The writer, to_arff, makes the text of each
+BLOCK_LINES rows from one byte matrix, with no Python work per value
+unless a numeric block needs repr.
 
 A CSV is read BLOCK_LINES records at a time and each block is converted
 to column parts as soon as it is read, so at most one block's cells are
-alive at a time. A block without a '"' is split at commas like an ARFF
-block; from the first block with one (or with anything else csv.reader
-reads otherwise than a split: a NUL, a line break inside a line, a line
-over csv.field_size_limit()), csv.reader reads the rest of the source, so
+alive at a time. A block without a '"' is split at commas; from the
+first block with one (or with anything else csv.reader reads otherwise
+than a split: a NUL, a line break inside a line, a line over
+csv.field_size_limit()), csv.reader reads the rest of the source, so
 quoted fields, also those that span lines, read as csv.reader reads them.
 Only the text of earlier blocks is kept, while a column that has parsed
 as numbers so far may still turn nominal. The first record is the header
@@ -334,13 +337,14 @@ def _parse_attribute_line(rest: str, line_no: int) -> AttributeSchema:
     raise ParseError(f"unknown attribute type {type_part!r}", line=line_no)
 
 
-def _convert_column(attr: AttributeSchema, tokens: list) -> np.ndarray:
-    if attr.is_nominal:
-        codes = {t: _attr_value(attr, t, None) for t in dict.fromkeys(tokens)}
-        values = map(codes.__getitem__, tokens)
-    else:
-        values = map(float, tokens)
-    return np.fromiter(values, _dtype(attr), len(tokens))
+def _convert_column(attr: AttributeSchema, field: np.ndarray) -> np.ndarray:
+    """A block's column from its field of the table: the float64 values
+    copied out contiguous, or int32 codes of the nominal tokens."""
+    if not attr.is_nominal:
+        return field.copy()
+    tokens = field.tolist()
+    codes = {t: _attr_value(attr, t, None) for t in dict.fromkeys(tokens)}
+    return np.fromiter(map(codes.__getitem__, tokens), np.int32, len(tokens))
 
 
 def _convert_rows(schema: list, rows: list, line_nos: list) -> list:
@@ -352,17 +356,24 @@ def _convert_rows(schema: list, rows: list, line_nos: list) -> list:
     return list(map(_array, schema, columns))
 
 
-def _convert_block(schema: list, rows: list, line_nos: list,
-                   quoted: bool) -> list:
-    if not quoted:
-        m = len(schema)
-        flat = ",".join(rows).split(",")
-        try:
-            return [_convert_column(attr, flat[j::m])
-                    for j, attr in enumerate(schema)]
-        except (ValueError, ParseError, UnsupportedFeature):
-            pass  # the row-wise pass names the first bad line
-    return _convert_rows(schema, rows, line_nos)
+def _convert_block(schema: list, rows: list) -> Optional[list]:
+    """The columns of rows holding no quote or NUL, read as one table by
+    np.loadtxt; None if it refuses a row or a value (a ragged row, a line
+    break inside a row, a token that is no number or no nominal value of
+    its attribute) or reads fewer records than rows (it skips an empty
+    line, so equal counts mean one record per row). Nominal fields are
+    object, so each token is kept exactly."""
+    dtype = np.dtype([("", object if attr.is_nominal else np.float64)
+                      for attr in schema])
+    try:
+        table = np.loadtxt(rows, dtype, delimiter=",", comments=None,
+                           ndmin=1)
+        if len(table) == len(rows):
+            return list(map(_convert_column, schema,
+                            map(table.__getitem__, dtype.names)))
+    except (ValueError, ParseError, UnsupportedFeature):
+        pass
+    return None
 
 
 @_utf8
@@ -411,14 +422,18 @@ def parse_arff(source: Union[str, TextIO]) -> StreamDataset:
             break
         text = "".join(block)
         quoted = "'" in text or '"' in text
-        if m > 1 and not quoted and "%" not in text and "{" not in text \
-                and set(map(str.count, block, itertools.repeat(","))) \
-                == {m - 1}:
-            # no line is blank, a comment or sparse, and each has m values:
-            # the raw lines convert as they are, since float() and
-            # _attr_value strip a value's whitespace and the line end
-            rows = block
-            line_nos = range(line_no + 1, line_no + 1 + len(block))
+        # loadtxt splits no quoted value, and its string fields drop a
+        # trailing NUL
+        tabular = not quoted and "\0" not in text
+        columns = None
+        if failure is None and tabular and "%" not in text \
+                and "{" not in text and not text.isspace():
+            # no line is a comment or sparse, and one is not blank (a
+            # table of none would warn): the raw lines convert as they are
+            # when each makes one record, since loadtxt and _attr_value
+            # strip a value's whitespace and the line end
+            columns = _convert_block(schema, block)
+        if columns is not None:
             line_no += len(block)
         else:
             rows, line_nos = [], []
@@ -436,13 +451,15 @@ def parse_arff(source: Union[str, TextIO]) -> StreamDataset:
                                      f"has {m} attributes", line=line_no)
                 rows.append(line)
                 line_nos.append(line_no)
-        if failure is None and rows:
-            try:
-                for column, part in zip(parts, _convert_block(
-                        schema, rows, line_nos, quoted)):
-                    column.append(part)
-            except (ParseError, UnsupportedFeature) as exc:
-                failure = exc
+            if failure is None and rows:
+                try:
+                    columns = (tabular and _convert_block(schema, rows)) \
+                        or _convert_rows(schema, rows, line_nos)
+                except (ParseError, UnsupportedFeature) as exc:
+                    failure = exc
+        if columns:
+            for column, part in zip(parts, columns):
+                column.append(part)
 
     columns = _concatenate(parts) if parts[0] \
         else [np.empty(0, _dtype(attr)) for attr in schema]

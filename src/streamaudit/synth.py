@@ -107,9 +107,14 @@ def labels_to_dataset(labels: Sequence[int]) -> stream_io.StreamDataset:
         stream_io.AttributeSchema("label", LABEL_VALUES),
     )
     try:
-        codes = np.array(labels, dtype=np.int32)
+        with np.errstate(invalid="ignore"):  # a float array's NaN or ±inf
+            codes = np.array(labels, dtype=np.int32)
         exact = np.array_equal(codes, labels)  # 0.7, "1" or 2**32 as a code
     except ValueError:  # NaN, or text that int() refuses
+        exact = False
+    except OverflowError:  # ±inf; an int beyond int32 stays numpy's error
+        if not any(x in (np.inf, -np.inf) for x in labels):
+            raise
         exact = False
     if not exact:
         raise ValueError("labels must be the integers 0 and 1")

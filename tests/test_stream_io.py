@@ -1118,6 +1118,27 @@ def test_parse_csv_peak_memory_stays_near_the_file_size(multiclass_text,
     assert peak < 5 * path.stat().st_size
 
 
+def test_parse_arff_peak_memory_stays_near_its_columns(multiclass_text,
+                                                       tmp_path):
+    """Each block is converted from its lines as one np.loadtxt table whose
+    fields are copied out, so the peak is the columns plus about one
+    block's lines, text and table. On this 45,312-row, 3.2 MB ARFF the
+    columns take 2.90 MB; the peak was 4.48 MB, 1.54 times the columns,
+    and 6.13 MB (2.11 times) with the token lists that preceded the table.
+    The bound, 1.75 times, leaves a margin of 14 % over 4.48 MB."""
+    path = tmp_path / "multi.arff"
+    path.write_text(to_arff(parse_csv(io.StringIO(multiclass_text))),
+                    encoding="utf-8")
+    tracemalloc.start()
+    try:
+        ds = parse_arff(str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ds.n_instances == 45_312
+    assert peak < 1.75 * sum(col.nbytes for col in ds.columns)
+
+
 @pytest.mark.parametrize("text", ["x,cls\n1,A\n2,B\n",
                                   "x,cls\n# note\n1,A\n\n2,B\n"],
                          ids=["plain", "comment-and-blank"])
@@ -1317,11 +1338,10 @@ def test_library_paths_construct_no_instances(monkeypatch):
     assert len(rows) == len(made) == 43  # a construction is counted
 
 
-# Block-level arity: a data block whose every line holds one comma fewer
-# than the schema has attributes, and no quote, '%' or '{', is converted
-# from its raw lines; a block with any other line is read line by line.
-# Either way the dataset, or the error and its line, is the per-line
-# oracle's.
+# Block-level reading: a data block with no quote, '%', '{' or NUL is read
+# from its raw lines as one np.loadtxt table; a block with any other line,
+# or one the table refuses, is read line by line. Either way the dataset,
+# or the error and its line, is the per-line oracle's.
 
 ODD_DATA_LINES = {
     "comment": "% a comment",
@@ -1366,21 +1386,76 @@ def test_arff_blocks_read_as_the_per_line_oracle(odd, at, end, newline):
 
 
 def test_clean_arff_blocks_skip_the_per_line_loop():
-    # the raw lines, line ends and all, go to the conversion at once
+    # the raw lines, line ends and all, go to the table at once, and only
+    # once: the table's columns are the block's
     text = block_arff("% odd", 13, "\n")
     converted = []
 
-    def spy(schema, rows, line_nos, quoted):
-        converted.append((type(line_nos), rows[0].endswith("\n")))
-        return convert(schema, rows, line_nos, quoted)
+    def spy(schema, rows):
+        columns = convert(schema, rows)
+        converted.append((len(rows), rows[0].endswith("\n"),
+                          columns is not None))
+        return columns
 
     convert = stream_io._convert_block
     with mock.patch.object(stream_io, "BLOCK_LINES", 4), \
             mock.patch.object(stream_io, "_convert_block", spy):
         assert repr(arff(text)) == repr(oracle_parse_arff(io.StringIO(text)))
-    # the odd line's block (lines 18-21 of the file) goes line by line
-    assert converted == [(range, True)] * 3 + [(list, False)] \
-        + [(range, True)] * 4
+    # the odd line's block (lines 18-21 of the file) goes line by line, and
+    # its three stripped rows then go to the table
+    assert converted == [(4, True, True)] * 3 + [(3, False, True)] \
+        + [(4, True, True)] * 3 + [(3, True, True)]
+
+
+# Where np.loadtxt's reading of a block could part from a split at commas
+# and float() or the nominal lookup of each stripped token: the data lines
+# after BLOCK_ARFF's header, whose schema is x numeric, cls {A,B,'c d'}
+
+TABLE_EDGES = {
+    # numeric tokens
+    "nul-suffixed-number": "1.5\x00,A\n2,B\n",
+    "number-then-x1c": "1.5\x1c,A\n2,B\n",
+    "space-before-number": " 1.5,A\n2,B\n",
+    "arabic-indic-digit": "١,A\n2,B\n",
+    "underscored-number": "1_0,A\n2,B\n",
+    "hex-float": "0x1p3,A\n2,B\n",
+    "overflowing-number": "1e400,A\n-1e400,B\n",
+    "negative-nan": "-nan,A\nnan,B\n",
+    "signed-infinity": "+inf,A\n-infinity,B\n",
+    # nominal tokens
+    "value-longer-than-every-value": "1,Azzzz\n2,B\n",
+    "nul-suffixed-value": "1,A\x00\n2,B\n",
+    "padded-values": "1, A \n2,\tB\t\n3,  c d\x0c\n",
+    # line ends
+    "cr-only": "1,A\r2,B\r3,A\r",
+    "cr-inside-a-block-with-a-blank-line": "1,A\n\n2,B\r3,A\n4,B\n",
+    "no-last-line-end": "1,A\n2,B",
+    # blocks
+    "blank-lines-only": "\n \n\t\n\n",
+    "blank-block-between-rows": "1,A\n2,B\n\n  \n3,A\n4,B\n",
+    "refused-block-then-clean-block": "1,A\nx,B\n2,A\n3,B\n",
+    "refused-block-then-ragged-block": "1,A\nx,B\n2,A\n3,B,A\n",
+}
+
+
+def table_outcome(parse, text, newline):
+    """stream_outcome() with the numeric column's bytes, since a repr shows
+    -nan as nan."""
+    result = stream_outcome(parse, text, newline)
+    if isinstance(result, tuple):
+        return result
+    ds = parse(io.StringIO(text, newline=newline))
+    return result, ds.columns[0].tobytes()
+
+
+@pytest.mark.parametrize("data", TABLE_EDGES.values(), ids=TABLE_EDGES)
+@pytest.mark.parametrize("block", [2, 4096])
+@pytest.mark.parametrize("newline", ["\n", ""], ids=["stream", "path"])
+def test_table_blocks_read_as_the_row_oracle(data, block, newline):
+    text = BLOCK_ARFF + data
+    with mock.patch.object(stream_io, "BLOCK_LINES", block):
+        fast = table_outcome(parse_arff, text, newline)
+    assert fast == table_outcome(oracle_parse_arff, text, newline)
 
 
 # The prediction log reads as csv.reader reads it, a ragged row or a

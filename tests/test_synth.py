@@ -161,11 +161,16 @@ def test_labels_to_csv_refuses_what_labels_to_arff_refuses():
             with pytest.raises(ValueError, match=f"^{OUT_OF_RANGE}$"):
                 write(labels)
     for labels in ([0.7], [1, 0.5], ["1"], np.array([2**32, 1]),
-                   [float("nan"), 1], ["x"]):
+                   [float("nan"), 1], ["x"], [float("inf"), 1],
+                   [float("-inf"), 0], np.array([np.inf, 1.0]),
+                   np.array([np.nan, 0.0])):
         for write in (labels_to_arff, labels_to_csv):
             with pytest.raises(ValueError,
                                match="^labels must be the integers 0 and 1$"):
                 write(labels)
+    for write in (labels_to_arff, labels_to_csv):  # numpy's, as README says
+        with pytest.raises(OverflowError, match="out of bounds for int32"):
+            write([2**40, 1])
     assert labels_to_csv([1.0, False]) == "label\n1\n0\n"
     # parse_csv refuses the header-only CSV this would write, as this does
     with pytest.raises(EmptyStream,
