@@ -37,7 +37,7 @@ import numpy as np
 from . import baselines, diagnostics
 from .errors import (EmptyStream, LabelMismatch, ParseError, SchemaMismatch,
                      ScoreOverflow)
-from .stream_io import BLOCK_LINES, StreamDataset, _utf8, write_csv
+from .stream_io import StreamDataset, _utf8, write_csv
 
 _VARIANCE_FLOOR = 1e-9  # naive Bayes' least Gaussian variance
 _CURSOR_ROWS = 256  # the stream's rows NaiveBayesLearner holds as Python values
@@ -313,10 +313,12 @@ def _naive_bayes_scores(ds: StreamDataset, c: int, rows=None, runs=None):
 def _class_scores(ds, c, rows, log, square, runs=None, running_sums=False):
     """(scores, trained, tol, first): _naive_bayes_scores' two with log
     and square as the kernels, and tol, a bound on how far each score may
-    lie from the learner's where trained. Terms are made BLOCK_LINES rows
-    at a time, so no more Python floats or temporary values than that are
-    alive. runs is _nominal_runs(ds), made here if not given: a caller
-    that scores several classes sorts each nominal column once.
+    lie from the learner's where trained. Each term is made over all of
+    rows at once: its temporaries, arrays as long as rows and the exact
+    kernels' Python floats, are of the same order as the scores and bounds
+    returned, so blocks of rows would only trim a constant factor. runs is
+    _nominal_runs(ds), made here if not given: a caller that scores
+    several classes sorts each nominal column once.
 
     The means and variances are the learner's, from the Welford recurrence
     over class c's rows before the last of rows. With running_sums, a
@@ -343,31 +345,23 @@ def _class_scores(ds, c, rows, log, square, runs=None, running_sums=False):
     to square. Where c is untrained the difference is 0: nothing reads it.
     """
     n, k = ds.n_instances, len(ds.class_values)
-    whole = rows is None
-    rows = np.arange(n) if whole else rows
+    rows = np.arange(n) if rows is None else rows
     runs = _nominal_runs(ds) if runs is None else runs
     scale = len(ds.schema) * 2.0 ** -44
-    # each block's place in the output, its rows, and the rows as an index
-    # into the columns (of every row, a slice)
-    blocks = [(out, rows[out], out if whole else rows[out])
-              for out in (slice(start, start + BLOCK_LINES)
-                          for start in range(0, len(rows), BLOCK_LINES))]
     is_c = ds.columns[ds.class_index] == c
-    before = np.cumsum(is_c, dtype=np.int32) - is_c  # c's rows in [0, t)
-    last = np.maximum(before - 1, 0).astype(np.intp)  # the last of them
+    # c's rows in [0, t) at each row t of rows, and the last of them
+    before = (np.cumsum(is_c, dtype=np.int32) - is_c)[rows]
+    at = np.maximum(before - 1, 0).astype(np.intp)
     stop = int(rows.max()) if len(rows) else 0  # no score reads a later row
-    score, size = np.empty(len(rows)), np.empty(len(rows))
+    score = log((before + 1) / (rows + k))
+    size = np.abs(score)
     first = n
-    for out, t, idx in blocks:
-        score[out] = log((before[idx] + 1) / (t + k))
-        size[out] = np.abs(score[out])
     for j, (attr, col) in enumerate(zip(ds.schema[:-1], ds.columns)):
         if attr.is_nominal:
-            same = _earlier_equal(is_c, *runs[j])
-            for out, _, idx in blocks:
-                term = log((same[idx] + 1) / (before[idx] + len(attr.values)))
-                score[out] += term
-                size[out] += np.abs(term)
+            same = _earlier_equal(is_c, *runs[j])[rows]
+            term = log((same + 1) / (before + len(attr.values)))
+            score += term
+            size += np.abs(term)
             continue
         x = col[:stop][is_c[:stop]]
         if not len(x):
@@ -379,29 +373,27 @@ def _class_scores(ds, c, rows, log, square, runs=None, running_sums=False):
                 mean, var = _welford_moments(x)
                 a1 = None
             spread = 2.0 * math.pi * var  # positive or NaN
-            for out, t, idx in blocks:
-                at = last[idx]
-                diff = col[idx] - mean.take(at)
-                diff[before[idx] == 0] = 0.0  # c untrained: nothing reads it
-                far = np.abs(diff)
-                if a1 is None:  # with running sums none raises (see _small)
-                    for i in np.flatnonzero(far >= 2.0 ** 511).tolist():
-                        try:
-                            float(diff[i]) ** 2  # raises if the learner's does
-                        except OverflowError:
-                            first = min(first, int(t[i]))
-                            break
-                log_norm = log(spread.take(at))
-                quad = square(diff) / var.take(at)
-                score[out] -= 0.5 * (log_norm + quad)
-                size[out] += 0.5 * (np.abs(log_norm) + quad)
-                if a1 is not None:  # the term's radius, in units of scale
-                    quad *= a2.take(at)
-                    far *= a3.take(at)
-                    far += quad
-                    far += a1.take(at)
-                    size[out] += far
-    return score, before[rows] > 0, scale * size, first
+            diff = col[rows] - mean.take(at)
+            diff[before == 0] = 0.0  # c untrained: nothing reads it
+            far = np.abs(diff)
+            if a1 is None:  # with running sums none raises (see _small)
+                for i in np.flatnonzero(far >= 2.0 ** 511).tolist():
+                    try:
+                        float(diff[i]) ** 2  # raises if the learner's does
+                    except OverflowError:
+                        first = min(first, int(rows[i]))
+                        break
+            log_norm = log(spread.take(at))
+            quad = square(diff) / var.take(at)
+            score -= 0.5 * (log_norm + quad)
+            size += 0.5 * (np.abs(log_norm) + quad)
+            if a1 is not None:  # the term's radius, in units of scale
+                quad *= a2.take(at)
+                far *= a3.take(at)
+                far += quad
+                far += a1.take(at)
+                size += far
+    return score, before > 0, scale * size, first
 
 
 def _nominal_runs(ds: StreamDataset) -> dict:
@@ -528,19 +520,14 @@ def _running_moments(x, scale: float):
 
 def _welford_means(values):
     """The running means of the array values, as the row-by-row learner's
-    update (OracleNaiveBayes in tests/oracles.py) makes them, BLOCK_LINES
-    at a time."""
-    means = np.empty(len(values))
+    update (OracleNaiveBayes in tests/oracles.py) makes them."""
+    means = []
+    append = means.append
     mean = 0.0
-    for start in range(0, len(values), BLOCK_LINES):
-        block = []
-        append = block.append
-        for count, value in enumerate(
-                values[start:start + BLOCK_LINES].tolist(), start + 1):
-            mean += (value - mean) / count
-            append(mean)
-        means[start:start + BLOCK_LINES] = block
-    return means
+    for count, value in enumerate(values.tolist(), 1):
+        mean += (value - mean) / count
+        append(mean)
+    return np.array(means)
 
 
 def _logs(values):

@@ -106,18 +106,11 @@ def labels_to_dataset(labels: Sequence[int]) -> stream_io.StreamDataset:
         stream_io.AttributeSchema("bias", None),
         stream_io.AttributeSchema("label", LABEL_VALUES),
     )
-    try:
-        with np.errstate(invalid="ignore"):  # a float array's NaN or ±inf
-            codes = np.array(labels, dtype=np.int32)
-        exact = np.array_equal(codes, labels)  # 0.7, "1" or 2**32 as a code
-    except ValueError:  # NaN, or text that int() refuses
-        exact = False
-    except OverflowError:  # ±inf; an int beyond int32 stays numpy's error
-        if not any(x in (np.inf, -np.inf) for x in labels):
-            raise
-        exact = False
-    if not exact:
-        raise ValueError("labels must be the integers 0 and 1")
+    try:  # 1.0, True and numpy values equal to 0 or 1 hash as 0 and 1
+        codes = np.fromiter(map({0: 0, 1: 1}.__getitem__, labels), np.int32,
+                            len(labels))
+    except (KeyError, TypeError):  # any other value, or an unhashable one
+        raise ValueError("labels must be the integers 0 and 1") from None
     return stream_io.StreamDataset._from_columns(
         schema, [np.ones(len(codes)), codes])
 

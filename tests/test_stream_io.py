@@ -21,6 +21,7 @@ from streamaudit import (AttributeSchema, EmptyStream, NaiveBayesLearner,
                          parse_arff, parse_csv, prequential_eval,
                          read_prediction_log, to_arff, write_prediction_log)
 from streamaudit import cli, stream_io
+from streamaudit.evaluation import _naive_bayes_trace
 from streamaudit.rng import uniforms
 from streamaudit.stream_io import Instance, _parse_attribute_line
 from streamaudit.synth import (MarkovLabelModel, gen_markov_labels,
@@ -1137,6 +1138,26 @@ def test_parse_arff_peak_memory_stays_near_its_columns(multiclass_text,
         tracemalloc.stop()
     assert ds.n_instances == 45_312
     assert peak < 1.75 * sum(col.nbytes for col in ds.columns)
+
+
+def test_naive_bayes_trace_peak_memory_stays_near_its_columns(
+        multiclass_text):
+    """The trace scores each class over whole columns, so its peak is the
+    columns plus about ten arrays as long as the stream: scores, bounds,
+    the best class's and the other classes' running tallies, and one
+    Gaussian term's temporaries. On this 45,312-row 3-class stream the
+    columns take 2.90 MB; the peak was 7.20 MB, 2.48 times the columns,
+    and 5.40 MB (1.86 times) when the terms were made 4,096 rows at a
+    time. The bound, 2.75 times, leaves a margin of 11 % over 7.20 MB."""
+    ds = parse_csv(io.StringIO(multiclass_text))
+    tracemalloc.start()
+    try:
+        _naive_bayes_trace(ds)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ds.n_instances == 45_312 and len(ds.class_values) == 3
+    assert peak < 2.75 * sum(col.nbytes for col in ds.columns)
 
 
 @pytest.mark.parametrize("text", ["x,cls\n1,A\n2,B\n",

@@ -152,25 +152,17 @@ def test_arff_round_trip():
     assert ds.n_features == 1
 
 
-OUT_OF_RANGE = "value index out of range for attribute 'label'"
+NOT_BINARY = "labels must be the integers 0 and 1"
 
 
 def test_labels_to_csv_refuses_what_labels_to_arff_refuses():
-    for labels in ([-1], [0, 2], [1, 0, -1]):
+    for labels in ([-1], [0, 2], [1, 0, -1], [0.7], [1, 0.5], ["1"],
+                   np.array([2**32, 1]), [2**40, 1], [float("nan"), 1],
+                   ["x"], [[1]], [float("inf"), 1], [float("-inf"), 0],
+                   np.array([np.inf, 1.0]), np.array([np.nan, 0.0])):
         for write in (labels_to_arff, labels_to_csv):
-            with pytest.raises(ValueError, match=f"^{OUT_OF_RANGE}$"):
+            with pytest.raises(ValueError, match=f"^{NOT_BINARY}$"):
                 write(labels)
-    for labels in ([0.7], [1, 0.5], ["1"], np.array([2**32, 1]),
-                   [float("nan"), 1], ["x"], [float("inf"), 1],
-                   [float("-inf"), 0], np.array([np.inf, 1.0]),
-                   np.array([np.nan, 0.0])):
-        for write in (labels_to_arff, labels_to_csv):
-            with pytest.raises(ValueError,
-                               match="^labels must be the integers 0 and 1$"):
-                write(labels)
-    for write in (labels_to_arff, labels_to_csv):  # numpy's, as README says
-        with pytest.raises(OverflowError, match="out of bounds for int32"):
-            write([2**40, 1])
     assert labels_to_csv([1.0, False]) == "label\n1\n0\n"
     # parse_csv refuses the header-only CSV this would write, as this does
     with pytest.raises(EmptyStream,
@@ -191,7 +183,7 @@ def test_a_written_labels_csv_reads_back(labels, seed):
         assert labels == []
         return
     except ValueError as exc:
-        assert str(exc) == OUT_OF_RANGE and not set(labels) <= {0, 1}
+        assert str(exc) == NOT_BINARY and not set(labels) <= {0, 1}
         return
     assert parse_csv(io.StringIO(text)).labels() == list(map(str, labels))
 
@@ -202,7 +194,7 @@ def test_a_written_labels_arff_reads_back(labels, seed):
     try:
         text = labels_to_arff(labels)
     except ValueError as exc:
-        assert str(exc) == OUT_OF_RANGE and not set(labels) <= {0, 1}
+        assert str(exc) == NOT_BINARY and not set(labels) <= {0, 1}
         return
     if seed is not None:  # the comment synth --out x.arff puts first
         text = f"% seed={seed}\n" + text
